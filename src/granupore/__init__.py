@@ -23,6 +23,7 @@ from .materials import (
     i_eq,
     inertial_number,
     phi_eq,
+    phi_eq_prime,
     viscous_number,
 )
 from .gas import (

@@ -24,7 +24,6 @@ budget annihilates, so they have no effect on the energy balance.
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -125,15 +124,15 @@ def drag_beta(gas: GasParams, d: float, phi: float) -> float:
     return 150.0 * gas.eta_f * phi * phi / (d * d * (1.0 - phi))
 
 
-def permeability_kappa(gas: GasParams, d: float, phi: float) -> float:
+def permeability_kappa(gas: GasParams, d: float, phi):
     """Carman-Kozeny mobility kappa(phi) = d^2 (1-phi)^3 / (150 eta_f phi^2).
 
-    Satisfies kappa(phi) * beta(phi) = (1 - phi)^2 identically.
+    Satisfies kappa * beta = (1 - phi)^2 identically, for float or array phi.
 
     Raises:
-        ValueError: If phi <= 0 (kappa unbounded) or phi >= 1.
+        ValueError: If any phi <= 0 (kappa unbounded), >= 1 or NaN.
     """
-    if not 0.0 < phi < 1.0:
+    if not np.all((0.0 < phi) & (phi < 1.0)):
         raise ValueError(f"permeability requires 0 < phi < 1, got {phi}")
     one_m = 1.0 - phi
     return d * d * one_m**3 / (150.0 * gas.eta_f * phi * phi)
@@ -194,18 +193,18 @@ def rho_from_pf(law: StateLaw, p_f: float) -> float:
     return float(optimize.brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16))
 
 
-def enthalpy_ideal(gas: GasParams, p_f: float) -> float:
+def enthalpy_ideal(gas: GasParams, p_f):
     """Closed-form energy density for an ideal gas,
     H = (p_atm + p_f) [ln(1 + p_f / p_atm) - 1].
 
-    H(0) = -p_atm exactly and H is convex in p_f.
+    H(0) = -p_atm exactly and H is convex in p_f, a float or an array.
 
     Raises:
-        ValueError: If p_f <= -p_atm (log branch point).
+        ValueError: If any p_f <= -p_atm (log branch point) or NaN.
     """
-    if p_f <= -gas.p_atm:
+    if not np.all(p_f > -gas.p_atm):
         raise ValueError(f"p_f must exceed -p_atm = {-gas.p_atm}, got {p_f}")
-    return (gas.p_atm + p_f) * (math.log1p(p_f / gas.p_atm) - 1.0)
+    return (gas.p_atm + p_f) * (np.log1p(p_f / gas.p_atm) - 1.0)
 
 
 def enthalpy_from_statelaw(

@@ -32,6 +32,7 @@ __all__ = [
     "inertial_number",
     "viscous_number",
     "phi_eq",
+    "phi_eq_prime",
     "i_eq",
     "div_u_from_angle",
     "angle_from_div_u",
@@ -226,6 +227,23 @@ def phi_eq(law: EquilibriumLaw, mat: MaterialParams, I: float) -> float:
     if law.variant == "robinson":
         return mat.phi_max - law.A * I**law.a
     return mat.phi_max / (1.0 + I)  # breard
+
+
+def phi_eq_prime(law: EquilibriumLaw, mat: MaterialParams, I: float) -> float:
+    """Slope d(phi_eq)/dI of the equilibrium law, in closed form.
+
+    Raises:
+        ValueError: If I < 0.
+    """
+    if I < 0:
+        raise ValueError(f"equilibrium law undefined for I < 0, got {I}")
+    if law.variant == "linear":
+        return -mat.delta_phi
+    if law.variant == "schaeffer":
+        return -mat.delta_phi / (1.0 + I) ** 2
+    if law.variant == "robinson":
+        return -law.A * law.a * I ** (law.a - 1.0)
+    return -mat.phi_max / (1.0 + I) ** 2  # breard
 
 
 def i_eq(law: EquilibriumLaw, mat: MaterialParams, phi: float) -> float:

@@ -47,6 +47,7 @@ from .materials import (
     i_eq as law_i_eq,
     inertial_number,
     phi_eq as law_phi_eq,
+    phi_eq_prime,
 )
 
 __all__ = [
@@ -249,12 +250,8 @@ class _ModelBase:
         return law_phi_eq(self.law, self.mat, I)
 
     def _gain_slope(self, I: float) -> float:
-        """-(d i_eq / d phi) evaluated at phi_eq(I); 1/delta_phi when linear."""
-        if self.law.variant == "linear":
-            return 1.0 / self.mat.delta_phi
-        phi_star = self.phi_eq(I)
-        h = 1e-7
-        return -(self.i_eq(phi_star + h) - self.i_eq(phi_star - h)) / (2.0 * h)
+        """-(d i_eq / d phi) at phi_eq(I), i.e. -1 / phi_eq'(I)."""
+        return -1.0 / phi_eq_prime(self.law, self.mat, I)
 
 
 @dataclass(frozen=True)

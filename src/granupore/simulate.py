@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
+from .gas import enthalpy_ideal, permeability_kappa
 from .materials import GasParams, MaterialParams, inertial_number
 
 __all__ = [
@@ -327,26 +328,23 @@ def uniform_column(
     return ColumnState(z=z, phi_profile=phi_arr, pf_profile=pf, t=0.0)
 
 
-def _cell_kappa(state: ColumnState, gas: GasParams, mat: MaterialParams) -> np.ndarray:
-    phi = state.phi_profile
-    return mat.d * mat.d * (1.0 - phi) ** 3 / (150.0 * gas.eta_f * phi * phi)
-
-
-def _face_kappa(state: ColumnState, gas: GasParams, mat: MaterialParams) -> np.ndarray:
-    kappa = _cell_kappa(state, gas, mat)
+def _column_coefficients(
+    state: ColumnState, gas: GasParams, mat: MaterialParams
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Static coefficients of the column: 1-phi, the face kappa and the
+    explicit stability limit min(dz^2 (1-phi) / (p_atm kappa))."""
+    one_m = 1.0 - state.phi_profile
+    kappa = permeability_kappa(gas, mat.d, state.phi_profile)
     # Harmonic mean preserves flux continuity across jumps in kappa.
-    return 2.0 * kappa[:-1] * kappa[1:] / (kappa[:-1] + kappa[1:])
+    face = 2.0 * kappa[:-1] * kappa[1:] / (kappa[:-1] + kappa[1:])
+    return one_m, face, float(np.min(state.dz * state.dz * one_m / (gas.p_atm * kappa)))
 
 
 def column_cfl_dt(
     state: ColumnState, gas: GasParams, mat: MaterialParams, safety: float = 0.4
 ) -> float:
     """Largest explicit step: safety * min(dz^2 (1-phi) / (p_atm kappa))."""
-    dz = state.dz
-    limits = dz * dz * (1.0 - state.phi_profile) / (
-        gas.p_atm * _cell_kappa(state, gas, mat)
-    )
-    return safety * float(np.min(limits))
+    return safety * _column_coefficients(state, gas, mat)[2]
 
 
 def step_column(
@@ -368,15 +366,20 @@ def step_column(
         ValueError: On dt <= 0, unknown mode, or an explicit step above the
             stability bound.
     """
+    return _advance_column(state, gas, dt, mode, _column_coefficients(state, gas, mat))
+
+
+def _advance_column(
+    state: ColumnState, gas: GasParams, dt: float, mode: str, coefficients: tuple
+) -> ColumnState:
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    one_m, kf, cfl_limit = coefficients
     dz = state.dz
-    one_m = 1.0 - state.phi_profile
-    kf = _face_kappa(state, gas, mat)
     p = state.pf_profile
 
     if mode == "explicit":
-        limit = column_cfl_dt(state, gas, mat, safety=0.4)
+        limit = 0.4 * cfl_limit
         if dt > limit * (1.0 + 1.0e-12):
             raise ValueError(
                 f"explicit step dt={dt:g} above the stability bound {limit:g}; "
@@ -440,21 +443,22 @@ def run_column(
     final ones).
     """
     state = state0
+    coefficients = _column_coefficients(state, gas, mat)
     history = [state]
     ts = [state.t]
     contents = [gas_content(state)]
     energies = [_column_energy(state, gas)]
-    dissipations = [_column_dissipation(state, gas, mat)]
+    dissipations = [_column_dissipation(state, coefficients[1])]
     scale = max(abs(contents[0]), 1.0)
     max_drift = 0.0
     for step in range(1, n_steps + 1):
-        state = step_column(state, gas, mat, dt, mode=mode)
+        state = _advance_column(state, gas, dt, mode, coefficients)
         ts.append(state.t)
         g = gas_content(state)
         max_drift = max(max_drift, abs(g - contents[-1]) / scale)
         contents.append(g)
         energies.append(_column_energy(state, gas))
-        dissipations.append(_column_dissipation(state, gas, mat))
+        dissipations.append(_column_dissipation(state, coefficients[1]))
         if step % record_every == 0 or step == n_steps:
             history.append(state)
     return ColumnResult(
@@ -468,17 +472,13 @@ def run_column(
 
 
 def _column_energy(state: ColumnState, gas: GasParams) -> float:
-    """E1 = sum (1-phi) (p_atm + p_f) [ln(1 + p_f/p_atm) - 1] dz."""
-    p = state.pf_profile
-    h = (gas.p_atm + p) * (np.log1p(p / gas.p_atm) - 1.0)
+    """E1 = sum (1-phi) H(p_f) dz with the ideal-gas H."""
+    h = enthalpy_ideal(gas, state.pf_profile)
     return float(np.sum((1.0 - state.phi_profile) * h) * state.dz)
 
 
-def _column_dissipation(
-    state: ColumnState, gas: GasParams, mat: MaterialParams
-) -> float:
-    """D = sum over faces of kappa (dp_f/dz)^2 dz."""
-    kf = _face_kappa(state, gas, mat)
+def _column_dissipation(state: ColumnState, kf: np.ndarray) -> float:
+    """D = sum over faces of kappa (dp_f/dz)^2 dz, given the face kappa."""
     grad = (state.pf_profile[1:] - state.pf_profile[:-1]) / state.dz
     return float(np.sum(kf * grad * grad) * state.dz)
 
@@ -514,7 +514,8 @@ def energy_ledger(
         raise ValueError("need at least two states for a ledger")
     t = np.array([s.t for s in history])
     e1 = np.array([_column_energy(s, gas) for s in history])
-    diss = np.array([_column_dissipation(s, gas, mat) for s in history])
+    kfs = [_column_coefficients(s, gas, mat)[1] for s in history]
+    diss = np.array([_column_dissipation(s, kf) for s, kf in zip(history, kfs)])
     dts = np.diff(t)
     if np.any(dts <= 0):
         raise ValueError("history times must be strictly increasing")

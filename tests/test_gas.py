@@ -49,6 +49,19 @@ class TestDragAndPermeability:
         with pytest.raises(ValueError):
             permeability_kappa(GAS, D, 0.0)
 
+    def test_kappa_array_matches_scalar(self):
+        phis = np.linspace(0.05, 0.95, 19)
+        kappas = permeability_kappa(GAS, D, phis)
+        assert kappas.shape == phis.shape
+        for phi, kappa in zip(phis, kappas):
+            assert kappa == pytest.approx(permeability_kappa(GAS, D, float(phi)), rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0, np.nan])
+    def test_kappa_array_domain(self, bad):
+        phis = np.array([0.3, bad, 0.6])
+        with pytest.raises(ValueError, match="permeability requires 0 < phi < 1"):
+            permeability_kappa(GAS, D, phis)
+
     @given(phi=st.floats(min_value=1e-3, max_value=0.999))
     @settings(max_examples=50)
     def test_kappa_beta_identity(self, phi):
@@ -153,6 +166,19 @@ class TestEnthalpyIdeal:
     def test_domain(self):
         with pytest.raises(ValueError):
             enthalpy_ideal(GAS, -GAS.p_atm)
+
+    def test_array_matches_scalar(self):
+        pfs = np.linspace(-0.9 * GAS.p_atm, 2.0 * GAS.p_atm, 21)
+        hs = enthalpy_ideal(GAS, pfs)
+        assert hs.shape == pfs.shape
+        for pf, h in zip(pfs, hs):
+            assert h == pytest.approx(enthalpy_ideal(GAS, float(pf)), rel=1e-15)
+
+    @pytest.mark.parametrize("bad", [-GAS.p_atm, -2.0 * GAS.p_atm, np.nan])
+    def test_array_domain(self, bad):
+        pfs = np.array([0.0, bad, 100.0])
+        with pytest.raises(ValueError, match="p_f must exceed -p_atm"):
+            enthalpy_ideal(GAS, pfs)
 
 
 def _fit_affine(x, y):

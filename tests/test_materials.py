@@ -17,6 +17,7 @@ from granupore.materials import (
     i_eq,
     inertial_number,
     phi_eq,
+    phi_eq_prime,
     viscous_number,
 )
 
@@ -167,6 +168,18 @@ class TestEquilibriumLaws:
         Is = np.linspace(1e-3, 10.0, 200)
         values = [phi_eq(law, MAT, I) for I in Is]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+    @pytest.mark.parametrize("variant", ["linear", "schaeffer", "robinson", "breard"])
+    def test_slope_matches_central_difference(self, variant):
+        law = EquilibriumLaw(variant)
+        h = 1e-6
+        for I in (0.05, 0.3, 1.0, 4.0):
+            fd = (phi_eq(law, MAT, I + h) - phi_eq(law, MAT, I - h)) / (2.0 * h)
+            assert phi_eq_prime(law, MAT, I) == pytest.approx(fd, rel=1e-7)
+
+    def test_slope_negative_I(self):
+        with pytest.raises(ValueError):
+            phi_eq_prime(LINEAR, MAT, -0.1)
 
     def test_robinson_defaults(self):
         law = EquilibriumLaw("robinson")

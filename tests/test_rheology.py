@@ -401,6 +401,22 @@ class TestNearEquilibriumGain:
         ) / (2.0 * h)
         assert model.near_equilibrium_gain(I) == pytest.approx(slope, rel=1e-4)
 
+    @pytest.mark.parametrize("variant", ["schaeffer", "robinson", "breard"])
+    @pytest.mark.parametrize("model", BUILTINS, ids=["dp", "mui", "dp-psi", "mui-psi"])
+    @pytest.mark.parametrize("I", [0.05, 0.5, 2.0])
+    def test_nonlinear_law_closed_form(self, model, variant, I):
+        # The gain factors into a model part, which the linear law scales by
+        # 1/delta_phi, and the slope -1/phi_eq'(I) of the law.
+        law = EquilibriumLaw(variant)
+        slope = {
+            "schaeffer": (1.0 + I) ** 2 / MAT.delta_phi,
+            "robinson": 1.0 / (law.A * law.a * I ** (law.a - 1.0)),
+            "breard": (1.0 + I) ** 2 / MAT.phi_max,
+        }[variant]
+        expected = model.near_equilibrium_gain(I) * MAT.delta_phi * slope
+        got = type(model)(MAT, law).near_equilibrium_gain(I)
+        assert got == pytest.approx(expected, rel=1e-12)
+
     def test_roux_radjai_gain_is_a(self):
         model = RouxRadjai(MAT, LAW, gain=1.7)
         assert model.near_equilibrium_gain(1.0) == 1.7

@@ -302,6 +302,28 @@ class TestColumn:
         dt = column_cfl_dt(state, GAS, MAT)
         with pytest.raises(ValueError, match="stability bound"):
             step_column(state, GAS, MAT, 2.0 * dt, mode="explicit")
+        with pytest.raises(ValueError, match="stability bound"):
+            run_column(state, GAS, MAT, 2.0 * dt, 5, mode="explicit")
+
+    @pytest.mark.parametrize("mode,factor", [("explicit", 1.0), ("implicit", 20.0)])
+    def test_run_matches_repeated_steps(self, mode, factor):
+        n = 60
+        phi = np.linspace(0.45, 0.58, n)
+        state = uniform_column(n, self.L, phi, lambda z: 100.0 * np.exp(-z / 0.02))
+        dt = factor * column_cfl_dt(state, GAS, MAT)
+        res = run_column(state, GAS, MAT, dt, 40, mode=mode)
+        assert len(res.history) == 41
+        for recorded in res.history[1:]:
+            state = step_column(state, GAS, MAT, dt, mode=mode)
+            np.testing.assert_array_equal(recorded.pf_profile, state.pf_profile)
+            assert recorded.t == state.t
+
+    def test_run_dissipation_matches_ledger(self):
+        state = self._cosine_column(50)
+        res = run_column(state, GAS, MAT, column_cfl_dt(state, GAS, MAT), 30, record_every=1)
+        ledger = energy_ledger(res.history, GAS, MAT)
+        np.testing.assert_array_equal(res.dissipation, ledger.dissipation)
+        np.testing.assert_array_equal(res.energy, ledger.energy)
 
     def test_implicit_mode_unconditional(self):
         state = self._cosine_column(50)
