@@ -15,6 +15,11 @@ Exit codes: 0 all checks pass, 2 a checked condition fails, 1 on errors
 (bad flags, malformed config, I/O).  Outputs are plain CSV with a ``#``
 provenance header embedding the resolved configuration; runs are
 deterministic for a fixed config and seed.
+
+``simulate-box`` and ``simulate-column`` also take their run settings from a
+``--scenario`` key = value file.  Keys are the option names with underscores;
+argparse checks each value as it checks the flag, and flags given on the
+command line win.  A key that is not a run setting is reported with its line.
 """
 
 from __future__ import annotations
@@ -27,7 +32,9 @@ import numpy as np
 
 from . import __version__
 from .conditions import GridSpec, standard_grid, sweep, write_report_csv
-from .config import ConfigError, load_parameters, parameters_text, read_symbol_config
+from .config import (
+    ConfigError, load_parameters, parameters_text, read_kv_file, read_symbol_config
+)
 from .materials import EquilibriumLaw, GasParams, MaterialParams
 from .rheology import MODEL_IDS, PowerLaw, build_model, derive_f_numeric
 from .simulate import (
@@ -120,36 +127,6 @@ def _build(args, mat: MaterialParams):
         rr_gain=getattr(args, "rr_gain", None),
         z_override=getattr(args, "z_override", None),
     )
-
-
-def _apply_scenario(args, parser_defaults: dict) -> None:
-    """Fill simulation settings from a flat key = value scenario file.
-
-    Explicit command-line flags win over the file; file keys must match the
-    subcommand's option names (underscored).  Unknown keys are rejected
-    with their line number.
-    """
-    from .config import read_kv_file
-
-    if not args.scenario:
-        return
-    for key, (raw, lineno) in read_kv_file(args.scenario).items():
-        if key not in parser_defaults:
-            raise ConfigError(f"{args.scenario}:{lineno}: unknown scenario key {key!r}")
-        if getattr(args, key) != parser_defaults[key]:
-            continue  # explicitly set on the command line
-        default = parser_defaults[key]
-        if key in ("model", "forcing", "mode"):
-            setattr(args, key, raw)
-        elif isinstance(default, int) and not isinstance(default, bool):
-            setattr(args, key, int(raw))
-        else:
-            try:
-                setattr(args, key, float(raw))
-            except ValueError:
-                raise ConfigError(
-                    f"{args.scenario}:{lineno}: cannot parse number from {raw!r}"
-                ) from None
 
 
 # ----------------------------------------------------------------------
@@ -249,19 +226,7 @@ def cmd_derive(args) -> int:
     return 0 if worst <= DERIVE_TOL else 2
 
 
-BOX_DEFAULTS = dict(
-    phi0=0.55, I=None, shear=100.0, p=1000.0, pf0=None, t_end=0.05,
-    dt=1.0e-6, forcing="constant", seed=0, record_every=100,
-)
-
-COLUMN_DEFAULTS = dict(
-    cells=200, length=0.1, phi=0.6, pf_mean=200.0, pf_amplitude=100.0,
-    t_end=6.0e-3, dt=None, mode="explicit", record_every=2000,
-)
-
-
 def cmd_simulate_box(args) -> int:
-    _apply_scenario(args, BOX_DEFAULTS)
     mat, gas = _load_params(args)
     model = _build(args, mat)
     if args.forcing == "random":
@@ -303,7 +268,6 @@ def cmd_simulate_box(args) -> int:
 
 
 def cmd_simulate_column(args) -> int:
-    _apply_scenario(args, COLUMN_DEFAULTS)
     mat, gas = _load_params(args)
     state0 = uniform_column(
         args.cells,
@@ -312,7 +276,7 @@ def cmd_simulate_column(args) -> int:
         lambda z: args.pf_mean + args.pf_amplitude * np.cos(np.pi * z / args.length),
     )
     dt = args.dt if args.dt is not None else column_cfl_dt(state0, gas, mat)
-    n_steps = int(round(args.t_end / dt))
+    n_steps = int(round(args.t_end / dt)) if dt > 0 else 0  # run_column rejects dt <= 0
     result = run_column(
         state0, gas, mat, dt, n_steps, mode=args.mode, record_every=args.record_every
     )
@@ -449,10 +413,31 @@ _COMMANDS = {
 }
 
 
+#: Parsed keys of simulate-box and simulate-column that are not run settings.
+_NOT_SCENARIO = {"command", "config", "out", "model", "z_override", "rr_gain", "scenario"}
+
+
+def _scenario_flags(args) -> list[str]:
+    """The scenario file's ``key = value`` lines as ``--key=value`` flags."""
+    settings = vars(args).keys() - _NOT_SCENARIO
+    flags = []
+    for key, (raw, lineno) in read_kv_file(args.scenario).items():
+        if key not in settings:
+            raise ConfigError(f"{args.scenario}:{lineno}: unknown scenario key {key!r}")
+        flags.append(f"--{key.replace('_', '-')}={raw}")
+    return flags
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "scenario", None):
+            # File settings go right after the subcommand, so that argparse
+            # checks them like flags and the command line's own flags win.
+            at = argv.index(args.command) + 1
+            args = parser.parse_args(argv[:at] + _scenario_flags(args) + argv[at:])
         return _COMMANDS[args.command](args)
     except (ConfigError, ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

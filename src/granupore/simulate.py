@@ -24,6 +24,7 @@ compliant models.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -73,9 +74,9 @@ class Forcing:
 
 
 def constant_forcing(shear: float, p: float) -> Forcing:
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"forcing pressure must be positive, got {p}")
-    if shear < 0:
+    if not shear >= 0:
         raise ValueError(f"forcing shear must be non-negative, got {shear}")
     return Forcing(shear=lambda t: shear, p=lambda t: p)
 
@@ -85,24 +86,32 @@ def piecewise_constant_forcing(
 ) -> Forcing:
     """Right-open piecewise-constant signals on [edges[k], edges[k+1]).
 
-    ``edges`` has one more entry than the value lists; times outside the
-    range take the first/last segment values.
+    ``edges`` is non-decreasing and has one more entry than the value lists;
+    times outside the range take the first/last segment values.
     """
     edges_arr = np.asarray(edges, dtype=float)
     shear_arr = np.asarray(shears, dtype=float)
     p_arr = np.asarray(ps, dtype=float)
-    if edges_arr.size != shear_arr.size + 1 or shear_arr.size != p_arr.size:
-        raise ValueError("need len(edges) = len(shears) + 1 = len(ps) + 1")
-    if np.any(p_arr <= 0):
+    n = shear_arr.size
+    if n == 0 or edges_arr.size != n + 1 or p_arr.size != n:
+        raise ValueError("need len(edges) = len(shears) + 1 = len(ps) + 1 >= 2")
+    # Written so that NaN fails each check.
+    if not np.all(np.diff(edges_arr) >= 0):
+        raise ValueError("forcing edges must be non-decreasing numbers")
+    if not np.all(shear_arr >= 0):
+        raise ValueError("forcing shears must be non-negative")
+    if not np.all(p_arr > 0):
         raise ValueError("forcing pressures must be positive")
+    # Python lists and bisect: numpy calls on one float cost more than the
+    # lookup, which runs at every RK4 stage.
+    edge_list, shear_list, p_list = edges_arr.tolist(), shear_arr.tolist(), p_arr.tolist()
 
     def segment(t: float) -> int:
-        return int(np.clip(np.searchsorted(edges_arr, t, side="right") - 1,
-                           0, shear_arr.size - 1))
+        return min(max(bisect_right(edge_list, t) - 1, 0), n - 1)
 
     return Forcing(
-        shear=lambda t: float(shear_arr[segment(t)]),
-        p=lambda t: float(p_arr[segment(t)]),
+        shear=lambda t: shear_list[segment(t)],
+        p=lambda t: p_list[segment(t)],
     )
 
 
@@ -221,6 +230,14 @@ class BoxResult:
         return float(np.max(self.phi))
 
 
+def _check_steps(dt: float, record_every: int) -> None:
+    """Reject run settings that would divide by zero or run backwards."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if record_every < 1:
+        raise ValueError(f"record_every must be at least 1, got {record_every}")
+
+
 def run_box(
     model,
     mat: MaterialParams,
@@ -238,7 +255,13 @@ def run_box(
     critical-state sign agreement sign(div u) = sign(I - i_eq(phi)) outside
     a |f| < 1e-12 dead band.  Steps leaving [-1e-9, phi_max + 1e-9] are
     flagged as model-violation events and never clamped.
+
+    Raises:
+        ValueError: If dt <= 0, t_end < 0 or record_every < 1.
     """
+    _check_steps(dt, record_every)
+    if not t_end >= 0:
+        raise ValueError(f"t_end must be non-negative, got {t_end}")
     n_steps = int(round(t_end / dt))
     state = BoxState(t=0.0, phi=phi0, p_f=pf0)
     ts, phis, pfs, divs, inertials, ieqs = [], [], [], [], [], []
@@ -441,7 +464,14 @@ def run_column(
     ``content``, ``energy`` and ``dissipation`` are recorded at *every*
     step; states are kept each ``record_every`` steps (plus the initial and
     final ones).
+
+    Raises:
+        ValueError: If dt <= 0, n_steps < 0 or record_every < 1, or on the
+            errors of :func:`step_column`.
     """
+    _check_steps(dt, record_every)
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     state = state0
     coefficients = _column_coefficients(state, gas, mat)
     history = [state]

@@ -1,6 +1,8 @@
 """Configuration files and the command-line interface."""
 
+import hashlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,9 @@ from granupore.config import (
     read_kv_file,
     read_symbol_config,
 )
+
+DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
+CFG = str(DEMO_CONFIGS / "glass_beads.cfg")
 
 
 class TestKVFile:
@@ -227,6 +232,71 @@ class TestCliSimulate:
         )
         assert code == 0
         assert "steps:" in capsys.readouterr().out
+        # An explicit flag wins even when it equals the option's default.
+        scenario.write_text("cells = 20\nt_end = 1e-4\nmode = implicit\n")
+        code = main(
+            ["simulate-column", "--scenario", str(scenario), "--mode", "explicit"]
+        )
+        assert code == 0
+        assert "(explicit)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("forcing = randon", "argument --forcing: invalid choice: 'randon'"),
+            ("seed = 1.5", "argument --seed: invalid int value: '1.5'"),
+        ],
+    )
+    def test_scenario_values_checked_like_flags(self, tmp_path, capsys, line, message):
+        scenario = tmp_path / "run.cfg"
+        scenario.write_text(f"t_end = 1e-5\n{line}\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate-box", "--model", "dp", "--scenario", str(scenario)])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dt", ["0", "-1e-6"])
+    def test_column_rejects_bad_dt(self, capsys, dt):
+        code = main(["simulate-column", "--cells", "20", f"--dt={dt}"])
+        assert code == 1
+        assert "error: dt must be positive" in capsys.readouterr().err
+
+    GOLDEN = [
+        (
+            ["simulate-column", "--config", CFG],
+            "2f8c515f3c3ec00e787c5072f284bc513d2d982e21794a1176e20c31469a0fb6",
+        ),
+        (
+            ["simulate-column", "--config", CFG, "--mode", "implicit"],
+            "da8ec7af62ba4fe19e9b1589af4aca69c89cbef800bf5421bfdb409c453b9a10",
+        ),
+        (
+            [
+                "simulate-box", "--model", "mui", "--config", CFG, "--forcing", "random",
+                "--seed", "5", "--t-end", "0.016", "--dt", "2e-6", "--record-every", "100",
+            ],
+            "27a0ad0904e889eb20a19aa90a9890eb63477308c738eb27c2e8c75bfd7eede9",
+        ),
+        (
+            [
+                "simulate-box", "--model", "dp", "--config", CFG,
+                "--scenario", str(DEMO_CONFIGS / "box_scenario.cfg"),
+            ],
+            "4a54e83bd804d26bc76d9aac8fe165ea60e361f96de53bb1a3bc527ec643bbda",
+        ),
+    ]
+
+    def test_golden_csvs(self, tmp_path, capsys):
+        """The simulators' CSV bytes are unchanged.
+
+        The hashes are tied to the libm and numpy they were recorded with
+        (x86-64 Linux, Python 3.11.7, numpy 2.4.6): another build may round a
+        last printed digit differently.
+        """
+        out = tmp_path / "run.csv"
+        for argv, digest in self.GOLDEN:
+            assert main(argv + ["--out", str(out)]) == 0, argv
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
 class TestCliSymbol:
@@ -239,18 +309,6 @@ class TestCliSymbol:
         assert "spectral union holds: yes" in stdout
         assert "9.0" in stdout  # added eigenvalue c |xi|^2
         assert "M,9.0000000000e+00,0.0000000000e+00" in out.read_text()
-
-
-def test_scenario_defaults_match_parser():
-    from granupore.cli import BOX_DEFAULTS, COLUMN_DEFAULTS, build_parser
-
-    parser = build_parser()
-    box = parser.parse_args(["simulate-box", "--model", "dp"])
-    for key, value in BOX_DEFAULTS.items():
-        assert getattr(box, key) == value, key
-    col = parser.parse_args(["simulate-column"])
-    for key, value in COLUMN_DEFAULTS.items():
-        assert getattr(col, key) == value, key
 
 
 class TestCliErrors:

@@ -51,10 +51,24 @@ class TestForcing:
         assert f.p(-1.0) == 10.0 and f.p(5.0) == 20.0  # clamped to end segments
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            piecewise_constant_forcing([0.0, 1.0], [1.0, 2.0], [1.0, 2.0])
-        with pytest.raises(ValueError):
-            constant_forcing(1.0, 0.0)
+        nan = float("nan")
+        for edges, shears, ps in [
+            ([0.0, 1.0], [1.0, 2.0], [1.0, 2.0]),
+            ([0.0], [], []),
+            ([1.0, 0.0, 2.0], [1.0, 2.0], [1.0, 2.0]),  # unsorted
+            ([0.0, nan, 2.0], [1.0, 2.0], [1.0, 2.0]),
+            ([0.0, 1.0, 2.0], [1.0, -2.0], [1.0, 2.0]),
+            ([0.0, 1.0, 2.0], [nan, 2.0], [1.0, 2.0]),
+            ([0.0, 1.0, 2.0], [1.0, 2.0], [1.0, nan]),
+        ]:
+            with pytest.raises(ValueError):
+                piecewise_constant_forcing(edges, shears, ps)
+        for shear, p in [(1.0, 0.0), (1.0, nan), (-1.0, 1.0), (nan, 1.0)]:
+            with pytest.raises(ValueError):
+                constant_forcing(shear, p)
+        # equal edges make an empty segment, which is legal
+        f = piecewise_constant_forcing([0.0, 1.0, 1.0, 2.0], [5.0, 6.0, 7.0], [1.0] * 3)
+        assert f.shear(0.5) == 5.0 and f.shear(1.0) == 7.0
 
     def test_random_forcing_deterministic(self):
         a = random_forcing(np.random.default_rng(3), 1.0)
@@ -87,6 +101,26 @@ class TestStepBox:
                 constant_forcing(1.0, 10.0),
                 1e-6,
             )
+
+
+class TestRunSettings:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [dict(dt=0.0), dict(dt=-1e-6), dict(t_end=-1e-3), dict(record_every=0)],
+    )
+    def test_run_box_rejects(self, kwargs):
+        settings = dict(phi0=0.5, t_end=1e-5, dt=1e-6) | kwargs
+        with pytest.raises(ValueError):
+            run_box(MODELS["dp"], MAT, constant_forcing(1.0, 10.0), **settings)
+
+    @pytest.mark.parametrize(
+        "kwargs", [dict(dt=0.0), dict(dt=-1e-6), dict(n_steps=-1), dict(record_every=0)]
+    )
+    def test_run_column_rejects(self, kwargs):
+        state = uniform_column(10, 0.1, 0.6, 100.0)
+        settings = dict(dt=1e-9, n_steps=0) | kwargs
+        with pytest.raises(ValueError):
+            run_column(state, GAS, MAT, **settings)
 
 
 class TestBoxRelaxation:
