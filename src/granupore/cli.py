@@ -14,7 +14,9 @@ Subcommands
 Exit codes: 0 all checks pass, 2 a checked condition fails, 1 on errors
 (bad flags, malformed config, I/O).  Outputs are plain CSV with a ``#``
 provenance header embedding the resolved configuration; runs are
-deterministic for a fixed config and seed.
+deterministic for a fixed config and seed.  Only ``table1``, ``derive``,
+implicit ``simulate-column`` and custom (tabulated) gas laws load scipy, and
+they load it on first use.
 
 ``simulate-box`` and ``simulate-column`` also take their run settings from a
 ``--scenario`` key = value file.  Keys are the option names with underscores;
@@ -54,6 +56,9 @@ from .stability import (
 
 TABLE1_EXPONENTS = (0.0, 1.0, 2.0, 3.0, -0.5)
 DERIVE_TOL = 1.0e-8
+#: simulate-box constant forcing when --shear (and --I) or --p is not given.
+BOX_SHEAR = 100.0
+BOX_P = 1000.0
 
 
 class _Parser(argparse.ArgumentParser):
@@ -230,14 +235,18 @@ def cmd_simulate_box(args) -> int:
     mat, gas = _load_params(args)
     model = _build(args, mat)
     if args.forcing == "random":
+        for flag in ("I", "shear", "p"):
+            if getattr(args, flag) is not None:
+                raise ConfigError(f"--{flag} sets constant forcing; --forcing random draws its own")
         rng = np.random.default_rng(args.seed)
         forcing = random_forcing(rng, args.t_end)
     else:
+        p = BOX_P if args.p is None else args.p
         if args.I is not None:
-            shear = args.I * np.sqrt(args.p / mat.rho_s) / mat.d
+            shear = args.I * np.sqrt(p / mat.rho_s) / mat.d
         else:
-            shear = args.shear
-        forcing = constant_forcing(shear, args.p)
+            shear = BOX_SHEAR if args.shear is None else args.shear
+        forcing = constant_forcing(shear, p)
     result = run_box(
         model,
         mat,
@@ -269,6 +278,8 @@ def cmd_simulate_box(args) -> int:
 
 def cmd_simulate_column(args) -> int:
     mat, gas = _load_params(args)
+    if not args.t_end >= 0:
+        raise ValueError(f"t_end must be non-negative, got {args.t_end}")
     state0 = uniform_column(
         args.cells,
         args.length,
@@ -373,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     box.add_argument("--scenario", help="run settings as a key = value file")
     box.add_argument("--phi0", type=float, default=0.55)
     box.add_argument("--I", type=float, default=None, help="constant inertial number")
-    box.add_argument("--shear", type=float, default=100.0, help="constant |S| (1/s)")
-    box.add_argument("--p", type=float, default=1000.0, help="constant pressure (Pa)")
+    box.add_argument("--shear", type=float, help=f"constant |S| (1/s), default {BOX_SHEAR:g}")
+    box.add_argument("--p", type=float, help=f"constant pressure (Pa), default {BOX_P:g}")
     box.add_argument("--pf0", type=float, default=None, help="track p_f from this value")
     box.add_argument("--t-end", type=float, dest="t_end", default=0.05)
     box.add_argument("--dt", type=float, default=1.0e-6)

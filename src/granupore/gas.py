@@ -25,12 +25,14 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
-from scipy import integrate, interpolate, optimize
 
 from .materials import GasParams
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 __all__ = [
     "IdealGasLaw",
@@ -101,12 +103,12 @@ class EnthalpyH:
     values: np.ndarray
     c1: float
     c2: float = 0.0
-    _spline: interpolate.CubicSpline = field(repr=False, compare=False, default=None)
+    _spline: CubicSpline = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "_spline", interpolate.CubicSpline(self.x_grid, self.values)
-        )
+        from scipy.interpolate import CubicSpline
+
+        object.__setattr__(self, "_spline", CubicSpline(self.x_grid, self.values))
 
     def __call__(self, x):
         return self._spline(x)
@@ -179,6 +181,8 @@ def rho_from_pf(law: StateLaw, p_f: float) -> float:
         if p_f <= -law.gas.p_atm:
             raise ValueError(f"p_f must exceed -p_atm = {-law.gas.p_atm}, got {p_f}")
         return law.gas.rho_f0 * (1.0 + p_f / law.gas.p_atm)
+    from scipy.optimize import brentq
+
     g = lambda rho: law.Q(rho) - p_f
     lo, hi = law.rho_min, law.rho_max
     g_lo, g_hi = g(lo), g(hi)
@@ -190,7 +194,7 @@ def rho_from_pf(law: StateLaw, p_f: float) -> float:
         raise ValueError(
             f"p_f={p_f} not bracketed by Q on [{lo}, {hi}]; cannot invert state law"
         )
-    return float(optimize.brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16))
+    return float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16))
 
 
 def enthalpy_ideal(gas: GasParams, p_f):
@@ -235,11 +239,13 @@ def enthalpy_from_statelaw(
     if c1 <= 0.0:
         raise ValueError(f"c1 must be positive, got {c1}")
 
+    from scipy.integrate import quad
+
     integrand = lambda z: law.Q(z) / (z * z)
     nodes = np.unique(np.concatenate([xs, [c1]]))
     panel = np.zeros(nodes.size)  # panel[k] = integral from nodes[k-1] to nodes[k]
     for k in range(1, nodes.size):
-        val, err = integrate.quad(
+        val, err = quad(
             integrand, nodes[k - 1], nodes[k], epsabs=0.0, epsrel=1e-10, limit=200
         )
         if err > 1e-8 * max(abs(val), 1.0):
@@ -280,7 +286,9 @@ def state_law_from_csv(path) -> CustomStateLaw:
     q = np.asarray(qs)[order]
     if r[0] <= 0:
         raise ValueError(f"{path}: densities must be positive")
-    pchip = interpolate.PchipInterpolator(r, q)
+    from scipy.interpolate import PchipInterpolator
+
+    pchip = PchipInterpolator(r, q)
     dpchip = pchip.derivative()
     return CustomStateLaw(
         Q=lambda rho: float(pchip(rho)),

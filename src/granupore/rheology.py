@@ -38,8 +38,6 @@ import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
-from scipy import integrate
-
 from .materials import (
     EquilibriumLaw,
     FlowState,
@@ -182,7 +180,9 @@ _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 def _integral(Z_of_I: Callable[[float], float], a: float, b: float) -> float:
     if a == b:
         return 0.0
-    val, err = integrate.quad(Z_of_I, a, b, **_QUAD_OPTS)
+    from scipy.integrate import quad
+
+    val, err = quad(Z_of_I, a, b, **_QUAD_OPTS)
     if err > 1e-7 * max(abs(val), 1.0):
         raise RuntimeError(
             f"quadrature of Z did not converge on [{a}, {b}]: value {val}, error {err}"

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .gas import enthalpy_ideal, permeability_kappa
 from .materials import GasParams, MaterialParams, inertial_number
@@ -124,6 +123,8 @@ def random_forcing(
     p_floor: float = P_FLOOR,
 ) -> Forcing:
     """Seeded piecewise-constant forcing, log-uniform in shear and pressure."""
+    if not t_end >= 0:
+        raise ValueError(f"t_end must be non-negative, got {t_end}")
     edges = np.linspace(0.0, t_end, n_segments + 1)
     shears = np.exp(rng.uniform(math.log(shear_range[0]), math.log(shear_range[1]), n_segments))
     ps = np.exp(rng.uniform(math.log(p_range[0]), math.log(p_range[1]), n_segments))
@@ -257,11 +258,20 @@ def run_box(
     flagged as model-violation events and never clamped.
 
     Raises:
-        ValueError: If dt <= 0, t_end < 0 or record_every < 1.
+        ValueError: If dt <= 0, t_end < 0, record_every < 1, phi0 is outside
+            (0, 1), or pf0 is given without gas or at or below -p_atm.
     """
     _check_steps(dt, record_every)
+    # Written so that NaN fails each check.
     if not t_end >= 0:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
+    if not 0.0 < phi0 < 1.0:
+        raise ValueError(f"phi0 must lie in (0, 1), got {phi0}")
+    if pf0 is not None:
+        if gas is None:
+            raise ValueError("tracking p_f requires gas parameters")
+        if not pf0 > -gas.p_atm:
+            raise ValueError(f"pf0 must exceed -p_atm = {-gas.p_atm}, got {pf0}")
     n_steps = int(round(t_end / dt))
     state = BoxState(t=0.0, phi=phi0, p_f=pf0)
     ts, phis, pfs, divs, inertials, ieqs = [], [], [], [], [], []
@@ -336,18 +346,27 @@ def uniform_column(
     phi: float | Sequence[float],
     pf_init: float | Sequence[float] | Callable[[np.ndarray], np.ndarray] = 0.0,
 ) -> ColumnState:
-    """Build a column state on a uniform grid of cell centres."""
+    """Build a column state on a uniform grid of cell centres.
+
+    Raises:
+        ValueError: If n_cells < 2, length is not positive, or a phi is
+            outside (0, 1) or a p_f is not finite (NaN included).
+    """
     if n_cells < 2:
         raise ValueError(f"need at least 2 cells, got {n_cells}")
+    if not length > 0:
+        raise ValueError(f"column length must be positive, got {length}")
     dz = length / n_cells
     z = (np.arange(n_cells) + 0.5) * dz
     phi_arr = np.broadcast_to(np.asarray(phi, dtype=float), (n_cells,)).copy()
-    if np.any(phi_arr <= 0.0) or np.any(phi_arr >= 1.0):
+    if not np.all((0.0 < phi_arr) & (phi_arr < 1.0)):
         raise ValueError("column phi profile must lie in (0, 1)")
     if callable(pf_init):
         pf = np.asarray(pf_init(z), dtype=float)
     else:
         pf = np.broadcast_to(np.asarray(pf_init, dtype=float), (n_cells,)).copy()
+    if not np.all(np.isfinite(pf)):
+        raise ValueError("column initial p_f must be finite")
     return ColumnState(z=z, phi_profile=phi_arr, pf_profile=pf, t=0.0)
 
 
@@ -414,6 +433,8 @@ def _advance_column(
         content[1:] -= dt * gas.p_atm / dz * flux
         p_new = content / one_m
     elif mode == "implicit":
+        from scipy.linalg import solve_banded
+
         n = p.size
         r = dt * gas.p_atm / (dz * dz)
         lower = np.zeros(n)

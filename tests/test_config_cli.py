@@ -261,6 +261,52 @@ class TestCliSimulate:
         assert code == 1
         assert "error: dt must be positive" in capsys.readouterr().err
 
+    def test_box_random_rejects_scenario_shear(self, tmp_path, capsys):
+        scenario = tmp_path / "run.cfg"
+        scenario.write_text("forcing = random\nshear = 50\nt_end = 1e-4\n")
+        code = main(["simulate-box", "--model", "dp", "--scenario", str(scenario)])
+        assert code == 1
+        assert "error: --shear sets constant forcing" in capsys.readouterr().err
+
+    def test_box_constant_defaults(self, capsys):
+        run = ["simulate-box", "--model", "dp", "--t-end", "1e-4"]
+        assert main(run) == 0
+        implicit = capsys.readouterr().out
+        assert main(run + ["--shear", "100", "--p", "1000"]) == 0
+        assert capsys.readouterr().out == implicit
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--forcing", "random", "--I", "2.0"], "--I sets constant forcing"),
+            (["--forcing", "random", "--shear", "50"], "--shear sets constant forcing"),
+            (["--forcing", "random", "--p", "500"], "--p sets constant forcing"),
+            (["--forcing", "random", "--t-end=-1e-3"], "t_end must be non-negative, got -0.001"),
+            (["--forcing", "random", "--t-end=nan"], "t_end must be non-negative, got nan"),
+            (["--phi0=nan"], "phi0 must lie in (0, 1), got nan"),
+            (["--pf0=nan"], "pf0 must exceed -p_atm = -101300.0, got nan"),
+            (["--pf0=-2e5"], "pf0 must exceed -p_atm = -101300.0, got -200000.0"),
+        ],
+        ids=["I", "shear", "p", "t_end-neg", "t_end-nan", "phi0-nan", "pf0-nan", "pf0-low"],
+    )
+    def test_box_bad_input_named(self, capsys, argv, message):
+        assert main(["simulate-box", "--model", "dp", "--t-end=1e-4", *argv]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--t-end=-1e-3"], "t_end must be non-negative, got -0.001"),
+            (["--t-end=nan"], "t_end must be non-negative, got nan"),
+            (["--length=-1"], "column length must be positive, got -1.0"),
+            (["--length=0"], "column length must be positive, got 0.0"),
+        ],
+        ids=["t_end-neg", "t_end-nan", "length-neg", "length-zero"],
+    )
+    def test_column_bad_input_named(self, capsys, argv, message):
+        assert main(["simulate-column", "--t-end=1e-4", *argv]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+
     GOLDEN = [
         (
             ["simulate-column", "--config", CFG],

@@ -66,6 +66,9 @@ class TestForcing:
         for shear, p in [(1.0, 0.0), (1.0, nan), (-1.0, 1.0), (nan, 1.0)]:
             with pytest.raises(ValueError):
                 constant_forcing(shear, p)
+        for t_end in (-1e-3, nan):
+            with pytest.raises(ValueError, match="t_end must be non-negative"):
+                random_forcing(np.random.default_rng(0), t_end)
         # equal edges make an empty segment, which is legal
         f = piecewise_constant_forcing([0.0, 1.0, 1.0, 2.0], [5.0, 6.0, 7.0], [1.0] * 3)
         assert f.shear(0.5) == 5.0 and f.shear(1.0) == 7.0
@@ -112,6 +115,41 @@ class TestRunSettings:
         settings = dict(phi0=0.5, t_end=1e-5, dt=1e-6) | kwargs
         with pytest.raises(ValueError):
             run_box(MODELS["dp"], MAT, constant_forcing(1.0, 10.0), **settings)
+
+    @pytest.mark.parametrize(
+        "kwargs,name",
+        [
+            (dict(phi0=math.nan), "phi0"),
+            (dict(phi0=0.0), "phi0"),
+            (dict(phi0=1.0), "phi0"),
+            (dict(pf0=math.nan, gas=GAS), "pf0"),
+            (dict(pf0=-2.0e5, gas=GAS), "pf0"),
+            (dict(pf0=-GAS.p_atm, gas=GAS), "pf0"),
+            (dict(pf0=0.0), "gas parameters"),
+        ],
+        ids=["phi0-nan", "phi0-zero", "phi0-one", "pf0-nan", "pf0-low", "pf0-p_atm", "no-gas"],
+    )
+    def test_run_box_rejects_initial_state(self, kwargs, name):
+        settings = dict(phi0=0.5, t_end=1e-5, dt=1e-6) | kwargs
+        with pytest.raises(ValueError, match=name):
+            run_box(MODELS["dp"], MAT, constant_forcing(1.0, 10.0), **settings)
+
+    @pytest.mark.parametrize(
+        "args,name",
+        [
+            ((10, 0.0, 0.6), "length"),
+            ((10, -1.0, 0.6), "length"),
+            ((10, math.nan, 0.6), "length"),
+            ((10, 0.1, math.nan), "phi"),
+            ((10, 0.1, 0.6, math.nan), "p_f"),
+            ((10, 0.1, 0.6, math.inf), "p_f"),
+            ((10, 0.1, 0.6, lambda z: np.where(z > 0.05, math.nan, 0.0)), "p_f"),
+        ],
+        ids=["length-zero", "length-neg", "length-nan", "phi-nan", "pf-nan", "pf-inf", "pf-callable"],
+    )
+    def test_uniform_column_rejects(self, args, name):
+        with pytest.raises(ValueError, match=name):
+            uniform_column(*args)
 
     @pytest.mark.parametrize(
         "kwargs", [dict(dt=0.0), dict(dt=-1e-6), dict(n_steps=-1), dict(record_every=0)]
