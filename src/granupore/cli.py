@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from typing import Sequence
 
 import numpy as np
@@ -118,10 +119,19 @@ def _provenance(out, args, mat: MaterialParams, gas: GasParams) -> None:
             out.write(f"# {name} = {getattr(args, name)}\n")
 
 
-def _open_out(args):
-    if getattr(args, "out", None):
-        return open(args.out, "w")
-    return sys.stdout
+def _write_csv(args, mat, gas, header: str, rows, stdout: bool = False) -> None:
+    """Write the provenance block, ``header`` and ``rows`` (lines with their
+    newline) to ``--out``; without ``--out``, to stdout if ``stdout`` is set.
+
+    The rows are joined before the file opens, so a run that fails while
+    building them leaves no half-written CSV.
+    """
+    if not args.out and not stdout:
+        return
+    text = f"{header}\n{''.join(rows)}"
+    with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
+        _provenance(out, args, mat, gas)
+        out.write(text)
 
 
 def _build(args, mat: MaterialParams):
@@ -143,28 +153,21 @@ def cmd_table1(args) -> int:
     law = EquilibriumLaw()
     phi, p, I = 0.5, 1000.0, 1.0  # sample state with i_eq(phi) = 0.5
     shear = I * np.sqrt(p / mat.rho_s) / mat.d
-    out = _open_out(args)
-    try:
-        _provenance(out, args, mat, gas)
-        out.write("n,Z_form,phi,I,i_eq,f_closed,f_numeric,abs_diff,dissipation\n")
-        worst = 0.0
-        for n in TABLE1_EXPONENTS:
-            model = PowerLaw(mat, law, n=n)
-            f_closed = model.dilatancy(phi, p, I)
-            f_numeric = derive_f_numeric(
-                model.yield_function, law, mat, phi, p, I
-            )
-            diff = abs(f_closed - f_numeric)
-            worst = max(worst, diff)
-            z = model.yield_function(phi, I)
-            dissipation = 2.0 * (z - f_closed) * p * shear
-            out.write(
-                f"{n:g},I^{n:g},{phi:.10e},{I:.10e},{model.i_eq(phi):.10e},"
-                f"{f_closed:.10e},{f_numeric:.10e},{diff:.3e},{dissipation:.10e}\n"
-            )
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows, worst = [], 0.0
+    for n in TABLE1_EXPONENTS:
+        model = PowerLaw(mat, law, n=n)
+        f_closed = model.dilatancy(phi, p, I)
+        f_numeric = derive_f_numeric(model.yield_function, law, mat, phi, p, I)
+        diff = abs(f_closed - f_numeric)
+        worst = max(worst, diff)
+        z = model.yield_function(phi, I)
+        dissipation = 2.0 * (z - f_closed) * p * shear
+        rows.append(
+            f"{n:g},I^{n:g},{phi:.10e},{I:.10e},{model.i_eq(phi):.10e},"
+            f"{f_closed:.10e},{f_numeric:.10e},{diff:.3e},{dissipation:.10e}\n"
+        )
+    header = "n,Z_form,phi,I,i_eq,f_closed,f_numeric,abs_diff,dissipation"
+    _write_csv(args, mat, gas, header, rows, stdout=True)
     if worst > DERIVE_TOL:
         print(f"closed-form vs derived mismatch {worst:.3e}", file=sys.stderr)
         return 2
@@ -207,26 +210,18 @@ def cmd_derive(args) -> int:
     model = _build(args, mat)
     grid = _parse_grid(args.grid) if args.grid else standard_grid()
     p = grid.p_values()[0]
-    out = _open_out(args)
-    worst = 0.0
-    try:
-        _provenance(out, args, mat, gas)
-        out.write("phi,I,p,f_closed,f_numeric,abs_diff\n")
-        for phi in grid.phi_values():
-            for I in grid.I_values():
-                f_closed = model.dilatancy(phi, p, I)
-                f_numeric = derive_f_numeric(
-                    model.yield_function, model.law, mat, phi, p, I
-                )
-                diff = abs(f_closed - f_numeric)
-                worst = max(worst, diff)
-                out.write(
-                    f"{phi:.10e},{I:.10e},{p:.10e},"
-                    f"{f_closed:.10e},{f_numeric:.10e},{diff:.3e}\n"
-                )
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows, worst = [], 0.0
+    for phi in grid.phi_values():
+        for I in grid.I_values():
+            f_closed = model.dilatancy(phi, p, I)
+            f_numeric = derive_f_numeric(model.yield_function, model.law, mat, phi, p, I)
+            diff = abs(f_closed - f_numeric)
+            worst = max(worst, diff)
+            rows.append(
+                f"{phi:.10e},{I:.10e},{p:.10e},"
+                f"{f_closed:.10e},{f_numeric:.10e},{diff:.3e}\n"
+            )
+    _write_csv(args, mat, gas, "phi,I,p,f_closed,f_numeric,abs_diff", rows, stdout=True)
     print(f"max |closed - derived| = {worst:.3e} (tolerance {DERIVE_TOL:g})")
     return 0 if worst <= DERIVE_TOL else 2
 
@@ -258,17 +253,12 @@ def cmd_simulate_box(args) -> int:
         gas=gas if args.pf0 is not None else None,
         record_every=args.record_every,
     )
-    if args.out:
-        with open(args.out, "w") as fh:
-            _provenance(fh, args, mat, gas)
-            fh.write("t,phi,pf,div_u,I,i_eq\n")
-            pf = result.p_f if result.p_f is not None else np.full_like(result.t, np.nan)
-            for k in range(result.t.size):
-                fh.write(
-                    f"{result.t[k]:.10e},{result.phi[k]:.10e},{pf[k]:.10e},"
-                    f"{result.div_u[k]:.10e},{result.inertial[k]:.10e},"
-                    f"{result.i_eq[k]:.10e}\n"
-                )
+    pf = result.p_f if result.p_f is not None else np.full_like(result.t, np.nan)
+    _write_csv(args, mat, gas, "t,phi,pf,div_u,I,i_eq", (
+        f"{result.t[k]:.10e},{result.phi[k]:.10e},{pf[k]:.10e},"
+        f"{result.div_u[k]:.10e},{result.inertial[k]:.10e},{result.i_eq[k]:.10e}\n"
+        for k in range(result.t.size)
+    ))
     print(f"final phi = {result.phi[-1]:.6f}")
     print(f"phi range seen: [{result.phi_min:.6f}, {result.phi_max_seen:.6f}]")
     print(f"bound violations: {len(result.violations)}")
@@ -291,13 +281,11 @@ def cmd_simulate_column(args) -> int:
     result = run_column(
         state0, gas, mat, dt, n_steps, mode=args.mode, record_every=args.record_every
     )
-    if args.out:
-        with open(args.out, "w") as fh:
-            _provenance(fh, args, mat, gas)
-            fh.write("t,z,pf\n")
-            for state in result.history:
-                for z, pf in zip(state.z, state.pf_profile):
-                    fh.write(f"{state.t:.10e},{z:.10e},{pf:.10e}\n")
+    _write_csv(args, mat, gas, "t,z,pf", (
+        f"{state.t:.10e},{z:.10e},{pf:.10e}\n"
+        for state in result.history
+        for z, pf in zip(state.z, state.pf_profile)
+    ))
     energy_ok = bool(np.all(np.diff(result.energy) <= 0.0))
     print(f"steps: {n_steps}, dt = {dt:.6e} s ({args.mode})")
     print(f"gas-content drift per step: {result.max_step_content_drift:.3e}")
@@ -383,8 +371,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(box, grid=False)
     box.add_argument("--scenario", help="run settings as a key = value file")
     box.add_argument("--phi0", type=float, default=0.55)
-    box.add_argument("--I", type=float, default=None, help="constant inertial number")
-    box.add_argument("--shear", type=float, help=f"constant |S| (1/s), default {BOX_SHEAR:g}")
+    shear = box.add_mutually_exclusive_group()
+    shear.add_argument("--I", type=float, default=None, help="constant inertial number")
+    shear.add_argument("--shear", type=float, help=f"constant |S| (1/s), default {BOX_SHEAR:g}")
     box.add_argument("--p", type=float, help=f"constant pressure (Pa), default {BOX_P:g}")
     box.add_argument("--pf0", type=float, default=None, help="track p_f from this value")
     box.add_argument("--t-end", type=float, dest="t_end", default=0.05)

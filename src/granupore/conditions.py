@@ -18,6 +18,7 @@ closed-form and tabulated models.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Callable, TextIO
 
@@ -58,7 +59,16 @@ DISSIPATION_TOL = -1.0e-12
 #: |f| at the equilibrium anchor.
 EQ_ANCHOR_TOL = 1.0e-12
 
-CONDITIONS = ("C1", "C2", "C3", "dissipation", "equilibrium")
+_Rule = namedtuple("_Rule", "field passes severity")
+#: Each condition's PointRecord field, pass test and severity (larger is worse).
+_RULES = {
+    "C1": _Rule("c1_residual", lambda v: abs(v) < C1_TOL, abs),
+    "C2": _Rule("c2_value", lambda v: v >= C2_TOL, lambda v: -v),
+    "C3": _Rule("c3_value", lambda v: v < C3_STRICT, lambda v: v),
+    "dissipation": _Rule("dissipation_gap", lambda v: v >= DISSIPATION_TOL, lambda v: -v),
+    "equilibrium": _Rule("eq_sign_ok", bool, lambda ok: float(not ok)),
+}
+CONDITIONS = tuple(_RULES)
 
 
 def _central(fun: Callable[[float], float], x: float, h: float) -> float:
@@ -100,7 +110,7 @@ def check_c2(model, phi: float, I: float, rel_h: float = 1.0e-6) -> tuple[float,
     h = _h_I(I, rel_h)
     dz = _central(lambda J: model.yield_function(phi, J), I, h)
     value = model.yield_function(phi, I) + I * dz
-    return value, value >= C2_TOL
+    return value, _RULES["C2"].passes(value)
 
 
 def check_c3(
@@ -111,13 +121,13 @@ def check_c3(
     dfp = _central(lambda q: model.dilatancy(phi, q, I), p, _h_p(p, rel_h))
     dfi = _central(lambda J: model.dilatancy(phi, p, J), I, _h_I(I, rel_h))
     value = dfp - 0.5 * I / p * dfi
-    return value, value < C3_STRICT
+    return value, _RULES["C3"].passes(value)
 
 
 def check_dissipation(model, phi: float, p: float, I: float) -> tuple[float, bool]:
     """Gap Z - f and its non-negativity flag."""
     gap = model.yield_function(phi, I) - model.dilatancy(phi, p, I)
-    return gap, gap >= DISSIPATION_TOL
+    return gap, _RULES["dissipation"].passes(gap)
 
 
 def check_equilibrium_signs(model, phi: float, p: float) -> bool:
@@ -216,31 +226,6 @@ class PointRecord:
     dissipation_gap: float
     eq_sign_ok: bool
 
-    def passes(self, condition: str) -> bool:
-        if condition == "C1":
-            return abs(self.c1_residual) < C1_TOL
-        if condition == "C2":
-            return self.c2_value >= C2_TOL
-        if condition == "C3":
-            return self.c3_value < C3_STRICT
-        if condition == "dissipation":
-            return self.dissipation_gap >= DISSIPATION_TOL
-        if condition == "equilibrium":
-            return self.eq_sign_ok
-        raise ValueError(f"unknown condition {condition!r}")
-
-    def severity(self, condition: str) -> float:
-        """How badly the condition is violated; larger is worse."""
-        if condition == "C1":
-            return abs(self.c1_residual)
-        if condition == "C2":
-            return -self.c2_value
-        if condition == "C3":
-            return self.c3_value
-        if condition == "dissipation":
-            return -self.dissipation_gap
-        return 0.0 if self.eq_sign_ok else 1.0
-
 
 @dataclass(frozen=True)
 class ConditionSummary:
@@ -309,21 +294,15 @@ def sweep(model, grid: GridSpec) -> ConditionReport:
                     continue
                 report.records.append(rec)
 
-    for cond in CONDITIONS:
-        failures = [r for r in report.records if not r.passes(cond)]
+    for cond, (name, passes, severity) in _RULES.items():
+        failures = [r for r in report.records if not passes(getattr(r, name))]
         if failures:
-            worst = max(failures, key=lambda r: r.severity(cond))
-            value = {
-                "C1": worst.c1_residual,
-                "C2": worst.c2_value,
-                "C3": worst.c3_value,
-                "dissipation": worst.dissipation_gap,
-                "equilibrium": 0.0,
-            }[cond]
+            worst = max(failures, key=lambda r: severity(getattr(r, name)))
             report.summaries[cond] = ConditionSummary(
                 all_pass=False,
                 worst_point=(worst.phi, worst.I, worst.p),
-                worst_value=value,
+                # the equilibrium record holds a flag, not a value
+                worst_value=0.0 if cond == "equilibrium" else getattr(worst, name),
                 n_failures=len(failures),
             )
         else:

@@ -112,6 +112,17 @@ def parameters_text(mat: MaterialParams, gas: GasParams) -> str:
     return "\n".join(lines)
 
 
+#: Parser of each extended-symbol key; a parse failure raises ValueError.
+_SYMBOL_PARSERS = {
+    "n_matrix": lambda raw: np.array(
+        [[complex(token) for token in row.split()] for row in raw.split(";")], dtype=complex
+    ),
+    "xi": lambda raw: np.array([float(tok) for tok in raw.split()]),
+    "momentum_rows": lambda raw: tuple(int(tok) for tok in raw.split()),
+    "c": float,
+}
+
+
 def read_symbol_config(path) -> dict:
     """Extended-symbol input: the granular block, wavevector and diffusivity.
 
@@ -120,38 +131,17 @@ def read_symbol_config(path) -> dict:
     ``momentum_rows`` (space-separated 0-based indices), ``c``.
     """
     entries = read_kv_file(path)
-    required = {"n_matrix", "xi", "momentum_rows", "c"}
-    unknown = set(entries) - required
+    unknown = entries.keys() - _SYMBOL_PARSERS.keys()
     if unknown:
         raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
-    missing = required - set(entries)
+    missing = _SYMBOL_PARSERS.keys() - entries.keys()
     if missing:
         raise ConfigError(f"{path}: missing keys {sorted(missing)}")
-
-    raw, lineno = entries["n_matrix"]
-    try:
-        rows = [
-            [complex(token) for token in row.split()]
-            for row in raw.split(";")
-        ]
-        n_matrix = np.array(rows, dtype=complex)
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: cannot parse n_matrix from {raw!r}") from None
-    raw, lineno = entries["xi"]
-    try:
-        xi = np.array([float(tok) for tok in raw.split()])
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: cannot parse xi from {raw!r}") from None
-    raw, lineno = entries["momentum_rows"]
-    try:
-        momentum_rows = tuple(int(tok) for tok in raw.split())
-    except ValueError:
-        raise ConfigError(
-            f"{path}:{lineno}: cannot parse momentum_rows from {raw!r}"
-        ) from None
-    raw, lineno = entries["c"]
-    try:
-        c = float(raw)
-    except ValueError:
-        raise ConfigError(f"{path}:{lineno}: cannot parse c from {raw!r}") from None
-    return {"N": n_matrix, "xi": xi, "momentum_rows": momentum_rows, "c": c}
+    parsed = {}
+    for key, parse in _SYMBOL_PARSERS.items():
+        raw, lineno = entries[key]
+        try:
+            parsed[key] = parse(raw)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: cannot parse {key} from {raw!r}") from None
+    return {"N": parsed.pop("n_matrix"), **parsed}

@@ -114,6 +114,15 @@ class EnthalpyH:
         return self._spline(x)
 
 
+def _first_bad(values, ok) -> str:
+    """``values`` if it is a scalar, else its first element where ``ok`` is
+    False and that element's index."""
+    if np.ndim(values) == 0:
+        return f"{values}"
+    k = int(np.argmin(ok))
+    return f"{np.ravel(values)[k]} at index {k}"
+
+
 def drag_beta(gas: GasParams, d: float, phi: float) -> float:
     """Interphase drag coefficient beta(phi) = 150 eta_f phi^2 / (d^2 (1-phi)).
 
@@ -134,8 +143,9 @@ def permeability_kappa(gas: GasParams, d: float, phi):
     Raises:
         ValueError: If any phi <= 0 (kappa unbounded), >= 1 or NaN.
     """
-    if not np.all((0.0 < phi) & (phi < 1.0)):
-        raise ValueError(f"permeability requires 0 < phi < 1, got {phi}")
+    ok = (0.0 < phi) & (phi < 1.0)
+    if not np.all(ok):
+        raise ValueError(f"permeability requires 0 < phi < 1, got {_first_bad(phi, ok)}")
     one_m = 1.0 - phi
     return d * d * one_m**3 / (150.0 * gas.eta_f * phi * phi)
 
@@ -186,10 +196,6 @@ def rho_from_pf(law: StateLaw, p_f: float) -> float:
     g = lambda rho: law.Q(rho) - p_f
     lo, hi = law.rho_min, law.rho_max
     g_lo, g_hi = g(lo), g(hi)
-    if g_lo == 0.0:
-        return lo
-    if g_hi == 0.0:
-        return hi
     if g_lo * g_hi > 0.0:
         raise ValueError(
             f"p_f={p_f} not bracketed by Q on [{lo}, {hi}]; cannot invert state law"
@@ -206,8 +212,9 @@ def enthalpy_ideal(gas: GasParams, p_f):
     Raises:
         ValueError: If any p_f <= -p_atm (log branch point) or NaN.
     """
-    if not np.all(p_f > -gas.p_atm):
-        raise ValueError(f"p_f must exceed -p_atm = {-gas.p_atm}, got {p_f}")
+    ok = p_f > -gas.p_atm
+    if not np.all(ok):
+        raise ValueError(f"p_f must exceed -p_atm = {-gas.p_atm}, got {_first_bad(p_f, ok)}")
     return (gas.p_atm + p_f) * (np.log1p(p_f / gas.p_atm) - 1.0)
 
 

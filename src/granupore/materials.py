@@ -255,23 +255,18 @@ def i_eq(law: EquilibriumLaw, mat: MaterialParams, phi: float) -> float:
 
     Raises:
         ValueError: If phi > phi_max (no non-negative equilibrium I exists)
-            or the bisection bracket fails (phi below the law's range).
+            or is NaN, or phi lies below the law's range.
     """
-    if phi > mat.phi_max:
+    if not phi <= mat.phi_max:
         raise ValueError(
             f"no equilibrium inertial number for phi={phi} > phi_max={mat.phi_max}"
         )
     if law.variant == "linear":
         return (mat.phi_max - phi) / mat.delta_phi
 
+    # phi_eq(0) = phi_max >= phi, so only the upper end can miss the root.
     lo, hi = 0.0, I_CAP
-    f_lo = phi_eq(law, mat, lo) - phi
-    f_hi = phi_eq(law, mat, hi) - phi
-    if f_lo < 0.0:
-        # phi_eq(0) = phi_max >= phi always holds, so this is unreachable
-        # unless phi > phi_max slipped through rounding.
-        raise ValueError(f"inversion bracket failed at I=0 for phi={phi}")
-    if f_hi > 0.0:
+    if phi_eq(law, mat, hi) - phi > 0.0:
         raise ValueError(
             f"phi={phi} below the range of the {law.variant} law on [0, {I_CAP}]"
         )

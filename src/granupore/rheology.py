@@ -249,9 +249,13 @@ class _ModelBase:
     def phi_eq(self, I: float) -> float:
         return law_phi_eq(self.law, self.mat, I)
 
-    def _gain_slope(self, I: float) -> float:
-        """-(d i_eq / d phi) at phi_eq(I), i.e. -1 / phi_eq'(I)."""
-        return -1.0 / phi_eq_prime(self.law, self.mat, I)
+    def near_equilibrium_gain(self, I: float) -> float:
+        """Slope df/dphi at the equilibrium packing phi_eq(I) of a compliant
+        pair, (Z - (I/2) dZ/dI) (-1/phi_eq'(I)) / I, where ``_gain_lhs``
+        gives the model's Z - (I/2) dZ/dI at phi_eq(I)."""
+        if I <= 0:
+            raise ValueError(f"gain requires I > 0, got {I}")
+        return self._gain_lhs(I) * (-1.0 / phi_eq_prime(self.law, self.mat, I)) / I
 
 
 @dataclass(frozen=True)
@@ -267,10 +271,8 @@ class DruckerPrager(_ModelBase):
             raise ValueError(f"dilatancy requires I > 0, got {I}")
         return math.sin(self.mat.delta) * (1.0 - self.i_eq(phi) / I)
 
-    def near_equilibrium_gain(self, I: float) -> float:
-        if I <= 0:
-            raise ValueError(f"gain requires I > 0, got {I}")
-        return math.sin(self.mat.delta) * self._gain_slope(I) / I
+    def _gain_lhs(self, I: float) -> float:
+        return math.sin(self.mat.delta)
 
 
 @dataclass(frozen=True)
@@ -293,12 +295,9 @@ class MuI(_ModelBase):
             f -= ieq / I * mui_shear_factor(*self._consts(), ieq)
         return f
 
-    def near_equilibrium_gain(self, I: float) -> float:
-        if I <= 0:
-            raise ValueError(f"gain requires I > 0, got {I}")
-        mu = friction_mu(*self._consts(), I)
-        mup = friction_mu_prime(*self._consts(), I)
-        return (mu - 0.5 * I * mup) * self._gain_slope(I) / I
+    def _gain_lhs(self, I: float) -> float:
+        mu, mup = friction_mu(*self._consts(), I), friction_mu_prime(*self._consts(), I)
+        return mu - 0.5 * I * mup
 
 
 @dataclass(frozen=True)
@@ -333,18 +332,8 @@ class PowerLaw(_ModelBase):
         c = self.coefficient * (2.0 - self.n) / (2.0 * (self.n + 1.0))
         return c * (I**self.n - ieq ** (self.n + 1.0) / I)
 
-    def near_equilibrium_gain(self, I: float) -> float:
-        if I <= 0:
-            raise ValueError(f"gain requires I > 0, got {I}")
-        # Z - (I/2) Z' = c I^n (2 - n) / 2
-        return (
-            self.coefficient
-            * I**self.n
-            * (2.0 - self.n)
-            / 2.0
-            * self._gain_slope(I)
-            / I
-        )
+    def _gain_lhs(self, I: float) -> float:
+        return self.coefficient * I**self.n * (2.0 - self.n) / 2.0
 
 
 @dataclass(frozen=True)
@@ -363,11 +352,8 @@ class DruckerPragerDilatant(_ModelBase):
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         return self._psi(phi, I)
 
-    def near_equilibrium_gain(self, I: float) -> float:
-        if I <= 0:
-            raise ValueError(f"gain requires I > 0, got {I}")
-        d = self.mat.delta
-        return 2.0 * math.sin(d) / (2.0 + math.cos(d)) * self._gain_slope(I) / I
+    def _gain_lhs(self, I: float) -> float:
+        return 2.0 * math.sin(self.mat.delta) / (2.0 + math.cos(self.mat.delta))
 
 
 @dataclass(frozen=True)
@@ -389,13 +375,9 @@ class MuIDilatant(_ModelBase):
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         return self._psi(phi, I)
 
-    def near_equilibrium_gain(self, I: float) -> float:
-        if I <= 0:
-            raise ValueError(f"gain requires I > 0, got {I}")
-        mu = friction_mu(*self._consts(), I)
-        mup = friction_mu_prime(*self._consts(), I)
-        g_prime = 2.0 * mu / (3.0 * I) - mup / 3.0
-        return g_prime * self._gain_slope(I)  # G'(I) / delta_phi for the linear law
+    def _gain_lhs(self, I: float) -> float:
+        mu, mup = friction_mu(*self._consts(), I), friction_mu_prime(*self._consts(), I)
+        return (2.0 * mu - I * mup) / 3.0
 
 
 @dataclass(frozen=True)
@@ -502,15 +484,11 @@ class DerivedNumeric(_ModelBase):
                 self._cache[key] = hit
         return hit
 
-    def near_equilibrium_gain(self, I: float) -> float:
-        if I <= 0:
-            raise ValueError(f"gain requires I > 0, got {I}")
+    def _gain_lhs(self, I: float) -> float:
         phi_star = self.phi_eq(I)
         h = 1e-6 * max(I, 1e-3)
         dz = (self.Z(phi_star, I + h) - self.Z(phi_star, I - h)) / (2.0 * h)
-        return (
-            (self.Z(phi_star, I) - 0.5 * I * dz) * self._gain_slope(I) / I
-        )
+        return self.Z(phi_star, I) - 0.5 * I * dz
 
 
 @dataclass(frozen=True)

@@ -59,6 +59,9 @@ BOUND_EPS = 1.0e-9
 #: Default pressure floor regularising the inertial number at p -> 0.
 P_FLOOR = 1.0
 
+#: Fraction of the explicit column stability limit that a step may take.
+CFL_SAFETY = 0.4
+
 
 # ----------------------------------------------------------------------
 # Forcing signals
@@ -382,11 +385,9 @@ def _column_coefficients(
     return one_m, face, float(np.min(state.dz * state.dz * one_m / (gas.p_atm * kappa)))
 
 
-def column_cfl_dt(
-    state: ColumnState, gas: GasParams, mat: MaterialParams, safety: float = 0.4
-) -> float:
-    """Largest explicit step: safety * min(dz^2 (1-phi) / (p_atm kappa))."""
-    return safety * _column_coefficients(state, gas, mat)[2]
+def column_cfl_dt(state: ColumnState, gas: GasParams, mat: MaterialParams) -> float:
+    """Largest explicit step: CFL_SAFETY * min(dz^2 (1-phi) / (p_atm kappa))."""
+    return CFL_SAFETY * _column_coefficients(state, gas, mat)[2]
 
 
 def step_column(
@@ -421,7 +422,7 @@ def _advance_column(
     p = state.pf_profile
 
     if mode == "explicit":
-        limit = 0.4 * cfl_limit
+        limit = CFL_SAFETY * cfl_limit
         if dt > limit * (1.0 + 1.0e-12):
             raise ValueError(
                 f"explicit step dt={dt:g} above the stability bound {limit:g}; "

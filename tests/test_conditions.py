@@ -316,6 +316,19 @@ class TestSweep:
         assert all(point[0] == MAT.phi_max for point, _ in report.skipped)
         assert len(report.records) == 2 * 3 * 4
 
+    def test_csv_skipped_rows(self):
+        # mu(I) under the schaeffer law cannot difference dZ/dI at the low-I
+        # edge of the rarest packings
+        report = sweep(MuI(MAT, EquilibriumLaw("schaeffer")), standard_grid())
+        buf = io.StringIO()
+        write_report_csv(report, buf)
+        skipped = [l for l in buf.getvalue().splitlines() if l.startswith("# skipped")]
+        assert len(skipped) == len(report.skipped) == 48
+        assert skipped[0] == (
+            "# skipped phi=0.4,I=0.01,p=10.0: "
+            "cannot take a central difference at 0.01 (step 1e-08)"
+        )
+
     def test_csv_shape(self):
         report = sweep(DP, GridSpec((0.4, 0.5, 2), (0.1, 1.0, 2), (10.0, 100.0, 2)))
         buf = io.StringIO()

@@ -268,6 +268,31 @@ class TestCliSimulate:
         assert code == 1
         assert "error: --shear sets constant forcing" in capsys.readouterr().err
 
+    def test_box_I_and_shear_exclusive(self, tmp_path, capsys):
+        run = ["simulate-box", "--model", "dp", "--t-end", "1e-4"]
+        clash = "argument --shear: not allowed with argument --I"
+        with pytest.raises(SystemExit) as exc:
+            main(run + ["--I", "2.0", "--shear", "5"])
+        assert exc.value.code == 1
+        assert clash in capsys.readouterr().err
+        scenario = tmp_path / "run.cfg"
+        scenario.write_text("I = 50.0\n")
+        with pytest.raises(SystemExit) as exc:
+            main(run + ["--scenario", str(scenario), "--shear", "5"])
+        assert exc.value.code == 1
+        assert clash in capsys.readouterr().err
+        # A command-line --I still wins over the file's.
+        assert main(run + ["--scenario", str(scenario), "--I", "2.0"]) == 0
+        from_file = capsys.readouterr().out
+        assert main(run + ["--I", "2.0"]) == 0
+        assert capsys.readouterr().out == from_file
+
+    def test_column_array_error_names_first_cell(self, capsys):
+        assert main(["simulate-column", "--pf-mean=-2e5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: p_f must exceed -p_atm = -101300.0, got -199900.")
+        assert err.endswith(" at index 0\n")
+
     def test_box_constant_defaults(self, capsys):
         run = ["simulate-box", "--model", "dp", "--t-end", "1e-4"]
         assert main(run) == 0

@@ -62,6 +62,14 @@ class TestDragAndPermeability:
         with pytest.raises(ValueError, match="permeability requires 0 < phi < 1"):
             permeability_kappa(GAS, D, phis)
 
+    def test_kappa_errors_name_first_bad_element(self):
+        with pytest.raises(ValueError) as exc:
+            permeability_kappa(GAS, D, np.array([0.3, 0.4, 1.2, -1.0]))
+        assert str(exc.value) == "permeability requires 0 < phi < 1, got 1.2 at index 2"
+        with pytest.raises(ValueError) as exc:
+            permeability_kappa(GAS, D, 0.0)
+        assert str(exc.value) == "permeability requires 0 < phi < 1, got 0.0"
+
     @given(phi=st.floats(min_value=1e-3, max_value=0.999))
     @settings(max_examples=50)
     def test_kappa_beta_identity(self, phi):
@@ -126,6 +134,11 @@ class TestStateLaw:
         rho = rho_from_pf(law, 750.0)
         assert pf_from_rho(law, rho) == pytest.approx(750.0, rel=1e-12)
 
+    def test_custom_root_at_bracket_end(self):
+        law = CustomStateLaw(Q=lambda rho: 3.0 * (rho - 1.0), rho_min=1.0, rho_max=5.0)
+        assert rho_from_pf(law, 0.0) == 1.0
+        assert rho_from_pf(law, 12.0) == 5.0
+
     def test_csv_law(self, tmp_path):
         rho = np.linspace(0.5, 2.0, 40)
         q = GAS.p_atm * (rho - 1.0)
@@ -166,6 +179,14 @@ class TestEnthalpyIdeal:
     def test_domain(self):
         with pytest.raises(ValueError):
             enthalpy_ideal(GAS, -GAS.p_atm)
+
+    def test_errors_name_first_bad_element(self):
+        with pytest.raises(ValueError) as exc:
+            enthalpy_ideal(GAS, np.array([0.0, np.nan, -2.0e5]))
+        assert str(exc.value) == "p_f must exceed -p_atm = -101300.0, got nan at index 1"
+        with pytest.raises(ValueError) as exc:
+            enthalpy_ideal(GAS, -2.0e5)
+        assert str(exc.value) == "p_f must exceed -p_atm = -101300.0, got -200000.0"
 
     def test_array_matches_scalar(self):
         pfs = np.linspace(-0.9 * GAS.p_atm, 2.0 * GAS.p_atm, 21)

@@ -150,6 +150,16 @@ class TestEquilibriumLaws:
         with pytest.raises(ValueError):
             i_eq(LINEAR, MAT, 0.61)
 
+    @pytest.mark.parametrize("variant", ["linear", "schaeffer", "robinson", "breard"])
+    def test_nan_phi_rejected(self, variant):
+        with pytest.raises(ValueError, match="phi=nan"):
+            i_eq(EquilibriumLaw(variant), MAT, math.nan)
+
+    @pytest.mark.parametrize("variant", ["linear", "schaeffer", "robinson", "breard"])
+    def test_phi_max_tops_every_law(self, variant):
+        # i_eq's bisection brackets the root from I = 0 on this identity
+        assert phi_eq(EquilibriumLaw(variant), MAT, 0.0) == MAT.phi_max
+
     def test_schaeffer_unreachable_phi(self):
         # range of the schaeffer law is (phi_max - delta_phi, phi_max]
         with pytest.raises(ValueError):

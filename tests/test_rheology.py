@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from granupore.materials import EquilibriumLaw, FlowState, glass_beads, i_eq
+from granupore.materials import EquilibriumLaw, FlowState, glass_beads, i_eq, phi_eq_prime
 from granupore.rheology import (
     DerivedNumeric,
     DruckerPrager,
@@ -420,6 +420,37 @@ class TestNearEquilibriumGain:
     def test_roux_radjai_gain_is_a(self):
         model = RouxRadjai(MAT, LAW, gain=1.7)
         assert model.near_equilibrium_gain(1.0) == 1.7
+
+    @pytest.mark.parametrize("variant", ["linear", "schaeffer", "robinson", "breard"])
+    @pytest.mark.parametrize("n", [0.5, -0.5, 3.0])
+    @pytest.mark.parametrize("I", [0.05, 0.5, 2.0])
+    def test_power_law_closed_form(self, n, variant, I):
+        # Z - (I/2) Z' = c I^n (2 - n)/2 at the equilibrium packing
+        law = EquilibriumLaw(variant)
+        model = PowerLaw(MAT, law, n=n, coefficient=0.7)
+        expected = 0.7 * I**n * (2.0 - n) / 2.0 * (-1.0 / phi_eq_prime(law, MAT, I)) / I
+        assert model.near_equilibrium_gain(I) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("variant", ["linear", "schaeffer", "robinson", "breard"])
+    @pytest.mark.parametrize("I", [0.05, 0.5, 2.0])
+    def test_derived_numeric_matches_mui(self, variant, I):
+        law = EquilibriumLaw(variant)
+        mu = lambda phi, J: friction_mu(MAT.mu1, MAT.mu2, MAT.I0, J)
+        got = DerivedNumeric(MAT, law, Z=mu).near_equilibrium_gain(I)
+        assert got == pytest.approx(MuI(MAT, law).near_equilibrium_gain(I), rel=1e-6)
+
+    def test_isochoric_gain_is_zero(self):
+        assert Isochoric(MUI).near_equilibrium_gain(1.0) == 0.0
+
+    @pytest.mark.parametrize(
+        "model",
+        BUILTINS + (PowerLaw(MAT, LAW, n=0.5), DerivedNumeric(MAT, LAW, Z=lambda phi, I: 0.4)),
+        ids=["dp", "mui", "dp-psi", "mui-psi", "power", "derived"],
+    )
+    @pytest.mark.parametrize("I", [0.0, -1.0])
+    def test_needs_positive_I(self, model, I):
+        with pytest.raises(ValueError, match="gain requires I > 0"):
+            model.near_equilibrium_gain(I)
 
 
 class TestDivU:
