@@ -276,6 +276,12 @@ def cmd_simulate_column(args) -> int:
         args.phi,
         lambda z: args.pf_mean + args.pf_amplitude * np.cos(np.pi * z / args.length),
     )
+    lowest = float(np.min(state0.pf_profile))
+    if not lowest > -gas.p_atm:
+        raise ValueError(
+            f"--pf-mean {args.pf_mean} and --pf-amplitude {args.pf_amplitude} give an initial"
+            f" p_f as low as {lowest}; it must exceed -p_atm = {-gas.p_atm}"
+        )
     dt = args.dt if args.dt is not None else column_cfl_dt(state0, gas, mat)
     n_steps = int(round(args.t_end / dt)) if dt > 0 else 0  # run_column rejects dt <= 0
     result = run_column(

@@ -71,13 +71,15 @@ _RULES = {
 CONDITIONS = tuple(_RULES)
 
 
-def _central(fun: Callable[[float], float], x: float, h: float) -> float:
-    """Central difference with one domain-shrink retry.
+def _central(fun: Callable[[float], float], x: float, rel: float) -> float:
+    """Central difference with step h = rel * max(x, 1e-3) and one
+    domain-shrink retry.
 
     Evaluation at x +/- h can leave the model's domain near a boundary
     (for example I_eq terms at phi -> phi_max); in that case the step is
     halved once before giving up.
     """
+    h = rel * max(x, 1.0e-3)
     for step in (h, 0.5 * h):
         try:
             return (fun(x + step) - fun(x - step)) / (2.0 * step)
@@ -86,20 +88,11 @@ def _central(fun: Callable[[float], float], x: float, h: float) -> float:
     raise ValueError(f"cannot take a central difference at {x} (step {h})")
 
 
-def _h_I(I: float, rel: float = 1.0e-6) -> float:
-    return rel * max(I, 1.0e-3)
-
-
-def _h_p(p: float, rel: float = 1.0e-6) -> float:
-    return rel * max(p, 1.0e-3)
-
-
 def residual_c1(model, phi: float, p: float, I: float, rel_h: float = 1.0e-6) -> float:
     """Residual of the consistency equation,
     r = (Z - (I/2) dZ/dI) - (f + I df/dI); zero for compliant pairs."""
-    h = _h_I(I, rel_h)
-    dz = _central(lambda J: model.yield_function(phi, J), I, h)
-    df = _central(lambda J: model.dilatancy(phi, p, J), I, h)
+    dz = _central(lambda J: model.yield_function(phi, J), I, rel_h)
+    df = _central(lambda J: model.dilatancy(phi, p, J), I, rel_h)
     z = model.yield_function(phi, I)
     f = model.dilatancy(phi, p, I)
     return (z - 0.5 * I * dz) - (f + I * df)
@@ -107,8 +100,7 @@ def residual_c1(model, phi: float, p: float, I: float, rel_h: float = 1.0e-6) ->
 
 def check_c2(model, phi: float, I: float, rel_h: float = 1.0e-6) -> tuple[float, bool]:
     """Value and pass flag of the growth bound Z + I dZ/dI >= 0."""
-    h = _h_I(I, rel_h)
-    dz = _central(lambda J: model.yield_function(phi, J), I, h)
+    dz = _central(lambda J: model.yield_function(phi, J), I, rel_h)
     value = model.yield_function(phi, I) + I * dz
     return value, _RULES["C2"].passes(value)
 
@@ -118,8 +110,8 @@ def check_c3(
 ) -> tuple[float, bool]:
     """Value and pass flag of the strict pressure-slope condition
     df/dp - (I/(2p)) df/dI < 0."""
-    dfp = _central(lambda q: model.dilatancy(phi, q, I), p, _h_p(p, rel_h))
-    dfi = _central(lambda J: model.dilatancy(phi, p, J), I, _h_I(I, rel_h))
+    dfp = _central(lambda q: model.dilatancy(phi, q, I), p, rel_h)
+    dfi = _central(lambda J: model.dilatancy(phi, p, J), I, rel_h)
     value = dfp - 0.5 * I / p * dfi
     return value, _RULES["C3"].passes(value)
 

@@ -33,8 +33,8 @@ W = (3/(2I)) int_{I1}^{I} Z dJ - Z/2, invariant under the anchor I1.
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -249,6 +249,9 @@ class _ModelBase:
     def phi_eq(self, I: float) -> float:
         return law_phi_eq(self.law, self.mat, I)
 
+    def _consts(self) -> tuple[float, float, float]:
+        return self.mat.mu1, self.mat.mu2, self.mat.I0
+
     def near_equilibrium_gain(self, I: float) -> float:
         """Slope df/dphi at the equilibrium packing phi_eq(I) of a compliant
         pair, (Z - (I/2) dZ/dI) (-1/phi_eq'(I)) / I, where ``_gain_lhs``
@@ -279,9 +282,6 @@ class DruckerPrager(_ModelBase):
 class MuI(_ModelBase):
     """mu(I) rheology with the dilatancy law integrated from consistency:
     f = F(I) - (I_eq/I) F(I_eq)."""
-
-    def _consts(self) -> tuple[float, float, float]:
-        return self.mat.mu1, self.mat.mu2, self.mat.I0
 
     def yield_function(self, phi: float, I: float) -> float:
         return friction_mu(*self._consts(), I)
@@ -362,9 +362,6 @@ class MuIDilatant(_ModelBase):
     psi = G(I) - G(I_eq) per :func:`dilatancy_angle_mui`.  The dissipation
     gap is Z - f = mu(I) > 0.  Not defined at phi = phi_max (log-singular
     G at I_eq = 0)."""
-
-    def _consts(self) -> tuple[float, float, float]:
-        return self.mat.mu1, self.mat.mu2, self.mat.I0
 
     def _psi(self, phi: float, I: float) -> float:
         return dilatancy_angle_mui(*self._consts(), self.i_eq(phi), I)
@@ -458,31 +455,25 @@ class DerivedNumeric(_ModelBase):
     """Model whose dilatancy is derived from a caller-supplied Z by
     quadrature (:func:`derive_f_numeric`).
 
-    Quadratures are memoised behind a lock, so evaluation behaves as a pure
-    function from the outside.
+    Quadratures are memoised per (phi, I), as f does not depend on p, so
+    evaluation behaves as a pure function from the outside.
     """
 
     Z: Callable[[float, float], float] = field(kw_only=True)
     I1: float | None = field(default=None, kw_only=True)
-    _cache: dict = field(
-        default_factory=dict, repr=False, compare=False, hash=False, kw_only=True
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False, hash=False, kw_only=True
-    )
+
+    def __post_init__(self) -> None:
+        # lru_cache is thread-safe and never caches an exception.
+        object.__setattr__(self, "_memo", functools.lru_cache(maxsize=None)(self._derive))
+
+    def _derive(self, phi: float, I: float) -> float:
+        return derive_f_numeric(self.Z, self.law, self.mat, phi, 0.0, I, self.I1)
 
     def yield_function(self, phi: float, I: float) -> float:
         return self.Z(phi, I)
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
-        key = (phi, I)
-        with self._lock:
-            hit = self._cache.get(key)
-        if hit is None:
-            hit = derive_f_numeric(self.Z, self.law, self.mat, phi, p, I, self.I1)
-            with self._lock:
-                self._cache[key] = hit
-        return hit
+        return self._memo(phi, I)
 
     def _gain_lhs(self, I: float) -> float:
         phi_star = self.phi_eq(I)

@@ -277,11 +277,11 @@ def run_box(
             raise ValueError(f"pf0 must exceed -p_atm = {-gas.p_atm}, got {pf0}")
     n_steps = int(round(t_end / dt))
     state = BoxState(t=0.0, phi=phi0, p_f=pf0)
-    ts, phis, pfs, divs, inertials, ieqs = [], [], [], [], [], []
+    rows: list[tuple[float, ...]] = []  # (t, phi, p_f, div u, I, i_eq)
     violations: list[tuple[int, float, float]] = []
     sign_ok = True
 
-    def record(step: int, st: BoxState) -> None:
+    def record(st: BoxState) -> None:
         nonlocal sign_ok
         shear, p = forcing.shear(st.t), forcing.p(st.t)
         in_domain = 0.0 <= st.phi <= mat.phi_max
@@ -292,17 +292,12 @@ def run_box(
         else:
             I, f_val, divu = 0.0, 0.0, 0.0
         ieq = model.i_eq(st.phi) if in_domain else float("nan")
-        ts.append(st.t)
-        phis.append(st.phi)
-        pfs.append(st.p_f if st.p_f is not None else math.nan)
-        divs.append(divu)
-        inertials.append(I)
-        ieqs.append(ieq)
+        rows.append((st.t, st.phi, math.nan if st.p_f is None else st.p_f, divu, I, ieq))
         if shear > 0.0 and abs(f_val) >= 1.0e-12 and not math.isnan(ieq):
             if math.copysign(1.0, divu) != math.copysign(1.0, I - ieq):
                 sign_ok = False
 
-    record(0, state)
+    record(state)
     for step in range(1, n_steps + 1):
         try:
             state = step_box(state, model, mat, forcing, dt, gas=gas)
@@ -311,15 +306,16 @@ def run_box(
         if not -BOUND_EPS <= state.phi <= mat.phi_max + BOUND_EPS:
             violations.append((step, state.t, state.phi))
         if step % record_every == 0 or step == n_steps:
-            record(step, state)
+            record(state)
 
+    t, phi, p_f, div_u, inertial, i_eq = np.array(rows).T
     return BoxResult(
-        t=np.asarray(ts),
-        phi=np.asarray(phis),
-        p_f=None if pf0 is None else np.asarray(pfs),
-        div_u=np.asarray(divs),
-        inertial=np.asarray(inertials),
-        i_eq=np.asarray(ieqs),
+        t=t,
+        phi=phi,
+        p_f=None if pf0 is None else p_f,
+        div_u=div_u,
+        inertial=inertial,
+        i_eq=i_eq,
         violations=violations,
         sign_agreement=sign_ok,
     )
@@ -497,42 +493,35 @@ def run_column(
     state = state0
     coefficients = _column_coefficients(state, gas, mat)
     history = [state]
-    ts = [state.t]
-    contents = [gas_content(state)]
-    energies = [_column_energy(state, gas)]
-    dissipations = [_column_dissipation(state, coefficients[1])]
-    scale = max(abs(contents[0]), 1.0)
-    max_drift = 0.0
+    rows = [(state.t, *_ledger_sums(state, gas, coefficients))]
     for step in range(1, n_steps + 1):
         state = _advance_column(state, gas, dt, mode, coefficients)
-        ts.append(state.t)
-        g = gas_content(state)
-        max_drift = max(max_drift, abs(g - contents[-1]) / scale)
-        contents.append(g)
-        energies.append(_column_energy(state, gas))
-        dissipations.append(_column_dissipation(state, coefficients[1]))
+        rows.append((state.t, *_ledger_sums(state, gas, coefficients)))
         if step % record_every == 0 or step == n_steps:
             history.append(state)
+    t, content, energy, dissipation = np.array(rows).T
+    drift = np.max(np.abs(np.diff(content)), initial=0.0) / max(abs(content[0]), 1.0)
     return ColumnResult(
         history=history,
-        t=np.asarray(ts),
-        content=np.asarray(contents),
-        energy=np.asarray(energies),
-        dissipation=np.asarray(dissipations),
-        max_step_content_drift=max_drift,
+        t=t,
+        content=content,
+        energy=energy,
+        dissipation=dissipation,
+        max_step_content_drift=float(drift),
     )
 
 
-def _column_energy(state: ColumnState, gas: GasParams) -> float:
-    """E1 = sum (1-phi) H(p_f) dz with the ideal-gas H."""
-    h = enthalpy_ideal(gas, state.pf_profile)
-    return float(np.sum((1.0 - state.phi_profile) * h) * state.dz)
-
-
-def _column_dissipation(state: ColumnState, kf: np.ndarray) -> float:
-    """D = sum over faces of kappa (dp_f/dz)^2 dz, given the face kappa."""
-    grad = (state.pf_profile[1:] - state.pf_profile[:-1]) / state.dz
-    return float(np.sum(kf * grad * grad) * state.dz)
+def _ledger_sums(
+    state: ColumnState, gas: GasParams, coefficients: tuple
+) -> tuple[float, float, float]:
+    """The gas content, E1 = sum (1-phi) H(p_f) dz with the ideal-gas H, and
+    D = sum over faces of kappa (dp_f/dz)^2 dz, from the static 1-phi and
+    face kappa of :func:`_column_coefficients`."""
+    one_m, kf, _ = coefficients
+    p, dz = state.pf_profile, state.dz
+    grad = (p[1:] - p[:-1]) / dz
+    e1 = float(np.sum(one_m * enthalpy_ideal(gas, p)) * dz)
+    return gas_content(state), e1, float(np.sum(kf * grad * grad) * dz)
 
 
 @dataclass
@@ -564,10 +553,8 @@ def energy_ledger(
     """Build the E1 / dissipation ledger from a sequence of column states."""
     if len(history) < 2:
         raise ValueError("need at least two states for a ledger")
-    t = np.array([s.t for s in history])
-    e1 = np.array([_column_energy(s, gas) for s in history])
-    kfs = [_column_coefficients(s, gas, mat)[1] for s in history]
-    diss = np.array([_column_dissipation(s, kf) for s, kf in zip(history, kfs)])
+    rows = [(s.t, *_ledger_sums(s, gas, _column_coefficients(s, gas, mat))) for s in history]
+    t, _, e1, diss = np.array(rows).T
     dts = np.diff(t)
     if np.any(dts <= 0):
         raise ValueError("history times must be strictly increasing")

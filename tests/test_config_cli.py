@@ -15,6 +15,8 @@ from granupore.config import (
     read_kv_file,
     read_symbol_config,
 )
+from granupore.materials import GasParams, MaterialParams
+from granupore.simulate import column_cfl_dt, run_column, uniform_column
 
 DEMO_CONFIGS = Path(__file__).resolve().parents[1] / "demos" / "configs"
 CFG = str(DEMO_CONFIGS / "glass_beads.cfg")
@@ -287,11 +289,35 @@ class TestCliSimulate:
         assert main(run + ["--I", "2.0"]) == 0
         assert capsys.readouterr().out == from_file
 
-    def test_column_array_error_names_first_cell(self, capsys):
-        assert main(["simulate-column", "--pf-mean=-2e5"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: p_f must exceed -p_atm = -101300.0, got -199900.")
-        assert err.endswith(" at index 0\n")
+    def test_column_array_error_names_first_cell(self):
+        # The CLI's own profile check (below) now stops this column before
+        # the run; the simulator's array error still names the first cell.
+        state = uniform_column(200, 0.1, 0.6, lambda z: -2e5 + 100.0 * np.cos(np.pi * z / 0.1))
+        gas, mat = GasParams(), MaterialParams()
+        with pytest.raises(ValueError) as exc:
+            run_column(state, gas, mat, column_cfl_dt(state, gas, mat), 1)
+        err = str(exc.value)
+        assert err.startswith("p_f must exceed -p_atm = -101300.0, got -199900.")
+        assert err.endswith(" at index 0")
+
+    @pytest.mark.parametrize(
+        "argv,flags,lowest",
+        [
+            (["--pf-mean=-2e5"], "--pf-mean -200000.0 and --pf-amplitude 100.0", "-200099.99691576447"),
+            (
+                ["--pf-mean=-101100", "--pf-amplitude=300"],
+                "--pf-mean -101100.0 and --pf-amplitude 300.0",
+                "-101399.99074729344",
+            ),
+        ],
+        ids=["mean", "amplitude"],
+    )
+    def test_column_initial_pf_names_flags(self, capsys, argv, flags, lowest):
+        assert main(["simulate-column", "--t-end=1e-4", *argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flags} give an initial p_f as low as {lowest};"
+            " it must exceed -p_atm = -101300.0\n"
+        )
 
     def test_box_constant_defaults(self, capsys):
         run = ["simulate-box", "--model", "dp", "--t-end", "1e-4"]
@@ -400,3 +426,18 @@ class TestCliErrors:
 
     def test_bad_grid_exit_1(self, capsys):
         assert main(["check", "--model", "dp", "--grid", "phi=1:2"]) == 1
+
+    @pytest.mark.parametrize(
+        "spec,message",
+        [
+            ("phi0.4:0.6:5", "grid chunk 'phi0.4:0.6:5' is not name=lo:hi:n"),
+            ("q=1:2:2", "unknown grid axis 'q'"),
+            ("I=0.01:1:4:cubic", "bad I-axis spacing 'cubic'"),
+            ("phi=0.4:0.6", "grid axis 'phi' needs lo:hi:n"),
+            ("phi=a:0.6:5", "cannot parse grid axis 'phi=a:0.6:5'"),
+        ],
+        ids=["no-equals", "axis", "spacing", "arity", "number"],
+    )
+    def test_bad_grid_named(self, capsys, spec, message):
+        assert main(["check", "--model", "dp", "--grid", spec]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"

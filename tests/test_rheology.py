@@ -1,6 +1,8 @@
 """Yield/dilatancy catalogue: closed forms, quadrature oracle, gains."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -365,6 +367,47 @@ class TestDerivedNumericModel:
         assert first == second
         assert len(calls) == n_calls  # memoised
 
+    def test_memo_ignores_p(self):
+        calls = []
+
+        def Z(phi, I):
+            calls.append((phi, I))
+            return MUI.yield_function(phi, I)
+
+        model = DerivedNumeric(MAT, LAW, Z=Z)
+        first = model.dilatancy(0.5, 100.0, 1.0)
+        n_calls = len(calls)
+        assert model.dilatancy(0.5, 5000.0, 1.0) == first
+        assert len(calls) == n_calls
+
+    def test_memo_shared_by_threads(self):
+        keys = [(phi, I) for phi in (0.45, 0.5, 0.55) for I in (0.3, 1.0, 3.0)]
+        reference = DerivedNumeric(MAT, LAW, Z=MUI.yield_function)
+        want = {key: reference.dilatancy(key[0], 100.0, key[1]) for key in keys}
+        model = DerivedNumeric(MAT, LAW, Z=MUI.yield_function)
+        got, errors = [], []
+
+        def work():
+            try:
+                got.extend((key, model.dilatancy(key[0], 100.0, key[1])) for key in keys)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(got) == 4 * len(keys)
+        assert all(value == want[key] for key, value in got)
+
     def test_singular_Z_uses_safe_anchor(self):
         model = DerivedNumeric(MAT, LAW, Z=lambda phi, I: I**-0.5)
         ref = PowerLaw(MAT, LAW, n=-0.5)
@@ -438,6 +481,15 @@ class TestNearEquilibriumGain:
         mu = lambda phi, J: friction_mu(MAT.mu1, MAT.mu2, MAT.I0, J)
         got = DerivedNumeric(MAT, law, Z=mu).near_equilibrium_gain(I)
         assert got == pytest.approx(MuI(MAT, law).near_equilibrium_gain(I), rel=1e-6)
+
+    @pytest.mark.parametrize("I", [0.05, 0.5, 2.0])
+    def test_linear_combination_is_weighted_sum(self, I):
+        model = TestLinearCombinationModel.MODEL
+        phi_star = model.phi_eq(I)
+        expected = phi_star * DP.near_equilibrium_gain(I) + (
+            1.0 - 0.5 * phi_star
+        ) * MUI.near_equilibrium_gain(I)
+        assert model.near_equilibrium_gain(I) == pytest.approx(expected, rel=1e-15)
 
     def test_isochoric_gain_is_zero(self):
         assert Isochoric(MUI).near_equilibrium_gain(1.0) == 0.0
@@ -516,6 +568,15 @@ class TestIsochoricWrapper:
         model = Isochoric(DP)
         assert model.dilatancy(0.5, 100.0, 1.0) == 0.0
         assert model.yield_function(0.5, 1.0) == pytest.approx(SIN_D)
+
+    def test_delegates_to_base(self):
+        base = MuI(MAT, EquilibriumLaw(variant="schaeffer"))
+        model = Isochoric(base)
+        assert model.mat is base.mat
+        assert model.law is base.law
+        for I in (0.05, 0.5, 2.0):
+            assert model.phi_eq(I) == base.phi_eq(I)
+        assert model.i_eq(0.5) == base.i_eq(0.5)
 
 
 class TestCatalogue:

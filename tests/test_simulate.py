@@ -230,6 +230,21 @@ class TestBoxRelaxation:
         )
         assert abs(res.phi[-1] - 0.4) < 1.2 * dev0 * math.exp(-10.0 * 0.4)
 
+    def test_zero_shear_segment_is_still(self):
+        forcing = piecewise_constant_forcing([0.0, 0.004, 0.008], [0.0, 300.0], [1000.0, 1000.0])
+        res = run_box(
+            MODELS["mui"], MAT, forcing,
+            phi0=0.5, t_end=0.008, dt=2e-6, record_every=500,
+        )
+        # The step count puts the record near t = 0.004 just before the edge.
+        still = np.array([forcing.shear(t) == 0.0 for t in res.t])
+        assert np.count_nonzero(still) == 5 and still[:5].all()
+        assert np.all(res.phi[still] == 0.5)
+        assert np.all(res.div_u[still] == 0.0)
+        assert np.all(res.inertial[still] == 0.0)
+        assert np.all(res.inertial[~still] > 0.0)
+        assert res.sign_agreement
+
 
 class TestBoxBounds:
     @pytest.mark.parametrize("name", list(MODELS))
@@ -289,9 +304,9 @@ class TestBoxPorePressure:
 class TestColumn:
     L = 0.1
 
-    def _cosine_column(self, n, mean=200.0, amp=100.0):
+    def _cosine_column(self, n, mean=200.0, amp=100.0, phi=0.6):
         return uniform_column(
-            n, self.L, 0.6,
+            n, self.L, phi,
             lambda z: mean + amp * np.cos(np.pi * z / self.L),
         )
 
@@ -390,12 +405,25 @@ class TestColumn:
             np.testing.assert_array_equal(recorded.pf_profile, state.pf_profile)
             assert recorded.t == state.t
 
-    def test_run_dissipation_matches_ledger(self):
-        state = self._cosine_column(50)
+    @pytest.mark.parametrize(
+        "phi", [0.6, np.linspace(0.45, 0.58, 50)], ids=["uniform", "graded"]
+    )
+    def test_run_dissipation_matches_ledger(self, phi):
+        state = self._cosine_column(50, phi=phi)
         res = run_column(state, GAS, MAT, column_cfl_dt(state, GAS, MAT), 30, record_every=1)
         ledger = energy_ledger(res.history, GAS, MAT)
         np.testing.assert_array_equal(res.dissipation, ledger.dissipation)
         np.testing.assert_array_equal(res.energy, ledger.energy)
+
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    def test_zero_steps(self, mode):
+        state = self._cosine_column(20)
+        res = run_column(state, GAS, MAT, column_cfl_dt(state, GAS, MAT), 0, mode=mode)
+        for series in (res.t, res.content, res.energy, res.dissipation):
+            assert series.shape == (1,)
+        assert res.content[0] == gas_content(state)
+        assert res.max_step_content_drift == 0.0
+        assert res.history == [state]
 
     def test_implicit_mode_unconditional(self):
         state = self._cosine_column(50)

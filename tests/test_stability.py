@@ -151,6 +151,16 @@ class TestClassify:
         verdict = classify(MuIDilatant(MAT, LAW), grid)
         assert verdict.verdict == "certified-stable"
 
+    def test_mui_dilatant_at_phi_max_indeterminate(self):
+        # phi = 0.6 = phi_max is outside mu(I)-with-dilation's domain: the
+        # sweep skips it and the remaining points all pass.
+        grid = GridSpec(phi_range=(0.5, 0.6, 3), I_range=(1.0, 10.0, 3), p_range=(10.0, 100.0, 2))
+        v = classify(MuIDilatant(MAT, LAW), grid)
+        assert v.verdict == "indeterminate"
+        assert len(v.report.records) == 12
+        assert len(v.report.skipped) == 6
+        assert v.failing == ()
+
     def test_mui_dilatant_full_grid_fails_C2_only(self):
         verdict = classify(MuIDilatant(MAT, LAW), standard_grid())
         assert verdict.verdict == "conditions-violated"
