@@ -19,6 +19,7 @@ may use an explicit ``deg`` suffix, see :mod:`granupore.config`).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -74,19 +75,19 @@ class MaterialParams:
     a_rr: float | None = None
 
     def __post_init__(self) -> None:
-        if self.rho_s <= 0:
+        if not self.rho_s > 0:
             raise ValueError(f"rho_s must be positive, got {self.rho_s}")
-        if self.d <= 0:
+        if not self.d > 0:
             raise ValueError(f"d must be positive, got {self.d}")
         if not 0.0 < self.phi_max < 1.0:
             raise ValueError(f"phi_max must lie in (0, 1), got {self.phi_max}")
-        if self.delta_phi <= 0:
+        if not self.delta_phi > 0:
             raise ValueError(f"delta_phi must be positive, got {self.delta_phi}")
         if not 0.0 < self.delta < math.pi / 2:
             raise ValueError(f"delta must lie in (0, pi/2), got {self.delta}")
         if not 0.0 < self.mu1 < self.mu2:
             raise ValueError(f"need 0 < mu1 < mu2, got mu1={self.mu1}, mu2={self.mu2}")
-        if self.I0 <= 0:
+        if not self.I0 > 0:
             raise ValueError(f"I0 must be positive, got {self.I0}")
 
 
@@ -106,7 +107,7 @@ class GasParams:
 
     def __post_init__(self) -> None:
         for name in ("eta_f", "p_atm", "rho_f0"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
 
@@ -138,7 +139,7 @@ class EquilibriumLaw:
             raise ValueError(
                 f"unknown equilibrium law {self.variant!r}; expected one of {self._VARIANTS}"
             )
-        if self.variant == "robinson" and (self.A <= 0 or self.a <= 0):
+        if self.variant == "robinson" and not (self.A > 0 and self.a > 0):
             raise ValueError("robinson law needs positive A and a")
 
 
@@ -161,9 +162,9 @@ class FlowState:
     def __post_init__(self) -> None:
         if not 0.0 <= self.phi <= 1.0:
             raise ValueError(f"phi must lie in [0, 1], got {self.phi}")
-        if self.p < 0:
+        if not self.p >= 0:
             raise ValueError(f"p must be non-negative, got {self.p}")
-        if self.shear < 0:
+        if not self.shear >= 0:
             raise ValueError(f"shear must be non-negative, got {self.shear}")
 
 
@@ -192,20 +193,20 @@ def inertial_number(mat: MaterialParams, shear: float, p: float) -> float:
     Raises:
         ValueError: If p <= 0 (I is singular at vanishing pressure; callers
             that need a regularisation must apply their own pressure floor)
-            or shear < 0.
+            or shear < 0, or either is NaN.
     """
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"inertial number undefined for p <= 0, got p={p}")
-    if shear < 0:
+    if not shear >= 0:
         raise ValueError(f"shear must be non-negative, got {shear}")
     return mat.d * shear / math.sqrt(p / mat.rho_s)
 
 
 def viscous_number(gas: GasParams, shear: float, p: float) -> float:
     """Viscous number J = eta_f * shear / p for low-Stokes suspensions."""
-    if p <= 0:
+    if not p > 0:
         raise ValueError(f"viscous number undefined for p <= 0, got p={p}")
-    if shear < 0:
+    if not shear >= 0:
         raise ValueError(f"shear must be non-negative, got {shear}")
     return gas.eta_f * shear / p
 
@@ -214,9 +215,9 @@ def phi_eq(law: EquilibriumLaw, mat: MaterialParams, I: float) -> float:
     """Equilibrium packing fraction phi_eq(I) for the chosen law variant.
 
     Raises:
-        ValueError: If I < 0.
+        ValueError: If I < 0 or is NaN.
     """
-    if I < 0:
+    if not I >= 0:
         raise ValueError(f"equilibrium law undefined for I < 0, got {I}")
     if law.variant == "linear":
         return mat.phi_max - mat.delta_phi * I
@@ -233,9 +234,9 @@ def phi_eq_prime(law: EquilibriumLaw, mat: MaterialParams, I: float) -> float:
     """Slope d(phi_eq)/dI of the equilibrium law, in closed form.
 
     Raises:
-        ValueError: If I < 0.
+        ValueError: If I < 0 or is NaN.
     """
-    if I < 0:
+    if not I >= 0:
         raise ValueError(f"equilibrium law undefined for I < 0, got {I}")
     if law.variant == "linear":
         return -mat.delta_phi
@@ -251,7 +252,10 @@ def i_eq(law: EquilibriumLaw, mat: MaterialParams, phi: float) -> float:
 
     The linear law inverts in closed form, i_eq = (phi_max - phi)/delta_phi.
     Non-linear variants are inverted by bisection on [0, I_CAP]; bisection
-    is slower than Newton but cannot diverge on these monotone laws.
+    is slower than Newton but cannot diverge on these monotone laws.  Its
+    results are memoised per ``(law, mat, phi)``, so a sweep that holds phi
+    fixed bisects once per phi; errors are raised before the memo and are
+    never cached.
 
     Raises:
         ValueError: If phi > phi_max (no non-negative equilibrium I exists)
@@ -265,11 +269,17 @@ def i_eq(law: EquilibriumLaw, mat: MaterialParams, phi: float) -> float:
         return (mat.phi_max - phi) / mat.delta_phi
 
     # phi_eq(0) = phi_max >= phi, so only the upper end can miss the root.
-    lo, hi = 0.0, I_CAP
-    if phi_eq(law, mat, hi) - phi > 0.0:
+    if phi_eq(law, mat, I_CAP) - phi > 0.0:
         raise ValueError(
             f"phi={phi} below the range of the {law.variant} law on [0, {I_CAP}]"
         )
+    return _bisect_i_eq(law, mat, float(phi))  # float keys a 0-d array too
+
+
+@functools.lru_cache
+def _bisect_i_eq(law: EquilibriumLaw, mat: MaterialParams, phi: float) -> float:
+    """Root of phi_eq(I) = phi on [0, I_CAP], which :func:`i_eq` has bracketed."""
+    lo, hi = 0.0, I_CAP
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         f_mid = phi_eq(law, mat, mid) - phi

@@ -1,5 +1,6 @@
 """Structural condition checks: dissipation, C1/C2/C3, equilibrium signs."""
 
+import hashlib
 import io
 import math
 
@@ -19,7 +20,14 @@ from granupore.conditions import (
     write_report_csv,
 )
 from granupore.gas import permeability_kappa
-from granupore.materials import EquilibriumLaw, FlowState, GasParams, glass_beads, i_eq
+from granupore.materials import (
+    EquilibriumLaw,
+    FlowState,
+    GasParams,
+    _bisect_i_eq,
+    glass_beads,
+    i_eq,
+)
 from granupore.rheology import (
     DruckerPrager,
     DruckerPragerDilatant,
@@ -344,3 +352,55 @@ class TestSweep:
             GridSpec(I_range=(0.0, 1.0, 3))
         with pytest.raises(ValueError):
             GridSpec(p_range=(10.0, 100.0, 1))
+
+
+class TestNonlinearSweeps:
+    """Standard-grid sweeps under the non-linear equilibrium laws, whose
+    i_eq is a memoised bisection."""
+
+    #: sha256 of write_report_csv, recorded before the bisection was
+    #: memoised; roux-radjai's C1 and anchor failures are pinned with them.
+    #: Tied to the libm and numpy they were recorded with (x86-64 Linux,
+    #: Python 3.11.7, numpy 2.4.6).
+    GOLDEN = {
+        ("schaeffer", "mui"): "abddc4a600538fb60178c485b307300ede92305123136e18202c6da4a8e2f76d",
+        ("schaeffer", "dp-psi"): "6f9af929b73459058bfbc7235da8c71391e934eb14324834f8fdb4391fe94fc4",
+        ("schaeffer", "roux-radjai"): "2efedda5d0c918afe1b66ad8b64b4e7fb1f5cd6e6dc098b5aff8aca969767ca8",
+        ("robinson", "mui"): "4638030922de379127cbbbd117fdfcd120d000bc1dd98a3874904ab3043f92f6",
+        ("robinson", "dp-psi"): "54f5eee3b3abb7079ca36afe6bdb7fd55734cfbf1f854fe8915aa761b8b9df90",
+        ("robinson", "roux-radjai"): "fff1d7cc0f9ab8cea015444a224189d2febff5c1ba41268d0ba5c0d12500640d",
+        ("breard", "mui"): "b02c0de8d8af4093783c84c887977f791aff23b0f7bd807dda7fa9920e3937c9",
+        ("breard", "dp-psi"): "e9fc64e31c892ce2423f6bea627466670f73d069ca383c16a4e9bf0df0d3f3fd",
+        ("breard", "roux-radjai"): "73d1716398dc9d2643e74aa23c3db0b65155c6895c399c3a5b52cc16a517c500",
+    }
+    MODELS = {
+        "mui": MuI,
+        "dp-psi": DruckerPragerDilatant,
+        "roux-radjai": lambda mat, law: RouxRadjai(mat, law, gain=2.0),
+    }
+
+    @pytest.mark.parametrize("variant, name", list(GOLDEN), ids="/".join)
+    def test_golden_csv(self, variant, name):
+        report = sweep(self.MODELS[name](MAT, EquilibriumLaw(variant)), standard_grid())
+        buf = io.StringIO()
+        write_report_csv(report, buf)
+        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
+        assert digest == self.GOLDEN[variant, name]
+
+    @pytest.mark.parametrize(
+        "variant, bisections", [("schaeffer", 11), ("robinson", 12), ("breard", 12)]
+    )
+    def test_one_bisection_per_phi(self, variant, bisections):
+        # schaeffer's phi = 0.40 row lies below its range: i_eq raises before
+        # the memo, and the row keeps its skip reasons
+        grid = standard_grid()
+        _bisect_i_eq.cache_clear()
+        report = sweep(MuI(MAT, EquilibriumLaw(variant)), grid)
+        assert _bisect_i_eq.cache_info().misses == bisections
+        below_range = len(grid.phi_values()) - bisections
+        assert len(report.skipped) == below_range * len(grid.I_values()) * len(grid.p_values())
+
+    def test_linear_sweep_leaves_memo_untouched(self):
+        before = _bisect_i_eq.cache_info()
+        sweep(MUI, standard_grid())
+        assert _bisect_i_eq.cache_info() == before

@@ -416,6 +416,19 @@ class TestCliErrors:
         assert code == 1
         assert "bad.cfg:1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["check", "--model", "mui"], "delta_phi"),
+            (["simulate-box", "--model", "mui", "--t-end", "1e-3"], "d"),
+        ],
+    )
+    def test_nan_config_value_named(self, tmp_path, capsys, argv, key):
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text(f"{key} = nan\n")
+        assert main(argv + ["--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: {key} must be positive, got nan\n"
+
     def test_unknown_model_exit_1(self, capsys):
         assert main(["check", "--model", "bingham"]) == 1
 

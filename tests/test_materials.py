@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 from granupore.materials import (
     EquilibriumLaw,
     FlowState,
+    GasParams,
     MaterialParams,
+    _bisect_i_eq,
     angle_from_div_u,
     div_u_from_angle,
     glass_beads,
@@ -23,6 +25,7 @@ from granupore.materials import (
 
 MAT = glass_beads()
 LINEAR = EquilibriumLaw()
+NONLINEAR = [EquilibriumLaw(v) for v in ("schaeffer", "robinson", "breard")]
 
 
 class TestParams:
@@ -49,6 +52,27 @@ class TestParams:
     def test_invalid_material(self, kwargs):
         with pytest.raises(ValueError):
             MaterialParams(**kwargs)
+
+    @pytest.mark.parametrize("name", ["rho_s", "d", "delta_phi", "I0"])
+    def test_nan_material_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):
+            MaterialParams(**{name: math.nan})
+
+    @pytest.mark.parametrize("name", ["eta_f", "p_atm", "rho_f0"])
+    def test_nan_gas_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):
+            GasParams(**{name: math.nan})
+
+    @pytest.mark.parametrize("name", ["A", "a"])
+    def test_nan_robinson_constant_rejected(self, name):
+        with pytest.raises(ValueError, match="robinson law needs positive A and a"):
+            EquilibriumLaw("robinson", **{name: math.nan})
+
+    @pytest.mark.parametrize("name", ["p", "shear"])
+    def test_flow_state_rejects_nan(self, name):
+        kwargs = {"phi": 0.5, "p": 10.0, "shear": 1.0, name: math.nan}
+        with pytest.raises(ValueError, match=f"^{name} must be non-negative, got nan$"):
+            FlowState(**kwargs)
 
     def test_flow_state_invariants(self):
         with pytest.raises(ValueError):
@@ -78,6 +102,12 @@ class TestInertialNumber:
         with pytest.raises(ValueError):
             inertial_number(MAT, 1.0, 0.0)
 
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="undefined for p <= 0, got p=nan"):
+            inertial_number(MAT, 1.0, math.nan)
+        with pytest.raises(ValueError, match="shear must be non-negative, got nan"):
+            inertial_number(MAT, math.nan, 100.0)
+
     @given(s=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=30)
     def test_homogeneity(self, s):
@@ -89,22 +119,22 @@ class TestInertialNumber:
 
 class TestViscousNumber:
     def test_zero_shear(self):
-        from granupore.materials import GasParams
-
         assert viscous_number(GasParams(), 0.0, 5.0) == 0.0
 
     def test_values(self):
-        from granupore.materials import GasParams
-
         gas = GasParams()
         assert viscous_number(gas, 10.0, 100.0) == pytest.approx(1.8e-6, rel=1e-12)
         assert viscous_number(gas, 100.0, 1.8e-3) == pytest.approx(1.0, rel=1e-12)
 
     def test_bad_pressure(self):
-        from granupore.materials import GasParams
-
         with pytest.raises(ValueError):
             viscous_number(GasParams(), 1.0, 0.0)
+
+    def test_nan_rejected(self):
+        with pytest.raises(ValueError, match="undefined for p <= 0, got p=nan"):
+            viscous_number(GasParams(), 1.0, math.nan)
+        with pytest.raises(ValueError, match="shear must be non-negative, got nan"):
+            viscous_number(GasParams(), math.nan, 100.0)
 
 
 class TestEquilibriumLaws:
@@ -191,6 +221,13 @@ class TestEquilibriumLaws:
         with pytest.raises(ValueError):
             phi_eq_prime(LINEAR, MAT, -0.1)
 
+    @pytest.mark.parametrize("variant", ["linear", "schaeffer", "robinson", "breard"])
+    def test_nan_I_rejected(self, variant):
+        law = EquilibriumLaw(variant)
+        for fun in (phi_eq, phi_eq_prime):
+            with pytest.raises(ValueError, match="undefined for I < 0, got nan"):
+                fun(law, MAT, math.nan)
+
     def test_robinson_defaults(self):
         law = EquilibriumLaw("robinson")
         assert law.A == 0.1305 and law.a == 0.8156
@@ -198,6 +235,41 @@ class TestEquilibriumLaws:
     def test_unknown_variant(self):
         with pytest.raises(ValueError):
             EquilibriumLaw("quadratic")
+
+
+class TestIEqMemo:
+    """i_eq memoises the bisection of the non-linear laws per (law, mat, phi)."""
+
+    PHIS = [0.41, 0.45, 0.5, 0.5234567, 0.55, 0.59, 0.599999, MAT.phi_max]
+
+    @pytest.mark.parametrize("law", NONLINEAR, ids=lambda law: law.variant)
+    def test_hit_equals_bisection_bitwise(self, law):
+        _bisect_i_eq.cache_clear()
+        first = [i_eq(law, MAT, phi) for phi in self.PHIS]
+        hits = [i_eq(law, MAT, phi) for phi in self.PHIS]
+        info = _bisect_i_eq.cache_info()
+        assert (info.misses, info.hits) == (len(self.PHIS), len(self.PHIS))
+        direct = [_bisect_i_eq.__wrapped__(law, MAT, phi) for phi in self.PHIS]
+        assert [x.hex() for x in first] == [x.hex() for x in direct]
+        assert [x.hex() for x in hits] == [x.hex() for x in direct]
+
+    @pytest.mark.parametrize("law", NONLINEAR, ids=lambda law: law.variant)
+    @pytest.mark.parametrize("phi", [np.float64(0.5), np.array(0.5)], ids=["float64", "0-d"])
+    def test_numpy_phi_returns_float(self, law, phi):
+        _bisect_i_eq.cache_clear()
+        for _ in range(2):  # a miss, then a hit
+            value = i_eq(law, MAT, phi)
+            assert type(value) is float
+            assert value == _bisect_i_eq.__wrapped__(law, MAT, 0.5)
+
+    def test_below_range_error_never_cached(self):
+        law = EquilibriumLaw("schaeffer")
+        before = _bisect_i_eq.cache_info()
+        for _ in range(3):
+            with pytest.raises(ValueError) as exc:
+                i_eq(law, MAT, 0.35)
+            assert str(exc.value) == "phi=0.35 below the range of the schaeffer law on [0, 1000.0]"
+        assert _bisect_i_eq.cache_info() == before
 
 
 class TestDilatancyAngleGeometry:
