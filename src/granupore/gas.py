@@ -14,11 +14,11 @@ For an ideal gas, ``rho_f = rho_f0 (1 + p_f / p_atm)`` and H has the closed
 form ``(p_atm + p_f) [ln(1 + p_f/p_atm) - 1]``.  For a general differentiable
 Q the solution is
 
-    H(x) = x * int_{c1}^{x} Q(z) / z^2 dz + c2,
+    H(x) = x * int_{c1}^{x} Q(z) / z^2 dz,
 
-computed here by adaptive quadrature.  The integration constants c1, c2 are
-pure gauges: they shift H by an affine function of rho_f, which the mass
-budget annihilates, so they have no effect on the energy balance.
+computed here by adaptive quadrature.  The lower limit c1 is a pure gauge:
+moving it adds a multiple of rho_f to H, which the mass budget annihilates,
+so it has no effect on the energy balance.
 """
 
 from __future__ import annotations
@@ -91,7 +91,7 @@ StateLaw = IdealGasLaw | CustomStateLaw
 
 @dataclass(frozen=True)
 class EnthalpyH:
-    """Sampled energy density H(rho_f) with its integration gauges.
+    """Sampled energy density H(rho_f) with its integration gauge c1.
 
     The samples come from quadrature of Q(z)/z^2 (see
     :func:`enthalpy_from_statelaw`); between samples a cubic spline
@@ -102,7 +102,6 @@ class EnthalpyH:
     x_grid: np.ndarray
     values: np.ndarray
     c1: float
-    c2: float = 0.0
     _spline: CubicSpline = field(repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
@@ -228,9 +227,9 @@ def enthalpy_from_statelaw(
     The integral is accumulated piecewise between consecutive sample points
     with adaptive Gauss-Kronrod quadrature (relative tolerance 1e-10); the
     integrand is smooth away from z = 0 and the grid must stay positive.
-    c2 is fixed to 0 and c1 defaults to the reference density (ideal gas)
-    or the lower end of the grid: both are gauges without energy effect,
-    but fixing them keeps outputs reproducible.
+    c1 defaults to the reference density (ideal gas) or the lower end of
+    the grid: it is a gauge without energy effect, but fixing it keeps
+    outputs reproducible.
 
     Raises:
         ValueError: On a non-positive grid or c1.

@@ -89,6 +89,8 @@ class MaterialParams:
             raise ValueError(f"need 0 < mu1 < mu2, got mu1={self.mu1}, mu2={self.mu2}")
         if not self.I0 > 0:
             raise ValueError(f"I0 must be positive, got {self.I0}")
+        if self.a_rr is not None and not math.isfinite(self.a_rr):
+            raise ValueError(f"Roux-Radjai gain a_rr must be finite, got {self.a_rr}")
 
 
 @dataclass(frozen=True)

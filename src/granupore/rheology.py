@@ -396,6 +396,8 @@ class RouxRadjai(_ModelBase):
     def __post_init__(self) -> None:
         if self.z_mode not in ("small-angle", "dp"):
             raise ValueError(f"unknown z_mode {self.z_mode!r}")
+        if self.gain is not None and not math.isfinite(self.gain):
+            raise ValueError(f"Roux-Radjai gain must be finite, got {self.gain}")
 
     def _a(self) -> float:
         a = self.gain if self.gain is not None else self.mat.a_rr

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -369,21 +369,57 @@ def uniform_column(
     return ColumnState(z=z, phi_profile=phi_arr, pf_profile=pf, t=0.0)
 
 
-def _column_coefficients(
-    state: ColumnState, gas: GasParams, mat: MaterialParams
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Static coefficients of the column: 1-phi, the face kappa and the
-    explicit stability limit min(dz^2 (1-phi) / (p_atm kappa))."""
-    one_m = 1.0 - state.phi_profile
+def _face_kappa(state: ColumnState, gas: GasParams, mat: MaterialParams) -> np.ndarray:
+    """Face permeabilities: the harmonic mean of the neighbouring cells'
+    kappa, which preserves flux continuity across jumps in kappa."""
     kappa = permeability_kappa(gas, mat.d, state.phi_profile)
-    # Harmonic mean preserves flux continuity across jumps in kappa.
-    face = 2.0 * kappa[:-1] * kappa[1:] / (kappa[:-1] + kappa[1:])
-    return one_m, face, float(np.min(state.dz * state.dz * one_m / (gas.p_atm * kappa)))
+    return 2.0 * kappa[:-1] * kappa[1:] / (kappa[:-1] + kappa[1:])
 
 
 def column_cfl_dt(state: ColumnState, gas: GasParams, mat: MaterialParams) -> float:
     """Largest explicit step: CFL_SAFETY * min(dz^2 (1-phi) / (p_atm kappa))."""
-    return CFL_SAFETY * _column_coefficients(state, gas, mat)[2]
+    one_m, kappa = 1.0 - state.phi_profile, permeability_kappa(gas, mat.d, state.phi_profile)
+    return CFL_SAFETY * float(np.min(state.dz * state.dz * one_m / (gas.p_atm * kappa)))
+
+
+def _column_stepper(
+    state: ColumnState, gas: GasParams, mat: MaterialParams, dt: float, mode: str
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+    """Check a run's step once and build what all its steps share.
+
+    Returns the static 1-phi, the face kappa and ``advance(p_f) -> p_f``,
+    one step of length dt on the grid and phi profile of ``state``.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if mode not in ("explicit", "implicit"):
+        raise ValueError(f"unknown mode {mode!r}")
+    one_m, kf, dz = 1.0 - state.phi_profile, _face_kappa(state, gas, mat), state.dz
+    if mode == "explicit":
+        limit = column_cfl_dt(state, gas, mat)
+        if dt > limit * (1.0 + 1.0e-12):
+            raise ValueError(
+                f"explicit step dt={dt:g} above the stability bound {limit:g}; "
+                "reduce dt or use implicit mode"
+            )
+        rate = dt * gas.p_atm / dz
+
+        def advance(p: np.ndarray) -> np.ndarray:
+            transfer = rate * (kf * (p[1:] - p[:-1]) / dz)  # zero flux at both ends
+            content = one_m * p
+            content[:-1] += transfer
+            content[1:] -= transfer
+            return content / one_m
+
+        return one_m, kf, advance
+
+    from scipy.linalg import solve_banded
+
+    off = -dt * gas.p_atm / (dz * dz) * kf  # off-diagonals of the backward-Euler matrix
+    ab = np.vstack([np.append(0.0, off), one_m, np.append(off, 0.0)])
+    ab[1, :-1] -= off
+    ab[1, 1:] -= off
+    return one_m, kf, lambda p: solve_banded((1, 1), ab, one_m * p)
 
 
 def step_column(
@@ -405,50 +441,8 @@ def step_column(
         ValueError: On dt <= 0, unknown mode, or an explicit step above the
             stability bound.
     """
-    return _advance_column(state, gas, dt, mode, _column_coefficients(state, gas, mat))
-
-
-def _advance_column(
-    state: ColumnState, gas: GasParams, dt: float, mode: str, coefficients: tuple
-) -> ColumnState:
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    one_m, kf, cfl_limit = coefficients
-    dz = state.dz
-    p = state.pf_profile
-
-    if mode == "explicit":
-        limit = CFL_SAFETY * cfl_limit
-        if dt > limit * (1.0 + 1.0e-12):
-            raise ValueError(
-                f"explicit step dt={dt:g} above the stability bound {limit:g}; "
-                "reduce dt or use implicit mode"
-            )
-        flux = kf * (p[1:] - p[:-1]) / dz  # face fluxes, zero at both ends
-        content = one_m * p
-        content[:-1] += dt * gas.p_atm / dz * flux
-        content[1:] -= dt * gas.p_atm / dz * flux
-        p_new = content / one_m
-    elif mode == "implicit":
-        from scipy.linalg import solve_banded
-
-        n = p.size
-        r = dt * gas.p_atm / (dz * dz)
-        lower = np.zeros(n)
-        diag = one_m.copy()
-        upper = np.zeros(n)
-        diag[:-1] += r * kf
-        diag[1:] += r * kf
-        upper[1:] = -r * kf
-        lower[:-1] = -r * kf
-        ab = np.vstack([upper, diag, lower])
-        p_new = solve_banded((1, 1), ab, one_m * p)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    return ColumnState(
-        z=state.z, phi_profile=state.phi_profile, pf_profile=p_new, t=state.t + dt
-    )
+    advance = _column_stepper(state, gas, mat, dt, mode)[2]
+    return replace(state, pf_profile=advance(state.pf_profile), t=state.t + dt)
 
 
 def gas_content(state: ColumnState) -> float:
@@ -485,43 +479,36 @@ def run_column(
 
     Raises:
         ValueError: If dt <= 0, n_steps < 0 or record_every < 1, or on the
-            errors of :func:`step_column`.
+            errors of :func:`step_column`: an unknown mode, or an explicit
+            dt above the stability bound, even when n_steps is 0.
     """
     _check_steps(dt, record_every)
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    state = state0
-    coefficients = _column_coefficients(state, gas, mat)
-    history = [state]
-    rows = [(state.t, *_ledger_sums(state, gas, coefficients))]
+    one_m, kf, advance = _column_stepper(state0, gas, mat, dt, mode)
+    t, p, dz = state0.t, state0.pf_profile, state0.dz
+    history = [state0]
+    rows = [(t, *_ledger_sums(p, dz, gas, one_m, kf))]
     for step in range(1, n_steps + 1):
-        state = _advance_column(state, gas, dt, mode, coefficients)
-        rows.append((state.t, *_ledger_sums(state, gas, coefficients)))
+        p = advance(p)
+        t += dt
+        rows.append((t, *_ledger_sums(p, dz, gas, one_m, kf)))
         if step % record_every == 0 or step == n_steps:
-            history.append(state)
+            history.append(replace(state0, pf_profile=p, t=t))
     t, content, energy, dissipation = np.array(rows).T
     drift = np.max(np.abs(np.diff(content)), initial=0.0) / max(abs(content[0]), 1.0)
-    return ColumnResult(
-        history=history,
-        t=t,
-        content=content,
-        energy=energy,
-        dissipation=dissipation,
-        max_step_content_drift=float(drift),
-    )
+    return ColumnResult(history, t, content, energy, dissipation, float(drift))
 
 
 def _ledger_sums(
-    state: ColumnState, gas: GasParams, coefficients: tuple
+    p: np.ndarray, dz: float, gas: GasParams, one_m: np.ndarray, kf: np.ndarray
 ) -> tuple[float, float, float]:
-    """The gas content, E1 = sum (1-phi) H(p_f) dz with the ideal-gas H, and
-    D = sum over faces of kappa (dp_f/dz)^2 dz, from the static 1-phi and
-    face kappa of :func:`_column_coefficients`."""
-    one_m, kf, _ = coefficients
-    p, dz = state.pf_profile, state.dz
+    """The gas content sum (1-phi) p_f dz, E1 = sum (1-phi) H(p_f) dz with the
+    ideal-gas H, and D = sum over faces of kappa (dp_f/dz)^2 dz, from the
+    static 1-phi and face kappa."""
     grad = (p[1:] - p[:-1]) / dz
     e1 = float(np.sum(one_m * enthalpy_ideal(gas, p)) * dz)
-    return gas_content(state), e1, float(np.sum(kf * grad * grad) * dz)
+    return float(np.sum(one_m * p) * dz), e1, float(np.sum(kf * grad * grad) * dz)
 
 
 @dataclass
@@ -550,10 +537,20 @@ class EnergyLedger:
 def energy_ledger(
     history: Sequence[ColumnState], gas: GasParams, mat: MaterialParams
 ) -> EnergyLedger:
-    """Build the E1 / dissipation ledger from a sequence of column states."""
+    """Build the E1 / dissipation ledger from a sequence of column states.
+
+    Raises:
+        ValueError: If there are fewer than two states, the states do not
+            all share the phi profile of the first, or the times do not
+            strictly increase.
+    """
     if len(history) < 2:
         raise ValueError("need at least two states for a ledger")
-    rows = [(s.t, *_ledger_sums(s, gas, _column_coefficients(s, gas, mat))) for s in history]
+    phi = history[0].phi_profile
+    if not all(np.array_equal(s.phi_profile, phi) for s in history[1:]):
+        raise ValueError("history states must share the phi profile of the first")
+    one_m, kf = 1.0 - phi, _face_kappa(history[0], gas, mat)
+    rows = [(s.t, *_ledger_sums(s.pf_profile, s.dz, gas, one_m, kf)) for s in history]
     t, _, e1, diss = np.array(rows).T
     dts = np.diff(t)
     if np.any(dts <= 0):

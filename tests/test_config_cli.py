@@ -358,6 +358,10 @@ class TestCliSimulate:
         assert main(["simulate-column", "--t-end=1e-4", *argv]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+    def test_column_zero_steps_still_checks_dt(self, capsys):
+        assert main(["simulate-column", "--t-end", "0", "--dt", "1"]) == 1
+        assert "above the stability bound" in capsys.readouterr().err
+
     GOLDEN = [
         (
             ["simulate-column", "--config", CFG],
@@ -428,6 +432,16 @@ class TestCliErrors:
         cfg.write_text(f"{key} = nan\n")
         assert main(argv + ["--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: {key} must be positive, got nan\n"
+
+    def test_nan_roux_radjai_gain_named(self, tmp_path, capsys):
+        assert main(["check", "--model", "roux-radjai", "--rr-gain", "nan"]) == 1
+        assert capsys.readouterr().err == "error: Roux-Radjai gain must be finite, got nan\n"
+        cfg = tmp_path / "nan.cfg"
+        cfg.write_text("a_rr = nan\n")
+        assert main(["check", "--model", "roux-radjai", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}: Roux-Radjai gain a_rr must be finite, got nan\n"
+        )
 
     def test_unknown_model_exit_1(self, capsys):
         assert main(["check", "--model", "bingham"]) == 1

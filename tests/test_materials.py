@@ -58,6 +58,12 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):
             MaterialParams(**{name: math.nan})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_roux_radjai_gain_rejected(self, value):
+        message = f"^Roux-Radjai gain a_rr must be finite, got {value}$"
+        with pytest.raises(ValueError, match=message):
+            MaterialParams(a_rr=value)
+
     @pytest.mark.parametrize("name", ["eta_f", "p_atm", "rho_f0"])
     def test_nan_gas_rejected(self, name):
         with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):

@@ -245,6 +245,11 @@ class TestDilatancyFunctions:
         with pytest.raises(ValueError, match="gain"):
             model.dilatancy(0.5, 100.0, 1.0)
 
+    @pytest.mark.parametrize("gain", [math.nan, -math.inf])
+    def test_roux_radjai_rejects_non_finite_gain(self, gain):
+        with pytest.raises(ValueError, match=f"^Roux-Radjai gain must be finite, got {gain}$"):
+            RouxRadjai(MAT, LAW, gain=gain)
+
     def test_roux_radjai_uses_material_gain(self):
         mat = glass_beads(a_rr=2.0)
         model = RouxRadjai(mat, LAW)

@@ -1,5 +1,6 @@
 """Box and column integrators: bounds, attraction, conservation, energy."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -159,6 +160,17 @@ class TestRunSettings:
         settings = dict(dt=1e-9, n_steps=0) | kwargs
         with pytest.raises(ValueError):
             run_column(state, GAS, MAT, **settings)
+
+    @pytest.mark.parametrize(
+        "mode,factor,message",
+        [("bogus", 1.0, "unknown mode 'bogus'"), ("explicit", 2.0, "stability bound")],
+        ids=["mode", "cfl"],
+    )
+    def test_run_column_checks_settings_before_stepping(self, mode, factor, message):
+        state = uniform_column(10, 0.1, 0.6, 100.0)
+        dt = factor * column_cfl_dt(state, GAS, MAT)
+        with pytest.raises(ValueError, match=message):
+            run_column(state, GAS, MAT, dt, 0, mode=mode)
 
 
 class TestBoxRelaxation:
@@ -444,3 +456,40 @@ class TestColumn:
         state = self._cosine_column(10)
         with pytest.raises(ValueError):
             energy_ledger([state], GAS, MAT)
+
+    def test_ledger_rejects_mixed_phi_profiles(self):
+        state = self._cosine_column(10)
+        later = step_column(self._cosine_column(10, phi=0.5), GAS, MAT, 1e-9)
+        with pytest.raises(ValueError, match="phi profile"):
+            energy_ledger([state, later], GAS, MAT)
+
+    GOLDEN_SERIES = {
+        "explicit200": "a9826466c91f67b636bb12d0c2502ef6525479f0f500e2a2b0d07dfd7e71fec4",
+        "implicit200": "b033546b2cabd70274d4bed9e08d9c73cc992112c3e4d3dafa67cd3836fc6522",
+        "graded60": "65422814f1f2bcfdeec3b140821a71203bd038aadd1348beca510e3b1153a730",
+    }
+
+    @pytest.mark.parametrize(
+        "case,n,phi,mode,factor",
+        [
+            ("explicit200", 200, 0.6, "explicit", 1.0),
+            ("implicit200", 200, 0.6, "implicit", 10.0),
+            ("graded60", 60, np.linspace(0.45, 0.58, 60), "explicit", 1.0),
+        ],
+        ids=["explicit200", "implicit200", "graded60"],
+    )
+    def test_golden_per_step_series(self, case, n, phi, mode, factor):
+        """Every step's t, content, energy and dissipation, and the final
+        p_f, are bitwise unchanged.
+
+        The hashes are tied to the libm and numpy they were recorded with
+        (x86-64 Linux, Python 3.11.7, numpy 2.4.6, scipy 1.17.1).
+        """
+        state = self._cosine_column(n, phi=phi)
+        dt = factor * column_cfl_dt(state, GAS, MAT)
+        res = run_column(state, GAS, MAT, dt, 300, mode=mode, record_every=100)
+        digest = hashlib.sha256()
+        final = res.history[-1].pf_profile
+        for series in (res.t, res.content, res.energy, res.dissipation, final):
+            digest.update(series.tobytes())
+        assert digest.hexdigest() == self.GOLDEN_SERIES[case]
