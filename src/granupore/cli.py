@@ -41,6 +41,8 @@ from .config import (
 from .materials import EquilibriumLaw, GasParams, MaterialParams
 from .rheology import MODEL_IDS, PowerLaw, build_model, derive_f_numeric
 from .simulate import (
+    _non_increasing,
+    _step_count,
     column_cfl_dt,
     constant_forcing,
     random_forcing,
@@ -268,8 +270,6 @@ def cmd_simulate_box(args) -> int:
 
 def cmd_simulate_column(args) -> int:
     mat, gas = _load_params(args)
-    if not args.t_end >= 0:
-        raise ValueError(f"t_end must be non-negative, got {args.t_end}")
     state0 = uniform_column(
         args.cells,
         args.length,
@@ -283,7 +283,7 @@ def cmd_simulate_column(args) -> int:
             f" p_f as low as {lowest}; it must exceed -p_atm = {-gas.p_atm}"
         )
     dt = args.dt if args.dt is not None else column_cfl_dt(state0, gas, mat)
-    n_steps = int(round(args.t_end / dt)) if dt > 0 else 0  # run_column rejects dt <= 0
+    n_steps = _step_count(args.t_end, dt) if dt > 0 else 0  # run_column rejects dt <= 0
     result = run_column(
         state0, gas, mat, dt, n_steps, mode=args.mode, record_every=args.record_every
     )
@@ -292,7 +292,7 @@ def cmd_simulate_column(args) -> int:
         for state in result.history
         for z, pf in zip(state.z, state.pf_profile)
     ))
-    energy_ok = bool(np.all(np.diff(result.energy) <= 0.0))
+    energy_ok = _non_increasing(result.energy)
     print(f"steps: {n_steps}, dt = {dt:.6e} s ({args.mode})")
     print(f"gas-content drift per step: {result.max_step_content_drift:.3e}")
     print(f"energy non-increasing: {'yes' if energy_ok else 'NO'}")

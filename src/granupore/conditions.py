@@ -14,12 +14,19 @@ These are sufficient conditions; a failure pinpoints where a model leaves
 the certified regime, it does not by itself prove ill-posedness.
 Derivatives are central differences so the checker works equally for
 closed-form and tabulated models.
+
+At one (phi, p, I) the checks share Z, f, dZ/dI, df/dI and df/dp, each
+evaluated once.  Where the model raises, a sweep skips the point with the
+first error's message, so the first reads keep one order: C1 dZ/dI, df/dI,
+Z, f; C2 dZ/dI, Z; C3 df/dp, df/dI; the gap Z, f; the equilibrium signs
+last, once per (phi, p).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, TextIO
 
 import numpy as np
@@ -88,37 +95,56 @@ def _central(fun: Callable[[float], float], x: float, rel: float) -> float:
     raise ValueError(f"cannot take a central difference at {x} (step {h})")
 
 
+class _Point(namedtuple("_Point", "model phi p I rel_h", defaults=(1.0e-6,))):
+    """Z, f, dZ/dI, df/dI and df/dp at one (phi, p, I), each evaluated once, on
+    first read, in the order the module docstring fixes; ``p`` is None for C2."""
+
+    z = cached_property(lambda pt: pt.model.yield_function(pt.phi, pt.I))
+    f = cached_property(lambda pt: pt.model.dilatancy(pt.phi, pt.p, pt.I))
+    dz = cached_property(
+        lambda pt: _central(lambda J: pt.model.yield_function(pt.phi, J), pt.I, pt.rel_h))
+    df = cached_property(
+        lambda pt: _central(lambda J: pt.model.dilatancy(pt.phi, pt.p, J), pt.I, pt.rel_h))
+    dfp = cached_property(
+        lambda pt: _central(lambda q: pt.model.dilatancy(pt.phi, q, pt.I), pt.p, pt.rel_h))
+
+    def c1(self) -> float:
+        dz, df = self.dz, self.df
+        return (self.z - 0.5 * self.I * dz) - (self.f + self.I * df)
+
+    def c2(self) -> float:
+        dz = self.dz
+        return self.z + self.I * dz
+
+    def c3(self) -> float:
+        return self.dfp - 0.5 * self.I / self.p * self.df
+
+    def gap(self) -> float:
+        return self.z - self.f
+
+
 def residual_c1(model, phi: float, p: float, I: float, rel_h: float = 1.0e-6) -> float:
     """Residual of the consistency equation,
     r = (Z - (I/2) dZ/dI) - (f + I df/dI); zero for compliant pairs."""
-    dz = _central(lambda J: model.yield_function(phi, J), I, rel_h)
-    df = _central(lambda J: model.dilatancy(phi, p, J), I, rel_h)
-    z = model.yield_function(phi, I)
-    f = model.dilatancy(phi, p, I)
-    return (z - 0.5 * I * dz) - (f + I * df)
+    return _Point(model, phi, p, I, rel_h).c1()
 
 
-def check_c2(model, phi: float, I: float, rel_h: float = 1.0e-6) -> tuple[float, bool]:
+def check_c2(model, phi: float, I: float) -> tuple[float, bool]:
     """Value and pass flag of the growth bound Z + I dZ/dI >= 0."""
-    dz = _central(lambda J: model.yield_function(phi, J), I, rel_h)
-    value = model.yield_function(phi, I) + I * dz
+    value = _Point(model, phi, None, I).c2()
     return value, _RULES["C2"].passes(value)
 
 
-def check_c3(
-    model, phi: float, p: float, I: float, rel_h: float = 1.0e-6
-) -> tuple[float, bool]:
+def check_c3(model, phi: float, p: float, I: float) -> tuple[float, bool]:
     """Value and pass flag of the strict pressure-slope condition
     df/dp - (I/(2p)) df/dI < 0."""
-    dfp = _central(lambda q: model.dilatancy(phi, q, I), p, rel_h)
-    dfi = _central(lambda J: model.dilatancy(phi, p, J), I, rel_h)
-    value = dfp - 0.5 * I / p * dfi
+    value = _Point(model, phi, p, I).c3()
     return value, _RULES["C3"].passes(value)
 
 
 def check_dissipation(model, phi: float, p: float, I: float) -> tuple[float, bool]:
     """Gap Z - f and its non-negativity flag."""
-    gap = model.yield_function(phi, I) - model.dilatancy(phi, p, I)
+    gap = _Point(model, phi, p, I).gap()
     return gap, _RULES["dissipation"].passes(gap)
 
 
@@ -267,24 +293,28 @@ def sweep(model, grid: GridSpec) -> ConditionReport:
     singular.  Ordering is deterministic (phi outer, then I, then p).
     """
     report = ConditionReport()
+    I_values, p_values = grid.I_values(), grid.p_values()
     for phi in grid.phi_values():
-        for I in grid.I_values():
-            for p in grid.p_values():
+        # The equilibrium signs do not depend on I: one flag or error message per p.
+        eq_signs: dict[float, bool | str] = {}
+        for I in I_values:
+            for p in p_values:
+                where = (float(phi), float(I), float(p))
+                at = _Point(model, phi, p, I)
                 try:
-                    rec = PointRecord(
-                        phi=float(phi),
-                        I=float(I),
-                        p=float(p),
-                        c1_residual=residual_c1(model, phi, p, I),
-                        c2_value=check_c2(model, phi, I)[0],
-                        c3_value=check_c3(model, phi, p, I)[0],
-                        dissipation_gap=check_dissipation(model, phi, p, I)[0],
-                        eq_sign_ok=check_equilibrium_signs(model, phi, p),
-                    )
+                    values = (at.c1(), at.c2(), at.c3(), at.gap())
                 except ValueError as exc:
-                    report.skipped.append(((float(phi), float(I), float(p)), str(exc)))
+                    report.skipped.append((where, str(exc)))
                     continue
-                report.records.append(rec)
+                if p not in eq_signs:
+                    try:
+                        eq_signs[p] = check_equilibrium_signs(model, phi, p)
+                    except ValueError as exc:
+                        eq_signs[p] = str(exc)
+                if isinstance(eq_signs[p], str):
+                    report.skipped.append((where, eq_signs[p]))
+                else:
+                    report.records.append(PointRecord(*where, *values, eq_signs[p]))
 
     for cond, (name, passes, severity) in _RULES.items():
         failures = [r for r in report.records if not passes(getattr(r, name))]

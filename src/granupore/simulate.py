@@ -242,6 +242,17 @@ def _check_steps(dt: float, record_every: int) -> None:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
 
 
+def _step_count(t_end: float, dt: float) -> int:
+    """The whole number of steps of a positive dt nearest to t_end; a
+    positive t_end must round to at least one step."""
+    if not t_end >= 0:  # written so that NaN fails
+        raise ValueError(f"t_end must be non-negative, got {t_end}")
+    n_steps = int(round(t_end / dt))
+    if n_steps == 0 and t_end > 0:
+        raise ValueError(f"t_end = {t_end} rounds to zero steps of dt = {dt}")
+    return n_steps
+
+
 def run_box(
     model,
     mat: MaterialParams,
@@ -261,13 +272,13 @@ def run_box(
     flagged as model-violation events and never clamped.
 
     Raises:
-        ValueError: If dt <= 0, t_end < 0, record_every < 1, phi0 is outside
-            (0, 1), or pf0 is given without gas or at or below -p_atm.
+        ValueError: If dt <= 0, t_end < 0, t_end > 0 rounds to zero steps,
+            record_every < 1, phi0 is outside (0, 1), or pf0 is given without
+            gas or at or below -p_atm.
     """
     _check_steps(dt, record_every)
+    n_steps = _step_count(t_end, dt)
     # Written so that NaN fails each check.
-    if not t_end >= 0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
     if not 0.0 < phi0 < 1.0:
         raise ValueError(f"phi0 must lie in (0, 1), got {phi0}")
     if pf0 is not None:
@@ -275,7 +286,6 @@ def run_box(
             raise ValueError("tracking p_f requires gas parameters")
         if not pf0 > -gas.p_atm:
             raise ValueError(f"pf0 must exceed -p_atm = {-gas.p_atm}, got {pf0}")
-    n_steps = int(round(t_end / dt))
     state = BoxState(t=0.0, phi=phi0, p_f=pf0)
     rows: list[tuple[float, ...]] = []  # (t, phi, p_f, div u, I, i_eq)
     violations: list[tuple[int, float, float]] = []
@@ -511,6 +521,11 @@ def _ledger_sums(
     return float(np.sum(one_m * p) * dz), e1, float(np.sum(kf * grad * grad) * dz)
 
 
+def _non_increasing(energy: np.ndarray) -> bool:
+    """Whether an energy series never rises from one entry to the next."""
+    return bool(np.all(np.diff(energy) <= 0.0))
+
+
 @dataclass
 class EnergyLedger:
     """Energy budget of a column history.
@@ -527,7 +542,7 @@ class EnergyLedger:
 
     @property
     def non_increasing(self) -> bool:
-        return bool(np.all(np.diff(self.energy) <= 0.0))
+        return _non_increasing(self.energy)
 
     @property
     def max_residual(self) -> float:

@@ -36,6 +36,7 @@ from granupore.rheology import (
     MuIDilatant,
     PowerLaw,
     RouxRadjai,
+    build_model,
     friction_mu,
     mui_shear_factor,
 )
@@ -59,6 +60,34 @@ class _ConstantF:
 
     def dilatancy(self, phi, p, I):
         return 0.3
+
+
+class _NoDilatancy(_ConstantF):
+    """Stub whose f is undefined everywhere."""
+
+    def dilatancy(self, phi, p, I):
+        raise ValueError("f undefined")
+
+
+class _Counting:
+    """Forwards the three model methods a sweep calls and counts each call."""
+
+    def __init__(self, model):
+        self._model = model
+        self.calls = {"yield_function": 0, "dilatancy": 0, "i_eq": 0}
+
+    def _count(self, name, *args):
+        self.calls[name] += 1
+        return getattr(self._model, name)(*args)
+
+    def yield_function(self, phi, I):
+        return self._count("yield_function", phi, I)
+
+    def dilatancy(self, phi, p, I):
+        return self._count("dilatancy", phi, p, I)
+
+    def i_eq(self, phi):
+        return self._count("i_eq", phi)
 
 
 class TestC1:
@@ -116,6 +145,9 @@ class TestC2:
     def test_powerlaw_n1(self):
         value, ok = check_c2(PowerLaw(MAT, LAW, n=1.0), 0.5, 0.7)
         assert ok and value == pytest.approx(1.4, rel=1e-9)
+
+    def test_never_reads_f(self):
+        assert check_c2(_NoDilatancy(), 0.5, 1.0) == (0.5, True)
 
     def test_dilatant_models_low_I_violation(self):
         # psi -> -inf as I -> 0 below the equilibrium packing, so the
@@ -354,6 +386,68 @@ class TestSweep:
             GridSpec(p_range=(10.0, 100.0, 1))
 
 
+class TestSweepWork:
+    def test_one_evaluation_per_point(self):
+        # Z: dZ/dI and Z; f: df/dI, df/dp and f, plus the three equilibrium
+        # signs once per (phi, p); i_eq once per (phi, p)
+        grid = standard_grid()
+        n_I = len(grid.I_values())
+        model = _Counting(MUI)
+        report = sweep(model, grid)
+        points = len(report.records)
+        assert not report.skipped and points == 12 * 12 * 4
+        assert model.calls == {
+            "yield_function": 3 * points,
+            "dilatancy": 5 * points + 3 * points // n_I,
+            "i_eq": points // n_I,
+        }
+
+    def test_equilibrium_error_kept_per_phi_p(self):
+        class _NoEquilibrium(_ConstantF):
+            def i_eq(self, phi):
+                raise ValueError("no equilibrium")
+
+        grid = GridSpec((0.4, 0.5, 2), (0.1, 1.0, 3), (10.0, 100.0, 2))
+        model = _Counting(_NoEquilibrium())
+        report = sweep(model, grid)
+        assert not report.records and len(report.skipped) == 2 * 3 * 2
+        assert {reason for _, reason in report.skipped} == {"no equilibrium"}
+        assert model.calls["i_eq"] == 2 * 2
+
+
+def _csv_digest(model, grid) -> str:
+    buf = io.StringIO()
+    write_report_csv(sweep(model, grid), buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+class TestLinearSweeps:
+    """Sweeps under the linear equilibrium law, whose i_eq is closed-form."""
+
+    #: sha256 of write_report_csv, recorded before the checks of a point
+    #: shared their evaluations; same platform as TestNonlinearSweeps.  The
+    #: mui-psi grid up to phi_max ends in a row of skipped points.
+    GOLDEN = {
+        ("dp", 0.595): "a3ea88a7348da68aaaba890921548c65141364c0b139c8c50149ce0e3c3d70de",
+        ("mui", 0.595): "c7b55e4a83d7470b79c4433892b66ff9278c624c4aad13e50ef26d0323f5d7e7",
+        ("dp-psi", 0.595): "7b1a672570c677690036b946a0842c17cb81b569695895166db1e7edc56cce78",
+        ("mui-psi", 0.595): "ff2fba1df1a4856b47b6b293d97ab889c0685c4ddb57c2065e9578606f4ea806",
+        ("power:0.5", 0.595): "801a09142898e5bfc99861f8675e0b16b9551666d4f76519ef724b48c0175b69",
+        ("power:-0.5", 0.595): "effce19e1087000b03b7b9df59d822844a0d8277f0d3a0946e7e85b05ece38f0",
+        ("roux-radjai", 0.595): "6416709f956b8df10f0389608aab3cb125046b49883743cf3a895c564a7bcbc2",
+        ("mui-psi", MAT.phi_max): "a0ff24431190eb6dc7ad2977686e35ea2a3972a3ec0ea17d81b037fc5193a450",
+    }
+
+    @pytest.mark.parametrize("model_id, phi_hi", list(GOLDEN))
+    def test_golden_csv(self, model_id, phi_hi):
+        if model_id == "roux-radjai":
+            model = build_model(model_id, MAT, LAW, rr_gain=1.0, z_override="dp")
+        else:
+            model = build_model(model_id, MAT, LAW)
+        grid = GridSpec(phi_range=(0.40, phi_hi, 12))
+        assert _csv_digest(model, grid) == self.GOLDEN[model_id, phi_hi]
+
+
 class TestNonlinearSweeps:
     """Standard-grid sweeps under the non-linear equilibrium laws, whose
     i_eq is a memoised bisection."""
@@ -381,11 +475,8 @@ class TestNonlinearSweeps:
 
     @pytest.mark.parametrize("variant, name", list(GOLDEN), ids="/".join)
     def test_golden_csv(self, variant, name):
-        report = sweep(self.MODELS[name](MAT, EquilibriumLaw(variant)), standard_grid())
-        buf = io.StringIO()
-        write_report_csv(report, buf)
-        digest = hashlib.sha256(buf.getvalue().encode()).hexdigest()
-        assert digest == self.GOLDEN[variant, name]
+        model = self.MODELS[name](MAT, EquilibriumLaw(variant))
+        assert _csv_digest(model, standard_grid()) == self.GOLDEN[variant, name]
 
     @pytest.mark.parametrize(
         "variant, bisections", [("schaeffer", 11), ("robinson", 12), ("breard", 12)]

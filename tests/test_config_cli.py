@@ -358,6 +358,21 @@ class TestCliSimulate:
         assert main(["simulate-column", "--t-end=1e-4", *argv]) == 1
         assert f"error: {message}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate-column", "--mode", "implicit", "--t-end", "1e-4", "--dt", "1"],
+            ["simulate-box", "--model", "dp", "--t-end", "1e-7", "--dt", "1e-6"],
+        ],
+        ids=["column", "box"],
+    )
+    def test_t_end_below_half_a_step_fails(self, capsys, argv):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        t_end, dt = float(argv[-3]), float(argv[-1])
+        assert captured.err == f"error: t_end = {t_end} rounds to zero steps of dt = {dt}\n"
+
     def test_column_zero_steps_still_checks_dt(self, capsys):
         assert main(["simulate-column", "--t-end", "0", "--dt", "1"]) == 1
         assert "above the stability bound" in capsys.readouterr().err

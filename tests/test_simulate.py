@@ -117,6 +117,12 @@ class TestRunSettings:
         with pytest.raises(ValueError):
             run_box(MODELS["dp"], MAT, constant_forcing(1.0, 10.0), **settings)
 
+    def test_run_box_rejects_zero_steps(self):
+        box = (MODELS["dp"], MAT, constant_forcing(1.0, 10.0))
+        with pytest.raises(ValueError, match="t_end = 1e-06 rounds to zero steps of dt = 1e-05"):
+            run_box(*box, phi0=0.5, t_end=1e-6, dt=1e-5)
+        assert run_box(*box, phi0=0.5, t_end=0.0, dt=1e-5).t.tolist() == [0.0]
+
     @pytest.mark.parametrize(
         "kwargs,name",
         [
