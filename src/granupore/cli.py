@@ -252,7 +252,7 @@ def cmd_simulate_box(args) -> int:
         t_end=args.t_end,
         dt=args.dt,
         pf0=args.pf0,
-        gas=gas if args.pf0 is not None else None,
+        gas=gas,
         record_every=args.record_every,
     )
     pf = result.p_f if result.p_f is not None else np.full_like(result.t, np.nan)

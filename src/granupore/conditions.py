@@ -207,6 +207,8 @@ class GridSpec:
         ):
             if not lo < hi:
                 raise ValueError(f"{name}: need lo < hi, got {lo} >= {hi}")
+            if not (np.isfinite(lo) and np.isfinite(hi)):
+                raise ValueError(f"{name}: ends must be finite, got {lo} and {hi}")
             if count < 2:
                 raise ValueError(f"{name}: need at least 2 points, got {count}")
         if self.I_range[0] <= 0:

@@ -313,6 +313,9 @@ class PowerLaw(_ModelBase):
     coefficient: float = field(default=1.0, kw_only=True)
 
     def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("coefficient", self.coefficient)):
+            if not math.isfinite(value):
+                raise ValueError(f"power-law {name} must be finite, got {value}")
         if self.n == -1.0:
             raise ValueError("power-law exponent n = -1 is excluded")
 

@@ -56,9 +56,6 @@ __all__ = [
 #: Bound-violation slack (numerical, not physical).
 BOUND_EPS = 1.0e-9
 
-#: Default pressure floor regularising the inertial number at p -> 0.
-P_FLOOR = 1.0
-
 #: Fraction of the explicit column stability limit that a step may take.
 CFL_SAFETY = 0.4
 
@@ -117,21 +114,14 @@ def piecewise_constant_forcing(
     )
 
 
-def random_forcing(
-    rng: np.random.Generator,
-    t_end: float,
-    n_segments: int = 8,
-    shear_range: tuple[float, float] = (50.0, 1500.0),
-    p_range: tuple[float, float] = (10.0, 1.0e4),
-    p_floor: float = P_FLOOR,
-) -> Forcing:
-    """Seeded piecewise-constant forcing, log-uniform in shear and pressure."""
-    if not t_end >= 0:
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
-    edges = np.linspace(0.0, t_end, n_segments + 1)
-    shears = np.exp(rng.uniform(math.log(shear_range[0]), math.log(shear_range[1]), n_segments))
-    ps = np.exp(rng.uniform(math.log(p_range[0]), math.log(p_range[1]), n_segments))
-    return piecewise_constant_forcing(edges, shears, np.maximum(ps, p_floor))
+def random_forcing(rng: np.random.Generator, t_end: float) -> Forcing:
+    """Seeded forcing on 8 equal segments of [0, t_end], log-uniform in shear
+    on [50, 1500] 1/s and in pressure on [10, 1e4] Pa."""
+    _check_t_end(t_end)
+    edges = np.linspace(0.0, t_end, 9)
+    shears = np.exp(rng.uniform(math.log(50.0), math.log(1500.0), 8))
+    ps = np.exp(rng.uniform(math.log(10.0), math.log(1.0e4), 8))
+    return piecewise_constant_forcing(edges, shears, ps)
 
 
 # ----------------------------------------------------------------------
@@ -147,69 +137,60 @@ class BoxState:
     p_f: float | None = None
 
 
-def _box_rates(
-    model, mat: MaterialParams, forcing: Forcing, gas: GasParams | None,
-    t: float, phi: float, p_f: float | None,
-) -> tuple[float, float]:
-    shear = forcing.shear(t)
-    p = forcing.p(t)
-    if shear == 0.0:
+def _box_stepper(
+    model, mat: MaterialParams, forcing: Forcing, dt: float, gas: GasParams | None
+) -> Callable[[float, float, float], tuple[float, float]]:
+    """Check a run's step once and return ``advance(t, phi, p_f) -> (phi, p_f)``.
+
+    Each call is one classical 4-stage Runge-Kutta step of length dt, with
+    the forcing (and hence the inertial number) re-read at every stage
+    time.  With ``gas`` given, the non-conservative, diffusion-free gas
+    equation (1-phi) dp_f/dt = -(p_atm + p_f) div u is advanced alongside
+    phi; with ``gas`` None, p_f is not tracked and keeps a zero rate.
+    """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    half, sixth = 0.5 * dt, dt / 6.0
+
+    def rates(t: float, phi: float, p_f: float) -> tuple[float, float]:
+        shear, p = forcing.shear(t), forcing.p(t)
         divu = 0.0
-    else:
-        I = inertial_number(mat, shear, p)
-        divu = 2.0 * shear * model.dilatancy(phi, p, I)
-    dphi = -phi * divu
-    dpf = 0.0
-    if p_f is not None:
-        dpf = -(gas.p_atm + p_f) * divu / (1.0 - phi)
-    return dphi, dpf
+        if shear != 0.0:
+            divu = 2.0 * shear * model.dilatancy(phi, p, inertial_number(mat, shear, p))
+        dpf = 0.0 if gas is None else -(gas.p_atm + p_f) * divu / (1.0 - phi)
+        return -phi * divu, dpf
+
+    def advance(t: float, phi: float, p_f: float) -> tuple[float, float]:
+        a1, b1 = rates(t, phi, p_f)
+        a2, b2 = rates(t + half, phi + half * a1, p_f + half * b1)
+        a3, b3 = rates(t + half, phi + half * a2, p_f + half * b2)
+        a4, b4 = rates(t + dt, phi + dt * a3, p_f + dt * b3)
+        return (phi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                p_f + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
+
+    return advance
 
 
 def step_box(
-    state: BoxState,
-    model,
-    mat: MaterialParams,
-    forcing: Forcing,
-    dt: float,
+    state: BoxState, model, mat: MaterialParams, forcing: Forcing, dt: float,
     gas: GasParams | None = None,
 ) -> BoxState:
     """One classical 4-stage Runge-Kutta step of the box dynamics.
 
-    The forcing (and hence the inertial number) is re-evaluated at every
-    stage time.  When the state carries a pore pressure, ``gas`` must be
-    given and the non-conservative, diffusion-free gas equation
-    (1-phi) dp_f/dt = -(p_atm + p_f) div u is advanced alongside phi.
+    This is one call of a :func:`_box_stepper` built for the step, so dt
+    and gas are checked on every call, where :func:`run_box` checks them
+    once.  A state that carries a pore pressure advances it with ``gas``.
 
     Raises:
         ValueError: If dt <= 0, or p_f is tracked without gas parameters;
             model domain errors at stage states propagate.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if state.p_f is not None and gas is None:
+    tracked = state.p_f is not None
+    advance = _box_stepper(model, mat, forcing, dt, gas if tracked else None)
+    if tracked and gas is None:
         raise ValueError("tracking p_f requires gas parameters")
-    t, phi, pf = state.t, state.phi, state.p_f
-
-    k1 = _box_rates(model, mat, forcing, gas, t, phi, pf)
-    k2 = _box_rates(
-        model, mat, forcing, gas, t + 0.5 * dt,
-        phi + 0.5 * dt * k1[0], None if pf is None else pf + 0.5 * dt * k1[1],
-    )
-    k3 = _box_rates(
-        model, mat, forcing, gas, t + 0.5 * dt,
-        phi + 0.5 * dt * k2[0], None if pf is None else pf + 0.5 * dt * k2[1],
-    )
-    k4 = _box_rates(
-        model, mat, forcing, gas, t + dt,
-        phi + dt * k3[0], None if pf is None else pf + dt * k3[1],
-    )
-    phi_new = phi + dt / 6.0 * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0])
-    pf_new = (
-        None
-        if pf is None
-        else pf + dt / 6.0 * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1])
-    )
-    return BoxState(t=t + dt, phi=phi_new, p_f=pf_new)
+    phi, p_f = advance(state.t, state.phi, state.p_f if tracked else 0.0)
+    return BoxState(t=state.t + dt, phi=phi, p_f=p_f if tracked else None)
 
 
 @dataclass
@@ -242,11 +223,18 @@ def _check_steps(dt: float, record_every: int) -> None:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
 
 
-def _step_count(t_end: float, dt: float) -> int:
-    """The whole number of steps of a positive dt nearest to t_end; a
-    positive t_end must round to at least one step."""
+def _check_t_end(t_end: float) -> None:
+    """Reject a run length that is negative, NaN or infinite."""
     if not t_end >= 0:  # written so that NaN fails
         raise ValueError(f"t_end must be non-negative, got {t_end}")
+    if t_end == math.inf:
+        raise ValueError(f"t_end must be finite, got {t_end}")
+
+
+def _step_count(t_end: float, dt: float) -> int:
+    """The whole number of steps of a positive dt nearest to a finite,
+    non-negative t_end; a positive t_end must round to at least one step."""
+    _check_t_end(t_end)
     n_steps = int(round(t_end / dt))
     if n_steps == 0 and t_end > 0:
         raise ValueError(f"t_end = {t_end} rounds to zero steps of dt = {dt}")
@@ -254,27 +242,23 @@ def _step_count(t_end: float, dt: float) -> int:
 
 
 def run_box(
-    model,
-    mat: MaterialParams,
-    forcing: Forcing,
-    phi0: float,
-    t_end: float,
-    dt: float,
-    pf0: float | None = None,
-    gas: GasParams | None = None,
-    record_every: int = 1,
+    model, mat: MaterialParams, forcing: Forcing, phi0: float, t_end: float, dt: float,
+    pf0: float | None = None, gas: GasParams | None = None, record_every: int = 1,
 ) -> BoxResult:
     """Integrate the box and collect diagnostics.
 
-    Each recorded step stores div u, I and i_eq(phi) and checks the
-    critical-state sign agreement sign(div u) = sign(I - i_eq(phi)) outside
-    a |f| < 1e-12 dead band.  Steps leaving [-1e-9, phi_max + 1e-9] are
-    flagged as model-violation events and never clamped.
+    The run checks dt and gas once, builds one :func:`_box_stepper` and
+    steps on floats, advancing time by ``t += dt``.  ``gas`` is used only
+    when ``pf0`` is given.  Each recorded step stores div u, I and
+    i_eq(phi) and checks the critical-state sign agreement
+    sign(div u) = sign(I - i_eq(phi)) outside a |f| < 1e-12 dead band.
+    Steps leaving [-1e-9, phi_max + 1e-9] are flagged as model-violation
+    events and never clamped.
 
     Raises:
-        ValueError: If dt <= 0, t_end < 0, t_end > 0 rounds to zero steps,
-            record_every < 1, phi0 is outside (0, 1), or pf0 is given without
-            gas or at or below -p_atm.
+        ValueError: If dt <= 0, t_end is negative or not finite, t_end > 0
+            rounds to zero steps, record_every < 1, phi0 is outside (0, 1),
+            or pf0 is given without gas, at or below -p_atm, or infinite.
     """
     _check_steps(dt, record_every)
     n_steps = _step_count(t_end, dt)
@@ -286,49 +270,45 @@ def run_box(
             raise ValueError("tracking p_f requires gas parameters")
         if not pf0 > -gas.p_atm:
             raise ValueError(f"pf0 must exceed -p_atm = {-gas.p_atm}, got {pf0}")
-    state = BoxState(t=0.0, phi=phi0, p_f=pf0)
+        if pf0 == math.inf:
+            raise ValueError(f"pf0 must be finite, got {pf0}")
+    advance = _box_stepper(model, mat, forcing, dt, None if pf0 is None else gas)
     rows: list[tuple[float, ...]] = []  # (t, phi, p_f, div u, I, i_eq)
     violations: list[tuple[int, float, float]] = []
     sign_ok = True
 
-    def record(st: BoxState) -> None:
+    def record(t: float, phi: float, p_f: float) -> None:
         nonlocal sign_ok
-        shear, p = forcing.shear(st.t), forcing.p(st.t)
-        in_domain = 0.0 <= st.phi <= mat.phi_max
+        shear, p = forcing.shear(t), forcing.p(t)
+        in_domain = 0.0 <= phi <= mat.phi_max
         if shear > 0.0 and in_domain:
             I = inertial_number(mat, shear, p)
-            f_val = model.dilatancy(st.phi, p, I)
+            f_val = model.dilatancy(phi, p, I)
             divu = 2.0 * shear * f_val
         else:
             I, f_val, divu = 0.0, 0.0, 0.0
-        ieq = model.i_eq(st.phi) if in_domain else float("nan")
-        rows.append((st.t, st.phi, math.nan if st.p_f is None else st.p_f, divu, I, ieq))
+        ieq = model.i_eq(phi) if in_domain else float("nan")
+        rows.append((t, phi, p_f, divu, I, ieq))
         if shear > 0.0 and abs(f_val) >= 1.0e-12 and not math.isnan(ieq):
             if math.copysign(1.0, divu) != math.copysign(1.0, I - ieq):
                 sign_ok = False
 
-    record(state)
+    t, phi, p_f = 0.0, phi0, 0.0 if pf0 is None else pf0
+    record(t, phi, p_f)
     for step in range(1, n_steps + 1):
         try:
-            state = step_box(state, model, mat, forcing, dt, gas=gas)
+            phi, p_f = advance(t, phi, p_f)
         except ValueError as exc:
-            raise RuntimeError(f"box step {step} (t={state.t:g}) failed: {exc}") from exc
-        if not -BOUND_EPS <= state.phi <= mat.phi_max + BOUND_EPS:
-            violations.append((step, state.t, state.phi))
+            raise RuntimeError(f"box step {step} (t={t:g}) failed: {exc}") from exc
+        t += dt
+        if not -BOUND_EPS <= phi <= mat.phi_max + BOUND_EPS:
+            violations.append((step, t, phi))
         if step % record_every == 0 or step == n_steps:
-            record(state)
+            record(t, phi, p_f)
 
     t, phi, p_f, div_u, inertial, i_eq = np.array(rows).T
-    return BoxResult(
-        t=t,
-        phi=phi,
-        p_f=None if pf0 is None else p_f,
-        div_u=div_u,
-        inertial=inertial,
-        i_eq=i_eq,
-        violations=violations,
-        sign_agreement=sign_ok,
-    )
+    p_f = None if pf0 is None else p_f
+    return BoxResult(t, phi, p_f, div_u, inertial, i_eq, violations, sign_ok)
 
 
 # ----------------------------------------------------------------------
@@ -358,13 +338,15 @@ def uniform_column(
     """Build a column state on a uniform grid of cell centres.
 
     Raises:
-        ValueError: If n_cells < 2, length is not positive, or a phi is
-            outside (0, 1) or a p_f is not finite (NaN included).
+        ValueError: If n_cells < 2, length is not positive and finite, or
+            a phi is outside (0, 1) or a p_f is not finite (NaN included).
     """
     if n_cells < 2:
         raise ValueError(f"need at least 2 cells, got {n_cells}")
     if not length > 0:
         raise ValueError(f"column length must be positive, got {length}")
+    if length == math.inf:
+        raise ValueError(f"column length must be finite, got {length}")
     dz = length / n_cells
     z = (np.arange(n_cells) + 0.5) * dz
     phi_arr = np.broadcast_to(np.asarray(phi, dtype=float), (n_cells,)).copy()

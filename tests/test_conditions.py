@@ -385,6 +385,19 @@ class TestSweep:
         with pytest.raises(ValueError):
             GridSpec(p_range=(10.0, 100.0, 1))
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(I_range=(0.01, math.inf, 3)), "I_range"),
+            (dict(p_range=(-math.inf, 100.0, 3)), "p_range"),
+            (dict(phi_range=(0.4, math.inf, 3)), "phi_range"),
+        ],
+        ids=["I-inf", "p-neg-inf", "phi-inf"],
+    )
+    def test_grid_rejects_non_finite_ends(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name}: ends must be finite"):
+            GridSpec(**kwargs)
+
 
 class TestSweepWork:
     def test_one_evaluation_per_point(self):
@@ -473,7 +486,7 @@ class TestNonlinearSweeps:
         "roux-radjai": lambda mat, law: RouxRadjai(mat, law, gain=2.0),
     }
 
-    @pytest.mark.parametrize("variant, name", list(GOLDEN), ids="/".join)
+    @pytest.mark.parametrize("variant, name", list(GOLDEN), ids=["/".join(key) for key in GOLDEN])
     def test_golden_csv(self, variant, name):
         model = self.MODELS[name](MAT, EquilibriumLaw(variant))
         assert _csv_digest(model, standard_grid()) == self.GOLDEN[variant, name]

@@ -334,11 +334,15 @@ class TestCliSimulate:
             (["--forcing", "random", "--p", "500"], "--p sets constant forcing"),
             (["--forcing", "random", "--t-end=-1e-3"], "t_end must be non-negative, got -0.001"),
             (["--forcing", "random", "--t-end=nan"], "t_end must be non-negative, got nan"),
+            (["--forcing", "random", "--t-end=inf"], "t_end must be finite, got inf"),
+            (["--t-end=inf"], "t_end must be finite, got inf"),
             (["--phi0=nan"], "phi0 must lie in (0, 1), got nan"),
             (["--pf0=nan"], "pf0 must exceed -p_atm = -101300.0, got nan"),
             (["--pf0=-2e5"], "pf0 must exceed -p_atm = -101300.0, got -200000.0"),
+            (["--pf0=inf"], "pf0 must be finite, got inf"),
         ],
-        ids=["I", "shear", "p", "t_end-neg", "t_end-nan", "phi0-nan", "pf0-nan", "pf0-low"],
+        ids=["I", "shear", "p", "t_end-neg", "t_end-nan", "random-t_end-inf", "t_end-inf",
+             "phi0-nan", "pf0-nan", "pf0-low", "pf0-inf"],
     )
     def test_box_bad_input_named(self, capsys, argv, message):
         assert main(["simulate-box", "--model", "dp", "--t-end=1e-4", *argv]) == 1
@@ -351,8 +355,10 @@ class TestCliSimulate:
             (["--t-end=nan"], "t_end must be non-negative, got nan"),
             (["--length=-1"], "column length must be positive, got -1.0"),
             (["--length=0"], "column length must be positive, got 0.0"),
+            (["--t-end=inf"], "t_end must be finite, got inf"),
+            (["--length=inf"], "column length must be finite, got inf"),
         ],
-        ids=["t_end-neg", "t_end-nan", "length-neg", "length-zero"],
+        ids=["t_end-neg", "t_end-nan", "length-neg", "length-zero", "t_end-inf", "length-inf"],
     )
     def test_column_bad_input_named(self, capsys, argv, message):
         assert main(["simulate-column", "--t-end=1e-4", *argv]) == 1
@@ -447,6 +453,18 @@ class TestCliErrors:
         cfg.write_text(f"{key} = nan\n")
         assert main(argv + ["--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: {key} must be positive, got nan\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--model", "power:nan"], "power-law n must be finite, got nan"),
+            (["--model", "dp", "--grid", "I=0.01:inf:3"], "I_range: ends must be finite"),
+        ],
+        ids=["power-nan", "grid-inf"],
+    )
+    def test_non_finite_check_input_named(self, capsys, argv, message):
+        assert main(["check", *argv]) == 1
+        assert f"error: {message}" in capsys.readouterr().err
 
     def test_nan_roux_radjai_gain_named(self, tmp_path, capsys):
         assert main(["check", "--model", "roux-radjai", "--rr-gain", "nan"]) == 1

@@ -190,6 +190,19 @@ class TestYieldFunctions:
         with pytest.raises(ValueError):
             PowerLaw(MAT, LAW, n=-1.0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            (dict(n=math.nan), "n"),
+            (dict(n=math.inf), "n"),
+            (dict(n=1.0, coefficient=math.nan), "coefficient"),
+        ],
+        ids=["n-nan", "n-inf", "coefficient-nan"],
+    )
+    def test_power_law_rejects_non_finite(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^power-law {name} must be finite"):
+            PowerLaw(MAT, LAW, **kwargs)
+
 
 class TestDilatancyFunctions:
     PHIS = np.arange(0.40, 0.60, 0.05).tolist() + [0.595]

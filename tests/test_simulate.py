@@ -70,6 +70,8 @@ class TestForcing:
         for t_end in (-1e-3, nan):
             with pytest.raises(ValueError, match="t_end must be non-negative"):
                 random_forcing(np.random.default_rng(0), t_end)
+        with pytest.raises(ValueError, match="t_end must be finite, got inf"):
+            random_forcing(np.random.default_rng(0), math.inf)
         # equal edges make an empty segment, which is legal
         f = piecewise_constant_forcing([0.0, 1.0, 1.0, 2.0], [5.0, 6.0, 7.0], [1.0] * 3)
         assert f.shear(0.5) == 5.0 and f.shear(1.0) == 7.0
@@ -80,11 +82,14 @@ class TestForcing:
         for t in (0.1, 0.4, 0.9):
             assert a.shear(t) == b.shear(t) and a.p(t) == b.p(t)
 
-    def test_random_forcing_respects_floor(self):
-        f = random_forcing(
-            np.random.default_rng(0), 1.0, p_range=(1e-3, 1.0), p_floor=1.0
-        )
-        assert all(f.p(t) >= 1.0 for t in np.linspace(0, 1, 17))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_random_forcing_ranges(self, seed):
+        f = random_forcing(np.random.default_rng(seed), 1.0)
+        mids = (np.arange(8) + 0.5) / 8  # one time inside each segment
+        shears, ps = [f.shear(t) for t in mids], [f.p(t) for t in mids]
+        assert len(set(shears)) == len(set(ps)) == 8
+        assert all(50.0 <= s <= 1500.0 for s in shears)
+        assert all(10.0 <= p <= 1.0e4 for p in ps)
 
 
 class TestStepBox:
@@ -110,7 +115,8 @@ class TestStepBox:
 class TestRunSettings:
     @pytest.mark.parametrize(
         "kwargs",
-        [dict(dt=0.0), dict(dt=-1e-6), dict(t_end=-1e-3), dict(record_every=0)],
+        [dict(dt=0.0), dict(dt=-1e-6), dict(t_end=-1e-3), dict(record_every=0),
+         dict(t_end=math.inf)],
     )
     def test_run_box_rejects(self, kwargs):
         settings = dict(phi0=0.5, t_end=1e-5, dt=1e-6) | kwargs
@@ -132,9 +138,11 @@ class TestRunSettings:
             (dict(pf0=math.nan, gas=GAS), "pf0"),
             (dict(pf0=-2.0e5, gas=GAS), "pf0"),
             (dict(pf0=-GAS.p_atm, gas=GAS), "pf0"),
+            (dict(pf0=math.inf, gas=GAS), "pf0 must be finite"),
             (dict(pf0=0.0), "gas parameters"),
         ],
-        ids=["phi0-nan", "phi0-zero", "phi0-one", "pf0-nan", "pf0-low", "pf0-p_atm", "no-gas"],
+        ids=["phi0-nan", "phi0-zero", "phi0-one", "pf0-nan", "pf0-low", "pf0-p_atm", "pf0-inf",
+             "no-gas"],
     )
     def test_run_box_rejects_initial_state(self, kwargs, name):
         settings = dict(phi0=0.5, t_end=1e-5, dt=1e-6) | kwargs
@@ -147,12 +155,14 @@ class TestRunSettings:
             ((10, 0.0, 0.6), "length"),
             ((10, -1.0, 0.6), "length"),
             ((10, math.nan, 0.6), "length"),
+            ((10, math.inf, 0.6), "length must be finite"),
             ((10, 0.1, math.nan), "phi"),
             ((10, 0.1, 0.6, math.nan), "p_f"),
             ((10, 0.1, 0.6, math.inf), "p_f"),
             ((10, 0.1, 0.6, lambda z: np.where(z > 0.05, math.nan, 0.0)), "p_f"),
         ],
-        ids=["length-zero", "length-neg", "length-nan", "phi-nan", "pf-nan", "pf-inf", "pf-callable"],
+        ids=["length-zero", "length-neg", "length-nan", "length-inf", "phi-nan", "pf-nan", "pf-inf",
+             "pf-callable"],
     )
     def test_uniform_column_rejects(self, args, name):
         with pytest.raises(ValueError, match=name):
@@ -317,6 +327,53 @@ class TestBoxPorePressure:
         # compaction (div u < 0 above equilibrium? no: phi > phi_eq means
         # expansion) -> div u > 0 squeezes gas pressure down
         assert res.div_u[0] > 0 and res.p_f[-1] < res.p_f[0]
+
+
+class TestBoxEquivalence:
+    """The box integrator keeps its arithmetic: per-step series are pinned,
+    and a run equals its steps taken one by one."""
+
+    # case: (model, forcing, run settings), stepped at record_every = 1
+    CASES = {
+        "random": ("mui", lambda: random_forcing(np.random.default_rng(4), 0.016),
+                   dict(phi0=0.5, t_end=0.016, dt=1e-5)),
+        "constant": ("dp-psi", lambda: constant_forcing(_shear_for(MAT, 1.0, 1000.0), 1000.0),
+                     dict(phi0=0.55, t_end=2e-3, dt=1e-6)),
+        "pf": ("mui", lambda: random_forcing(np.random.default_rng(5), 2e-3),
+               dict(phi0=0.55, t_end=2e-3, dt=1e-6, pf0=50.0, gas=GAS)),
+    }
+    GOLDEN_SERIES = {
+        "random": "f6ff7f9800226f710816c0b6672212d9d44a00245d86be6a09f52dafb510fe99",
+        "constant": "25f8137981183c840504fc8d1249ecc78a24521dcb1213648f8fce55cb7e427a",
+        "pf": "1f7d00b6eb0c44f6d60d714e395fcefe259a671be0f67730495feb073dbb72c8",
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_golden_per_step_series(self, case):
+        """Every step's t, phi, p_f, div u, I and i_eq are bitwise unchanged.
+
+        The hashes are tied to the libm and numpy they were recorded with
+        (x86-64 Linux, Python 3.11.7, numpy 2.4.6, scipy 1.17.1).
+        """
+        name, forcing, settings = self.CASES[case]
+        res = run_box(MODELS[name], MAT, forcing(), **settings)
+        digest = hashlib.sha256()
+        for series in (res.t, res.phi, res.p_f, res.div_u, res.inertial, res.i_eq):
+            digest.update(b"untracked" if series is None else series.tobytes())
+        assert digest.hexdigest() == self.GOLDEN_SERIES[case]
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_run_matches_repeated_steps(self, case):
+        from granupore.simulate import BoxState
+
+        name, forcing, settings = self.CASES[case]
+        res = run_box(MODELS[name], MAT, forcing(), **settings)
+        gas = settings.get("gas")
+        state = BoxState(0.0, settings["phi0"], settings.get("pf0"))
+        for k in range(1, res.t.size):
+            state = step_box(state, MODELS[name], MAT, forcing(), settings["dt"], gas=gas)
+            assert (state.t, state.phi) == (res.t[k], res.phi[k])
+            assert gas is None or state.p_f == res.p_f[k]
 
 
 class TestColumn:
