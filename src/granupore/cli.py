@@ -14,9 +14,10 @@ Subcommands
 Exit codes: 0 all checks pass, 2 a checked condition fails, 1 on errors
 (bad flags, malformed config, I/O).  Outputs are plain CSV with a ``#``
 provenance header embedding the resolved configuration; runs are
-deterministic for a fixed config and seed.  Only ``table1``, ``derive``,
-implicit ``simulate-column`` and custom (tabulated) gas laws load scipy, and
-they load it on first use.
+deterministic for a fixed config and seed.  Only ``table1``, ``derive`` and
+implicit ``simulate-column`` load scipy, and they load it on first use; no
+subcommand reads a gas law (in the library, ``state_law_from_csv`` and
+``enthalpy_from_statelaw`` load scipy).
 
 ``simulate-box`` and ``simulate-column`` also take their run settings from a
 ``--scenario`` key = value file.  Keys are the option names with underscores;
@@ -283,7 +284,7 @@ def cmd_simulate_column(args) -> int:
             f" p_f as low as {lowest}; it must exceed -p_atm = {-gas.p_atm}"
         )
     dt = args.dt if args.dt is not None else column_cfl_dt(state0, gas, mat)
-    n_steps = _step_count(args.t_end, dt) if dt > 0 else 0  # run_column rejects dt <= 0
+    n_steps = _step_count(args.t_end, dt)
     result = run_column(
         state0, gas, mat, dt, n_steps, mode=args.mode, record_every=args.record_every
     )

@@ -27,12 +27,13 @@ from __future__ import annotations
 from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, TextIO
+from typing import TextIO
 
 import numpy as np
 
 from .gas import permeability_kappa
 from .materials import FlowState, GasParams, MaterialParams, inertial_number
+from .rheology import _central
 
 __all__ = [
     "C1_TOL",
@@ -76,23 +77,6 @@ _RULES = {
     "equilibrium": _Rule("eq_sign_ok", bool, lambda ok: float(not ok)),
 }
 CONDITIONS = tuple(_RULES)
-
-
-def _central(fun: Callable[[float], float], x: float, rel: float) -> float:
-    """Central difference with step h = rel * max(x, 1e-3) and one
-    domain-shrink retry.
-
-    Evaluation at x +/- h can leave the model's domain near a boundary
-    (for example I_eq terms at phi -> phi_max); in that case the step is
-    halved once before giving up.
-    """
-    h = rel * max(x, 1.0e-3)
-    for step in (h, 0.5 * h):
-        try:
-            return (fun(x + step) - fun(x - step)) / (2.0 * step)
-        except ValueError:
-            continue
-    raise ValueError(f"cannot take a central difference at {x} (step {h})")
 
 
 class _Point(namedtuple("_Point", "model phi p I rel_h", defaults=(1.0e-6,))):

@@ -103,12 +103,8 @@ def load_parameters(path) -> tuple[MaterialParams, GasParams]:
 def parameters_text(mat: MaterialParams, gas: GasParams) -> str:
     """Resolved parameters as key = value lines (report provenance block)."""
     lines = []
-    for f in fields(MaterialParams):
-        value = getattr(mat, f.name)
-        if value is not None:
-            lines.append(f"{f.name} = {value!r}")
-    for f in fields(GasParams):
-        lines.append(f"{f.name} = {getattr(gas, f.name)!r}")
+    for params in (mat, gas):
+        lines += [f"{f.name} = {getattr(params, f.name)!r}" for f in fields(params)]
     return "\n".join(lines)
 
 

@@ -68,8 +68,8 @@ class CustomStateLaw:
 
     Args:
         Q: State law, callable on [rho_min, rho_max].
-        Q_prime: Its derivative.  When omitted, a central difference with
-            relative step 1e-6 is used.
+        Q_prime: Its derivative, when known; :func:`state_law_from_csv`
+            supplies the interpolant's.
         rho_min: Lower end of the admissible density range.
         rho_max: Upper end of the admissible density range.
     """
@@ -78,12 +78,6 @@ class CustomStateLaw:
     Q_prime: Callable[[float], float] | None = None
     rho_min: float = 1.0e-6
     rho_max: float = 1.0e6
-
-    def q_prime(self, rho: float) -> float:
-        if self.Q_prime is not None:
-            return self.Q_prime(rho)
-        h = 1.0e-6 * max(abs(rho), 1.0e-6)
-        return (self.Q(rho + h) - self.Q(rho - h)) / (2.0 * h)
 
 
 StateLaw = IdealGasLaw | CustomStateLaw

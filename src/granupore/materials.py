@@ -61,7 +61,6 @@ class MaterialParams:
         I0: Inertial scale of the mu(I) law.  Kept constant here; some
             measurements suggest a phi dependence, which would slot in as
             a callable replacing this scalar.
-        a_rr: Optional critical-state gain for the Roux-Radjai closure.
     """
 
     rho_s: float = 2500.0
@@ -72,7 +71,6 @@ class MaterialParams:
     mu1: float = math.tan(math.radians(21.0))
     mu2: float = math.tan(math.radians(33.0))
     I0: float = 0.3
-    a_rr: float | None = None
 
     def __post_init__(self) -> None:
         if not self.rho_s > 0:
@@ -89,8 +87,6 @@ class MaterialParams:
             raise ValueError(f"need 0 < mu1 < mu2, got mu1={self.mu1}, mu2={self.mu2}")
         if not self.I0 > 0:
             raise ValueError(f"I0 must be positive, got {self.I0}")
-        if self.a_rr is not None and not math.isfinite(self.a_rr):
-            raise ValueError(f"Roux-Radjai gain a_rr must be finite, got {self.a_rr}")
 
 
 @dataclass(frozen=True)
@@ -327,7 +323,8 @@ def angle_from_div_u(shear: float, divu: float, mode: str = "planar2D") -> float
 
     Raises:
         ValueError: If shear = 0 with divu != 0, the arcsine argument
-            falls outside [-1, 1], or the mode is unknown.
+            falls outside [-1, 1], a small angle reaches |psi| >= pi/2, or
+            the mode is unknown.
     """
     if shear == 0.0:
         if divu != 0.0:
@@ -335,6 +332,11 @@ def angle_from_div_u(shear: float, divu: float, mode: str = "planar2D") -> float
         return 0.0
     if shear < 0:
         raise ValueError(f"shear must be non-negative, got {shear}")
+    if mode == "small_angle":
+        psi = divu / (2.0 * shear)
+        if not abs(psi) < math.pi / 2:
+            raise ValueError(f"small angle {psi} outside |psi| < pi/2")
+        return psi
     if mode == "planar2D":
         arg = divu / (2.0 * shear)
     elif mode == "exact3D":

@@ -171,8 +171,25 @@ def dilatancy_angle_mui(
 
 
 # ----------------------------------------------------------------------
-# f from Z by quadrature
+# Central differences, and f from Z by quadrature
 # ----------------------------------------------------------------------
+
+def _central(fun: Callable[[float], float], x: float, rel: float) -> float:
+    """Central difference with step h = rel * max(x, 1e-3) and one
+    domain-shrink retry.
+
+    Evaluation at x +/- h can leave the model's domain near a boundary
+    (for example I_eq terms at phi -> phi_max); in that case the step is
+    halved once before giving up.
+    """
+    h = rel * max(x, 1.0e-3)
+    for step in (h, 0.5 * h):
+        try:
+            return (fun(x + step) - fun(x - step)) / (2.0 * step)
+        except ValueError:
+            continue
+    raise ValueError(f"cannot take a central difference at {x} (step {h})")
+
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
 
@@ -393,22 +410,14 @@ class RouxRadjai(_ModelBase):
     * ``"dp"``: plain Z = sin(delta).
     """
 
-    gain: float | None = field(default=None, kw_only=True)
+    gain: float = field(kw_only=True)
     z_mode: str = field(default="small-angle", kw_only=True)
 
     def __post_init__(self) -> None:
         if self.z_mode not in ("small-angle", "dp"):
             raise ValueError(f"unknown z_mode {self.z_mode!r}")
-        if self.gain is not None and not math.isfinite(self.gain):
+        if not math.isfinite(self.gain):
             raise ValueError(f"Roux-Radjai gain must be finite, got {self.gain}")
-
-    def _a(self) -> float:
-        a = self.gain if self.gain is not None else self.mat.a_rr
-        if a is None:
-            raise ValueError(
-                "Roux-Radjai gain not configured: set model gain or material a_rr"
-            )
-        return a
 
     def yield_function(self, phi: float, I: float) -> float:
         z = math.sin(self.mat.delta)
@@ -419,10 +428,10 @@ class RouxRadjai(_ModelBase):
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         if I <= 0:
             raise ValueError(f"dilatancy requires I > 0, got {I}")
-        return self._a() * (phi - self.phi_eq(I))
+        return self.gain * (phi - self.phi_eq(I))
 
     def near_equilibrium_gain(self, I: float) -> float:
-        return self._a()
+        return self.gain
 
 
 @dataclass(frozen=True)
@@ -482,8 +491,7 @@ class DerivedNumeric(_ModelBase):
 
     def _gain_lhs(self, I: float) -> float:
         phi_star = self.phi_eq(I)
-        h = 1e-6 * max(I, 1e-3)
-        dz = (self.Z(phi_star, I + h) - self.Z(phi_star, I - h)) / (2.0 * h)
+        dz = _central(lambda J: self.Z(phi_star, J), I, 1.0e-6)
         return self.Z(phi_star, I) - 0.5 * I * dz
 
 
@@ -569,11 +577,8 @@ def build_model(
     if model_id.startswith("power:"):
         return PowerLaw(mat, law, n=float(model_id.split(":", 1)[1]))
     if model_id == "roux-radjai":
-        gain = rr_gain if rr_gain is not None else mat.a_rr
-        if gain is None:
-            raise ValueError(
-                "roux-radjai needs a gain: pass rr_gain or set the material a_rr"
-            )
+        if rr_gain is None:
+            raise ValueError("roux-radjai needs a gain: pass rr_gain (--rr-gain)")
         mode = "dp" if z_override == "dp" else "small-angle"
-        return RouxRadjai(mat, law, gain=gain, z_mode=mode)
+        return RouxRadjai(mat, law, gain=rr_gain, z_mode=mode)
     raise ValueError(f"unknown model id {model_id!r}; known: {', '.join(MODEL_IDS)}")

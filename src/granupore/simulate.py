@@ -140,7 +140,7 @@ class BoxState:
 def _box_stepper(
     model, mat: MaterialParams, forcing: Forcing, dt: float, gas: GasParams | None
 ) -> Callable[[float, float, float], tuple[float, float]]:
-    """Check a run's step once and return ``advance(t, phi, p_f) -> (phi, p_f)``.
+    """Return ``advance(t, phi, p_f) -> (phi, p_f)`` for a checked dt > 0.
 
     Each call is one classical 4-stage Runge-Kutta step of length dt, with
     the forcing (and hence the inertial number) re-read at every stage
@@ -148,8 +148,6 @@ def _box_stepper(
     equation (1-phi) dp_f/dt = -(p_atm + p_f) div u is advanced alongside
     phi; with ``gas`` None, p_f is not tracked and keeps a zero rate.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
     half, sixth = 0.5 * dt, dt / 6.0
 
     def rates(t: float, phi: float, p_f: float) -> tuple[float, float]:
@@ -185,10 +183,12 @@ def step_box(
         ValueError: If dt <= 0, or p_f is tracked without gas parameters;
             model domain errors at stage states propagate.
     """
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     tracked = state.p_f is not None
-    advance = _box_stepper(model, mat, forcing, dt, gas if tracked else None)
     if tracked and gas is None:
         raise ValueError("tracking p_f requires gas parameters")
+    advance = _box_stepper(model, mat, forcing, dt, gas if tracked else None)
     phi, p_f = advance(state.t, state.phi, state.p_f if tracked else 0.0)
     return BoxState(t=state.t + dt, phi=phi, p_f=p_f if tracked else None)
 
@@ -215,10 +215,8 @@ class BoxResult:
         return float(np.max(self.phi))
 
 
-def _check_steps(dt: float, record_every: int) -> None:
-    """Reject run settings that would divide by zero or run backwards."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+def _check_record_every(record_every: int) -> None:
+    """Reject a recording stride that would divide by zero or never record."""
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
 
@@ -232,8 +230,11 @@ def _check_t_end(t_end: float) -> None:
 
 
 def _step_count(t_end: float, dt: float) -> int:
-    """The whole number of steps of a positive dt nearest to a finite,
-    non-negative t_end; a positive t_end must round to at least one step."""
+    """The whole number of steps of dt nearest to t_end, after checking that
+    dt is positive and t_end finite and non-negative; a positive t_end must
+    round to at least one step."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
     _check_t_end(t_end)
     n_steps = int(round(t_end / dt))
     if n_steps == 0 and t_end > 0:
@@ -260,8 +261,8 @@ def run_box(
             rounds to zero steps, record_every < 1, phi0 is outside (0, 1),
             or pf0 is given without gas, at or below -p_atm, or infinite.
     """
-    _check_steps(dt, record_every)
     n_steps = _step_count(t_end, dt)
+    _check_record_every(record_every)
     # Written so that NaN fails each check.
     if not 0.0 < phi0 < 1.0:
         raise ValueError(f"phi0 must lie in (0, 1), got {phi0}")
@@ -470,14 +471,14 @@ def run_column(
     final ones).
 
     Raises:
-        ValueError: If dt <= 0, n_steps < 0 or record_every < 1, or on the
-            errors of :func:`step_column`: an unknown mode, or an explicit
-            dt above the stability bound, even when n_steps is 0.
+        ValueError: First on the errors of :func:`step_column`, even when
+            n_steps is 0: dt <= 0, an unknown mode, or an explicit dt above
+            the stability bound; then if record_every < 1 or n_steps < 0.
     """
-    _check_steps(dt, record_every)
+    one_m, kf, advance = _column_stepper(state0, gas, mat, dt, mode)
+    _check_record_every(record_every)
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
-    one_m, kf, advance = _column_stepper(state0, gas, mat, dt, mode)
     t, p, dz = state0.t, state0.pf_profile, state0.dz
     history = [state0]
     rows = [(t, *_ledger_sums(p, dz, gas, one_m, kf))]

@@ -153,6 +153,16 @@ class TestCliCheckClassify:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    def test_classify_out_matches_check_out(self, tmp_path, capsys):
+        runs = {}
+        for command in ("check", "classify"):
+            out = tmp_path / f"{command}.csv"
+            argv = [command, "--model", "dp-psi", "--grid", self.GRID, "--out", str(out)]
+            assert main(argv) == 2  # C2 fails at the grid's low-I corner
+            runs[command] = out.read_text().splitlines(keepends=True)
+        assert runs["classify"][0] == runs["check"][0].replace(":: check", ":: classify")
+        assert runs["classify"][1:] == runs["check"][1:]
+
     def test_derive(self, capsys):
         code = main(
             ["derive", "--model", "mui", "--grid", "phi=0.45:0.55:3,I=0.1:2:4:log,p=100:200:2"]
@@ -263,6 +273,19 @@ class TestCliSimulate:
         assert code == 1
         assert "error: dt must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv,code,line",
+        [
+            (["--rr-gain", "-5", "--phi0", "0.599", "--t-end", "0.001"], 2,
+             "bound violations: 366"),
+            (["--rr-gain", "-5", "--t-end", "0.005"], 2, "divergence sign agreement: NO"),
+        ],
+        ids=["violations", "sign"],
+    )
+    def test_box_flags_bad_run(self, capsys, argv, code, line):
+        assert main(["simulate-box", "--model", "roux-radjai", *argv]) == code
+        assert line in capsys.readouterr().out.splitlines()
+
     def test_box_random_rejects_scenario_shear(self, tmp_path, capsys):
         scenario = tmp_path / "run.cfg"
         scenario.write_text("forcing = random\nshear = 50\nt_end = 1e-4\n")
@@ -340,9 +363,11 @@ class TestCliSimulate:
             (["--pf0=nan"], "pf0 must exceed -p_atm = -101300.0, got nan"),
             (["--pf0=-2e5"], "pf0 must exceed -p_atm = -101300.0, got -200000.0"),
             (["--pf0=inf"], "pf0 must be finite, got inf"),
+            (["--phi0=0.65"], "box step 1 (t=0) failed: no equilibrium inertial number"
+             " for phi=0.65 > phi_max=0.6"),
         ],
         ids=["I", "shear", "p", "t_end-neg", "t_end-nan", "random-t_end-inf", "t_end-inf",
-             "phi0-nan", "pf0-nan", "pf0-low", "pf0-inf"],
+             "phi0-nan", "pf0-nan", "pf0-low", "pf0-inf", "step-fails"],
     )
     def test_box_bad_input_named(self, capsys, argv, message):
         assert main(["simulate-box", "--model", "dp", "--t-end=1e-4", *argv]) == 1
@@ -470,10 +495,14 @@ class TestCliErrors:
         assert main(["check", "--model", "roux-radjai", "--rr-gain", "nan"]) == 1
         assert capsys.readouterr().err == "error: Roux-Radjai gain must be finite, got nan\n"
         cfg = tmp_path / "nan.cfg"
-        cfg.write_text("a_rr = nan\n")
+        cfg.write_text("d = 1e-4\na_rr = nan\n")
         assert main(["check", "--model", "roux-radjai", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}:2: unknown key 'a_rr'\n"
+
+    def test_roux_radjai_without_gain_named(self, capsys):
+        assert main(["check", "--model", "roux-radjai"]) == 1
         assert capsys.readouterr().err == (
-            f"error: {cfg}: Roux-Radjai gain a_rr must be finite, got nan\n"
+            "error: roux-radjai needs a gain: pass rr_gain (--rr-gain)\n"
         )
 
     def test_unknown_model_exit_1(self, capsys):

@@ -1,5 +1,5 @@
-"""Fresh-interpreter checks: what importing and running the CLI loads, and
-that the demo scripts run.
+"""Fresh-interpreter checks: what importing and running the CLI loads, that
+the benchmark's modules import and that the demo scripts run.
 
 Each case starts a new Python process, because the test process has
 already imported scipy itself.
@@ -52,6 +52,12 @@ def test_import_loads_no_scipy(module):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_benchmark_modules_import():
+    """The benchmark's modules import against the package's public names."""
+    proc = _python(["-c", "import run, workloads, layers"], cwd=ROOT / "bench")
+    assert proc.returncode == 0, proc.stderr
 
 
 LIGHT = {

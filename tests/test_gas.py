@@ -148,7 +148,7 @@ class TestStateLaw:
         )
         law = state_law_from_csv(path)
         assert law.Q(1.25) == pytest.approx(GAS.p_atm * 0.25, rel=1e-9)
-        assert law.q_prime(1.25) == pytest.approx(GAS.p_atm, rel=1e-6)
+        assert law.Q_prime(1.25) == pytest.approx(GAS.p_atm, rel=1e-6)
 
     def test_csv_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -254,19 +254,15 @@ class TestDilatancyFunctions:
             MUI_PSI.dilatancy(MAT.phi_max, 100.0, 1.0)
 
     def test_roux_radjai_needs_gain(self):
-        model = RouxRadjai(MAT, LAW)
-        with pytest.raises(ValueError, match="gain"):
-            model.dilatancy(0.5, 100.0, 1.0)
+        with pytest.raises(TypeError, match="gain"):
+            RouxRadjai(MAT, LAW)
+        with pytest.raises(ValueError, match="roux-radjai needs a gain"):
+            build_model("roux-radjai", MAT, LAW)
 
     @pytest.mark.parametrize("gain", [math.nan, -math.inf])
     def test_roux_radjai_rejects_non_finite_gain(self, gain):
         with pytest.raises(ValueError, match=f"^Roux-Radjai gain must be finite, got {gain}$"):
             RouxRadjai(MAT, LAW, gain=gain)
-
-    def test_roux_radjai_uses_material_gain(self):
-        mat = glass_beads(a_rr=2.0)
-        model = RouxRadjai(mat, LAW)
-        assert model.dilatancy(0.5, 100.0, 1.0) == pytest.approx(2.0 * 0.1)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from granupore.rheology import (
     DruckerPragerDilatant,
     MuI,
     MuIDilatant,
+    RouxRadjai,
 )
 from granupore.simulate import (
     column_cfl_dt,
@@ -160,9 +161,10 @@ class TestRunSettings:
             ((10, 0.1, 0.6, math.nan), "p_f"),
             ((10, 0.1, 0.6, math.inf), "p_f"),
             ((10, 0.1, 0.6, lambda z: np.where(z > 0.05, math.nan, 0.0)), "p_f"),
+            ((1, 0.1, 0.6), "at least 2 cells, got 1"),
         ],
         ids=["length-zero", "length-neg", "length-nan", "length-inf", "phi-nan", "pf-nan", "pf-inf",
-             "pf-callable"],
+             "pf-callable", "one-cell"],
     )
     def test_uniform_column_rejects(self, args, name):
         with pytest.raises(ValueError, match=name):
@@ -302,6 +304,38 @@ class TestBoxBounds:
         assert -1e-9 <= res.phi_min and res.phi_max_seen <= MAT.phi_max + 1e-9
         assert not res.violations
         assert res.sign_agreement
+
+    # A negative Roux-Radjai gain drives phi away from equilibrium: the
+    # wrong-signed closure that the safety paths below must expose.
+    WRONG_SIGN = RouxRadjai(MAT, LAW, gain=-5.0)
+
+    def test_bound_violations_flagged_not_clamped(self):
+        res = run_box(
+            self.WRONG_SIGN, MAT, constant_forcing(100.0, 1000.0),
+            phi0=0.599, t_end=1e-3, dt=1e-6, record_every=100,
+        )
+        assert len(res.violations) == 366
+        assert all(phi > MAT.phi_max + 1e-9 for _, _, phi in res.violations)
+        assert res.phi[-1] == res.phi_max_seen == pytest.approx(0.600777, abs=5e-7)
+        step, t, phi = res.violations[-1]
+        assert (step, phi) == (1000, res.phi[-1]) and t == res.t[-1]
+
+    def test_sign_disagreement_reported(self):
+        res = run_box(
+            self.WRONG_SIGN, MAT, constant_forcing(100.0, 1000.0),
+            phi0=0.55, t_end=5e-3, dt=1e-6, record_every=100,
+        )
+        assert not res.violations
+        assert not res.sign_agreement
+
+    def test_step_failure_names_step_and_time(self):
+        with pytest.raises(RuntimeError) as exc:
+            run_box(MODELS["mui"], MAT, constant_forcing(100.0, 1000.0),
+                    phi0=0.65, t_end=1e-4, dt=1e-6)
+        assert str(exc.value) == (
+            "box step 1 (t=0) failed: no equilibrium inertial number for phi=0.65 > phi_max=0.6"
+        )
+        assert isinstance(exc.value.__cause__, ValueError)
 
 
 class TestBoxPorePressure:
@@ -519,6 +553,9 @@ class TestColumn:
         state = self._cosine_column(10)
         with pytest.raises(ValueError):
             energy_ledger([state], GAS, MAT)
+        later = step_column(state, GAS, MAT, 1e-9)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            energy_ledger([later, state], GAS, MAT)
 
     def test_ledger_rejects_mixed_phi_profiles(self):
         state = self._cosine_column(10)
