@@ -12,28 +12,28 @@ linearly stable, its yield function Z and dilatancy function f must satisfy
 
 These are sufficient conditions; a failure pinpoints where a model leaves
 the certified regime, it does not by itself prove ill-posedness.
-Derivatives are central differences so the checker works equally for
-closed-form and tabulated models.
+The derivatives are the model's closed-form slopes where it has them, with
+central differences as the fallback (``rheology._slopes``), so the checker
+works equally for closed-form, quadrature-derived and tabulated models.
 
-At one (phi, p, I) the checks share Z, f, dZ/dI, df/dI and df/dp, each
-evaluated once.  Where the model raises, a sweep skips the point with the
-first error's message, so the first reads keep one order: C1 dZ/dI, df/dI,
-Z, f; C2 dZ/dI, Z; C3 df/dp, df/dI; the gap Z, f; the equilibrium signs
-last, once per (phi, p).
+At one (phi, p, I) a sweep evaluates Z, f, dZ/dI, df/dI and df/dp once
+each and the checks share them.  Where the model raises, a sweep skips the
+point with the first error's message, so the first reads keep one order: C1
+dZ/dI, df/dI, Z, f; C2 dZ/dI, Z; C3 df/dp, df/dI; the gap Z, f; the
+equilibrium signs last, once per (phi, p).
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import TextIO
 
 import numpy as np
 
 from .gas import permeability_kappa
 from .materials import FlowState, GasParams, MaterialParams, inertial_number
-from .rheology import _central
+from .rheology import _slopes
 
 __all__ = [
     "C1_TOL",
@@ -79,56 +79,49 @@ _RULES = {
 CONDITIONS = tuple(_RULES)
 
 
-class _Point(namedtuple("_Point", "model phi p I rel_h", defaults=(1.0e-6,))):
-    """Z, f, dZ/dI, df/dI and df/dp at one (phi, p, I), each evaluated once, on
-    first read, in the order the module docstring fixes; ``p`` is None for C2."""
+# The condition formulas, each written once, with arguments in first-read order.
 
-    z = cached_property(lambda pt: pt.model.yield_function(pt.phi, pt.I))
-    f = cached_property(lambda pt: pt.model.dilatancy(pt.phi, pt.p, pt.I))
-    dz = cached_property(
-        lambda pt: _central(lambda J: pt.model.yield_function(pt.phi, J), pt.I, pt.rel_h))
-    df = cached_property(
-        lambda pt: _central(lambda J: pt.model.dilatancy(pt.phi, pt.p, J), pt.I, pt.rel_h))
-    dfp = cached_property(
-        lambda pt: _central(lambda q: pt.model.dilatancy(pt.phi, q, pt.I), pt.p, pt.rel_h))
-
-    def c1(self) -> float:
-        dz, df = self.dz, self.df
-        return (self.z - 0.5 * self.I * dz) - (self.f + self.I * df)
-
-    def c2(self) -> float:
-        dz = self.dz
-        return self.z + self.I * dz
-
-    def c3(self) -> float:
-        return self.dfp - 0.5 * self.I / self.p * self.df
-
-    def gap(self) -> float:
-        return self.z - self.f
+def _c1(I: float, dz: float, df: float, z: float, f: float) -> float:
+    return (z - 0.5 * I * dz) - (f + I * df)
 
 
-def residual_c1(model, phi: float, p: float, I: float, rel_h: float = 1.0e-6) -> float:
+def _c2(I: float, dz: float, z: float) -> float:
+    return z + I * dz
+
+
+def _c3(I: float, p: float, dfp: float, df: float) -> float:
+    return dfp - 0.5 * I / p * df
+
+
+def _gap(z: float, f: float) -> float:
+    return z - f
+
+
+def residual_c1(model, phi: float, p: float, I: float) -> float:
     """Residual of the consistency equation,
     r = (Z - (I/2) dZ/dI) - (f + I df/dI); zero for compliant pairs."""
-    return _Point(model, phi, p, I, rel_h).c1()
+    dZ_dI, df_dI, _ = _slopes(model)
+    return _c1(I, dZ_dI(phi, I), df_dI(phi, p, I),
+               model.yield_function(phi, I), model.dilatancy(phi, p, I))
 
 
 def check_c2(model, phi: float, I: float) -> tuple[float, bool]:
     """Value and pass flag of the growth bound Z + I dZ/dI >= 0."""
-    value = _Point(model, phi, None, I).c2()
+    value = _c2(I, _slopes(model)[0](phi, I), model.yield_function(phi, I))
     return value, _RULES["C2"].passes(value)
 
 
 def check_c3(model, phi: float, p: float, I: float) -> tuple[float, bool]:
     """Value and pass flag of the strict pressure-slope condition
     df/dp - (I/(2p)) df/dI < 0."""
-    value = _Point(model, phi, p, I).c3()
+    _, df_dI, df_dp = _slopes(model)
+    value = _c3(I, p, df_dp(phi, p, I), df_dI(phi, p, I))
     return value, _RULES["C3"].passes(value)
 
 
 def check_dissipation(model, phi: float, p: float, I: float) -> tuple[float, bool]:
     """Gap Z - f and its non-negativity flag."""
-    gap = _Point(model, phi, p, I).gap()
+    gap = _gap(model.yield_function(phi, I), model.dilatancy(phi, p, I))
     return gap, _RULES["dissipation"].passes(gap)
 
 
@@ -279,16 +272,20 @@ def sweep(model, grid: GridSpec) -> ConditionReport:
     singular.  Ordering is deterministic (phi outer, then I, then p).
     """
     report = ConditionReport()
-    I_values, p_values = grid.I_values(), grid.p_values()
-    for phi in grid.phi_values():
+    Z, f = model.yield_function, model.dilatancy
+    dZ_dI, df_dI, df_dp = _slopes(model)
+    I_values, p_values = grid.I_values().tolist(), grid.p_values().tolist()
+    for phi in grid.phi_values().tolist():
         # The equilibrium signs do not depend on I: one flag or error message per p.
         eq_signs: dict[float, bool | str] = {}
         for I in I_values:
             for p in p_values:
-                where = (float(phi), float(I), float(p))
-                at = _Point(model, phi, p, I)
-                try:
-                    values = (at.c1(), at.c2(), at.c3(), at.gap())
+                where = (phi, I, p)
+                try:  # first reads in the module docstring's order
+                    dz, df = dZ_dI(phi, I), df_dI(phi, p, I)
+                    z, fv = Z(phi, I), f(phi, p, I)
+                    values = (_c1(I, dz, df, z, fv), _c2(I, dz, z),
+                              _c3(I, p, df_dp(phi, p, I), df), _gap(z, fv))
                 except ValueError as exc:
                     report.skipped.append((where, str(exc)))
                     continue

@@ -29,6 +29,10 @@ Built-in variants
 The quadrature route, :func:`derive_f_numeric`, is the independent check on
 every closed form: f = W(phi, I) - I_eq W(phi, I_eq) / I with
 W = (3/(2I)) int_{I1}^{I} Z dJ - Z/2, invariant under the anchor I1.
+
+Every model above except ``DerivedNumeric`` also has its slopes dZ/dI, df/dI
+and df/dp in closed form (methods ``dZ_dI``, ``df_dI`` and ``df_dp``);
+:func:`_slopes` takes those, or central differences for a model without them.
 """
 
 from __future__ import annotations
@@ -76,6 +80,18 @@ __all__ = [
 # Scalar ingredients
 # ----------------------------------------------------------------------
 
+def _needs_positive_I(what: str, I: float) -> ValueError:
+    """The error of ``what`` at I <= 0; functions and their slopes share it."""
+    return ValueError(f"{what} requires I > 0, got {I}")
+
+
+def _needs_positive_i_eq(i_eq_value: float) -> ValueError:
+    """The error of the mu(I) dilatancy angle at I_eq <= 0."""
+    return ValueError(
+        f"mu(I) dilatancy angle requires I_eq > 0 (phi < phi_max), got {i_eq_value}"
+    )
+
+
 def friction_mu(mu1: float, mu2: float, I0: float, I: float) -> float:
     """mu(I) = mu1 + (mu2 - mu1) / (1 + I0/I); mu(0) = mu1 by continuity."""
     if I < 0:
@@ -88,7 +104,7 @@ def friction_mu(mu1: float, mu2: float, I0: float, I: float) -> float:
 def friction_mu_prime(mu1: float, mu2: float, I0: float, I: float) -> float:
     """Derivative mu'(I) = (mu2 - mu1) I0 / (I + I0)^2."""
     if I < 0:
-        raise ValueError(f"mu'(I) undefined for I < 0, got {I}")
+        raise ValueError(f"mu(I) undefined for I < 0, got {I}")
     return (mu2 - mu1) * I0 / (I + I0) ** 2
 
 
@@ -117,7 +133,7 @@ def mui_angle_primitive(mu1: float, mu2: float, I0: float, I: float) -> float:
     so that G'(I) = 2 mu(I)/(3I) - mu'(I)/3 > 0.  Log-singular at I = 0.
     """
     if I <= 0:
-        raise ValueError(f"G(I) requires I > 0, got {I}")
+        raise _needs_positive_I("G(I)", I)
     x = I / I0
     return (2.0 * mu1 / 3.0) * math.log(x) + (mu2 - mu1) / 3.0 * (
         1.0 / (1.0 + x) + 2.0 * math.log1p(x)
@@ -162,17 +178,20 @@ def dilatancy_angle_mui(
             phi = phi_max is not admissible for this model).
     """
     if i_eq_value <= 0:
-        raise ValueError(
-            f"mu(I) dilatancy angle requires I_eq > 0 (phi < phi_max), got {i_eq_value}"
-        )
+        raise _needs_positive_i_eq(i_eq_value)
     return mui_angle_primitive(mu1, mu2, I0, I) - mui_angle_primitive(
         mu1, mu2, I0, i_eq_value
     )
 
 
 # ----------------------------------------------------------------------
-# Central differences, and f from Z by quadrature
+# Slopes: the model's own or central differences; f from Z by quadrature
 # ----------------------------------------------------------------------
+
+#: Relative step of the central differences that stand in for the slopes a
+#: model does not define.
+REL_STEP = 1.0e-6
+
 
 def _central(fun: Callable[[float], float], x: float, rel: float) -> float:
     """Central difference with step h = rel * max(x, 1e-3) and one
@@ -180,15 +199,34 @@ def _central(fun: Callable[[float], float], x: float, rel: float) -> float:
 
     Evaluation at x +/- h can leave the model's domain near a boundary
     (for example I_eq terms at phi -> phi_max); in that case the step is
-    halved once before giving up.
+    halved once before giving up, and the error names the last failure.
     """
     h = rel * max(x, 1.0e-3)
     for step in (h, 0.5 * h):
         try:
             return (fun(x + step) - fun(x - step)) / (2.0 * step)
-        except ValueError:
-            continue
-    raise ValueError(f"cannot take a central difference at {x} (step {h})")
+        except ValueError as exc:
+            error = exc
+    raise ValueError(f"cannot take a central difference at {x} (step {h}): {error}") from error
+
+
+def _slopes(model) -> tuple[Callable, Callable, Callable]:
+    """The functions dZ/dI(phi, I), df/dI(phi, p, I) and df/dp(phi, p, I) of
+    ``model``.
+
+    This is the one fallback rule: each is the model's own closed-form slope
+    (its ``dZ_dI``, ``df_dI`` or ``df_dp`` method) where it defines one, and
+    otherwise a central difference of its Z or f with relative step
+    :data:`REL_STEP`.
+    """
+    return (
+        getattr(model, "dZ_dI", None)
+        or (lambda phi, I: _central(lambda J: model.yield_function(phi, J), I, REL_STEP)),
+        getattr(model, "df_dI", None)
+        or (lambda phi, p, I: _central(lambda J: model.dilatancy(phi, p, J), I, REL_STEP)),
+        getattr(model, "df_dp", None)
+        or (lambda phi, p, I: _central(lambda q: model.dilatancy(phi, q, I), p, REL_STEP)),
+    )
 
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
@@ -278,8 +316,22 @@ class _ModelBase:
         return self._gain_lhs(I) * (-1.0 / phi_eq_prime(self.law, self.mat, I)) / I
 
 
+class _ClosedForm(_ModelBase):
+    """A catalogue model with closed-form slopes ``dZ_dI(phi, I)``,
+    ``df_dI(phi, p, I)`` and ``df_dp(phi, p, I)``.
+
+    A slope is taken at I > 0 and raises the ValueError that the model's Z
+    (for dZ/dI) or f (for df/dI and df/dp) raises at that point.
+    """
+
+    def df_dp(self, phi: float, p: float, I: float) -> float:
+        """df/dp = 0: no catalogue f depends on p."""
+        self.dilatancy(phi, p, I)  # raises where f raises
+        return 0.0
+
+
 @dataclass(frozen=True)
-class DruckerPrager(_ModelBase):
+class DruckerPrager(_ClosedForm):
     """Constant yield coefficient Z = sin(delta) with the matching
     consistency-compliant dilatancy f = sin(delta) (1 - I_eq/I)."""
 
@@ -288,15 +340,23 @@ class DruckerPrager(_ModelBase):
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         if I <= 0:
-            raise ValueError(f"dilatancy requires I > 0, got {I}")
+            raise _needs_positive_I("dilatancy", I)
         return math.sin(self.mat.delta) * (1.0 - self.i_eq(phi) / I)
+
+    def dZ_dI(self, phi: float, I: float) -> float:
+        return 0.0
+
+    def df_dI(self, phi: float, p: float, I: float) -> float:
+        if I <= 0:
+            raise _needs_positive_I("dilatancy", I)
+        return math.sin(self.mat.delta) * self.i_eq(phi) / I**2
 
     def _gain_lhs(self, I: float) -> float:
         return math.sin(self.mat.delta)
 
 
 @dataclass(frozen=True)
-class MuI(_ModelBase):
+class MuI(_ClosedForm):
     """mu(I) rheology with the dilatancy law integrated from consistency:
     f = F(I) - (I_eq/I) F(I_eq)."""
 
@@ -305,12 +365,27 @@ class MuI(_ModelBase):
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         if I <= 0:
-            raise ValueError(f"dilatancy requires I > 0, got {I}")
+            raise _needs_positive_I("dilatancy", I)
         ieq = self.i_eq(phi)
         f = mui_shear_factor(*self._consts(), I)
         if ieq > 0.0:
             f -= ieq / I * mui_shear_factor(*self._consts(), ieq)
         return f
+
+    def dZ_dI(self, phi: float, I: float) -> float:
+        return friction_mu_prime(*self._consts(), I)
+
+    def df_dI(self, phi: float, p: float, I: float) -> float:
+        """df/dI = F'(I) + (I_eq/I^2) F(I_eq), with F'(I) = (mu - F)/I - mu'/2."""
+        if I <= 0:
+            raise _needs_positive_I("dilatancy", I)
+        ieq = self.i_eq(phi)
+        consts = self._consts()
+        slope = (friction_mu(*consts, I) - mui_shear_factor(*consts, I)) / I
+        slope -= 0.5 * friction_mu_prime(*consts, I)
+        if ieq > 0.0:
+            slope += ieq / I**2 * mui_shear_factor(*consts, ieq)
+        return slope
 
     def _gain_lhs(self, I: float) -> float:
         mu, mup = friction_mu(*self._consts(), I), friction_mu_prime(*self._consts(), I)
@@ -318,7 +393,7 @@ class MuI(_ModelBase):
 
 
 @dataclass(frozen=True)
-class PowerLaw(_ModelBase):
+class PowerLaw(_ClosedForm):
     """Monomial yield function Z = c I^n.
 
     The matching dilatancy is c (2-n)/(2(n+1)) (I^n - I_eq^{n+1}/I); n = 2
@@ -341,23 +416,37 @@ class PowerLaw(_ModelBase):
             raise ValueError(f"Z = I^n undefined at I={I} for n={self.n}")
         return self.coefficient * I**self.n
 
-    def dilatancy(self, phi: float, p: float, I: float) -> float:
+    def dZ_dI(self, phi: float, I: float) -> float:
+        z = self.yield_function(phi, I)
+        if I == 0.0:
+            raise ValueError(f"dZ/dI of Z = I^n is not taken at I=0 (n={self.n})")
+        return self.n * z / I
+
+    def _f_terms(self, phi: float, I: float) -> tuple[float, float]:
+        """The factor c (2-n)/(2(n+1)) and I_eq(phi), after f's checks."""
         if I <= 0:
-            raise ValueError(f"dilatancy requires I > 0, got {I}")
+            raise _needs_positive_I("dilatancy", I)
         ieq = self.i_eq(phi)
         if ieq == 0.0 and self.n < -1.0:
             raise ValueError(
                 f"I^{self.n} is not integrable down to the equilibrium I_eq = 0"
             )
-        c = self.coefficient * (2.0 - self.n) / (2.0 * (self.n + 1.0))
+        return self.coefficient * (2.0 - self.n) / (2.0 * (self.n + 1.0)), ieq
+
+    def dilatancy(self, phi: float, p: float, I: float) -> float:
+        c, ieq = self._f_terms(phi, I)
         return c * (I**self.n - ieq ** (self.n + 1.0) / I)
+
+    def df_dI(self, phi: float, p: float, I: float) -> float:
+        c, ieq = self._f_terms(phi, I)
+        return c * (self.n * I ** (self.n - 1.0) + ieq ** (self.n + 1.0) / I**2)
 
     def _gain_lhs(self, I: float) -> float:
         return self.coefficient * I**self.n * (2.0 - self.n) / 2.0
 
 
 @dataclass(frozen=True)
-class DruckerPragerDilatant(_ModelBase):
+class DruckerPragerDilatant(_ClosedForm):
     """Drucker-Prager with a dilatation angle in the small-angle closure:
     Z = sin(delta) + cos(delta) psi, f = psi, psi per
     :func:`dilatancy_angle_dp`.  The dissipation gap is
@@ -366,18 +455,30 @@ class DruckerPragerDilatant(_ModelBase):
     def _psi(self, phi: float, I: float) -> float:
         return dilatancy_angle_dp(self.mat.delta, self.i_eq(phi), I)
 
+    def _psi_slope(self, phi: float, I: float) -> float:
+        """dpsi/dI = K beta (I_eq/I)^beta / I = beta (K - psi) / I, with
+        K = sin(delta)/(1 - cos(delta)); raises where psi raises."""
+        psi, delta = self._psi(phi, I), self.mat.delta
+        return beta_exponent(delta) * (math.sin(delta) / (1.0 - math.cos(delta)) - psi) / I
+
     def yield_function(self, phi: float, I: float) -> float:
         return math.sin(self.mat.delta) + math.cos(self.mat.delta) * self._psi(phi, I)
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         return self._psi(phi, I)
 
+    def dZ_dI(self, phi: float, I: float) -> float:
+        return math.cos(self.mat.delta) * self._psi_slope(phi, I)
+
+    def df_dI(self, phi: float, p: float, I: float) -> float:
+        return self._psi_slope(phi, I)
+
     def _gain_lhs(self, I: float) -> float:
         return 2.0 * math.sin(self.mat.delta) / (2.0 + math.cos(self.mat.delta))
 
 
 @dataclass(frozen=True)
-class MuIDilatant(_ModelBase):
+class MuIDilatant(_ClosedForm):
     """mu(I) rheology with a dilatation angle: Z = mu(I) + psi, f = psi,
     psi = G(I) - G(I_eq) per :func:`dilatancy_angle_mui`.  The dissipation
     gap is Z - f = mu(I) > 0.  Not defined at phi = phi_max (log-singular
@@ -386,11 +487,27 @@ class MuIDilatant(_ModelBase):
     def _psi(self, phi: float, I: float) -> float:
         return dilatancy_angle_mui(*self._consts(), self.i_eq(phi), I)
 
+    def _psi_slope(self, phi: float, I: float) -> float:
+        """dpsi/dI = G'(I) = 2 mu(I)/(3I) - mu'(I)/3; raises where psi raises."""
+        ieq = self.i_eq(phi)
+        if ieq <= 0:
+            raise _needs_positive_i_eq(ieq)
+        if I <= 0:
+            raise _needs_positive_I("G(I)", I)
+        consts = self._consts()
+        return 2.0 * friction_mu(*consts, I) / (3.0 * I) - friction_mu_prime(*consts, I) / 3.0
+
     def yield_function(self, phi: float, I: float) -> float:
         return friction_mu(*self._consts(), I) + self._psi(phi, I)
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         return self._psi(phi, I)
+
+    def dZ_dI(self, phi: float, I: float) -> float:
+        return friction_mu_prime(*self._consts(), I) + self._psi_slope(phi, I)
+
+    def df_dI(self, phi: float, p: float, I: float) -> float:
+        return self._psi_slope(phi, I)
 
     def _gain_lhs(self, I: float) -> float:
         mu, mup = friction_mu(*self._consts(), I), friction_mu_prime(*self._consts(), I)
@@ -398,7 +515,7 @@ class MuIDilatant(_ModelBase):
 
 
 @dataclass(frozen=True)
-class RouxRadjai(_ModelBase):
+class RouxRadjai(_ClosedForm):
     """Critical-state closure f = a (phi - phi_eq(I)).
 
     The sign structure is built in (expansion above the equilibrium packing,
@@ -427,8 +544,19 @@ class RouxRadjai(_ModelBase):
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         if I <= 0:
-            raise ValueError(f"dilatancy requires I > 0, got {I}")
+            raise _needs_positive_I("dilatancy", I)
         return self.gain * (phi - self.phi_eq(I))
+
+    def dZ_dI(self, phi: float, I: float) -> float:
+        if self.z_mode == "dp":
+            return 0.0
+        return math.cos(self.mat.delta) * self.df_dI(phi, 0.0, I)
+
+    def df_dI(self, phi: float, p: float, I: float) -> float:
+        """df/dI = -a phi_eq'(I)."""
+        if I <= 0:
+            raise _needs_positive_I("dilatancy", I)
+        return -self.gain * phi_eq_prime(self.law, self.mat, I)
 
     def near_equilibrium_gain(self, I: float) -> float:
         return self.gain
@@ -440,7 +568,9 @@ class LinearCombination(_ModelBase):
 
     The consistency equation is linear in (Z, f) and involves no phi
     derivative, so weights may depend on phi; each term's f vanishes at the
-    shared equilibrium, hence so does the sum.
+    shared equilibrium, hence so does the sum.  The weights depend on phi
+    only, so each slope in I or p is the weighted sum of the terms' slopes
+    (per :func:`_slopes`).
     """
 
     terms: tuple = field(kw_only=True)  # of (weight, model); weight float or callable
@@ -456,6 +586,18 @@ class LinearCombination(_ModelBase):
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         return sum(self._w(w, phi) * m.dilatancy(phi, p, I) for w, m in self.terms)
+
+    def _weighted_slope(self, k: int, phi: float, *args: float) -> float:
+        return sum(self._w(w, phi) * _slopes(m)[k](phi, *args) for w, m in self.terms)
+
+    def dZ_dI(self, phi: float, I: float) -> float:
+        return self._weighted_slope(0, phi, I)
+
+    def df_dI(self, phi: float, p: float, I: float) -> float:
+        return self._weighted_slope(1, phi, p, I)
+
+    def df_dp(self, phi: float, p: float, I: float) -> float:
+        return self._weighted_slope(2, phi, p, I)
 
     def near_equilibrium_gain(self, I: float) -> float:
         phi_star = self.phi_eq(I)
@@ -491,7 +633,7 @@ class DerivedNumeric(_ModelBase):
 
     def _gain_lhs(self, I: float) -> float:
         phi_star = self.phi_eq(I)
-        dz = _central(lambda J: self.Z(phi_star, J), I, 1.0e-6)
+        dz = _central(lambda J: self.Z(phi_star, J), I, REL_STEP)
         return self.Z(phi_star, I) - 0.5 * I * dz
 
 
@@ -523,6 +665,15 @@ class Isochoric:
         return self.base.yield_function(phi, I)
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
+        return 0.0
+
+    def dZ_dI(self, phi: float, I: float) -> float:
+        return _slopes(self.base)[0](phi, I)
+
+    def df_dI(self, phi: float, p: float, I: float) -> float:
+        return 0.0
+
+    def df_dp(self, phi: float, p: float, I: float) -> float:
         return 0.0
 
     def near_equilibrium_gain(self, I: float) -> float:

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from granupore import conditions, rheology
 from granupore.conditions import (
     GridSpec,
     check_c2,
@@ -32,6 +35,7 @@ from granupore.rheology import (
     DruckerPrager,
     DruckerPragerDilatant,
     Isochoric,
+    LinearCombination,
     MuI,
     MuIDilatant,
     PowerLaw,
@@ -70,7 +74,11 @@ class _NoDilatancy(_ConstantF):
 
 
 class _Counting:
-    """Forwards the three model methods a sweep calls and counts each call."""
+    """Forwards the three model methods a sweep calls and counts each call.
+
+    It has no slope methods, so the sweep takes central differences of the
+    counted Z and f.
+    """
 
     def __init__(self, model):
         self._model = model
@@ -101,7 +109,7 @@ class TestC1:
     def test_powerlaw_n2_exact_cancellation(self):
         model = PowerLaw(MAT, LAW, n=2.0)
         # Z = I^2, f = 0: Z - (I/2) dZ = I^2 - I^2 = 0 analytically; only
-        # finite-difference roundoff (~1e-12) survives
+        # round-off of the closed-form slope survives
         assert residual_c1(model, 0.5, 100.0, 1.0) == pytest.approx(0.0, abs=1e-9)
 
     def test_roux_radjai_with_dp_yield_fails(self):
@@ -125,11 +133,11 @@ class TestC1:
         model = Isochoric(DP)
         assert residual_c1(model, 0.5, 100.0, 1.0) == pytest.approx(SIN_D, abs=1e-9)
 
-    def test_fd_convergence_order(self):
-        # halving the step shrinks the residual by ~4 on smooth models
-        r_h = residual_c1(MUI, 0.5, 100.0, 0.5, rel_h=1e-2)
-        r_h2 = residual_c1(MUI, 0.5, 100.0, 0.5, rel_h=5e-3)
-        assert r_h / r_h2 == pytest.approx(4.0, rel=0.25)
+    def test_central_path_names_the_error(self):
+        with pytest.raises(ValueError) as info:
+            residual_c1(_NoDilatancy(), 0.5, 100.0, 1.0)
+        assert str(info.value) == "cannot take a central difference at 1.0 (step 1e-06): f undefined"
+        assert str(info.value.__cause__) == "f undefined"
 
 
 class TestC2:
@@ -357,8 +365,8 @@ class TestSweep:
         assert len(report.records) == 2 * 3 * 4
 
     def test_csv_skipped_rows(self):
-        # mu(I) under the schaeffer law cannot difference dZ/dI at the low-I
-        # edge of the rarest packings
+        # phi = 0.40 lies below the range of the schaeffer law, so i_eq, and
+        # with it df/dI, raises on that whole row
         report = sweep(MuI(MAT, EquilibriumLaw("schaeffer")), standard_grid())
         buf = io.StringIO()
         write_report_csv(report, buf)
@@ -366,7 +374,7 @@ class TestSweep:
         assert len(skipped) == len(report.skipped) == 48
         assert skipped[0] == (
             "# skipped phi=0.4,I=0.01,p=10.0: "
-            "cannot take a central difference at 0.01 (step 1e-08)"
+            "phi=0.4 below the range of the schaeffer law on [0, 1000.0]"
         )
 
     def test_csv_shape(self):
@@ -428,6 +436,97 @@ class TestSweepWork:
         assert model.calls["i_eq"] == 2 * 2
 
 
+def _closed_form(name, law):
+    """The catalogue models with closed-form slopes, and the combinations
+    of them that take the terms' slopes."""
+    if name == "lincomb-const":
+        return LinearCombination(MAT, law, terms=((0.25, DruckerPrager(MAT, law)), (0.75, MuI(MAT, law))))
+    if name == "lincomb-callable":
+        return LinearCombination(MAT, law, terms=(
+            (lambda phi: (phi - 0.3) / 0.3, DruckerPrager(MAT, law)),
+            (lambda phi: (0.6 - phi) / 0.3, MuI(MAT, law)),
+        ))
+    if name == "isochoric":
+        return Isochoric(MuI(MAT, law))
+    if name.startswith("roux-radjai"):
+        z_override = "dp" if name.endswith("-dp") else None
+        return build_model("roux-radjai", MAT, law, rr_gain=2.0, z_override=z_override)
+    return build_model(name, MAT, law)
+
+
+COMPLIANT = ("dp", "mui", "dp-psi", "mui-psi", "power:0.5", "power:-0.5", "power:2",
+             "lincomb-const", "lincomb-callable")
+CLOSED_FORM = COMPLIANT + ("roux-radjai", "roux-radjai-dp", "isochoric")
+LAWS = ("linear", "schaeffer", "robinson", "breard")
+
+
+def _error(fun, *args):
+    try:
+        fun(*args)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestClosedFormSlopes:
+    @given(
+        name=st.sampled_from(CLOSED_FORM),
+        law=st.sampled_from(LAWS),
+        phi=st.floats(0.40, 0.595),
+        log_I=st.floats(math.log(1e-2), math.log(10.0)),
+        p=st.floats(10.0, 1e4),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_slopes_match_central_differences(self, name, law, phi, log_I, p):
+        model, I = _closed_form(name, EquilibriumLaw(law)), math.exp(log_I)
+        assume(_error(model.dilatancy, phi, p, I) is None)  # see the next test
+        for slope, fun, x in (
+            (model.dZ_dI(phi, I), lambda J: model.yield_function(phi, J), I),
+            (model.df_dI(phi, p, I), lambda J: model.dilatancy(phi, p, J), I),
+            (model.df_dp(phi, p, I), lambda q: model.dilatancy(phi, q, I), p),
+        ):
+            # the difference's round-off is about eps |F| / h, with h = 1e-6 x;
+            # the largest deviation measured was 1.1e-9 of this scale
+            scale = max(abs(slope), abs(fun(x)) / x)
+            assert abs(slope - rheology._central(fun, x, rheology.REL_STEP)) <= 1e-8 * scale
+
+    @pytest.mark.parametrize("name", CLOSED_FORM)
+    @pytest.mark.parametrize(
+        "law, phi, I",
+        [("linear", 0.61, 1.0), ("schaeffer", 0.40, 0.01), ("linear", MAT.phi_max, 1.0),
+         ("linear", 0.5, 0.0), ("linear", 0.5, -0.1)],
+        ids=["above-phi-max", "below-law-range", "at-phi-max", "I-zero", "I-negative"],
+    )
+    def test_slopes_raise_like_the_model(self, name, law, phi, I):
+        model = _closed_form(name, EquilibriumLaw(law))
+        assert _error(model.df_dI, phi, 100.0, I) == _error(model.dilatancy, phi, 100.0, I)
+        assert _error(model.df_dp, phi, 100.0, I) == _error(model.dilatancy, phi, 100.0, I)
+        if name.startswith("power") and I == 0.0 and model.n >= 0:
+            # Z = I^n is defined at 0, its slope is not taken there
+            assert _error(model.yield_function, phi, I) is None
+            assert _error(model.dZ_dI, phi, I).startswith("dZ/dI of Z = I^n is not taken at I=0")
+        else:
+            assert _error(model.dZ_dI, phi, I) == _error(model.yield_function, phi, I)
+
+    @pytest.mark.parametrize("law", ["linear", "schaeffer"])
+    @pytest.mark.parametrize("name", CLOSED_FORM)
+    def test_sweep_takes_no_central_difference(self, name, law, monkeypatch):
+        def central(*args):
+            raise AssertionError("central difference taken")
+
+        monkeypatch.setattr(rheology, "_central", central)
+        monkeypatch.setattr(conditions, "_central", central, raising=False)
+        report = sweep(_closed_form(name, EquilibriumLaw(law)), standard_grid())
+        assert len(report.records) + len(report.skipped) == 12 * 12 * 4
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("name", COMPLIANT)
+    def test_c1_at_round_off(self, name, law):
+        report = sweep(_closed_form(name, EquilibriumLaw(law)), standard_grid())
+        assert report.records
+        assert max(abs(r.c1_residual) for r in report.records) <= 1e-12
+
+
 def _csv_digest(model, grid) -> str:
     buf = io.StringIO()
     write_report_csv(sweep(model, grid), buf)
@@ -437,18 +536,18 @@ def _csv_digest(model, grid) -> str:
 class TestLinearSweeps:
     """Sweeps under the linear equilibrium law, whose i_eq is closed-form."""
 
-    #: sha256 of write_report_csv, recorded before the checks of a point
-    #: shared their evaluations; same platform as TestNonlinearSweeps.  The
-    #: mui-psi grid up to phi_max ends in a row of skipped points.
+    #: sha256 of write_report_csv, recorded with the models' closed-form
+    #: slopes; same platform as TestNonlinearSweeps.  The mui-psi grid up to
+    #: phi_max ends in a row of skipped points.
     GOLDEN = {
-        ("dp", 0.595): "a3ea88a7348da68aaaba890921548c65141364c0b139c8c50149ce0e3c3d70de",
-        ("mui", 0.595): "c7b55e4a83d7470b79c4433892b66ff9278c624c4aad13e50ef26d0323f5d7e7",
-        ("dp-psi", 0.595): "7b1a672570c677690036b946a0842c17cb81b569695895166db1e7edc56cce78",
-        ("mui-psi", 0.595): "ff2fba1df1a4856b47b6b293d97ab889c0685c4ddb57c2065e9578606f4ea806",
-        ("power:0.5", 0.595): "801a09142898e5bfc99861f8675e0b16b9551666d4f76519ef724b48c0175b69",
-        ("power:-0.5", 0.595): "effce19e1087000b03b7b9df59d822844a0d8277f0d3a0946e7e85b05ece38f0",
-        ("roux-radjai", 0.595): "6416709f956b8df10f0389608aab3cb125046b49883743cf3a895c564a7bcbc2",
-        ("mui-psi", MAT.phi_max): "a0ff24431190eb6dc7ad2977686e35ea2a3972a3ec0ea17d81b037fc5193a450",
+        ("dp", 0.595): "20f57f577b95a6c1a1c6f1fe691a7e5d147711db7d5b47ec2ef2bb6761101092",
+        ("mui", 0.595): "80d4ee5d43549ae5b25f89432f1e354caa73d9cd2e8829b60cd9127ddce045de",
+        ("dp-psi", 0.595): "d4ffa803531c53faaa4af18af0ad62db4263d64cafa1812a54f25ec50f013a0e",
+        ("mui-psi", 0.595): "a8d8ccf2ab281609639db8b4c5d5a964c865cf9591b5d896802dc0f21714e01d",
+        ("power:0.5", 0.595): "a11ac0c56b340b7f9e9247826f1db01e3c6c82cfdbf392b8a267b92bdf6b56d3",
+        ("power:-0.5", 0.595): "43c669daa890114bbf1016c9a3511cb0fd35b9c24cb6efcd86384976a6edc60d",
+        ("roux-radjai", 0.595): "9bc5b801df77e9f908475ec22e6d7004578c34fdee588e3998957b4f7041f814",
+        ("mui-psi", MAT.phi_max): "33849943e26c717f899f67abc06b0e6fd52711a25520b8d5fa883f023090ac15",
     }
 
     @pytest.mark.parametrize("model_id, phi_hi", list(GOLDEN))
@@ -465,20 +564,20 @@ class TestNonlinearSweeps:
     """Standard-grid sweeps under the non-linear equilibrium laws, whose
     i_eq is a memoised bisection."""
 
-    #: sha256 of write_report_csv, recorded before the bisection was
-    #: memoised; roux-radjai's C1 and anchor failures are pinned with them.
+    #: sha256 of write_report_csv, recorded with the models' closed-form
+    #: slopes; roux-radjai's C1 and anchor failures are pinned with them.
     #: Tied to the libm and numpy they were recorded with (x86-64 Linux,
     #: Python 3.11.7, numpy 2.4.6).
     GOLDEN = {
-        ("schaeffer", "mui"): "abddc4a600538fb60178c485b307300ede92305123136e18202c6da4a8e2f76d",
-        ("schaeffer", "dp-psi"): "6f9af929b73459058bfbc7235da8c71391e934eb14324834f8fdb4391fe94fc4",
-        ("schaeffer", "roux-radjai"): "2efedda5d0c918afe1b66ad8b64b4e7fb1f5cd6e6dc098b5aff8aca969767ca8",
-        ("robinson", "mui"): "4638030922de379127cbbbd117fdfcd120d000bc1dd98a3874904ab3043f92f6",
-        ("robinson", "dp-psi"): "54f5eee3b3abb7079ca36afe6bdb7fd55734cfbf1f854fe8915aa761b8b9df90",
-        ("robinson", "roux-radjai"): "fff1d7cc0f9ab8cea015444a224189d2febff5c1ba41268d0ba5c0d12500640d",
-        ("breard", "mui"): "b02c0de8d8af4093783c84c887977f791aff23b0f7bd807dda7fa9920e3937c9",
-        ("breard", "dp-psi"): "e9fc64e31c892ce2423f6bea627466670f73d069ca383c16a4e9bf0df0d3f3fd",
-        ("breard", "roux-radjai"): "73d1716398dc9d2643e74aa23c3db0b65155c6895c399c3a5b52cc16a517c500",
+        ("schaeffer", "mui"): "713abc4b28a8515b28ab6c45173e7bd0d8970682b009514a7b24addc547ec561",
+        ("schaeffer", "dp-psi"): "b74197830c4674b34ed6e290c4fb43cdccfdfb2655652c839d49678c1b9f69bf",
+        ("schaeffer", "roux-radjai"): "47449aa915b57e75a22d6459a3cbb5256cd89330806136069a69a629158b6038",
+        ("robinson", "mui"): "39e18b293f4c3a9e7f122356094281739df6a2c3237f51f52080614c3124de4f",
+        ("robinson", "dp-psi"): "1526185cafddb53bf1086e73276a5b1c222e9d23dd81ed669a5a594ea9d0260e",
+        ("robinson", "roux-radjai"): "7529d79b4a13332dcc3d2ff1cb497a140e99b888e99049b8a86e544c00af40b0",
+        ("breard", "mui"): "3e69d17f1765e5e2e4cacb0b6184e8f8745c37d31f1a32bbdec9de57c74dbd7c",
+        ("breard", "dp-psi"): "3c1e2bc89dd16efc4f11ea6ea113e003da1a34d95901bc7e9fa2a64c0ccb862c",
+        ("breard", "roux-radjai"): "cea885d6a5e0f79b56e52ddfd73972d6eeeda24a74759a4625c984cd17cff44a",
     }
     MODELS = {
         "mui": MuI,

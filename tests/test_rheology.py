@@ -18,6 +18,7 @@ from granupore.rheology import (
     MuIDilatant,
     PowerLaw,
     RouxRadjai,
+    _central,
     beta_exponent,
     build_model,
     derive_f_numeric,
@@ -285,6 +286,16 @@ class TestDissipationGapClosedForms:
                 assert gap == pytest.approx(
                     friction_mu(MAT.mu1, MAT.mu2, MAT.I0, I), abs=1e-12
                 )
+
+
+class TestCentral:
+    def test_fd_convergence_order(self):
+        # halving the step shrinks the error by ~4 on a smooth function
+        mu = lambda I: friction_mu(MAT.mu1, MAT.mu2, MAT.I0, I)
+        exact = friction_mu_prime(MAT.mu1, MAT.mu2, MAT.I0, 0.5)
+        e_h = _central(mu, 0.5, 1e-2) - exact
+        e_h2 = _central(mu, 0.5, 5e-3) - exact
+        assert e_h / e_h2 == pytest.approx(4.0, rel=0.25)
 
 
 class TestDeriveFNumeric:
