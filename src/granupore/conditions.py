@@ -25,6 +25,7 @@ equilibrium signs last, once per (phi, p).
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import TextIO
@@ -186,6 +187,10 @@ class GridSpec:
                 raise ValueError(f"{name}: need lo < hi, got {lo} >= {hi}")
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValueError(f"{name}: ends must be finite, got {lo} and {hi}")
+            try:
+                operator.index(count)
+            except TypeError:
+                raise ValueError(f"{name}: count must be an integer, got {count!r}") from None
             if count < 2:
                 raise ValueError(f"{name}: need at least 2 points, got {count}")
         if self.I_range[0] <= 0:

@@ -46,6 +46,14 @@ I_CAP = 1.0e3
 I_EQ_TOL = 1.0e-12
 
 
+def _reject_infinite(params, names: tuple[str, ...]) -> None:
+    """Name the first infinite field of ``params``; NaN is left to the
+    range checks that follow."""
+    for name in names:
+        if math.isinf(getattr(params, name)):
+            raise ValueError(f"{name} must be finite, got {getattr(params, name)}")
+
+
 @dataclass(frozen=True)
 class MaterialParams:
     """Physical parameters of the solid (granular) phase.
@@ -73,6 +81,7 @@ class MaterialParams:
     I0: float = 0.3
 
     def __post_init__(self) -> None:
+        _reject_infinite(self, ("rho_s", "d", "delta_phi", "mu1", "mu2", "I0"))
         if not self.rho_s > 0:
             raise ValueError(f"rho_s must be positive, got {self.rho_s}")
         if not self.d > 0:
@@ -104,6 +113,7 @@ class GasParams:
     rho_f0: float = 1.0
 
     def __post_init__(self) -> None:
+        _reject_infinite(self, ("eta_f", "p_atm", "rho_f0"))
         for name in ("eta_f", "p_atm", "rho_f0"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -137,8 +147,10 @@ class EquilibriumLaw:
             raise ValueError(
                 f"unknown equilibrium law {self.variant!r}; expected one of {self._VARIANTS}"
             )
-        if self.variant == "robinson" and not (self.A > 0 and self.a > 0):
-            raise ValueError("robinson law needs positive A and a")
+        if self.variant == "robinson":
+            _reject_infinite(self, ("A", "a"))
+            if not (self.A > 0 and self.a > 0):
+                raise ValueError("robinson law needs positive A and a")
 
 
 @dataclass(frozen=True)

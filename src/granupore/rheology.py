@@ -32,7 +32,8 @@ W = (3/(2I)) int_{I1}^{I} Z dJ - Z/2, invariant under the anchor I1.
 
 Every model above except ``DerivedNumeric`` also has its slopes dZ/dI, df/dI
 and df/dp in closed form (methods ``dZ_dI``, ``df_dI`` and ``df_dp``);
-:func:`_slopes` takes those, or central differences for a model without them.
+``DerivedNumeric`` has only df/dp, the shared base's 0.  :func:`_slopes`
+takes those, or central differences for a slope a model lacks.
 """
 
 from __future__ import annotations
@@ -214,10 +215,10 @@ def _slopes(model) -> tuple[Callable, Callable, Callable]:
     """The functions dZ/dI(phi, I), df/dI(phi, p, I) and df/dp(phi, p, I) of
     ``model``.
 
-    This is the one fallback rule: each is the model's own closed-form slope
-    (its ``dZ_dI``, ``df_dI`` or ``df_dp`` method) where it defines one, and
-    otherwise a central difference of its Z or f with relative step
-    :data:`REL_STEP`.
+    This is the one fallback rule and the one caller of :func:`_central`:
+    each is the model's own slope (its ``dZ_dI``, ``df_dI`` or ``df_dp``
+    method) where it defines one, and otherwise a central difference of its
+    Z or f with relative step :data:`REL_STEP`.
     """
     return (
         getattr(model, "dZ_dI", None)
@@ -292,8 +293,9 @@ def derive_f_numeric(
 
 @dataclass(frozen=True)
 class _ModelBase:
-    """Shared state of every constitutive model: material constants and the
-    equilibrium law used for the f anchor."""
+    """The protocol every catalogue model shares: material constants, the
+    equilibrium law of the f anchor, df/dp and the near-equilibrium gain.
+    A slope raises the ValueError of Z (for dZ/dI) or f (for df/dI, df/dp)."""
 
     mat: MaterialParams = MaterialParams()
     law: EquilibriumLaw = EquilibriumLaw()
@@ -307,31 +309,26 @@ class _ModelBase:
     def _consts(self) -> tuple[float, float, float]:
         return self.mat.mu1, self.mat.mu2, self.mat.I0
 
-    def near_equilibrium_gain(self, I: float) -> float:
-        """Slope df/dphi at the equilibrium packing phi_eq(I) of a compliant
-        pair, (Z - (I/2) dZ/dI) (-1/phi_eq'(I)) / I, where ``_gain_lhs``
-        gives the model's Z - (I/2) dZ/dI at phi_eq(I)."""
-        if I <= 0:
-            raise ValueError(f"gain requires I > 0, got {I}")
-        return self._gain_lhs(I) * (-1.0 / phi_eq_prime(self.law, self.mat, I)) / I
-
-
-class _ClosedForm(_ModelBase):
-    """A catalogue model with closed-form slopes ``dZ_dI(phi, I)``,
-    ``df_dI(phi, p, I)`` and ``df_dp(phi, p, I)``.
-
-    A slope is taken at I > 0 and raises the ValueError that the model's Z
-    (for dZ/dI) or f (for df/dI and df/dp) raises at that point.
-    """
-
     def df_dp(self, phi: float, p: float, I: float) -> float:
         """df/dp = 0: no catalogue f depends on p."""
         self.dilatancy(phi, p, I)  # raises where f raises
         return 0.0
 
+    def _gain_lhs(self, I: float) -> float:
+        """Z - (I/2) dZ/dI at the equilibrium packing phi_eq(I)."""
+        phi_star = self.phi_eq(I)
+        return self.yield_function(phi_star, I) - 0.5 * I * _slopes(self)[0](phi_star, I)
+
+    def near_equilibrium_gain(self, I: float) -> float:
+        """Slope df/dphi at the equilibrium packing phi_eq(I) of a compliant
+        pair, (Z - (I/2) dZ/dI) (-1/phi_eq'(I)) / I."""
+        if I <= 0:
+            raise ValueError(f"gain requires I > 0, got {I}")
+        return self._gain_lhs(I) * (-1.0 / phi_eq_prime(self.law, self.mat, I)) / I
+
 
 @dataclass(frozen=True)
-class DruckerPrager(_ClosedForm):
+class DruckerPrager(_ModelBase):
     """Constant yield coefficient Z = sin(delta) with the matching
     consistency-compliant dilatancy f = sin(delta) (1 - I_eq/I)."""
 
@@ -351,12 +348,9 @@ class DruckerPrager(_ClosedForm):
             raise _needs_positive_I("dilatancy", I)
         return math.sin(self.mat.delta) * self.i_eq(phi) / I**2
 
-    def _gain_lhs(self, I: float) -> float:
-        return math.sin(self.mat.delta)
-
 
 @dataclass(frozen=True)
-class MuI(_ClosedForm):
+class MuI(_ModelBase):
     """mu(I) rheology with the dilatancy law integrated from consistency:
     f = F(I) - (I_eq/I) F(I_eq)."""
 
@@ -387,13 +381,9 @@ class MuI(_ClosedForm):
             slope += ieq / I**2 * mui_shear_factor(*consts, ieq)
         return slope
 
-    def _gain_lhs(self, I: float) -> float:
-        mu, mup = friction_mu(*self._consts(), I), friction_mu_prime(*self._consts(), I)
-        return mu - 0.5 * I * mup
-
 
 @dataclass(frozen=True)
-class PowerLaw(_ClosedForm):
+class PowerLaw(_ModelBase):
     """Monomial yield function Z = c I^n.
 
     The matching dilatancy is c (2-n)/(2(n+1)) (I^n - I_eq^{n+1}/I); n = 2
@@ -441,12 +431,9 @@ class PowerLaw(_ClosedForm):
         c, ieq = self._f_terms(phi, I)
         return c * (self.n * I ** (self.n - 1.0) + ieq ** (self.n + 1.0) / I**2)
 
-    def _gain_lhs(self, I: float) -> float:
-        return self.coefficient * I**self.n * (2.0 - self.n) / 2.0
-
 
 @dataclass(frozen=True)
-class DruckerPragerDilatant(_ClosedForm):
+class DruckerPragerDilatant(_ModelBase):
     """Drucker-Prager with a dilatation angle in the small-angle closure:
     Z = sin(delta) + cos(delta) psi, f = psi, psi per
     :func:`dilatancy_angle_dp`.  The dissipation gap is
@@ -473,12 +460,12 @@ class DruckerPragerDilatant(_ClosedForm):
     def df_dI(self, phi: float, p: float, I: float) -> float:
         return self._psi_slope(phi, I)
 
-    def _gain_lhs(self, I: float) -> float:
+    def _gain_lhs(self, I: float) -> float:  # exact, no i_eq(phi_eq(I)) round trip
         return 2.0 * math.sin(self.mat.delta) / (2.0 + math.cos(self.mat.delta))
 
 
 @dataclass(frozen=True)
-class MuIDilatant(_ClosedForm):
+class MuIDilatant(_ModelBase):
     """mu(I) rheology with a dilatation angle: Z = mu(I) + psi, f = psi,
     psi = G(I) - G(I_eq) per :func:`dilatancy_angle_mui`.  The dissipation
     gap is Z - f = mu(I) > 0.  Not defined at phi = phi_max (log-singular
@@ -509,13 +496,13 @@ class MuIDilatant(_ClosedForm):
     def df_dI(self, phi: float, p: float, I: float) -> float:
         return self._psi_slope(phi, I)
 
-    def _gain_lhs(self, I: float) -> float:
+    def _gain_lhs(self, I: float) -> float:  # exact, no i_eq(phi_eq(I)) round trip
         mu, mup = friction_mu(*self._consts(), I), friction_mu_prime(*self._consts(), I)
         return (2.0 * mu - I * mup) / 3.0
 
 
 @dataclass(frozen=True)
-class RouxRadjai(_ClosedForm):
+class RouxRadjai(_ModelBase):
     """Critical-state closure f = a (phi - phi_eq(I)).
 
     The sign structure is built in (expansion above the equilibrium packing,
@@ -616,14 +603,13 @@ class DerivedNumeric(_ModelBase):
     """
 
     Z: Callable[[float, float], float] = field(kw_only=True)
-    I1: float | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         # lru_cache is thread-safe and never caches an exception.
         object.__setattr__(self, "_memo", functools.lru_cache(maxsize=None)(self._derive))
 
     def _derive(self, phi: float, I: float) -> float:
-        return derive_f_numeric(self.Z, self.law, self.mat, phi, 0.0, I, self.I1)
+        return derive_f_numeric(self.Z, self.law, self.mat, phi, 0.0, I)
 
     def yield_function(self, phi: float, I: float) -> float:
         return self.Z(phi, I)
@@ -631,50 +617,30 @@ class DerivedNumeric(_ModelBase):
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         return self._memo(phi, I)
 
-    def _gain_lhs(self, I: float) -> float:
-        phi_star = self.phi_eq(I)
-        dz = _central(lambda J: self.Z(phi_star, J), I, REL_STEP)
-        return self.Z(phi_star, I) - 0.5 * I * dz
-
 
 @dataclass(frozen=True)
 class Isochoric:
     """Wrap a model with its dilatancy forced to zero (div u = 0).
 
     This is the incompressible limit that the consistency condition rules
-    out; used as a negative control in the stability checks.
+    out; used as a negative control in the stability checks.  f and its
+    slopes are 0; every other attribute (Z, dZ/dI, mat, law, i_eq) is the
+    base's.
     """
 
     base: object
 
-    @property
-    def mat(self) -> MaterialParams:
-        return self.base.mat
-
-    @property
-    def law(self) -> EquilibriumLaw:
-        return self.base.law
-
-    def i_eq(self, phi: float) -> float:
-        return self.base.i_eq(phi)
-
-    def phi_eq(self, I: float) -> float:
-        return self.base.phi_eq(I)
-
-    def yield_function(self, phi: float, I: float) -> float:
-        return self.base.yield_function(phi, I)
+    def __getattr__(self, name: str):
+        # Reached only for names the wrapper lacks.  copy and pickle look up
+        # dunders on an instance whose ``base`` is not yet set.
+        if name == "base" or name.startswith("__"):
+            raise AttributeError(name)
+        return getattr(self.base, name)
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         return 0.0
 
-    def dZ_dI(self, phi: float, I: float) -> float:
-        return _slopes(self.base)[0](phi, I)
-
-    def df_dI(self, phi: float, p: float, I: float) -> float:
-        return 0.0
-
-    def df_dp(self, phi: float, p: float, I: float) -> float:
-        return 0.0
+    df_dI = df_dp = dilatancy
 
     def near_equilibrium_gain(self, I: float) -> float:
         return 0.0
@@ -697,7 +663,10 @@ def div_u(model, state: FlowState, mat: MaterialParams) -> float:
     return 2.0 * state.shear * model.dilatancy(state.phi, state.p, I)
 
 
-MODEL_IDS = ("dp", "mui", "dp-psi", "mui-psi", "power:<n>", "roux-radjai")
+#: The catalogue models that take only the material and the law.
+_CATALOGUE = {"dp": DruckerPrager, "mui": MuI, "dp-psi": DruckerPragerDilatant,
+              "mui-psi": MuIDilatant}
+MODEL_IDS = (*_CATALOGUE, "power:<n>", "roux-radjai")
 
 
 def build_model(
@@ -717,14 +686,8 @@ def build_model(
     law = law if law is not None else EquilibriumLaw()
     if z_override is not None and model_id != "roux-radjai":
         raise ValueError("z_override only applies to the roux-radjai model")
-    if model_id == "dp":
-        return DruckerPrager(mat, law)
-    if model_id == "mui":
-        return MuI(mat, law)
-    if model_id == "dp-psi":
-        return DruckerPragerDilatant(mat, law)
-    if model_id == "mui-psi":
-        return MuIDilatant(mat, law)
+    if model_id in _CATALOGUE:
+        return _CATALOGUE[model_id](mat, law)
     if model_id.startswith("power:"):
         return PowerLaw(mat, law, n=float(model_id.split(":", 1)[1]))
     if model_id == "roux-radjai":

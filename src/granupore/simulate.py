@@ -77,6 +77,9 @@ def constant_forcing(shear: float, p: float) -> Forcing:
         raise ValueError(f"forcing pressure must be positive, got {p}")
     if not shear >= 0:
         raise ValueError(f"forcing shear must be non-negative, got {shear}")
+    for name, value in (("pressure", p), ("shear", shear)):
+        if math.isinf(value):
+            raise ValueError(f"forcing {name} must be finite, got {value}")
     return Forcing(shear=lambda t: shear, p=lambda t: p)
 
 
@@ -101,6 +104,9 @@ def piecewise_constant_forcing(
         raise ValueError("forcing shears must be non-negative")
     if not np.all(p_arr > 0):
         raise ValueError("forcing pressures must be positive")
+    for name, values in (("shears", shear_arr), ("pressures", p_arr)):
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"forcing {name} must be finite")
     # Python lists and bisect: numpy calls on one float cost more than the
     # lookup, which runs at every RK4 stage.
     edge_list, shear_list, p_list = edges_arr.tolist(), shear_arr.tolist(), p_arr.tolist()

@@ -392,6 +392,14 @@ class TestSweep:
             GridSpec(I_range=(0.0, 1.0, 3))
         with pytest.raises(ValueError):
             GridSpec(p_range=(10.0, 100.0, 1))
+        with pytest.raises(ValueError, match=r"^phi_range: count must be an integer, got 2\.5$"):
+            GridSpec(phi_range=(0.4, 0.6, 2.5))
+        with pytest.raises(ValueError, match=r"^I_range: count must be an integer, got 3\.0$"):
+            GridSpec(I_range=(0.1, 1.0, 3.0))
+
+    def test_grid_takes_numpy_int_counts(self):
+        grid = GridSpec(p_range=(10.0, 100.0, np.int64(3)))
+        assert grid.p_values().tolist() == [10.0, 55.0, 100.0]
 
     @pytest.mark.parametrize(
         "kwargs, name",

@@ -374,6 +374,18 @@ class TestCliSimulate:
         assert f"error: {message}" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "flag,message",
+        [
+            ("--shear", "forcing shear must be finite, got inf"),
+            ("--I", "forcing shear must be finite, got inf"),
+            ("--p", "forcing pressure must be finite, got inf"),
+        ],
+    )
+    def test_box_infinite_forcing_named(self, capsys, flag, message):
+        assert main(["simulate-box", "--model", "dp", "--t-end=1e-4", flag, "inf"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "argv,message",
         [
             (["--t-end=-1e-3"], "t_end must be non-negative, got -0.001"),
@@ -478,6 +490,12 @@ class TestCliErrors:
         cfg.write_text(f"{key} = nan\n")
         assert main(argv + ["--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}: {key} must be positive, got nan\n"
+
+    def test_infinite_config_value_named(self, tmp_path, capsys):
+        cfg = tmp_path / "inf.cfg"
+        cfg.write_text("d = inf\n")
+        assert main(["check", "--model", "dp", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: d must be finite, got inf\n"
 
     @pytest.mark.parametrize(
         "argv, message",

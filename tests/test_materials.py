@@ -63,6 +63,21 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{name} must be positive, got nan$"):
             GasParams(**{name: math.nan})
 
+    @pytest.mark.parametrize("name", ["rho_s", "d", "delta_phi", "mu1", "mu2", "I0"])
+    def test_infinite_material_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            MaterialParams(**{name: math.inf})
+
+    @pytest.mark.parametrize("name", ["eta_f", "p_atm", "rho_f0"])
+    def test_infinite_gas_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            GasParams(**{name: math.inf})
+
+    @pytest.mark.parametrize("name", ["A", "a"])
+    def test_infinite_robinson_constant_rejected(self, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            EquilibriumLaw("robinson", **{name: math.inf})
+
     @pytest.mark.parametrize("name", ["A", "a"])
     def test_nan_robinson_constant_rejected(self, name):
         with pytest.raises(ValueError, match="robinson law needs positive A and a"):

@@ -1,6 +1,8 @@
 """Yield/dilatancy catalogue: closed forms, quadrature oracle, gains."""
 
+import copy
 import math
+import pickle
 import sys
 import threading
 
@@ -9,6 +11,7 @@ import pytest
 
 from granupore.materials import EquilibriumLaw, FlowState, glass_beads, i_eq, phi_eq_prime
 from granupore.rheology import (
+    MODEL_IDS,
     DerivedNumeric,
     DruckerPrager,
     DruckerPragerDilatant,
@@ -19,6 +22,7 @@ from granupore.rheology import (
     PowerLaw,
     RouxRadjai,
     _central,
+    _slopes,
     beta_exponent,
     build_model,
     derive_f_numeric,
@@ -405,6 +409,13 @@ class TestDerivedNumericModel:
         assert model.dilatancy(0.5, 5000.0, 1.0) == first
         assert len(calls) == n_calls
 
+    def test_df_dp_is_the_base_zero(self):
+        model = DerivedNumeric(MAT, LAW, Z=MUI.yield_function)
+        assert _slopes(model)[2] == model.df_dp
+        assert model.df_dp(0.5, 100.0, 0.7) == 0.0
+        with pytest.raises(ValueError, match="no equilibrium inertial number"):
+            model.df_dp(0.61, 100.0, 0.7)
+
     def test_memo_shared_by_threads(self):
         keys = [(phi, I) for phi in (0.45, 0.5, 0.55) for I in (0.3, 1.0, 3.0)]
         reference = DerivedNumeric(MAT, LAW, Z=MUI.yield_function)
@@ -516,6 +527,22 @@ class TestNearEquilibriumGain:
         ) * MUI.near_equilibrium_gain(I)
         assert model.near_equilibrium_gain(I) == pytest.approx(expected, rel=1e-15)
 
+    # Pinned bitwise (float.hex): the base's gain rule over a central dZ/dI.
+    @pytest.mark.parametrize(
+        "variant,I,expected",
+        [
+            ("linear", 0.05, "0x1.426ec259ecbefp+5"),
+            ("linear", 2.0, "0x1.9942e11ffa178p+0"),
+            ("schaeffer", 0.5, "0x1.791e66664ac6cp+3"),
+            ("robinson", 2.0, "0x1.a94db742923b3p+1"),
+            ("breard", 0.05, "0x1.dc28f5c2a747dp+3"),
+        ],
+    )
+    def test_derived_numeric_pinned(self, variant, I, expected):
+        Z = lambda phi, J: 0.38 + 0.27 * J / (J + 0.3) + 0.1 * (0.6 - phi)
+        model = DerivedNumeric(MAT, EquilibriumLaw(variant), Z=Z)
+        assert model.near_equilibrium_gain(I).hex() == expected
+
     def test_isochoric_gain_is_zero(self):
         assert Isochoric(MUI).near_equilibrium_gain(1.0) == 0.0
 
@@ -603,6 +630,35 @@ class TestIsochoricWrapper:
             assert model.phi_eq(I) == base.phi_eq(I)
         assert model.i_eq(0.5) == base.i_eq(0.5)
 
+    def test_exposes_base_z_and_slope(self):
+        base = MuIDilatant(MAT, EquilibriumLaw(variant="robinson"))
+        model = Isochoric(base)
+        for I in (0.05, 0.5, 2.0):
+            assert model.yield_function(0.5, I) == base.yield_function(0.5, I)
+            assert model.dZ_dI(0.5, I) == base.dZ_dI(0.5, I)
+            assert model.df_dI(0.5, 100.0, I) == model.df_dp(0.5, 100.0, I) == 0.0
+
+    def test_central_slope_of_derived_base(self):
+        base = DerivedNumeric(MAT, LAW, Z=lambda phi, I: 0.4 + 0.2 * I / (I + 0.3) - phi)
+        iso_dz, base_dz = _slopes(Isochoric(base))[0], _slopes(base)[0]
+        for phi, I in ((0.45, 0.05), (0.5, 0.7), (0.58, 3.0)):
+            assert iso_dz(phi, I).hex() == base_dz(phi, I).hex()
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["copy", "deepcopy", "pickle"])
+    def test_round_trip(self, clone):
+        model = Isochoric(MuI(MAT, EquilibriumLaw(variant="breard")))
+        twin = clone(model)
+        assert twin == model
+        assert twin.law == model.law and twin.i_eq(0.5) == model.i_eq(0.5)
+        assert twin.yield_function(0.5, 1.0) == model.yield_function(0.5, 1.0)
+        assert twin.dilatancy(0.5, 100.0, 1.0) == 0.0
+
+    def test_missing_attribute_raises(self):
+        with pytest.raises(AttributeError):
+            Isochoric(DP).no_such_attribute
+
 
 class TestCatalogue:
     @pytest.mark.parametrize(
@@ -633,3 +689,17 @@ class TestCatalogue:
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             build_model("herschel-bulkley", MAT)
+
+    @pytest.mark.parametrize("model_id", MODEL_IDS)
+    def test_every_listed_id_builds(self, model_id):
+        model = build_model(model_id.replace("<n>", "1.5"), MAT, rr_gain=2.0)
+        assert model.yield_function(0.5, 1.0) > 0.0
+
+    def test_unknown_id_lists_ids_in_order(self):
+        message = (
+            "unknown model id 'herschel-bulkley'; known: "
+            "dp, mui, dp-psi, mui-psi, power:<n>, roux-radjai"
+        )
+        with pytest.raises(ValueError) as err:
+            build_model("herschel-bulkley", MAT)
+        assert str(err.value) == message

@@ -77,6 +77,16 @@ class TestForcing:
         f = piecewise_constant_forcing([0.0, 1.0, 1.0, 2.0], [5.0, 6.0, 7.0], [1.0] * 3)
         assert f.shear(0.5) == 5.0 and f.shear(1.0) == 7.0
 
+    def test_infinite_values_named(self):
+        inf = math.inf
+        for shear, p, name in [(inf, 1.0, "shear"), (1.0, inf, "pressure")]:
+            with pytest.raises(ValueError, match=f"^forcing {name} must be finite, got inf$"):
+                constant_forcing(shear, p)
+        for shears, ps, name in [([1.0, inf], [1.0, 2.0], "shears"),
+                                 ([1.0, 2.0], [inf, 2.0], "pressures")]:
+            with pytest.raises(ValueError, match=f"^forcing {name} must be finite$"):
+                piecewise_constant_forcing([0.0, 1.0, 2.0], shears, ps)
+
     def test_random_forcing_deterministic(self):
         a = random_forcing(np.random.default_rng(3), 1.0)
         b = random_forcing(np.random.default_rng(3), 1.0)
