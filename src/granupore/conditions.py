@@ -21,6 +21,10 @@ each and the checks share them.  Where the model raises, a sweep skips the
 point with the first error's message, so the first reads keep one order: C1
 dZ/dI, df/dI, Z, f; C2 dZ/dI, Z; C3 df/dp, df/dI; the gap Z, f; the
 equilibrium signs last, once per (phi, p).
+
+A report row is a :class:`PointRecord`, a plain named tuple.  The summaries
+are array reductions over one table of the rows (a failing flag reads 0.0):
+a pass mask, a count and the first argmax of the severity, NaN worst of all.
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
-from typing import TextIO
+from itertools import chain
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
@@ -72,12 +77,13 @@ _Rule = namedtuple("_Rule", "field passes severity")
 #: Each condition's PointRecord field, pass test and severity (larger is worse).
 _RULES = {
     "C1": _Rule("c1_residual", lambda v: abs(v) < C1_TOL, abs),
-    "C2": _Rule("c2_value", lambda v: v >= C2_TOL, lambda v: -v),
-    "C3": _Rule("c3_value", lambda v: v < C3_STRICT, lambda v: v),
-    "dissipation": _Rule("dissipation_gap", lambda v: v >= DISSIPATION_TOL, lambda v: -v),
-    "equilibrium": _Rule("eq_sign_ok", bool, lambda ok: float(not ok)),
+    "C2": _Rule("c2_value", lambda v: v >= C2_TOL, operator.neg),
+    "C3": _Rule("c3_value", lambda v: v < C3_STRICT, operator.pos),
+    "dissipation": _Rule("dissipation_gap", lambda v: v >= DISSIPATION_TOL, operator.neg),
+    "equilibrium": _Rule("eq_sign_ok", lambda v: v != 0.0, operator.neg),
 }
 CONDITIONS = tuple(_RULES)
+_ROW = ",".join(["%.10e"] * 7 + ["%d"]) + "\n"
 
 
 # The condition formulas, each written once, with arguments in first-read order.
@@ -217,8 +223,7 @@ def standard_grid() -> GridSpec:
     return GridSpec()
 
 
-@dataclass(frozen=True)
-class PointRecord:
+class PointRecord(NamedTuple):
     phi: float
     I: float
     p: float
@@ -239,6 +244,8 @@ class ConditionSummary:
 
 @dataclass
 class ConditionReport:
+    """PointRecord rows, skipped points and per-condition array summaries."""
+
     records: list[PointRecord] = field(default_factory=list)
     skipped: list[tuple[tuple[float, float, float], str]] = field(default_factory=list)
     summaries: dict[str, ConditionSummary] = field(default_factory=dict)
@@ -304,30 +311,22 @@ def sweep(model, grid: GridSpec) -> ConditionReport:
                 else:
                     report.records.append(PointRecord(*where, *values, eq_signs[p]))
 
+    rows = report.records
+    table = np.fromiter(chain.from_iterable(rows), float, 8 * len(rows)).reshape(-1, 8)
     for cond, (name, passes, severity) in _RULES.items():
-        failures = [r for r in report.records if not passes(getattr(r, name))]
-        if failures:
-            worst = max(failures, key=lambda r: severity(getattr(r, name)))
-            report.summaries[cond] = ConditionSummary(
-                all_pass=False,
-                worst_point=(worst.phi, worst.I, worst.p),
-                # the equilibrium record holds a flag, not a value
-                worst_value=0.0 if cond == "equilibrium" else getattr(worst, name),
-                n_failures=len(failures),
-            )
-        else:
-            report.summaries[cond] = ConditionSummary(True, None, None, 0)
+        values = table[:, PointRecord._fields.index(name)]
+        failed = np.flatnonzero(~passes(values))
+        summary = ConditionSummary(True, None, None, 0)
+        if failed.size:  # argmax takes the first of equally bad points
+            i = failed[np.argmax(severity(values[failed]))]
+            summary = ConditionSummary(False, rows[i][:3], float(values[i]), failed.size)
+        report.summaries[cond] = summary
     return report
 
 
 def write_report_csv(report: ConditionReport, out: TextIO) -> None:
     """One row per grid point, stable float formatting."""
-    out.write("phi,I,p,c1_residual,c2_value,c3_value,dissipation_gap,eq_sign_ok\n")
-    for r in report.records:
-        out.write(
-            f"{r.phi:.10e},{r.I:.10e},{r.p:.10e},{r.c1_residual:.10e},"
-            f"{r.c2_value:.10e},{r.c3_value:.10e},{r.dissipation_gap:.10e},"
-            f"{int(r.eq_sign_ok)}\n"
-        )
+    out.write(",".join(PointRecord._fields) + "\n")
+    out.writelines(_ROW % r for r in report.records)
     for point, reason in report.skipped:
         out.write(f"# skipped phi={point[0]},I={point[1]},p={point[2]}: {reason}\n")

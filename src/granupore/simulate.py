@@ -24,6 +24,7 @@ compliant models.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -221,8 +222,18 @@ class BoxResult:
         return float(np.max(self.phi))
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a count that is not an integer; numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_record_every(record_every: int) -> None:
-    """Reject a recording stride that would divide by zero or never record."""
+    """Reject a recording stride that is not an integer, would divide by
+    zero or would never record."""
+    _check_integer("record_every", record_every)
     if record_every < 1:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
 
@@ -264,8 +275,9 @@ def run_box(
 
     Raises:
         ValueError: If dt <= 0, t_end is negative or not finite, t_end > 0
-            rounds to zero steps, record_every < 1, phi0 is outside (0, 1),
-            or pf0 is given without gas, at or below -p_atm, or infinite.
+            rounds to zero steps, record_every is not an integer or < 1,
+            phi0 is outside (0, 1), or pf0 is given without gas, at or
+            below -p_atm, or infinite.
     """
     n_steps = _step_count(t_end, dt)
     _check_record_every(record_every)
@@ -345,9 +357,11 @@ def uniform_column(
     """Build a column state on a uniform grid of cell centres.
 
     Raises:
-        ValueError: If n_cells < 2, length is not positive and finite, or
-            a phi is outside (0, 1) or a p_f is not finite (NaN included).
+        ValueError: If n_cells is not an integer or < 2, length is not
+            positive and finite, or a phi is outside (0, 1) or a p_f is not
+            finite (NaN included).
     """
+    _check_integer("n_cells", n_cells)
     if n_cells < 2:
         raise ValueError(f"need at least 2 cells, got {n_cells}")
     if not length > 0:
@@ -479,10 +493,12 @@ def run_column(
     Raises:
         ValueError: First on the errors of :func:`step_column`, even when
             n_steps is 0: dt <= 0, an unknown mode, or an explicit dt above
-            the stability bound; then if record_every < 1 or n_steps < 0.
+            the stability bound; then if record_every is not an integer or
+            < 1, or n_steps is not an integer or < 0.
     """
     one_m, kf, advance = _column_stepper(state0, gas, mat, dt, mode)
     _check_record_every(record_every)
+    _check_integer("n_steps", n_steps)
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     t, p, dz = state0.t, state0.pf_profile, state0.dz

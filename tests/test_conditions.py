@@ -476,6 +476,30 @@ def _error(fun, *args):
     return None
 
 
+def _size_of_terms(model, phi, p, I):
+    """The size of the terms f sums: |f|, but for Roux-Radjai's
+    f = a (phi - phi_eq(I)) the two terms, which cancel near equilibrium."""
+    if isinstance(model, RouxRadjai):
+        return abs(model.gain) * (abs(phi) + abs(model.phi_eq(I)))
+    return abs(model.dilatancy(phi, p, I))
+
+
+def _assert_slopes_match(model, phi, p, I):
+    """The closed-form slopes agree with central differences of Z and f."""
+    for slope, fun, size, x in (
+        (model.dZ_dI(phi, I), lambda J: model.yield_function(phi, J),
+         lambda J: abs(model.yield_function(phi, J)), I),
+        (model.df_dI(phi, p, I), lambda J: model.dilatancy(phi, p, J),
+         lambda J: _size_of_terms(model, phi, p, J), I),
+        (model.df_dp(phi, p, I), lambda q: model.dilatancy(phi, q, I),
+         lambda q: _size_of_terms(model, phi, q, I), p),
+    ):
+        # the difference's round-off is about eps |F's terms| / h, with
+        # h = 1e-6 x; the largest deviation measured was 1.1e-9 of this scale
+        scale = max(abs(slope), size(x) / x)
+        assert abs(slope - rheology._central(fun, x, rheology.REL_STEP)) <= 1e-8 * scale
+
+
 class TestClosedFormSlopes:
     @given(
         name=st.sampled_from(CLOSED_FORM),
@@ -488,15 +512,15 @@ class TestClosedFormSlopes:
     def test_slopes_match_central_differences(self, name, law, phi, log_I, p):
         model, I = _closed_form(name, EquilibriumLaw(law)), math.exp(log_I)
         assume(_error(model.dilatancy, phi, p, I) is None)  # see the next test
-        for slope, fun, x in (
-            (model.dZ_dI(phi, I), lambda J: model.yield_function(phi, J), I),
-            (model.df_dI(phi, p, I), lambda J: model.dilatancy(phi, p, J), I),
-            (model.df_dp(phi, p, I), lambda q: model.dilatancy(phi, q, I), p),
-        ):
-            # the difference's round-off is about eps |F| / h, with h = 1e-6 x;
-            # the largest deviation measured was 1.1e-9 of this scale
-            scale = max(abs(slope), abs(fun(x)) / x)
-            assert abs(slope - rheology._central(fun, x, rheology.REL_STEP)) <= 1e-8 * scale
+        _assert_slopes_match(model, phi, p, I)
+
+    @pytest.mark.parametrize("phi", [0.595, 0.59375])
+    def test_slopes_match_where_f_cancels(self, phi):
+        # f = a (phi - phi_eq(I)) near zero; at phi = 0.595 the central df/dI
+        # is 0.39999999306 against the exact 0.4, 6.9e-9 off, above the bound
+        # 1e-8 max(|slope|, |f|/I) = 5.6e-9 that left out the size of f's terms
+        model = _closed_form("roux-radjai", EquilibriumLaw("linear"))
+        _assert_slopes_match(model, phi, 100.0, math.exp(-4.5625))
 
     @pytest.mark.parametrize("name", CLOSED_FORM)
     @pytest.mark.parametrize(
@@ -533,6 +557,173 @@ class TestClosedFormSlopes:
         report = sweep(_closed_form(name, EquilibriumLaw(law)), standard_grid())
         assert report.records
         assert max(abs(r.c1_residual) for r in report.records) <= 1e-12
+
+
+class _NaNAfterFailure:
+    """Stub whose C2 value Z + I dZ/dI is -1 for I < 1 and NaN from I = 1 on."""
+
+    def yield_function(self, phi, I):
+        return -1.0 if I < 1.0 else math.nan
+
+    def dilatancy(self, phi, p, I):
+        return I - 0.5
+
+    def i_eq(self, phi):
+        return 0.5
+
+
+class TestReportSummaries:
+    """Summaries of the failing sweeps on the standard grid: sha256 of
+    ``summary_text()`` and ``float.hex`` of each worst value, recorded with
+    the per-condition record scans the summary table replaced."""
+
+    PINNED = {
+        ("dp-psi", "linear"): (
+            "d284e398f86950b3f6b6e4e028b29ee7f54fe9b32d8c709c284cba8a791c30d8",
+            {"C2": "-0x1.8c7c24ce10110p-1"},
+        ),
+        ("dp-psi", "schaeffer"): (
+            "2b87e313d48885f06ef6736d960511450993d2abb4700e48f0bbc4b76d5484ff",
+            {"C2": "-0x1.df12cf57ee29dp+0"},
+        ),
+        ("dp-psi", "robinson"): (
+            "133086d483175ce7b13742543d5ff05b5140a8e3b095c7e1fd7313bdd80f2b11",
+            {"C2": "-0x1.001b4eaae89e4p+0"},
+        ),
+        ("dp-psi", "breard"): (
+            "f49b856b52fa85d7ef978345271d170d2bcd05bc3cefe062dd8bbe5a6171bfe3",
+            {"C2": "-0x1.f769852416ed0p-2"},
+        ),
+        ("mui-psi", "linear"): (
+            "65f2c466482905be6f3d3e601ada12c8241d90e759a3565d8ec711c85f4aff71",
+            {"C2": "-0x1.6a3a5cb7a04d9p-1"},
+        ),
+        ("mui-psi", "schaeffer"): (
+            "e41510f19756f45fb9dcd0ead47a4acb50e5b7ca5641f7eb605428609f76f527",
+            {"C2": "-0x1.a8394a610ce96p+0"},
+        ),
+        ("mui-psi", "robinson"): (
+            "b8e281e49949ed53d205f16d7007bd578c9c2f345a44141f8f286d20b3384851",
+            {"C2": "-0x1.d1b124ee1a3cdp-1"},
+        ),
+        ("mui-psi", "breard"): (
+            "ee0191e6dc19f311b80f8cb46087d2797452df26dd08dc2bce551c3127841028",
+            {"C2": "-0x1.d3e087de3c8b6p-2"},
+        ),
+        ("roux-radjai", "linear"): (
+            "beddf4e2a674e8c4952c1e81dcc73e6372a8c11a87634a160be0e37da11eaed2",
+            {"C1": "-0x1.7110211158e36p+2", "dissipation": "-0x1.1b1ab7fbd8540p-5"},
+        ),
+        ("roux-radjai", "schaeffer"): (
+            "d289aaa04d0120d025f60cd8054a0f3927d1020a33aa0240b64b0f113a559bfd",
+            {"C1": "0x1.15db7b17c05cep-1", "equilibrium": "0x0.0p+0"},
+        ),
+        ("roux-radjai", "robinson"): (
+            "940803f4739cabaf6b8c2e8cafb5cecf03f5d917be95c7b4ac2247a15ede946e",
+            {"C1": "-0x1.b8f3fa0dcc396p+0", "equilibrium": "0x0.0p+0"},
+        ),
+        ("roux-radjai", "breard"): (
+            "4054689b501367f845f66cd81c2d9008a4268925879d12ecd2a196c3de2c189b",
+            {"C1": "0x1.11fdf79929884p-1", "equilibrium": "0x0.0p+0"},
+        ),
+        ("roux-radjai-dp", "linear"): (
+            "4dad61cd8d128f80fee08950ec51a234e2d71d68a2e2d81f66b5003e3845b765",
+            {"C1": "-0x1.df5c28f5c28f6p+2", "dissipation": "-0x1.beb851eb851ebp+1"},
+        ),
+        ("roux-radjai-dp", "schaeffer"): (
+            "ee5ee7f135b0d25a4d58f26069fbc3ec2037b9a51df55e03bc7097b6cbcd4849",
+            {"C1": "0x1.b69ca5b7a30ecp-1", "equilibrium": "0x0.0p+0"},
+        ),
+        ("roux-radjai-dp", "robinson"): (
+            "1871597157ea59a279408203b39c6a8e2073ce1aeb1d267ae62fd6b451bc837b",
+            {
+                "C1": "-0x1.4b6d7f005b631p+1",
+                "dissipation": "-0x1.3270643fa91d1p+0",
+                "equilibrium": "0x0.0p+0",
+            },
+        ),
+        ("roux-radjai-dp", "breard"): (
+            "86eff757d6fc9ba681ef81c18450237c7e8d0a966c52ab9a096da7aae75a32ce",
+            {
+                "C1": "0x1.c0b1a2f4a4491p-1",
+                "dissipation": "-0x1.296cea96cea96p-1",
+                "equilibrium": "0x0.0p+0",
+            },
+        ),
+        ("isochoric", "linear"): (
+            "ecdd36718368326f4026eca00763de69713749b5e89d40396e67cbcbdd685a01",
+            {"C1": "0x1.469d4b5b2da38p-1", "C3": "0x0.0p+0", "equilibrium": "0x0.0p+0"},
+        ),
+        ("isochoric", "schaeffer"): (
+            "cbd09b050b60be5fbd3ca3c310796eae763f1aaa5cf7f4d8e232cf2ab1b3aded",
+            {"C1": "0x1.469d4b5b2da38p-1", "C3": "0x0.0p+0", "equilibrium": "0x0.0p+0"},
+        ),
+        ("isochoric", "robinson"): (
+            "ecdd36718368326f4026eca00763de69713749b5e89d40396e67cbcbdd685a01",
+            {"C1": "0x1.469d4b5b2da38p-1", "C3": "0x0.0p+0", "equilibrium": "0x0.0p+0"},
+        ),
+        ("isochoric", "breard"): (
+            "ecdd36718368326f4026eca00763de69713749b5e89d40396e67cbcbdd685a01",
+            {"C1": "0x1.469d4b5b2da38p-1", "C3": "0x0.0p+0", "equilibrium": "0x0.0p+0"},
+        ),
+        ("power:3", "linear"): (
+            "bd3a75f17baf1ccbcd961b9c3e646ad1a0040beafd246b76ce3daca9efdc50f1",
+            {
+                "C3": "0x1.2c028f5c28f5cp+4",
+                "dissipation": "-0x1.8ffffda4052d1p+3",
+                "equilibrium": "0x0.0p+0",
+            },
+        ),
+        ("power:3", "schaeffer"): (
+            "319a04b3e0fd8e61ab5853c2b4a91e54e6e3b59b3053cf99bc595cfcade6bde6",
+            {
+                "C3": "0x1.b498684672f83p+12",
+                "dissipation": "-0x1.10df412bfb45ep+17",
+                "equilibrium": "0x0.0p+0",
+            },
+        ),
+        ("power:3", "robinson"): (
+            "f9c620a9edae95742fc395f794abe14acda47e1f2d6accb03f4fa68dd3da5d5a",
+            {
+                "C3": "0x1.2c14c72e3c7c1p+4",
+                "dissipation": "-0x1.95d23ec1d79eap+6",
+                "equilibrium": "0x0.0p+0",
+            },
+        ),
+        ("power:3", "breard"): (
+            "2c3f3fda45147fafc0d3dad8e856dd0b7e8a57de7d3c4d70d4876102c2d356ff",
+            {
+                "C3": "0x1.2c0028f5c28f6p+4",
+                "dissipation": "-0x1.8fffda4073a66p-1",
+                "equilibrium": "0x0.0p+0",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("name, law", list(PINNED), ids=[f"{n}-{l}" for n, l in PINNED])
+    def test_pinned_summary(self, name, law):
+        report = sweep(_closed_form(name, EquilibriumLaw(law)), standard_grid())
+        digest, worst = self.PINNED[name, law]
+        assert hashlib.sha256(report.summary_text().encode()).hexdigest() == digest
+        assert {c: s.worst_value.hex() for c, s in report.summaries.items()
+                if s.worst_value is not None} == worst
+
+    def test_nan_is_the_worst_point(self):
+        # C2 fails with -1 at I = 0.5 before the NaN points at I = 2
+        report = sweep(_NaNAfterFailure(), GridSpec((0.4, 0.5, 2), (0.5, 2.0, 2), (10.0, 100.0, 2)))
+        s = report.summaries["C2"]
+        assert s.worst_point == (0.4, 2.0, 10.0) and math.isnan(s.worst_value)
+        assert s.n_failures == len(report.records) == 8
+        assert "C2           FAIL (8 points); worst at phi=0.4, I=2, p=10 with value nan" in (
+            report.summary_text())
+
+    def test_rows_are_plain_tuples(self):
+        report = sweep(DP, GridSpec((0.4, 0.5, 2), (0.1, 1.0, 2), (10.0, 100.0, 2)))
+        row = report.records[0]
+        assert isinstance(row, tuple) and row[:3] == (row.phi, row.I, row.p) == (0.4, 0.1, 10.0)
+        assert type(row.eq_sign_ok) is bool
+        with pytest.raises(AttributeError):
+            row.phi = 0.5
 
 
 def _csv_digest(model, grid) -> str:

@@ -127,7 +127,7 @@ class TestRunSettings:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(dt=0.0), dict(dt=-1e-6), dict(t_end=-1e-3), dict(record_every=0),
-         dict(t_end=math.inf)],
+         dict(t_end=math.inf), dict(record_every=2.5)],
     )
     def test_run_box_rejects(self, kwargs):
         settings = dict(phi0=0.5, t_end=1e-5, dt=1e-6) | kwargs
@@ -172,16 +172,19 @@ class TestRunSettings:
             ((10, 0.1, 0.6, math.inf), "p_f"),
             ((10, 0.1, 0.6, lambda z: np.where(z > 0.05, math.nan, 0.0)), "p_f"),
             ((1, 0.1, 0.6), "at least 2 cells, got 1"),
+            ((2.5, 0.1, 0.6), "^n_cells must be an integer, got 2.5$"),
         ],
         ids=["length-zero", "length-neg", "length-nan", "length-inf", "phi-nan", "pf-nan", "pf-inf",
-             "pf-callable", "one-cell"],
+             "pf-callable", "one-cell", "cells-float"],
     )
     def test_uniform_column_rejects(self, args, name):
         with pytest.raises(ValueError, match=name):
             uniform_column(*args)
 
     @pytest.mark.parametrize(
-        "kwargs", [dict(dt=0.0), dict(dt=-1e-6), dict(n_steps=-1), dict(record_every=0)]
+        "kwargs",
+        [dict(dt=0.0), dict(dt=-1e-6), dict(n_steps=-1), dict(record_every=0),
+         dict(record_every=2.5), dict(n_steps=2.5)],
     )
     def test_run_column_rejects(self, kwargs):
         state = uniform_column(10, 0.1, 0.6, 100.0)
@@ -199,6 +202,30 @@ class TestRunSettings:
         dt = factor * column_cfl_dt(state, GAS, MAT)
         with pytest.raises(ValueError, match=message):
             run_column(state, GAS, MAT, dt, 0, mode=mode)
+
+    @pytest.mark.parametrize(
+        "run, kwargs, name",
+        [("box", dict(record_every=2.5), "record_every"),
+         ("column", dict(record_every=2.5), "record_every"),
+         ("column", dict(n_steps=2.5), "n_steps")],
+        ids=["box-record_every", "column-record_every", "column-n_steps"],
+    )
+    def test_counts_name_the_argument(self, run, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
+            if run == "box":
+                settings = dict(phi0=0.5, t_end=1e-5, dt=1e-6) | kwargs
+                run_box(MODELS["dp"], MAT, constant_forcing(1.0, 10.0), **settings)
+            else:
+                settings = dict(dt=1e-9, n_steps=0) | kwargs
+                run_column(uniform_column(10, 0.1, 0.6, 100.0), GAS, MAT, **settings)
+
+    def test_counts_take_numpy_integers(self):
+        box = run_box(MODELS["dp"], MAT, constant_forcing(1.0, 10.0), phi0=0.5, t_end=1e-5,
+                      dt=1e-6, record_every=np.int64(5))
+        assert len(box.t) == 3
+        state = uniform_column(np.int64(10), 0.1, 0.6, 100.0)
+        column = run_column(state, GAS, MAT, 1e-9, np.int64(4), record_every=np.int64(2))
+        assert len(column.history) == 3
 
 
 class TestBoxRelaxation:
