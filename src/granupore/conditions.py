@@ -38,7 +38,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .gas import permeability_kappa
-from .materials import FlowState, GasParams, MaterialParams, inertial_number
+from .materials import FlowState, GasParams, MaterialParams, _check_integer, inertial_number
 from .rheology import _slopes
 
 __all__ = [
@@ -193,10 +193,7 @@ class GridSpec:
                 raise ValueError(f"{name}: need lo < hi, got {lo} >= {hi}")
             if not (np.isfinite(lo) and np.isfinite(hi)):
                 raise ValueError(f"{name}: ends must be finite, got {lo} and {hi}")
-            try:
-                operator.index(count)
-            except TypeError:
-                raise ValueError(f"{name}: count must be an integer, got {count!r}") from None
+            _check_integer(f"{name}: count", count)
             if count < 2:
                 raise ValueError(f"{name}: need at least 2 points, got {count}")
         if self.I_range[0] <= 0:

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 __all__ = [
@@ -52,6 +53,14 @@ def _reject_infinite(params, names: tuple[str, ...]) -> None:
     for name in names:
         if math.isinf(getattr(params, name)):
             raise ValueError(f"{name} must be finite, got {getattr(params, name)}")
+
+
+def _check_integer(name: str, value) -> None:
+    """Reject a count that is not an integer; numpy integers pass."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ compliant models.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_right
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -32,7 +31,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .gas import enthalpy_ideal, permeability_kappa
-from .materials import GasParams, MaterialParams, inertial_number
+from .materials import GasParams, MaterialParams, _check_integer, inertial_number
 
 __all__ = [
     "Forcing",
@@ -220,14 +219,6 @@ class BoxResult:
     @property
     def phi_max_seen(self) -> float:
         return float(np.max(self.phi))
-
-
-def _check_integer(name: str, value) -> None:
-    """Reject a count that is not an integer; numpy integers pass."""
-    try:
-        operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_record_every(record_every: int) -> None:

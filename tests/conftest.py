@@ -16,11 +16,10 @@ with warnings.catch_warnings():
     except ImportError:  # without libcst the plugin writes no patch
         pass
 
-# "tier1", the default, draws the same examples in every run (each test's seed
+# "tier1", loaded here, draws the same examples in every run (each test's seed
 # is a hash of its source), so a run repeats and a failure replays by running
-# it again; a failure also prints its @reproduce_failure blob.  "explore"
-# draws fresh examples: pytest --hypothesis-profile=explore, with
-# --hypothesis-seed=N to replay one such run.
+# it again; a failure also prints its @reproduce_failure blob.  Hypothesis's
+# built-in "default" profile draws fresh examples:
+# pytest --hypothesis-profile=default [--hypothesis-seed=N].
 settings.register_profile("tier1", derandomize=True, print_blob=True)
-settings.register_profile("explore", print_blob=True)
 settings.load_profile("tier1")

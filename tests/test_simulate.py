@@ -131,7 +131,7 @@ class TestRunSettings:
     )
     def test_run_box_rejects(self, kwargs):
         settings = dict(phi0=0.5, t_end=1e-5, dt=1e-6) | kwargs
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             run_box(MODELS["dp"], MAT, constant_forcing(1.0, 10.0), **settings)
 
     def test_run_box_rejects_zero_steps(self):
@@ -189,7 +189,7 @@ class TestRunSettings:
     def test_run_column_rejects(self, kwargs):
         state = uniform_column(10, 0.1, 0.6, 100.0)
         settings = dict(dt=1e-9, n_steps=0) | kwargs
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             run_column(state, GAS, MAT, **settings)
 
     @pytest.mark.parametrize(
@@ -202,22 +202,6 @@ class TestRunSettings:
         dt = factor * column_cfl_dt(state, GAS, MAT)
         with pytest.raises(ValueError, match=message):
             run_column(state, GAS, MAT, dt, 0, mode=mode)
-
-    @pytest.mark.parametrize(
-        "run, kwargs, name",
-        [("box", dict(record_every=2.5), "record_every"),
-         ("column", dict(record_every=2.5), "record_every"),
-         ("column", dict(n_steps=2.5), "n_steps")],
-        ids=["box-record_every", "column-record_every", "column-n_steps"],
-    )
-    def test_counts_name_the_argument(self, run, kwargs, name):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got 2.5$"):
-            if run == "box":
-                settings = dict(phi0=0.5, t_end=1e-5, dt=1e-6) | kwargs
-                run_box(MODELS["dp"], MAT, constant_forcing(1.0, 10.0), **settings)
-            else:
-                settings = dict(dt=1e-9, n_steps=0) | kwargs
-                run_column(uniform_column(10, 0.1, 0.6, 100.0), GAS, MAT, **settings)
 
     def test_counts_take_numpy_integers(self):
         box = run_box(MODELS["dp"], MAT, constant_forcing(1.0, 10.0), phi0=0.5, t_end=1e-5,
