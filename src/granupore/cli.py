@@ -42,7 +42,6 @@ from .config import (
 from .materials import EquilibriumLaw, GasParams, MaterialParams
 from .rheology import MODEL_IDS, PowerLaw, build_model, derive_f_numeric
 from .simulate import (
-    _non_increasing,
     _step_count,
     column_cfl_dt,
     constant_forcing,
@@ -86,6 +85,8 @@ def _parse_grid(spec: str) -> GridSpec:
         name = name.strip()
         if name not in ("phi", "I", "p"):
             raise ConfigError(f"unknown grid axis {name!r}")
+        if name in ranges:
+            raise ConfigError(f"grid axis {name!r} given twice")
         if name == "I" and len(parts) == 4:
             if parts[3] not in ("log", "lin"):
                 raise ConfigError(f"bad I-axis spacing {parts[3]!r}")
@@ -293,7 +294,7 @@ def cmd_simulate_column(args) -> int:
         for state in result.history
         for z, pf in zip(state.z, state.pf_profile)
     ))
-    energy_ok = _non_increasing(result.energy)
+    energy_ok = result.non_increasing
     print(f"steps: {n_steps}, dt = {dt:.6e} s ({args.mode})")
     print(f"gas-content drift per step: {result.max_step_content_drift:.3e}")
     print(f"energy non-increasing: {'yes' if energy_ok else 'NO'}")

@@ -109,11 +109,13 @@ class EnthalpyH:
 
 def _first_bad(values, ok) -> str:
     """``values`` if it is a scalar, else its first element where ``ok`` is
-    False and that element's index."""
+    False and that element's index: a number for a 1-D array, a tuple such
+    as ``(state, cell)`` for a stack."""
     if np.ndim(values) == 0:
         return f"{values}"
     k = int(np.argmin(ok))
-    return f"{np.ravel(values)[k]} at index {k}"
+    index = tuple(int(i) for i in np.unravel_index(k, np.shape(values)))
+    return f"{np.ravel(values)[k]} at index {index[0] if len(index) == 1 else index}"
 
 
 def drag_beta(gas: GasParams, d: float, phi: float) -> float:

@@ -542,8 +542,10 @@ class TestCliErrors:
             ("I=0.01:1:4:cubic", "bad I-axis spacing 'cubic'"),
             ("phi=0.4:0.6", "grid axis 'phi' needs lo:hi:n"),
             ("phi=a:0.6:5", "cannot parse grid axis 'phi=a:0.6:5'"),
+            ("I=0.01:10:5:lin,I=0.1:1:3", "grid axis 'I' given twice"),
+            ("phi=0.4:0.6:5,phi=0.45:0.55:3", "grid axis 'phi' given twice"),
         ],
-        ids=["no-equals", "axis", "spacing", "arity", "number"],
+        ids=["no-equals", "axis", "spacing", "arity", "number", "I-twice", "phi-twice"],
     )
     def test_bad_grid_named(self, capsys, spec, message):
         assert main(["check", "--model", "dp", "--grid", spec]) == 1

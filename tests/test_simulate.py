@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from granupore.rheology import (
     RouxRadjai,
 )
 from granupore.simulate import (
+    EnergyLedger,
     column_cfl_dt,
     constant_forcing,
     energy_ledger,
@@ -173,13 +175,22 @@ class TestRunSettings:
             ((10, 0.1, 0.6, lambda z: np.where(z > 0.05, math.nan, 0.0)), "p_f"),
             ((1, 0.1, 0.6), "at least 2 cells, got 1"),
             ((2.5, 0.1, 0.6), "^n_cells must be an integer, got 2.5$"),
+            ((10, 0.1, 0.6, lambda z: z[:5]),
+             r"^pf_init has shape \(5,\), which does not broadcast to 10 cells$"),
+            ((10, 0.1, [0.5, 0.6]), r"^phi has shape \(2,\), which does not broadcast to 10 cells$"),
+            ((10, 0.1, 0.6, [1.0, 2.0]),
+             r"^pf_init has shape \(2,\), which does not broadcast to 10 cells$"),
         ],
         ids=["length-zero", "length-neg", "length-nan", "length-inf", "phi-nan", "pf-nan", "pf-inf",
-             "pf-callable", "one-cell", "cells-float"],
+             "pf-callable", "one-cell", "cells-float", "pf-callable-shape", "phi-shape", "pf-shape"],
     )
     def test_uniform_column_rejects(self, args, name):
         with pytest.raises(ValueError, match=name):
             uniform_column(*args)
+
+    def test_uniform_column_broadcasts_callable_result(self):
+        state = uniform_column(4, 0.1, 0.6, lambda z: 5.0)
+        np.testing.assert_array_equal(state.pf_profile, np.full(4, 5.0), strict=True)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -544,6 +555,9 @@ class TestColumn:
         ledger = energy_ledger(res.history, GAS, MAT)
         np.testing.assert_array_equal(res.dissipation, ledger.dissipation)
         np.testing.assert_array_equal(res.energy, ledger.energy)
+        np.testing.assert_array_equal(res.t, ledger.t)
+        np.testing.assert_array_equal(res.residuals, ledger.residuals)
+        assert res.non_increasing == ledger.non_increasing
 
     @pytest.mark.parametrize("mode", ["explicit", "implicit"])
     def test_zero_steps(self, mode):
@@ -577,6 +591,20 @@ class TestColumn:
         later = step_column(state, GAS, MAT, 1e-9)
         with pytest.raises(ValueError, match="strictly increasing"):
             energy_ledger([later, state], GAS, MAT)
+
+    def test_ledger_error_names_the_cell(self):
+        state = self._cosine_column(10)
+        later = replace(state, pf_profile=state.pf_profile.copy(), t=1.0)
+        later.pf_profile[3] = -2.0 * GAS.p_atm
+        with pytest.raises(ValueError, match=r"got -202600\.0 at index \(1, 3\)$"):
+            energy_ledger([state, later], GAS, MAT)
+
+    @pytest.mark.parametrize("rise,expected", [(1e-9, False), (0.0, True)], ids=["rise", "flat"])
+    def test_energy_rule(self, rise, expected):
+        energy = np.full(5, -4052.0)
+        energy[3] *= 1.0 - rise  # E1 < 0, so this raises it by `rise` relative
+        ledger = EnergyLedger(np.arange(5.0), energy, np.zeros(5))
+        assert ledger.non_increasing is expected
 
     def test_ledger_rejects_mixed_phi_profiles(self):
         state = self._cosine_column(10)
