@@ -568,15 +568,16 @@ def energy_ledger(
 
     Raises:
         ValueError: If there are fewer than two states, the states do not
-            all share the phi profile of the first, a p_f is at or below
-            -p_atm (the message gives its (state, cell) index), or the times
-            do not strictly increase.
+            all share the grid and phi profile of the first, a p_f is at or
+            below -p_atm (the message gives its (state, cell) index), or the
+            times do not strictly increase.
     """
     if len(history) < 2:
         raise ValueError("need at least two states for a ledger")
     first = history[0]
-    if not all(np.array_equal(s.phi_profile, first.phi_profile) for s in history[1:]):
-        raise ValueError("history states must share the phi profile of the first")
+    if not all(s.dz == first.dz and np.array_equal(s.phi_profile, first.phi_profile)
+               for s in history[1:]):
+        raise ValueError("history states must share the grid and phi profile of the first")
     one_m, kf = 1.0 - first.phi_profile, _face_kappa(first, gas, mat)
     profiles = np.stack([s.pf_profile for s in history])
     _, energy, dissipation = _ledger_sums(profiles, first.dz, gas, one_m, kf)

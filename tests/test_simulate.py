@@ -177,12 +177,14 @@ class TestRunSettings:
             ((2.5, 0.1, 0.6), "^n_cells must be an integer, got 2.5$"),
             ((10, 0.1, 0.6, lambda z: z[:5]),
              r"^pf_init has shape \(5,\), which does not broadcast to 10 cells$"),
-            ((10, 0.1, [0.5, 0.6]), r"^phi has shape \(2,\), which does not broadcast to 10 cells$"),
+            ((10, 0.1, [0.5, 0.6]),
+             r"^phi has shape \(2,\), which does not broadcast to 10 cells$"),
             ((10, 0.1, 0.6, [1.0, 2.0]),
              r"^pf_init has shape \(2,\), which does not broadcast to 10 cells$"),
         ],
         ids=["length-zero", "length-neg", "length-nan", "length-inf", "phi-nan", "pf-nan", "pf-inf",
-             "pf-callable", "one-cell", "cells-float", "pf-callable-shape", "phi-shape", "pf-shape"],
+             "pf-callable", "one-cell", "cells-float", "pf-callable-shape", "phi-shape",
+             "pf-shape"],
     )
     def test_uniform_column_rejects(self, args, name):
         with pytest.raises(ValueError, match=name):
@@ -591,6 +593,12 @@ class TestColumn:
         later = step_column(state, GAS, MAT, 1e-9)
         with pytest.raises(ValueError, match="strictly increasing"):
             energy_ledger([later, state], GAS, MAT)
+
+    def test_ledger_rejects_mixed_grids(self):
+        state = self._cosine_column(10)
+        longer = replace(uniform_column(10, 2.0 * self.L, 0.6, state.pf_profile), t=1.0)
+        with pytest.raises(ValueError, match="grid"):
+            energy_ledger([state, longer], GAS, MAT)
 
     def test_ledger_error_names_the_cell(self):
         state = self._cosine_column(10)
