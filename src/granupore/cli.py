@@ -14,10 +14,11 @@ Subcommands
 Exit codes: 0 all checks pass, 2 a checked condition fails, 1 on errors
 (bad flags, malformed config, I/O).  Outputs are plain CSV with a ``#``
 provenance header embedding the resolved configuration; runs are
-deterministic for a fixed config and seed.  Only ``table1``, ``derive`` and
-implicit ``simulate-column`` load scipy, and they load it on first use; no
-subcommand reads a gas law (in the library, ``state_law_from_csv`` and
-``enthalpy_from_statelaw`` load scipy).
+deterministic for a fixed config and seed.  Only implicit
+``simulate-column`` loads scipy, and it loads it on first use; ``table1`` and
+``derive`` integrate with numpy alone.  No subcommand reads a gas law (in the
+library, ``state_law_from_csv`` and ``enthalpy_from_statelaw`` load scipy for
+their splines).
 
 ``simulate-box`` and ``simulate-column`` also take their run settings from a
 ``--scenario`` key = value file.  Keys are the option names with underscores;

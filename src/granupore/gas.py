@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 import numpy as np
 
 from .materials import GasParams
+from .quadrature import integral
 
 if TYPE_CHECKING:
     from scipy.interpolate import CubicSpline
@@ -221,7 +222,8 @@ def enthalpy_from_statelaw(
     """Build H from a state law by quadrature of H(x) = x int_{c1}^x Q/z^2 dz.
 
     The integral is accumulated piecewise between consecutive sample points
-    with adaptive Gauss-Kronrod quadrature (relative tolerance 1e-10); the
+    with the package's adaptive Gauss-Legendre rule
+    (:func:`granupore.quadrature.integral`, relative tolerance 1e-12); the
     integrand is smooth away from z = 0 and the grid must stay positive.
     c1 defaults to the reference density (ideal gas) or the lower end of
     the grid: it is a gauge without energy effect, but fixing it keeps
@@ -229,7 +231,8 @@ def enthalpy_from_statelaw(
 
     Raises:
         ValueError: On a non-positive grid or c1.
-        RuntimeError: If the quadrature fails to converge on a panel.
+        RuntimeError: If the quadrature fails on a panel (Q not finite at a
+            node, or no convergence); the message names the panel.
     """
     xs = np.asarray(sorted(x_grid), dtype=float)
     if xs.size < 2:
@@ -241,21 +244,11 @@ def enthalpy_from_statelaw(
     if c1 <= 0.0:
         raise ValueError(f"c1 must be positive, got {c1}")
 
-    from scipy.integrate import quad
-
     integrand = lambda z: law.Q(z) / (z * z)
     nodes = np.unique(np.concatenate([xs, [c1]]))
     panel = np.zeros(nodes.size)  # panel[k] = integral from nodes[k-1] to nodes[k]
     for k in range(1, nodes.size):
-        val, err = quad(
-            integrand, nodes[k - 1], nodes[k], epsabs=0.0, epsrel=1e-10, limit=200
-        )
-        if err > 1e-8 * max(abs(val), 1.0):
-            raise RuntimeError(
-                f"quadrature did not converge on [{nodes[k-1]}, {nodes[k]}]: "
-                f"value {val}, error estimate {err}"
-            )
-        panel[k] = val
+        panel[k] = integral(integrand, float(nodes[k - 1]), float(nodes[k]), "Q/z^2")
     cumulative = np.cumsum(panel)  # integral from nodes[0] to nodes[k]
     at_c1 = cumulative[np.searchsorted(nodes, c1)]
     lookup = {x: cumulative[k] - at_c1 for k, x in enumerate(nodes)}

@@ -52,6 +52,7 @@ from .materials import (
     phi_eq as law_phi_eq,
     phi_eq_prime,
 )
+from .quadrature import integral
 
 __all__ = [
     "friction_mu",
@@ -230,22 +231,6 @@ def _slopes(model) -> tuple[Callable, Callable, Callable]:
     )
 
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-12, limit=200)
-
-
-def _integral(Z_of_I: Callable[[float], float], a: float, b: float) -> float:
-    if a == b:
-        return 0.0
-    from scipy.integrate import quad
-
-    val, err = quad(Z_of_I, a, b, **_QUAD_OPTS)
-    if err > 1e-7 * max(abs(val), 1.0):
-        raise RuntimeError(
-            f"quadrature of Z did not converge on [{a}, {b}]: value {val}, error {err}"
-        )
-    return val
-
-
 def derive_f_numeric(
     Z: Callable[[float, float], float],
     law: EquilibriumLaw,
@@ -270,20 +255,38 @@ def derive_f_numeric(
 
     Raises:
         ValueError: If I <= 0, or i_eq is undefined at phi.
-        RuntimeError: On quadrature failure.
+        RuntimeError: If Z is not finite at a node or the quadrature does
+            not converge (see :func:`granupore.quadrature.integral`); the
+            message names the interval.
     """
-    if I <= 0:
-        raise ValueError(f"f derivation requires I > 0, got {I}")
-    if I1 is None:
-        I1 = mat.I0 / 100.0
-    Z_of = lambda J: Z(phi, J)
-    ieq = law_i_eq(law, mat, phi)
-    w_at_I = 1.5 * _integral(Z_of, I1, I) / I - 0.5 * Z_of(I)
-    # I_eq * W(I_eq), written so the I_eq -> 0 limit is finite for any Z
-    # integrable at the origin.
-    g_eq = 1.5 * _integral(Z_of, I1, ieq)
+    Z_of = functools.partial(Z, phi)
+    I1 = _default_I1(mat) if I1 is None else I1
+    return _derived_f(
+        Z_of, I1, I, lambda: _equilibrium_term(Z_of, law_i_eq(law, mat, phi), I1)
+    )
+
+
+def _default_I1(mat: MaterialParams) -> float:
+    return mat.I0 / 100.0
+
+
+def _equilibrium_term(Z_of: Callable[[float], float], ieq: float, I1: float) -> float:
+    """I_eq W(I_eq), written so the I_eq -> 0 limit is finite for any Z
+    integrable at the origin."""
+    g_eq = 1.5 * integral(Z_of, I1, ieq, "Z")
     if ieq > 0.0:
         g_eq -= 0.5 * ieq * Z_of(ieq)
+    return g_eq
+
+
+def _derived_f(
+    Z_of: Callable[[float], float], I1: float, I: float, equilibrium: Callable[[], float]
+) -> float:
+    """f = W(I) - I_eq W(I_eq) / I, with I_eq W(I_eq) from ``equilibrium()``."""
+    if I <= 0:
+        raise ValueError(f"f derivation requires I > 0, got {I}")
+    g_eq = equilibrium()
+    w_at_I = 1.5 * integral(Z_of, I1, I, "Z") / I - 0.5 * Z_of(I)
     return w_at_I - g_eq / I
 
 
@@ -598,18 +601,29 @@ class DerivedNumeric(_ModelBase):
     """Model whose dilatancy is derived from a caller-supplied Z by
     quadrature (:func:`derive_f_numeric`).
 
-    Quadratures are memoised per (phi, I), as f does not depend on p, so
-    evaluation behaves as a pure function from the outside.
+    Quadratures are memoised: f per (phi, I), as f does not depend on p, and
+    the equilibrium term I_eq W(I_eq) per phi, so evaluation behaves as a
+    pure function from the outside.
     """
 
     Z: Callable[[float, float], float] = field(kw_only=True)
 
     def __post_init__(self) -> None:
         # lru_cache is thread-safe and never caches an exception.
-        object.__setattr__(self, "_memo", functools.lru_cache(maxsize=None)(self._derive))
+        memo = functools.lru_cache(maxsize=None)
+        object.__setattr__(self, "_memo", memo(self._derive))
+        object.__setattr__(self, "_equilibrium", memo(self._anchor))
+
+    def _anchor(self, phi: float) -> float:
+        return _equilibrium_term(
+            functools.partial(self.Z, phi), self.i_eq(phi), _default_I1(self.mat)
+        )
 
     def _derive(self, phi: float, I: float) -> float:
-        return derive_f_numeric(self.Z, self.law, self.mat, phi, 0.0, I)
+        return _derived_f(
+            functools.partial(self.Z, phi), _default_I1(self.mat), I,
+            lambda: self._equilibrium(phi),
+        )
 
     def yield_function(self, phi: float, I: float) -> float:
         return self.Z(phi, I)

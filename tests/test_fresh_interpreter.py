@@ -17,13 +17,14 @@ ROOT = Path(__file__).resolve().parents[1]
 CFG = str(ROOT / "demos" / "configs" / "glass_beads.cfg")
 GRID = "phi=0.42:0.58:4,I=0.05:5:5:log,p=100:1000:2"
 
-#: Prints the exit code of ``main(argv)`` and the scipy modules then loaded.
+#: Prints the exit code of ``main(argv)``, the scipy modules then loaded and
+#: whether the quadrature's Gauss-Legendre nodes (numpy.polynomial) were built.
 RUN_MAIN = """
 import json, sys
 from granupore.cli import main
 code = main(json.loads(sys.argv[1]))
 loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
-print(json.dumps({"code": code, "scipy": loaded}))
+print(json.dumps({"code": code, "scipy": loaded, "nodes": "numpy.polynomial" in sys.modules}))
 """
 
 
@@ -47,8 +48,10 @@ def _run_main(argv, tmp_path):
 
 @pytest.mark.parametrize("module", ["granupore", "granupore.cli"])
 def test_import_loads_no_scipy(module):
+    """Neither scipy nor the quadrature's numpy.polynomial loads on import."""
     proc = _python(
-        ["-c", f"import sys, {module}; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"]
+        ["-c", f"import sys, {module}; print([m for m in sys.modules "
+         "if m.split('.')[0] == 'scipy' or m.startswith('numpy.polynomial')])"]
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -61,6 +64,8 @@ def test_benchmark_modules_import():
 
 
 LIGHT = {
+    "table1": ["table1", "--config", CFG],
+    "derive": ["derive", "--model", "dp", "--grid", GRID],
     "check": ["check", "--model", "mui", "--grid", GRID],
     "classify": ["classify", "--model", "dp", "--grid", GRID],
     "symbol": ["symbol", "--config", str(ROOT / "demos" / "configs" / "symbol.cfg")],
@@ -72,17 +77,19 @@ LIGHT = {
 }
 
 
+#: The subcommands that integrate Z, and so build the Gauss-Legendre nodes.
+QUADRATURE = {"table1", "derive"}
+
+
 @pytest.mark.parametrize("name", LIGHT)
 def test_subcommand_loads_no_scipy(name, tmp_path):
     result = _run_main(LIGHT[name], tmp_path)
-    assert result == {"code": 0, "scipy": []}
+    assert result == {"code": 0, "scipy": [], "nodes": name in QUADRATURE}
 
 
 #: Subcommands that need scipy, with a module each must load; this also
 #: shows that the check above sees scipy when it is loaded.
 HEAVY = {
-    "table1": (["table1", "--config", CFG], "scipy.integrate"),
-    "derive": (["derive", "--model", "dp", "--grid", GRID], "scipy.integrate"),
     "simulate-column implicit": (
         ["simulate-column", "--config", CFG, "--t-end", "1e-3", "--mode", "implicit"],
         "scipy.linalg",

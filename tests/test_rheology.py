@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from granupore.conditions import standard_grid
 from granupore.materials import EquilibriumLaw, FlowState, glass_beads, i_eq, phi_eq_prime
 from granupore.rheology import (
     MODEL_IDS,
@@ -350,6 +351,46 @@ class TestDeriveFNumeric:
         with pytest.raises(ValueError):
             derive_f_numeric(DP.yield_function, LAW, MAT, 0.5, 100.0, 0.0)
 
+    @pytest.mark.parametrize("variant", ["linear", "schaeffer", "robinson", "breard"])
+    def test_catalogue_on_the_standard_grid(self, variant):
+        # derive's standard grid plus phi_max, 10x inside the CLI's tolerance;
+        # power:3 under schaeffer (f ~ 1e5 at I = 0.01) is the hardest
+        law = EquilibriumLaw(variant)
+        grid = standard_grid()
+        worst = 0.0
+        for model_id in ("dp", "mui", "mui-psi", "power:0", "power:0.5", "power:1",
+                         "power:3", "power:-0.5"):
+            model = build_model(model_id, MAT, law)
+            for phi in (*grid.phi_values(), MAT.phi_max):
+                for I in grid.I_values():
+                    try:
+                        closed = model.dilatancy(phi, 100.0, I)
+                    except ValueError:  # phi outside the law's range
+                        continue
+                    derived = derive_f_numeric(model.yield_function, law, MAT, phi, 100.0, I)
+                    worst = max(worst, abs(derived - closed))
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("variant", ["schaeffer", "robinson", "breard"])
+    def test_inverse_root_at_phi_max(self, variant):
+        # I_eq(phi_max) is 1e-14..4e-12 under these laws: the anchor integral
+        # runs over twenty e-folds of I down to it
+        law = EquilibriumLaw(variant)
+        model = PowerLaw(MAT, law, n=-0.5)
+        for I in (0.01, 0.5, 10.0):
+            derived = derive_f_numeric(model.yield_function, law, MAT, MAT.phi_max, 100.0, I)
+            assert derived == pytest.approx(model.dilatancy(MAT.phi_max, 100.0, I), abs=1e-10)
+
+    def test_non_integrable_Z_raises(self):
+        # the closed form says why: I^-1.5 is not integrable down to I_eq = 0
+        model = PowerLaw(MAT, LAW, n=-1.5)
+        with pytest.raises(ValueError, match="not integrable"):
+            model.dilatancy(MAT.phi_max, 100.0, 0.5)
+        with pytest.raises(RuntimeError, match=r"did not converge on \[0\.003, 0\.0\]"):
+            derive_f_numeric(model.yield_function, LAW, MAT, MAT.phi_max, 100.0, 0.5)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            DerivedNumeric(MAT, LAW, Z=model.yield_function).dilatancy(MAT.phi_max, 100.0, 0.5)
+
 
 class TestLinearCombinationModel:
     MODEL = LinearCombination(
@@ -443,6 +484,21 @@ class TestDerivedNumericModel:
         assert errors == []
         assert len(got) == 4 * len(keys)
         assert all(value == want[key] for key, value in got)
+
+    def test_equilibrium_term_once_per_phi(self, monkeypatch):
+        import granupore.rheology as rheology
+
+        ends = []
+        integral = rheology.integral
+        monkeypatch.setattr(
+            rheology, "integral", lambda fun, a, b, name: ends.append(b) or integral(fun, a, b, name)
+        )
+        model = DerivedNumeric(MAT, LAW, Z=MUI.yield_function)
+        for I in (0.3, 1.0, 3.0):
+            assert model.dilatancy(0.5, 100.0, I) == pytest.approx(
+                MUI.dilatancy(0.5, 100.0, I), abs=1e-9
+            )
+        assert ends == [i_eq(LAW, MAT, 0.5), 0.3, 1.0, 3.0]
 
     def test_singular_Z_uses_safe_anchor(self):
         model = DerivedNumeric(MAT, LAW, Z=lambda phi, I: I**-0.5)
