@@ -14,7 +14,9 @@ Subcommands
 Exit codes: 0 all checks pass, 2 a checked condition fails, 1 on errors
 (bad flags, malformed config, I/O).  Outputs are plain CSV with a ``#``
 provenance header embedding the resolved configuration; runs are
-deterministic for a fixed config and seed.  Only implicit
+deterministic for a fixed config and seed.  Each subcommand builds its
+provenance and CSV body as text, and ``_write_csv`` is the one place that
+writes them to ``--out``.  Only implicit
 ``simulate-column`` loads scipy, and it loads it on first use; ``table1`` and
 ``derive`` integrate with numpy alone.  No subcommand reads a gas law (in the
 library, ``state_law_from_csv`` and ``enthalpy_from_statelaw`` load scipy for
@@ -29,6 +31,7 @@ command line win.  A key that is not a run setting is reported with its line.
 from __future__ import annotations
 
 import argparse
+import io
 import sys
 from contextlib import nullcontext
 from typing import Sequence
@@ -74,11 +77,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _parse_grid(spec: str) -> GridSpec:
-    """Parse ``phi=lo:hi:n,I=lo:hi:n[:log],p=lo:hi:n``."""
+def _grid(args) -> GridSpec:
+    """``--grid phi=lo:hi:n,I=lo:hi:n[:log],p=lo:hi:n`` over the standard grid."""
+    base = standard_grid()
+    if not args.grid:
+        return base
     ranges: dict[str, tuple] = {}
     log_I = True
-    for chunk in spec.split(","):
+    for chunk in args.grid.split(","):
         if "=" not in chunk:
             raise ConfigError(f"grid chunk {chunk!r} is not name=lo:hi:n")
         name, rest = chunk.split("=", 1)
@@ -100,7 +106,6 @@ def _parse_grid(spec: str) -> GridSpec:
         except ValueError:
             raise ConfigError(f"cannot parse grid axis {chunk!r}") from None
         ranges[name] = (lo, hi, n)
-    base = standard_grid()
     return GridSpec(
         phi_range=ranges.get("phi", base.phi_range),
         I_range=ranges.get("I", base.I_range),
@@ -109,44 +114,39 @@ def _parse_grid(spec: str) -> GridSpec:
     )
 
 
-def _load_params(args) -> tuple[MaterialParams, GasParams]:
-    if getattr(args, "config", None):
-        return load_parameters(args.config)
-    return MaterialParams(), GasParams()
+def _setup(args) -> tuple[MaterialParams, GasParams, object]:
+    """The material, the gas and the model (None without ``--model``)."""
+    mat, gas = load_parameters(args.config) if args.config else (MaterialParams(), GasParams())
+    if "model" not in args:
+        return mat, gas, None
+    model = build_model(
+        args.model, mat, EquilibriumLaw(), rr_gain=args.rr_gain, z_override=args.z_override
+    )
+    if args.rr_gain is not None and args.model != "roux-radjai":
+        raise ConfigError(f"--rr-gain only applies to --model roux-radjai, not {args.model!r}")
+    return mat, gas, model
 
 
-def _provenance(out, args, mat: MaterialParams, gas: GasParams) -> None:
-    out.write(f"# granupore {__version__} :: {args.command}\n")
-    for line in parameters_text(mat, gas).splitlines():
-        out.write(f"# {line}\n")
-    for name in ("model", "grid", "seed", "mode"):
-        if getattr(args, name, None) is not None:
-            out.write(f"# {name} = {getattr(args, name)}\n")
+def _provenance(args, mat: MaterialParams, gas: GasParams) -> str:
+    """The resolved parameters and run settings as ``#`` lines."""
+    lines = parameters_text(mat, gas).splitlines() + [
+        f"{name} = {value}" for name in ("model", "grid", "seed", "mode")
+        if (value := vars(args).get(name)) is not None
+    ]
+    return "".join(f"# {line}\n" for line in lines)
 
 
-def _write_csv(args, mat, gas, header: str, rows, stdout: bool = False) -> None:
-    """Write the provenance block, ``header`` and ``rows`` (lines with their
-    newline) to ``--out``; without ``--out``, to stdout if ``stdout`` is set.
+def _write_csv(args, provenance: str, body: str, stdout: bool = False) -> None:
+    """Write the title line, ``provenance`` and ``body`` to ``--out``; without
+    ``--out``, to stdout if ``stdout`` is set.
 
-    The rows are joined before the file opens, so a run that fails while
-    building them leaves no half-written CSV.
+    The only writer of ``--out``.  The body is built before the file opens,
+    so a run that fails while building it leaves no half-written CSV.
     """
     if not args.out and not stdout:
         return
-    text = f"{header}\n{''.join(rows)}"
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        _provenance(out, args, mat, gas)
-        out.write(text)
-
-
-def _build(args, mat: MaterialParams):
-    return build_model(
-        args.model,
-        mat,
-        EquilibriumLaw(),
-        rr_gain=getattr(args, "rr_gain", None),
-        z_override=getattr(args, "z_override", None),
-    )
+        out.write(f"# granupore {__version__} :: {args.command}\n{provenance}{body}")
 
 
 # ----------------------------------------------------------------------
@@ -154,11 +154,11 @@ def _build(args, mat: MaterialParams):
 # ----------------------------------------------------------------------
 
 def cmd_table1(args) -> int:
-    mat, gas = _load_params(args)
+    mat, gas, _ = _setup(args)
     law = EquilibriumLaw()
     phi, p, I = 0.5, 1000.0, 1.0  # sample state with i_eq(phi) = 0.5
     shear = I * np.sqrt(p / mat.rho_s) / mat.d
-    rows, worst = [], 0.0
+    rows, worst = ["n,Z_form,phi,I,i_eq,f_closed,f_numeric,abs_diff,dissipation\n"], 0.0
     for n in TABLE1_EXPONENTS:
         model = PowerLaw(mat, law, n=n)
         f_closed = model.dilatancy(phi, p, I)
@@ -171,8 +171,7 @@ def cmd_table1(args) -> int:
             f"{n:g},I^{n:g},{phi:.10e},{I:.10e},{model.i_eq(phi):.10e},"
             f"{f_closed:.10e},{f_numeric:.10e},{diff:.3e},{dissipation:.10e}\n"
         )
-    header = "n,Z_form,phi,I,i_eq,f_closed,f_numeric,abs_diff,dissipation"
-    _write_csv(args, mat, gas, header, rows, stdout=True)
+    _write_csv(args, _provenance(args, mat, gas), "".join(rows), stdout=True)
     if worst > DERIVE_TOL:
         print(f"closed-form vs derived mismatch {worst:.3e}", file=sys.stderr)
         return 2
@@ -180,28 +179,22 @@ def cmd_table1(args) -> int:
 
 
 def cmd_check(args) -> int:
-    mat, gas = _load_params(args)
-    model = _build(args, mat)
-    grid = _parse_grid(args.grid) if args.grid else standard_grid()
-    report = sweep(model, grid)
-    if args.out:
-        with open(args.out, "w") as fh:
-            _provenance(fh, args, mat, gas)
-            write_report_csv(report, fh)
+    mat, gas, model = _setup(args)
+    report = sweep(model, _grid(args))
+    body = io.StringIO()
+    write_report_csv(report, body)
+    _write_csv(args, _provenance(args, mat, gas), body.getvalue())
     print(f"model: {args.model}")
     print(report.summary_text())
     return 0 if report.all_pass else 2
 
 
 def cmd_classify(args) -> int:
-    mat, gas = _load_params(args)
-    model = _build(args, mat)
-    grid = _parse_grid(args.grid) if args.grid else standard_grid()
-    verdict = classify(model, grid, model_id=args.model)
-    if args.out:
-        with open(args.out, "w") as fh:
-            _provenance(fh, args, mat, gas)
-            write_report_csv(verdict.report, fh)
+    mat, gas, model = _setup(args)
+    verdict = classify(model, _grid(args), model_id=args.model)
+    body = io.StringIO()
+    write_report_csv(verdict.report, body)
+    _write_csv(args, _provenance(args, mat, gas), body.getvalue())
     print(f"model: {verdict.model_id}")
     print(f"verdict: {verdict.verdict}")
     if verdict.failing:
@@ -211,11 +204,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    mat, gas = _load_params(args)
-    model = _build(args, mat)
-    grid = _parse_grid(args.grid) if args.grid else standard_grid()
+    mat, gas, model = _setup(args)
+    grid = _grid(args)
     p = grid.p_values()[0]
-    rows, worst = [], 0.0
+    rows, worst = ["phi,I,p,f_closed,f_numeric,abs_diff\n"], 0.0
     for phi in grid.phi_values():
         for I in grid.I_values():
             f_closed = model.dilatancy(phi, p, I)
@@ -226,14 +218,13 @@ def cmd_derive(args) -> int:
                 f"{phi:.10e},{I:.10e},{p:.10e},"
                 f"{f_closed:.10e},{f_numeric:.10e},{diff:.3e}\n"
             )
-    _write_csv(args, mat, gas, "phi,I,p,f_closed,f_numeric,abs_diff", rows, stdout=True)
+    _write_csv(args, _provenance(args, mat, gas), "".join(rows), stdout=True)
     print(f"max |closed - derived| = {worst:.3e} (tolerance {DERIVE_TOL:g})")
     return 0 if worst <= DERIVE_TOL else 2
 
 
 def cmd_simulate_box(args) -> int:
-    mat, gas = _load_params(args)
-    model = _build(args, mat)
+    mat, gas, model = _setup(args)
     if args.forcing == "random":
         for flag in ("I", "shear", "p"):
             if getattr(args, flag) is not None:
@@ -259,7 +250,7 @@ def cmd_simulate_box(args) -> int:
         record_every=args.record_every,
     )
     pf = result.p_f if result.p_f is not None else np.full_like(result.t, np.nan)
-    _write_csv(args, mat, gas, "t,phi,pf,div_u,I,i_eq", (
+    _write_csv(args, _provenance(args, mat, gas), "t,phi,pf,div_u,I,i_eq\n" + "".join(
         f"{result.t[k]:.10e},{result.phi[k]:.10e},{pf[k]:.10e},"
         f"{result.div_u[k]:.10e},{result.inertial[k]:.10e},{result.i_eq[k]:.10e}\n"
         for k in range(result.t.size)
@@ -272,7 +263,7 @@ def cmd_simulate_box(args) -> int:
 
 
 def cmd_simulate_column(args) -> int:
-    mat, gas = _load_params(args)
+    mat, gas, _ = _setup(args)
     state0 = uniform_column(
         args.cells,
         args.length,
@@ -290,7 +281,7 @@ def cmd_simulate_column(args) -> int:
     result = run_column(
         state0, gas, mat, dt, n_steps, mode=args.mode, record_every=args.record_every
     )
-    _write_csv(args, mat, gas, "t,z,pf", (
+    _write_csv(args, _provenance(args, mat, gas), "t,z,pf\n" + "".join(
         f"{state.t:.10e},{z:.10e},{pf:.10e}\n"
         for state in result.history
         for z, pf in zip(state.z, state.pf_profile)
@@ -306,9 +297,7 @@ def cmd_simulate_column(args) -> int:
 
 def cmd_symbol(args) -> int:
     data = read_symbol_config(args.config)
-    sym = assemble_extended_symbol(
-        data["N"], data["xi"], data["momentum_rows"], data["c"]
-    )
+    sym = assemble_extended_symbol(data["N"], data["xi"], data["momentum_rows"], data["c"])
     eig_m = np.sort_complex(np.linalg.eigvals(sym.M))
     eig_n = np.sort_complex(np.linalg.eigvals(sym.N))
     union_ok = spectral_union_matches(sym)
@@ -318,17 +307,16 @@ def cmd_symbol(args) -> int:
     print(f"added eigenvalue c|xi|^2 = {sym.added_eigenvalue:.10e}")
     print(f"spectral union holds: {'yes' if union_ok else 'NO'}")
     print(f"no spectral degradation: {'yes' if floor_ok else 'NO'}")
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(f"# granupore {__version__} :: symbol\n")
-            fh.write(f"# xi = {list(map(float, data['xi']))}\n")
-            fh.write(f"# momentum_rows = {list(data['momentum_rows'])}\n")
-            fh.write(f"# c = {data['c']!r}\n")
-            fh.write("matrix,re,im\n")
-            for ev in eig_n:
-                fh.write(f"N,{ev.real:.10e},{ev.imag:.10e}\n")
-            for ev in eig_m:
-                fh.write(f"M,{ev.real:.10e},{ev.imag:.10e}\n")
+    provenance = (
+        f"# xi = {list(map(float, data['xi']))}\n"
+        f"# momentum_rows = {list(data['momentum_rows'])}\n"
+        f"# c = {data['c']!r}\n"
+    )
+    _write_csv(args, provenance, "matrix,re,im\n" + "".join(
+        f"{name},{ev.real:.10e},{ev.imag:.10e}\n"
+        for name, eigs in (("N", eig_n), ("M", eig_m))
+        for ev in eigs
+    ))
     return 0 if union_ok and floor_ok else 2
 
 

@@ -124,7 +124,8 @@ def read_symbol_config(path) -> dict:
 
     Keys: ``n_matrix`` (rows separated by ';', entries by spaces; complex
     entries use Python syntax like ``1+2j``), ``xi`` (space-separated),
-    ``momentum_rows`` (space-separated 0-based indices), ``c``.
+    ``momentum_rows`` (space-separated 0-based indices), ``c``.  The
+    ``n_matrix``, ``xi`` and ``c`` values must be finite.
     """
     entries = read_kv_file(path)
     unknown = entries.keys() - _SYMBOL_PARSERS.keys()
@@ -140,4 +141,6 @@ def read_symbol_config(path) -> dict:
             parsed[key] = parse(raw)
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: cannot parse {key} from {raw!r}") from None
+        if key != "momentum_rows" and not np.all(np.isfinite(parsed[key])):
+            raise ConfigError(f"{path}:{lineno}: {key} must be finite")
     return {"N": parsed.pop("n_matrix"), **parsed}

@@ -170,13 +170,11 @@ class FlowState:
         phi: Solid volume fraction.
         p: Solid (granular) pressure (Pa).
         shear: Second-invariant norm |S| of the deviatoric strain rate (1/s).
-        p_f: Pore gas pressure (Pa), gauge relative to atmospheric.
     """
 
     phi: float
     p: float
     shear: float
-    p_f: float = 0.0
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.phi <= 1.0:

@@ -596,6 +596,12 @@ class LinearCombination(_ModelBase):
         )
 
 
+#: Entries kept by each of a :class:`DerivedNumeric`'s memos.  A sweep reuses
+#: only recent keys, so it misses no more often than with an unbounded memo;
+#: a box run meets a new phi at every stage and would grow one without bound.
+DERIVED_MEMO_SIZE = 64
+
+
 @dataclass(frozen=True)
 class DerivedNumeric(_ModelBase):
     """Model whose dilatancy is derived from a caller-supplied Z by
@@ -603,14 +609,15 @@ class DerivedNumeric(_ModelBase):
 
     Quadratures are memoised: f per (phi, I), as f does not depend on p, and
     the equilibrium term I_eq W(I_eq) per phi, so evaluation behaves as a
-    pure function from the outside.
+    pure function from the outside.  Each memo keeps the last
+    ``DERIVED_MEMO_SIZE`` keys used.
     """
 
     Z: Callable[[float, float], float] = field(kw_only=True)
 
     def __post_init__(self) -> None:
         # lru_cache is thread-safe and never caches an exception.
-        memo = functools.lru_cache(maxsize=None)
+        memo = functools.lru_cache(maxsize=DERIVED_MEMO_SIZE)
         object.__setattr__(self, "_memo", memo(self._derive))
         object.__setattr__(self, "_equilibrium", memo(self._anchor))
 
@@ -693,8 +700,10 @@ def build_model(
     """Instantiate a catalogue model from its string id.
 
     Ids: ``dp``, ``mui``, ``dp-psi``, ``mui-psi``, ``power:<n>`` (for example
-    ``power:2`` or ``power:-0.5``) and ``roux-radjai``.  ``z_override="dp"``
-    forces the plain sin(delta) yield coefficient on the Roux-Radjai model.
+    ``power:2`` or ``power:-0.5``) and ``roux-radjai``.  ``z_override`` is the
+    Roux-Radjai ``z_mode``: ``"dp"`` forces the plain sin(delta) yield
+    coefficient, and an unknown mode raises.  ``rr_gain`` is ignored by the
+    other ids.
     """
     mat = mat if mat is not None else MaterialParams()
     law = law if law is not None else EquilibriumLaw()
@@ -707,6 +716,6 @@ def build_model(
     if model_id == "roux-radjai":
         if rr_gain is None:
             raise ValueError("roux-radjai needs a gain: pass rr_gain (--rr-gain)")
-        mode = "dp" if z_override == "dp" else "small-angle"
-        return RouxRadjai(mat, law, gain=rr_gain, z_mode=mode)
+        z_mode = "small-angle" if z_override is None else z_override
+        return RouxRadjai(mat, law, gain=rr_gain, z_mode=z_mode)
     raise ValueError(f"unknown model id {model_id!r}; known: {', '.join(MODEL_IDS)}")

@@ -92,6 +92,23 @@ class TestSymbolConfig:
         with pytest.raises(ConfigError, match="missing"):
             read_symbol_config(cfg)
 
+    @pytest.mark.parametrize(
+        "text,where",
+        [
+            ("n_matrix = 2\nxi = 3 0\nmomentum_rows = 0\nc = nan\n", "4: c"),
+            ("n_matrix = 2\nxi = nan 1\nmomentum_rows = 0\nc = 1\n", "2: xi"),
+            ("c = 1\nxi = 3 0\nmomentum_rows = 0\nn_matrix = 2 0; 0 inf\n", "4: n_matrix"),
+            ("n_matrix = nanj\nxi = 3\nmomentum_rows = 0\nc = 1\n", "1: n_matrix"),
+        ],
+        ids=["c-nan", "xi-nan", "n_matrix-inf", "n_matrix-complex-nan"],
+    )
+    def test_non_finite_value_named(self, tmp_path, text, where):
+        cfg = tmp_path / "sym.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            read_symbol_config(cfg)
+        assert str(exc.value) == f"{cfg}:{where} must be finite"
+
 
 class TestCliTable1:
     def test_values(self, tmp_path, capsys):
@@ -458,6 +475,51 @@ class TestCliSimulate:
             assert hashlib.sha256(out.read_bytes()).hexdigest() == digest, argv
 
 
+class TestCliGoldenReports:
+    #: argv (with exit code), sha256 of its --out CSV and of its stdout without
+    #: --out, recorded like ``TestCliSimulate.GOLDEN``.
+    GOLDEN = [
+        (
+            ["table1", "--config", CFG], 0,
+            "5c5397bae3b0e0609a0d686ae91c7b076e6d81e98142f7c50cab7581e5e6f370",
+            "5c5397bae3b0e0609a0d686ae91c7b076e6d81e98142f7c50cab7581e5e6f370",
+        ),
+        (
+            ["check", "--model", "mui", "--config", CFG], 0,
+            "dcf590bfd30b9ae2cbdc4f597022a966d64000f425556bff0a7b16050575ccdf",
+            "3190fe067f1afdc637e89964992147964327a1f0a74b83eea7c08c3312a44781",
+        ),
+        (
+            ["classify", "--model", "dp-psi", "--config", CFG], 2,
+            "9988e598833bad865bb781ef093e04886c3f0547cbc8fb3e121949e78f84cbf0",
+            "adf03fb2c49d163d4ec548d06722d54c4a397a3f704c24815428b6f622c57714",
+        ),
+        (
+            ["derive", "--model", "dp", "--config", CFG], 0,
+            "a8d220d20db548a49a824e076223f11ebb26ccc0f535f627aa099bfbc56ece73",
+            "4544633f94d8ae14542a8f016419519d4dafc98f076451c6ed47d2d5ecc5f21e",
+        ),
+        (
+            ["symbol", "--config", str(DEMO_CONFIGS / "symbol.cfg")], 0,
+            "7c4c53139f6a4910bf61230b32f8c4965a6c876c5ece67ac9378a948f562f292",
+            "0664745448d39d5792cf4914d5c1783512daf9d037f74af1269db010a08a3df7",
+        ),
+    ]
+
+    @pytest.mark.parametrize("argv,code,csv_digest,stdout_digest", GOLDEN,
+                             ids=[argv[0] for argv, *_ in GOLDEN])
+    def test_golden_csv_and_stdout(self, tmp_path, capsys, argv, code, csv_digest, stdout_digest):
+        """The CSV and stdout bytes are unchanged; with --out, the CSV that
+        table1 and derive print moves from stdout to the file."""
+        assert main(argv) == code
+        stdout = capsys.readouterr().out
+        assert hashlib.sha256(stdout.encode()).hexdigest() == stdout_digest
+        out = tmp_path / "run.csv"
+        assert main(argv + ["--out", str(out)]) == code
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == csv_digest
+        assert capsys.readouterr().out == stdout.replace(out.read_text(), "", 1)
+
+
 class TestCliSymbol:
     def test_minimal_example(self, tmp_path, capsys):
         cfg = tmp_path / "sym.cfg"
@@ -516,6 +578,23 @@ class TestCliErrors:
         cfg.write_text("d = 1e-4\na_rr = nan\n")
         assert main(["check", "--model", "roux-radjai", "--config", str(cfg)]) == 1
         assert capsys.readouterr().err == f"error: {cfg}:2: unknown key 'a_rr'\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "--model", "dp", "--rr-gain", "5"],
+            ["simulate-box", "--model", "mui", "--rr-gain", "2", "--t-end", "1e-4"],
+        ],
+        ids=["check", "simulate-box"],
+    )
+    def test_rr_gain_on_other_model_named(self, tmp_path, capsys, argv):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 1
+        model = argv[argv.index("--model") + 1]
+        assert capsys.readouterr() == (
+            "", f"error: --rr-gain only applies to --model roux-radjai, not {model!r}\n"
+        )
+        assert not out.exists()
 
     def test_roux_radjai_without_gain_named(self, capsys):
         assert main(["check", "--model", "roux-radjai"]) == 1

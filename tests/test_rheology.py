@@ -12,6 +12,7 @@ import pytest
 from granupore.conditions import standard_grid
 from granupore.materials import EquilibriumLaw, FlowState, glass_beads, i_eq, phi_eq_prime
 from granupore.rheology import (
+    DERIVED_MEMO_SIZE,
     MODEL_IDS,
     DerivedNumeric,
     DruckerPrager,
@@ -35,6 +36,7 @@ from granupore.rheology import (
     mui_angle_primitive,
     mui_shear_factor,
 )
+from granupore.simulate import constant_forcing, run_box
 
 MAT = glass_beads()
 LAW = EquilibriumLaw()
@@ -500,6 +502,15 @@ class TestDerivedNumericModel:
             )
         assert ends == [i_eq(LAW, MAT, 0.5), 0.3, 1.0, 3.0]
 
+    def test_memos_bounded_over_a_box_run(self):
+        # Each RK4 stage of a box run meets a new phi, so the run misses both
+        # memos more often than they may hold.
+        model = DerivedNumeric(MAT, LAW, Z=MUI.yield_function)
+        run_box(model, MAT, constant_forcing(100.0, 1000.0), phi0=0.55, t_end=5e-5, dt=1e-6)
+        for memo in (model._memo, model._equilibrium):
+            assert memo.cache_info().misses > DERIVED_MEMO_SIZE
+            assert memo.cache_info().currsize <= DERIVED_MEMO_SIZE
+
     def test_singular_Z_uses_safe_anchor(self):
         model = DerivedNumeric(MAT, LAW, Z=lambda phi, I: I**-0.5)
         ref = PowerLaw(MAT, LAW, n=-0.5)
@@ -737,6 +748,10 @@ class TestCatalogue:
     def test_z_override(self):
         model = build_model("roux-radjai", MAT, rr_gain=1.0, z_override="dp")
         assert model.yield_function(0.5, 1.0) == pytest.approx(SIN_D)
+
+    def test_unknown_z_override_raises(self):
+        with pytest.raises(ValueError, match="^unknown z_mode 'bogus'$"):
+            build_model("roux-radjai", MAT, rr_gain=2.0, z_override="bogus")
 
     def test_roux_radjai_id_needs_gain(self):
         with pytest.raises(ValueError, match="gain"):
