@@ -14,7 +14,9 @@ without a momentum solver:
   d/dt[(1-phi) p_f] = p_atm d/dz[kappa(phi) dp_f/dz] with zero flux at both
   ends.  In exact arithmetic the finite-volume discretisation conserves
   the discrete gas content and dissipates the gas energy
-  E1 = sum (1-phi) H(p_f) dz monotonically.  In floats the implicit
+  E1 = sum (1-phi) H(p_f) dz monotonically.  ``run_column`` records both
+  at every step, summed over blocks of steps in one call each, bitwise
+  equal to a per-step sum.  In floats the implicit
   solve's content drift grows with dt, from 6.1e-14 to 1.4e-9 per step
   over dt = 1e-3 to 10 s (CLI defaults), and near equilibrium E1 moves by
   +-1-2 ulp, which the exact energy rule of :class:`EnergyLedger` reports
@@ -62,6 +64,11 @@ BOUND_EPS = 1.0e-9
 
 #: Fraction of the explicit column stability limit that a step may take.
 CFL_SAFETY = 0.4
+
+#: p_f values per block of column steps whose ledger ``run_column`` sums in
+#: one call (128 KB): a block this size stays in cache, while a 4 MB block
+#: made 2,000 cells slower than one call per step.
+_LEDGER_BLOCK_VALUES = 16_384
 
 
 # ----------------------------------------------------------------------
@@ -536,12 +543,17 @@ def run_column(
     ``content``, ``energy`` and ``dissipation`` are recorded at *every*
     step, so the result is the run's per-step :class:`EnergyLedger`; states
     are kept each ``record_every`` steps (plus the initial and final ones).
+    The initial profile's sums are taken alone, before any step; later
+    profiles are copied into a block of about 16K values and summed one
+    block at a time, bitwise equal to summing each step's profile alone.
 
     Raises:
         ValueError: First on the errors of :func:`step_column`, even when
             n_steps is 0: dt <= 0, an unknown mode, or an explicit dt above
             the stability bound; then if record_every is not an integer or
-            < 1, or n_steps is not an integer or < 0.
+            < 1, or n_steps is not an integer or < 0; then, before any
+            step, if an initial p_f is at or below -p_atm (the message
+            gives its cell index).
     """
     one_m, kf, advance = _column_stepper(state0, gas, mat, dt, mode)
     _check_record_every(record_every)
@@ -549,15 +561,22 @@ def run_column(
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     t, p, dz = state0.t, state0.pf_profile, state0.dz
+    ledger = np.empty((4, n_steps + 1))  # rows: t, content, E1, D
+    ledger[0, 0] = t
+    ledger[1:, 0] = _ledger_sums(p, dz, gas, one_m, kf)
     history = [state0]
-    rows = [(t, *_ledger_sums(p, dz, gas, one_m, kf))]
+    block = np.empty((min(n_steps, max(1, _LEDGER_BLOCK_VALUES // p.size)), p.size))
     for step in range(1, n_steps + 1):
         p = advance(p)
         t += dt
-        rows.append((t, *_ledger_sums(p, dz, gas, one_m, kf)))
+        ledger[0, step] = t
+        row = (step - 1) % len(block)
+        block[row] = p
+        if row == len(block) - 1 or step == n_steps:
+            ledger[1:, step - row:step + 1] = _ledger_sums(block[:row + 1], dz, gas, one_m, kf)
         if step % record_every == 0 or step == n_steps:
             history.append(replace(state0, pf_profile=p, t=t))
-    t, content, energy, dissipation = np.array(rows).T
+    t, content, energy, dissipation = ledger
     return ColumnResult(t, energy, dissipation, history, content)
 
 

@@ -16,7 +16,9 @@ from granupore.rheology import (
     MuIDilatant,
     RouxRadjai,
 )
+from granupore import simulate
 from granupore.simulate import (
+    _LEDGER_BLOCK_VALUES,
     EnergyLedger,
     column_cfl_dt,
     constant_forcing,
@@ -650,3 +652,53 @@ class TestColumn:
         for series in (res.t, res.content, res.energy, res.dissipation, final):
             digest.update(series.tobytes())
         assert digest.hexdigest() == self.GOLDEN_SERIES[case]
+
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    @pytest.mark.parametrize("n", [2, 200, _LEDGER_BLOCK_VALUES + 1], ids=["2", "200", "row-per-block"])
+    @pytest.mark.parametrize("steps", ["0", "1", "rows-1", "rows", "rows+1", "2rows+3"])
+    def test_block_ledger_matches_per_state_sums(self, mode, n, steps):
+        """run_column sums its ledger in blocks of rows steps; across every
+        block edge it equals the ledger and content of the recorded states."""
+        rows = max(1, _LEDGER_BLOCK_VALUES // n)
+        n_steps = {"0": 0, "1": 1, "rows-1": rows - 1, "rows": rows, "rows+1": rows + 1,
+                   "2rows+3": 2 * rows + 3}[steps]
+        state = self._cosine_column(n)
+        dt = (1.0 if mode == "explicit" else 10.0) * column_cfl_dt(state, GAS, MAT)
+        res = run_column(state, GAS, MAT, dt, n_steps, mode=mode, record_every=1)
+        assert len(res.history) == n_steps + 1
+        # energy_ledger needs two states: a copy one second after the last
+        # adds an entry that is dropped.
+        last = res.history[-1]
+        ledger = energy_ledger([*res.history, replace(last, t=last.t + 1.0)], GAS, MAT)
+        np.testing.assert_array_equal(res.t, ledger.t[:-1])
+        np.testing.assert_array_equal(res.energy, ledger.energy[:-1])
+        np.testing.assert_array_equal(res.dissipation, ledger.dissipation[:-1])
+        np.testing.assert_array_equal(res.content, [gas_content(s) for s in res.history])
+
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    def test_bad_initial_pf_raises_before_any_step(self, monkeypatch, mode):
+        pf = np.full(10, 100.0)
+        pf[3] = -2.0 * GAS.p_atm
+        state = uniform_column(10, self.L, 0.6, pf)
+        stepper, steps = simulate._column_stepper, []
+
+        def counting_stepper(*args):
+            one_m, kf, advance = stepper(*args)
+            return one_m, kf, lambda p: steps.append(p) or advance(p)
+
+        monkeypatch.setattr(simulate, "_column_stepper", counting_stepper)
+        with pytest.raises(ValueError, match=r"got -202600\.0 at index 3$"):
+            run_column(state, GAS, MAT, column_cfl_dt(state, GAS, MAT), 500, mode=mode)
+        assert steps == []
+
+    @pytest.mark.parametrize("mode,factor", [("explicit", 1.0), ("implicit", 20.0)])
+    def test_history_profiles_survive_later_blocks(self, mode, factor):
+        n = 60
+        state = uniform_column(n, self.L, np.linspace(0.45, 0.58, n),
+                               lambda z: 100.0 * np.exp(-z / 0.02))
+        dt = factor * column_cfl_dt(state, GAS, MAT)
+        n_steps = 2 * (_LEDGER_BLOCK_VALUES // n) + 3
+        res = run_column(state, GAS, MAT, dt, n_steps, mode=mode, record_every=1)
+        for recorded in res.history[1:]:
+            state = step_column(state, GAS, MAT, dt, mode=mode)
+            np.testing.assert_array_equal(recorded.pf_profile, state.pf_profile)
