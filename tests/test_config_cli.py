@@ -444,7 +444,7 @@ class TestCliSimulate:
         ),
         (
             ["simulate-column", "--config", CFG, "--mode", "implicit"],
-            "da8ec7af62ba4fe19e9b1589af4aca69c89cbef800bf5421bfdb409c453b9a10",
+            "2bac7aff3493cd5d2f2eab392b59344629c60553d36efe323720d8b1d1956cae",
         ),
         (
             [

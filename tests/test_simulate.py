@@ -580,6 +580,13 @@ class TestColumn:
         assert res.max_step_content_drift < 1e-12
         assert np.all(np.diff(res.energy) < 0.0)
 
+    @pytest.mark.parametrize("dt", [1e-3, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("phi", [0.6, np.linspace(0.45, 0.58, 200)], ids=["uniform", "graded"])
+    def test_implicit_content_drift_at_rounding_level(self, dt, phi):
+        state = self._cosine_column(200, phi=phi)
+        res = run_column(state, GAS, MAT, dt, 50, mode="implicit")
+        assert res.max_step_content_drift <= 1e-15
+
     def test_nonuniform_phi_profile_conserves(self):
         n = 60
         phi = np.linspace(0.45, 0.62, n)
@@ -624,7 +631,7 @@ class TestColumn:
 
     GOLDEN_SERIES = {
         "explicit200": "a9826466c91f67b636bb12d0c2502ef6525479f0f500e2a2b0d07dfd7e71fec4",
-        "implicit200": "b033546b2cabd70274d4bed9e08d9c73cc992112c3e4d3dafa67cd3836fc6522",
+        "implicit200": "93d0546df337fe8396387a84412f872302df66b0339b635b9b92dde7fb6c0c8a",
         "graded60": "65422814f1f2bcfdeec3b140821a71203bd038aadd1348beca510e3b1153a730",
     }
 
