@@ -125,7 +125,13 @@ def read_symbol_config(path) -> dict:
     Keys: ``n_matrix`` (rows separated by ';', entries by spaces; complex
     entries use Python syntax like ``1+2j``), ``xi`` (space-separated),
     ``momentum_rows`` (space-separated 0-based indices), ``c``.  The
-    ``n_matrix``, ``xi`` and ``c`` values must be finite.
+    ``n_matrix``, ``xi`` and ``c`` values must be finite, and the momentum
+    rows distinct rows of ``n_matrix``.
+
+    Raises:
+        ConfigError: Naming the file, and the line where there is one, on an
+            unknown or missing key, a value that does not parse, a
+            non-finite value or a bad momentum row.
     """
     entries = read_kv_file(path)
     unknown = entries.keys() - _SYMBOL_PARSERS.keys()
@@ -143,4 +149,10 @@ def read_symbol_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: cannot parse {key} from {raw!r}") from None
         if key != "momentum_rows" and not np.all(np.isfinite(parsed[key])):
             raise ConfigError(f"{path}:{lineno}: {key} must be finite")
+    rows, k = parsed["momentum_rows"], len(parsed["n_matrix"])
+    where = f"{path}:{entries['momentum_rows'][1]}: momentum_rows {rows}"
+    if len(set(rows)) != len(rows):
+        raise ConfigError(f"{where} repeat a row")
+    if not all(0 <= r < k for r in rows):
+        raise ConfigError(f"{where} out of range for the {k} rows of n_matrix")
     return {"N": parsed.pop("n_matrix"), **parsed}

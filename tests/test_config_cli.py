@@ -109,6 +109,26 @@ class TestSymbolConfig:
             read_symbol_config(cfg)
         assert str(exc.value) == f"{cfg}:{where} must be finite"
 
+    @pytest.mark.parametrize(
+        "rows,problem",
+        [
+            ("5", "(5,) out of range for the 2 rows of n_matrix"),
+            ("-1", "(-1,) out of range for the 2 rows of n_matrix"),
+            ("1 2", "(1, 2) out of range for the 2 rows of n_matrix"),
+            ("0 0", "(0, 0) repeat a row"),
+        ],
+        ids=["above", "negative", "one-above", "repeated"],
+    )
+    def test_bad_momentum_rows_named(self, tmp_path, capsys, rows, problem):
+        cfg = tmp_path / "sym.cfg"
+        cfg.write_text(f"n_matrix = 2 0; 0 3\nxi = 3 0\nmomentum_rows = {rows}\nc = 1.0\n")
+        message = f"{cfg}:3: momentum_rows {problem}"
+        with pytest.raises(ConfigError) as exc:
+            read_symbol_config(cfg)
+        assert str(exc.value) == message
+        assert main(["symbol", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
 
 class TestCliTable1:
     def test_values(self, tmp_path, capsys):
