@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import io
+import math
 import sys
 from contextlib import nullcontext
 from typing import Sequence
@@ -157,7 +158,7 @@ def cmd_table1(args) -> int:
     mat, gas, _ = _setup(args)
     law = EquilibriumLaw()
     phi, p, I = 0.5, 1000.0, 1.0  # sample state with i_eq(phi) = 0.5
-    shear = I * np.sqrt(p / mat.rho_s) / mat.d
+    shear = I * math.sqrt(p / mat.rho_s) / mat.d
     rows, worst = ["n,Z_form,phi,I,i_eq,f_closed,f_numeric,abs_diff,dissipation\n"], 0.0
     for n in TABLE1_EXPONENTS:
         model = PowerLaw(mat, law, n=n)
@@ -233,8 +234,8 @@ def cmd_simulate_box(args) -> int:
         forcing = random_forcing(rng, args.t_end)
     else:
         p = BOX_P if args.p is None else args.p
-        if args.I is not None:
-            shear = args.I * np.sqrt(p / mat.rho_s) / mat.d
+        if args.I is not None:  # a p <= 0 or NaN is named by constant_forcing
+            shear = args.I * math.sqrt(p / mat.rho_s) / mat.d if p > 0 else 0.0
         else:
             shear = BOX_SHEAR if args.shear is None else args.shear
         forcing = constant_forcing(shear, p)

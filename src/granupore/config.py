@@ -125,13 +125,15 @@ def read_symbol_config(path) -> dict:
     Keys: ``n_matrix`` (rows separated by ';', entries by spaces; complex
     entries use Python syntax like ``1+2j``), ``xi`` (space-separated),
     ``momentum_rows`` (space-separated 0-based indices), ``c``.  The
-    ``n_matrix``, ``xi`` and ``c`` values must be finite, and the momentum
-    rows distinct rows of ``n_matrix``.
+    ``n_matrix``, ``xi`` and ``c`` values must be finite, ``n_matrix``
+    square, and the momentum rows distinct rows of ``n_matrix``, no more of
+    them than ``xi`` has components.
 
     Raises:
         ConfigError: Naming the file, and the line where there is one, on an
             unknown or missing key, a value that does not parse, a
-            non-finite value or a bad momentum row.
+            non-finite value, a non-square ``n_matrix`` or a bad momentum
+            row.
     """
     entries = read_kv_file(path)
     unknown = entries.keys() - _SYMBOL_PARSERS.keys()
@@ -149,10 +151,18 @@ def read_symbol_config(path) -> dict:
             raise ConfigError(f"{path}:{lineno}: cannot parse {key} from {raw!r}") from None
         if key != "momentum_rows" and not np.all(np.isfinite(parsed[key])):
             raise ConfigError(f"{path}:{lineno}: {key} must be finite")
-    rows, k = parsed["momentum_rows"], len(parsed["n_matrix"])
+    N, rows, dim = parsed["n_matrix"], parsed["momentum_rows"], parsed["xi"].size
+    k = len(N)
+    if N.shape != (k, k):
+        raise ConfigError(
+            f"{path}:{entries['n_matrix'][1]}: n_matrix must be square, "
+            f"got {k} rows of {N.shape[1]}"
+        )
     where = f"{path}:{entries['momentum_rows'][1]}: momentum_rows {rows}"
     if len(set(rows)) != len(rows):
         raise ConfigError(f"{where} repeat a row")
     if not all(0 <= r < k for r in rows):
         raise ConfigError(f"{where} out of range for the {k} rows of n_matrix")
+    if len(rows) > dim:
+        raise ConfigError(f"{where} exceed the {dim} components of xi")
     return {"N": parsed.pop("n_matrix"), **parsed}

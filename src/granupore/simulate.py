@@ -187,6 +187,23 @@ def _box_stepper(
     return advance
 
 
+def _check_box_start(
+    phi: float, p_f: float | None, gas: GasParams | None, phi_name: str, pf_name: str
+) -> None:
+    """Reject a box state to step from, naming its phi and p_f as given:
+    phi outside (0, 1), or a tracked p_f without gas, at or below -p_atm,
+    or infinite.  Written so that NaN fails each check."""
+    if not 0.0 < phi < 1.0:
+        raise ValueError(f"{phi_name} must lie in (0, 1), got {phi}")
+    if p_f is not None:
+        if gas is None:
+            raise ValueError("tracking p_f requires gas parameters")
+        if not p_f > -gas.p_atm:
+            raise ValueError(f"{pf_name} must exceed -p_atm = {-gas.p_atm}, got {p_f}")
+        if p_f == math.inf:
+            raise ValueError(f"{pf_name} must be finite, got {p_f}")
+
+
 def step_box(
     state: BoxState, model, mat: MaterialParams, forcing: Forcing, dt: float,
     gas: GasParams | None = None,
@@ -198,14 +215,15 @@ def step_box(
     once.  A state that carries a pore pressure advances it with ``gas``.
 
     Raises:
-        ValueError: If dt <= 0, or p_f is tracked without gas parameters;
-            model domain errors at stage states propagate.
+        ValueError: If dt <= 0, or the state is one :func:`run_box` would
+            not start from: phi outside (0, 1), or p_f tracked without gas
+            parameters, at or below -p_atm, or infinite.  Model domain
+            errors at stage states propagate.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    _check_box_start(state.phi, state.p_f, gas, "state.phi", "state.p_f")
     tracked = state.p_f is not None
-    if tracked and gas is None:
-        raise ValueError("tracking p_f requires gas parameters")
     advance = _box_stepper(model, mat, forcing, dt, gas if tracked else None)
     phi, p_f = advance(state.t, state.phi, state.p_f if tracked else 0.0)
     return BoxState(t=state.t + dt, phi=phi, p_f=p_f if tracked else None)
@@ -284,16 +302,7 @@ def run_box(
     """
     n_steps = _step_count(t_end, dt)
     _check_record_every(record_every)
-    # Written so that NaN fails each check.
-    if not 0.0 < phi0 < 1.0:
-        raise ValueError(f"phi0 must lie in (0, 1), got {phi0}")
-    if pf0 is not None:
-        if gas is None:
-            raise ValueError("tracking p_f requires gas parameters")
-        if not pf0 > -gas.p_atm:
-            raise ValueError(f"pf0 must exceed -p_atm = {-gas.p_atm}, got {pf0}")
-        if pf0 == math.inf:
-            raise ValueError(f"pf0 must be finite, got {pf0}")
+    _check_box_start(phi0, pf0, gas, "phi0", "pf0")
     advance = _box_stepper(model, mat, forcing, dt, None if pf0 is None else gas)
     rows: list[tuple[float, ...]] = []  # (t, phi, p_f, div u, I, i_eq)
     violations: list[tuple[int, float, float]] = []

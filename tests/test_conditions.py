@@ -396,6 +396,8 @@ class TestSweep:
             GridSpec(phi_range=(0.4, 0.6, 2.5))
         with pytest.raises(ValueError, match=r"^I_range: count must be an integer, got 3\.0$"):
             GridSpec(I_range=(0.1, 1.0, 3.0))
+        with pytest.raises(ValueError, match=r"^p grid must be strictly positive$"):
+            GridSpec(p_range=(0.0, 100.0, 3))
 
     def test_grid_takes_numpy_int_counts(self):
         grid = GridSpec(p_range=(10.0, 100.0, np.int64(3)))

@@ -69,6 +69,14 @@ class TestKVFile:
         with pytest.raises(ConfigError, match="mu1"):
             load_parameters(cfg)
 
+    @pytest.mark.parametrize("line", ["rho_s =", "= 2500"], ids=["no-value", "no-key"])
+    def test_empty_key_or_value(self, tmp_path, line):
+        cfg = tmp_path / "m.cfg"
+        cfg.write_text(f"d = 1e-4\n{line}\n")
+        with pytest.raises(ConfigError) as exc:
+            read_kv_file(cfg)
+        assert str(exc.value) == f"{cfg}:2: empty key or value"
+
     def test_parse_angle(self):
         assert parse_angle("0.5") == 0.5
         assert parse_angle("0.5 rad") == 0.5
@@ -91,6 +99,31 @@ class TestSymbolConfig:
         cfg.write_text("n_matrix = 1\nxi = 1\nc = 1\n")
         with pytest.raises(ConfigError, match="missing"):
             read_symbol_config(cfg)
+
+    def test_unknown_keys_named(self, tmp_path):
+        cfg = tmp_path / "sym.cfg"
+        cfg.write_text("n_matrix = 1\nxi = 1\nmomentum_rows = 0\nc = 1\nzeta = 2\nd = 1\n")
+        with pytest.raises(ConfigError) as exc:
+            read_symbol_config(cfg)
+        assert str(exc.value) == f"{cfg}: unknown keys ['d', 'zeta']"
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("n_matrix = 1\nxi = 1 one\nmomentum_rows = 0\nc = 1\n", "2: cannot parse xi from '1 one'"),
+            ("n_matrix = 1 2; 3\nxi = 1\nmomentum_rows = 0\nc = 1\n",
+             "1: cannot parse n_matrix from '1 2; 3'"),
+            ("n_matrix = 1\nxi = 1\nmomentum_rows = 0.5\nc = 1\n",
+             "3: cannot parse momentum_rows from '0.5'"),
+        ],
+        ids=["xi", "ragged-n_matrix", "momentum_rows"],
+    )
+    def test_unparsable_value_named(self, tmp_path, text, message):
+        cfg = tmp_path / "sym.cfg"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError) as exc:
+            read_symbol_config(cfg)
+        assert str(exc.value) == f"{cfg}:{message}"
 
     @pytest.mark.parametrize(
         "text,where",
@@ -123,6 +156,28 @@ class TestSymbolConfig:
         cfg = tmp_path / "sym.cfg"
         cfg.write_text(f"n_matrix = 2 0; 0 3\nxi = 3 0\nmomentum_rows = {rows}\nc = 1.0\n")
         message = f"{cfg}:3: momentum_rows {problem}"
+        with pytest.raises(ConfigError) as exc:
+            read_symbol_config(cfg)
+        assert str(exc.value) == message
+        assert main(["symbol", "--config", str(cfg)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text,problem",
+        [
+            ("n_matrix = 1 2 3; 4 5 6\nxi = 3 0\nmomentum_rows = 0\nc = 1.0\n",
+             "1: n_matrix must be square, got 2 rows of 3"),
+            ("c = 1.0\nxi = 1\nmomentum_rows = 0 1\nn_matrix = 2 0; 0 3\n",
+             "3: momentum_rows (0, 1) exceed the 1 components of xi"),
+        ],
+        ids=["not-square", "rows-exceed-xi"],
+    )
+    def test_symbol_shape_named(self, tmp_path, capsys, text, problem):
+        # assemble_extended_symbol also rejects both, for API callers, but
+        # without the file and line
+        cfg = tmp_path / "sym.cfg"
+        cfg.write_text(text)
+        message = f"{cfg}:{problem}"
         with pytest.raises(ConfigError) as exc:
             read_symbol_config(cfg)
         assert str(exc.value) == message
@@ -329,6 +384,21 @@ class TestCliSimulate:
         code = main(["simulate-box", "--model", "dp", "--scenario", str(scenario)])
         assert code == 1
         assert "error: --shear sets constant forcing" in capsys.readouterr().err
+
+    def test_box_I_forcing_is_a_python_float(self, monkeypatch, capsys):
+        # a numpy scalar shear would make every RK4 stage numpy-scalar work
+        import granupore.cli as cli
+
+        seen = []
+        run_box = cli.run_box
+        monkeypatch.setattr(
+            cli, "run_box", lambda model, mat, forcing, **kw: seen.append(forcing) or run_box(
+                model, mat, forcing, **kw
+            )
+        )
+        assert main(["simulate-box", "--model", "mui", "--I", "2", "--t-end", "1e-5"]) == 0
+        capsys.readouterr()
+        assert type(seen[0].shear(0.0)) is float
 
     def test_box_I_and_shear_exclusive(self, tmp_path, capsys):
         run = ["simulate-box", "--model", "dp", "--t-end", "1e-4"]

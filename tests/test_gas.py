@@ -150,6 +150,34 @@ class TestStateLaw:
         assert law.Q(1.25) == pytest.approx(GAS.p_atm * 0.25, rel=1e-9)
         assert law.Q_prime(1.25) == pytest.approx(GAS.p_atm, rel=1e-6)
 
+    def test_custom_outside_table_named(self):
+        law = CustomStateLaw(Q=lambda rho: 3.0 * (rho - 1.0), rho_min=1.0, rho_max=5.0)
+        with pytest.raises(ValueError, match=r"^rho_f=6\.0 outside the tabulated range \[1\.0, 5\.0\]$"):
+            pf_from_rho(law, 6.0)
+
+    def test_custom_not_bracketed_named(self):
+        law = CustomStateLaw(Q=lambda rho: 3.0 * (rho - 1.0), rho_min=1.0, rho_max=5.0)
+        with pytest.raises(
+            ValueError,
+            match=r"^p_f=20\.0 not bracketed by Q on \[1\.0, 5\.0\]; cannot invert state law$",
+        ):
+            rho_from_pf(law, 20.0)
+
+    @pytest.mark.parametrize(
+        "rows,problem",
+        [
+            ("1,0\n2,1\n3,2\n", "need at least 4 samples for cubic interpolation"),
+            ("0,0\n1,1\n2,2\n3,3\n", "densities must be positive"),
+        ],
+        ids=["three-samples", "zero-density"],
+    )
+    def test_csv_law_rejected(self, tmp_path, rows, problem):
+        path = tmp_path / "law.csv"
+        path.write_text("rho,Q\n" + rows)
+        with pytest.raises(ValueError) as exc:
+            state_law_from_csv(path)
+        assert str(exc.value) == f"{path}: {problem}"
+
     def test_csv_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("density,pressure\n1,2\n")

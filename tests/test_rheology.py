@@ -749,6 +749,11 @@ class TestCatalogue:
         model = build_model("roux-radjai", MAT, rr_gain=1.0, z_override="dp")
         assert model.yield_function(0.5, 1.0) == pytest.approx(SIN_D)
 
+    @pytest.mark.parametrize("model_id", ["dp", "mui", "power:0.5"])
+    def test_z_override_on_other_model_raises(self, model_id):
+        with pytest.raises(ValueError, match="^z_override only applies to the roux-radjai model$"):
+            build_model(model_id, MAT, z_override="dp")
+
     def test_unknown_z_override_raises(self):
         with pytest.raises(ValueError, match="^unknown z_mode 'bogus'$"):
             build_model("roux-radjai", MAT, rr_gain=2.0, z_override="bogus")

@@ -125,6 +125,30 @@ class TestStepBox:
                 1e-6,
             )
 
+    @pytest.mark.parametrize(
+        "phi,p_f,message",
+        [
+            (-0.1, None, "state.phi must lie in (0, 1), got -0.1"),
+            (1.0, None, "state.phi must lie in (0, 1), got 1.0"),
+            (math.nan, None, "state.phi must lie in (0, 1), got nan"),
+            (0.5, -2.0e5, "state.p_f must exceed -p_atm = -101300.0, got -200000.0"),
+            (0.5, -GAS.p_atm, "state.p_f must exceed -p_atm = -101300.0, got -101300.0"),
+            (0.5, math.nan, "state.p_f must exceed -p_atm = -101300.0, got nan"),
+            (0.5, math.inf, "state.p_f must be finite, got inf"),
+        ],
+        ids=["phi-negative", "phi-one", "phi-nan", "pf-low", "pf-p_atm", "pf-nan", "pf-inf"],
+    )
+    def test_rejects_what_run_box_rejects(self, phi, p_f, message):
+        from granupore.simulate import BoxState
+
+        box = (MODELS["dp"], MAT, constant_forcing(1.0, 10.0))
+        with pytest.raises(ValueError) as exc:
+            step_box(BoxState(0.0, phi, p_f), *box, 1e-6, gas=GAS)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            run_box(*box, phi0=phi, t_end=1e-5, dt=1e-6, pf0=p_f, gas=GAS)
+        assert str(exc.value) == message.replace("state.phi", "phi0").replace("state.p_f", "pf0")
+
 
 class TestRunSettings:
     @pytest.mark.parametrize(

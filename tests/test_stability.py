@@ -100,6 +100,8 @@ class TestExtendedSymbol:
             assemble_extended_symbol([[1.0]], [1.0], [1], 1.0)  # out of range
         with pytest.raises(ValueError):
             assemble_extended_symbol([[1.0]], [1.0, 2.0], [0, 0], 1.0)
+        with pytest.raises(ValueError, match=r"^2 momentum rows exceed min\(k=2, dim=1\)$"):
+            assemble_extended_symbol(np.eye(2), [1.0], [0, 1], 1.0)
 
 
 class TestSpectrumProperty:
