@@ -40,12 +40,12 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .conditions import GridSpec, standard_grid, sweep, write_report_csv
+from .conditions import GridSpec, dissipation_density, standard_grid, sweep, write_report_csv
 from .config import (
     ConfigError, load_parameters, parameters_text, read_kv_file, read_symbol_config
 )
-from .materials import EquilibriumLaw, GasParams, MaterialParams
-from .rheology import MODEL_IDS, PowerLaw, build_model, derive_f_numeric
+from .materials import EquilibriumLaw, FlowState, GasParams, MaterialParams
+from .rheology import MODEL_IDS, DerivedNumeric, PowerLaw, build_model, derive_f_numeric
 from .simulate import (
     _step_count,
     column_cfl_dt,
@@ -166,8 +166,7 @@ def cmd_table1(args) -> int:
         f_numeric = derive_f_numeric(model.yield_function, law, mat, phi, p, I)
         diff = abs(f_closed - f_numeric)
         worst = max(worst, diff)
-        z = model.yield_function(phi, I)
-        dissipation = 2.0 * (z - f_closed) * p * shear
+        dissipation = dissipation_density(model, FlowState(phi, p, shear), mat, gas)
         rows.append(
             f"{n:g},I^{n:g},{phi:.10e},{I:.10e},{model.i_eq(phi):.10e},"
             f"{f_closed:.10e},{f_numeric:.10e},{diff:.3e},{dissipation:.10e}\n"
@@ -208,11 +207,14 @@ def cmd_derive(args) -> int:
     mat, gas, model = _setup(args)
     grid = _grid(args)
     p = grid.p_values()[0]
+    derived = DerivedNumeric(model.mat, model.law, Z=model.yield_function)
     rows, worst = ["phi,I,p,f_closed,f_numeric,abs_diff\n"], 0.0
     for phi in grid.phi_values():
         for I in grid.I_values():
-            f_closed = model.dilatancy(phi, p, I)
-            f_numeric = derive_f_numeric(model.yield_function, model.law, mat, phi, p, I)
+            try:
+                f_closed, f_numeric = model.dilatancy(phi, p, I), derived.dilatancy(phi, p, I)
+            except (ValueError, RuntimeError) as exc:
+                raise type(exc)(f"phi={phi}, I={I}: {exc}") from exc
             diff = abs(f_closed - f_numeric)
             worst = max(worst, diff)
             rows.append(
@@ -299,12 +301,10 @@ def cmd_simulate_column(args) -> int:
 def cmd_symbol(args) -> int:
     data = read_symbol_config(args.config)
     sym = assemble_extended_symbol(data["N"], data["xi"], data["momentum_rows"], data["c"])
-    eig_m = np.sort_complex(np.linalg.eigvals(sym.M))
-    eig_n = np.sort_complex(np.linalg.eigvals(sym.N))
     union_ok = spectral_union_matches(sym)
     floor_ok = extended_spectrum_property(sym)
-    print(f"spectrum(N): {eig_n}")
-    print(f"spectrum(M): {eig_m}")
+    print(f"spectrum(N): {sym.spectrum_N}")
+    print(f"spectrum(M): {sym.spectrum_M}")
     print(f"added eigenvalue c|xi|^2 = {sym.added_eigenvalue:.10e}")
     print(f"spectral union holds: {'yes' if union_ok else 'NO'}")
     print(f"no spectral degradation: {'yes' if floor_ok else 'NO'}")
@@ -315,7 +315,7 @@ def cmd_symbol(args) -> int:
     )
     _write_csv(args, provenance, "matrix,re,im\n" + "".join(
         f"{name},{ev.real:.10e},{ev.imag:.10e}\n"
-        for name, eigs in (("N", eig_n), ("M", eig_m))
+        for name, eigs in (("N", sym.spectrum_N), ("M", sym.spectrum_M))
         for ev in eigs
     ))
     return 0 if union_ok and floor_ok else 2

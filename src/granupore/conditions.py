@@ -39,7 +39,7 @@ import numpy as np
 
 from .gas import permeability_kappa
 from .materials import FlowState, GasParams, MaterialParams, _check_integer, inertial_number
-from .rheology import _slopes
+from .rheology import _check_mat, _slopes
 
 __all__ = [
     "C1_TOL",
@@ -156,8 +156,9 @@ def dissipation_density(
 ) -> float:
     """Local dissipation rate kappa |grad p_f|^2 + 2 (Z - f) p |S| (W/m3).
 
-    ``grad_pf`` may be a scalar or a gradient vector.
+    ``grad_pf`` may be a scalar or a gradient vector; ``mat`` is the model's.
     """
+    _check_mat(model, mat)
     g = np.atleast_1d(np.asarray(grad_pf, dtype=float))
     density = permeability_kappa(gas, mat.d, state.phi) * float(g @ g)
     if state.shear > 0.0:

@@ -560,10 +560,16 @@ class LinearCombination(_ModelBase):
     derivative, so weights may depend on phi; each term's f vanishes at the
     shared equilibrium, hence so does the sum.  The weights depend on phi
     only, so each slope in I or p is the weighted sum of the terms' slopes
-    (per :func:`_slopes`).
+    (per :func:`_slopes`).  Each term has the combination's mat and law.
     """
 
     terms: tuple = field(kw_only=True)  # of (weight, model); weight float or callable
+
+    def __post_init__(self) -> None:
+        for k, (_, m) in enumerate(self.terms):
+            for name, own in (("mat", self.mat), ("law", self.law)):
+                if getattr(m, name, own) != own:
+                    raise ValueError(f"term {k} has another {name}: {getattr(m, name)}")
 
     @staticmethod
     def _w(weight, phi: float) -> float:
@@ -671,13 +677,20 @@ class Isochoric:
 # Divergence law and model catalogue
 # ----------------------------------------------------------------------
 
+def _check_mat(model, mat: MaterialParams) -> None:
+    """Reject a ``mat`` that is not the model's own; a model without ``mat`` takes any."""
+    if getattr(model, "mat", mat) != mat:
+        raise ValueError(f"mat {mat} is not the model's material {model.mat}")
+
+
 def div_u(model, state: FlowState, mat: MaterialParams) -> float:
     """Velocity divergence div u = 2 |S| f(phi, p, I) at a flow state.
 
     Returns 0 when the state is unsheared (the product vanishes regardless
-    of f).  The inertial number is computed from ``mat``, which also is
-    where the i_eq anchor inside f gets its packing constants.
+    of f).  The inertial number is computed from ``mat``, which must be the
+    model's own, where the i_eq anchor inside f gets its packing constants.
     """
+    _check_mat(model, mat)
     if state.shear == 0.0:
         return 0.0
     I = inertial_number(mat, state.shear, state.p)
@@ -712,7 +725,11 @@ def build_model(
     if model_id in _CATALOGUE:
         return _CATALOGUE[model_id](mat, law)
     if model_id.startswith("power:"):
-        return PowerLaw(mat, law, n=float(model_id.split(":", 1)[1]))
+        try:
+            n = float(model_id.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"model id {model_id!r} needs a number after 'power:'") from None
+        return PowerLaw(mat, law, n=n)
     if model_id == "roux-radjai":
         if rr_gain is None:
             raise ValueError("roux-radjai needs a gain: pass rr_gain (--rr-gain)")

@@ -37,8 +37,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .conditions import EQ_ANCHOR_TOL
 from .gas import enthalpy_ideal, permeability_kappa
 from .materials import GasParams, MaterialParams, _check_integer, inertial_number
+from .rheology import _check_mat
 
 __all__ = [
     "Forcing",
@@ -215,13 +217,14 @@ def step_box(
     once.  A state that carries a pore pressure advances it with ``gas``.
 
     Raises:
-        ValueError: If dt <= 0, or the state is one :func:`run_box` would
-            not start from: phi outside (0, 1), or p_f tracked without gas
-            parameters, at or below -p_atm, or infinite.  Model domain
+        ValueError: If dt <= 0, or on a ``mat`` or state :func:`run_box`
+            would not start from: phi outside (0, 1), or p_f tracked without
+            gas parameters, at or below -p_atm, or infinite.  Model domain
             errors at stage states propagate.
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
+    _check_mat(model, mat)
     _check_box_start(state.phi, state.p_f, gas, "state.phi", "state.p_f")
     tracked = state.p_f is not None
     advance = _box_stepper(model, mat, forcing, dt, gas if tracked else None)
@@ -290,18 +293,19 @@ def run_box(
     steps on floats, advancing time by ``t += dt``.  ``gas`` is used only
     when ``pf0`` is given.  Each recorded step stores div u, I and
     i_eq(phi) and checks the critical-state sign agreement
-    sign(div u) = sign(I - i_eq(phi)) outside a |f| < 1e-12 dead band.
+    sign(div u) = sign(I - i_eq(phi)) outside the |f| < EQ_ANCHOR_TOL band.
     Steps leaving [-1e-9, phi_max + 1e-9] are flagged as model-violation
     events and never clamped.
 
     Raises:
         ValueError: If dt <= 0, t_end is negative or not finite, t_end > 0
             rounds to zero steps, record_every is not an integer or < 1,
-            phi0 is outside (0, 1), or pf0 is given without gas, at or
-            below -p_atm, or infinite.
+            ``mat`` is not the model's material, phi0 is outside (0, 1), or
+            pf0 is given without gas, at or below -p_atm, or infinite.
     """
     n_steps = _step_count(t_end, dt)
     _check_record_every(record_every)
+    _check_mat(model, mat)
     _check_box_start(phi0, pf0, gas, "phi0", "pf0")
     advance = _box_stepper(model, mat, forcing, dt, None if pf0 is None else gas)
     rows: list[tuple[float, ...]] = []  # (t, phi, p_f, div u, I, i_eq)
@@ -320,7 +324,7 @@ def run_box(
             I, f_val, divu = 0.0, 0.0, 0.0
         ieq = model.i_eq(phi) if in_domain else float("nan")
         rows.append((t, phi, p_f, divu, I, ieq))
-        if shear > 0.0 and abs(f_val) >= 1.0e-12 and not math.isnan(ieq):
+        if shear > 0.0 and abs(f_val) >= EQ_ANCHOR_TOL and not math.isnan(ieq):
             if math.copysign(1.0, divu) != math.copysign(1.0, I - ieq):
                 sign_ok = False
 

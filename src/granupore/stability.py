@@ -22,6 +22,7 @@ enough to exercise the spectral-union property.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -55,7 +56,7 @@ def pore_diffusivity(phi0: float, gas: GasParams, d: float) -> float:
 
 @dataclass(frozen=True)
 class ExtendedSymbol:
-    """Assembled (k+1) x (k+1) symbol with the pore-pressure block."""
+    """Assembled (k+1) x (k+1) symbol with the pore-pressure block and its sorted spectra."""
 
     N: np.ndarray
     xi: np.ndarray
@@ -66,6 +67,14 @@ class ExtendedSymbol:
     @property
     def added_eigenvalue(self) -> float:
         return self.c * float(self.xi @ self.xi)
+
+    @cached_property
+    def spectrum_N(self) -> np.ndarray:
+        return np.sort_complex(np.linalg.eigvals(self.N))
+
+    @cached_property
+    def spectrum_M(self) -> np.ndarray:
+        return np.sort_complex(np.linalg.eigvals(self.M))
 
 
 def assemble_extended_symbol(
@@ -115,20 +124,14 @@ def extended_spectrum_property(sym: ExtendedSymbol, tol: float = 1.0e-8) -> bool
     Verifies min Re spectrum(M) >= min(min Re spectrum(N), 0) - tol and that
     the appended eigenvalue c |xi|^2 is real and non-negative.
     """
-    eig_m = np.linalg.eigvals(sym.M)
-    eig_n = np.linalg.eigvals(sym.N)
-    added = sym.added_eigenvalue
-    floor = min(float(np.min(eig_n.real)), 0.0)
-    return bool(np.min(eig_m.real) >= floor - tol) and added >= 0.0
+    floor = min(float(np.min(sym.spectrum_N.real)), 0.0)
+    return bool(np.min(sym.spectrum_M.real) >= floor - tol) and sym.added_eigenvalue >= 0.0
 
 
 def spectral_union_matches(sym: ExtendedSymbol, tol: float = 1.0e-8) -> bool:
     """Check spectrum(M) = spectrum(N) union {c |xi|^2} as multisets."""
-    eig_m = np.sort_complex(np.linalg.eigvals(sym.M))
-    expected = np.sort_complex(
-        np.concatenate([np.linalg.eigvals(sym.N), [sym.added_eigenvalue + 0.0j]])
-    )
-    return bool(np.max(np.abs(eig_m - expected)) <= tol)
+    expected = np.sort_complex(np.append(sym.spectrum_N, sym.added_eigenvalue + 0.0j))
+    return bool(np.max(np.abs(sym.spectrum_M - expected)) <= tol)
 
 
 @dataclass(frozen=True)

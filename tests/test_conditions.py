@@ -286,6 +286,13 @@ class TestDissipationDensity:
         closed = 2.0 * friction_mu(mat.mu1, mat.mu2, mat.I0, I) * p * shear
         assert generic == pytest.approx(closed, rel=1e-9)
 
+    def test_other_material_rejected(self):
+        other = glass_beads(d=2e-4, phi_max=0.62)
+        state = FlowState(phi=0.5, p=1000.0, shear=100.0)
+        with pytest.raises(ValueError) as exc:
+            dissipation_density(DP, state, other, GAS, 0.0)
+        assert str(exc.value) == f"mat {other} is not the model's material {MAT}"
+
     def test_gradient_term(self):
         state = FlowState(phi=0.5, p=1000.0, shear=0.0)
         grad = np.array([300.0, -400.0])  # |grad|^2 = 2.5e5

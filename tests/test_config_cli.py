@@ -262,6 +262,28 @@ class TestCliCheckClassify:
         assert code == 0
         assert "max |closed - derived|" in capsys.readouterr().out
 
+    def test_derive_one_anchor_per_phi(self, monkeypatch, capsys):
+        # The default grid has 12 phi and 12 I; the equilibrium term depends
+        # on phi alone, so it is integrated once per phi, not once per point.
+        from granupore import rheology
+
+        anchors = []
+        term = rheology._equilibrium_term
+        monkeypatch.setattr(rheology, "_equilibrium_term",
+                            lambda *args: anchors.append(args[1]) or term(*args))
+        assert main(["derive", "--model", "dp"]) == 0
+        assert len(anchors) == len(set(anchors)) == 12
+
+    def test_derive_names_the_failing_point(self, tmp_path, capsys):
+        out = tmp_path / "derive.csv"
+        grid = "phi=0.5:0.6:2,I=0.1:1:2,p=10:20:2"
+        assert main(["derive", "--model", "mui-psi", "--grid", grid, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: phi=0.6, I=0.1: mu(I) dilatancy angle requires I_eq > 0 (phi < phi_max),"
+            " got 0.0\n"
+        ))
+        assert not out.exists()
+
 
 class TestCliSimulate:
     def test_box_reaches_equilibrium(self, tmp_path, capsys):
@@ -611,6 +633,14 @@ class TestCliGoldenReports:
 
 
 class TestCliSymbol:
+    def test_two_decompositions_per_run(self, monkeypatch, capsys):
+        # The printed spectra, the CSV and both checks read the symbol's two
+        # sorted spectra, so N and M are each decomposed once.
+        eigvals, shapes = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+        assert main(["symbol", "--config", str(DEMO_CONFIGS / "symbol.cfg")]) == 0
+        assert len(shapes) == 2 and len(set(shapes)) == 2
+
     def test_minimal_example(self, tmp_path, capsys):
         cfg = tmp_path / "sym.cfg"
         cfg.write_text("n_matrix = 2\nxi = 3 0\nmomentum_rows = 0\nc = 1\n")
@@ -690,6 +720,13 @@ class TestCliErrors:
         assert main(["check", "--model", "roux-radjai"]) == 1
         assert capsys.readouterr().err == (
             "error: roux-radjai needs a gain: pass rr_gain (--rr-gain)\n"
+        )
+
+    @pytest.mark.parametrize("model", ["power:abc", "power:"])
+    def test_power_without_a_number_named(self, capsys, model):
+        assert main(["check", "--model", model]) == 1
+        assert capsys.readouterr().err == (
+            f"error: model id {model!r} needs a number after 'power:'\n"
         )
 
     def test_unknown_model_exit_1(self, capsys):

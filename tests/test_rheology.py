@@ -417,6 +417,29 @@ class TestLinearCombinationModel:
             0.25 * 0.5 + 0.75 * 0.5166358141164632, rel=1e-12
         )
 
+    @pytest.mark.parametrize(
+        "term,name,value",
+        [
+            (DruckerPrager(MAT, EquilibriumLaw("breard")), "law", EquilibriumLaw("breard")),
+            (MuI(glass_beads(phi_max=0.62), LAW), "mat", glass_beads(phi_max=0.62)),
+        ],
+        ids=["law", "mat"],
+    )
+    def test_term_on_another_setting_rejected(self, term, name, value):
+        # A term on another setting has another equilibrium: a Breard-law DP
+        # term's f at the linear law's i_eq(0.5) = 0.5 is 0.300, not 0.
+        with pytest.raises(ValueError) as exc:
+            LinearCombination(MAT, LAW, terms=((0.5, DP), (0.5, term)))
+        assert str(exc.value) == f"term 1 has another {name}: {value}"
+
+    def test_term_without_settings_taken(self):
+        class Bare:  # a duck-typed pair with no mat or law of its own
+            yield_function = staticmethod(DP.yield_function)
+            dilatancy = staticmethod(DP.dilatancy)
+
+        model = LinearCombination(MAT, LAW, terms=((1.0, Bare()),))
+        assert model.dilatancy(0.5, 10.0, 1.0) == DP.dilatancy(0.5, 10.0, 1.0)
+
 
 class TestDerivedNumericModel:
     def test_matches_builtin(self):
@@ -671,6 +694,23 @@ class TestDivU:
             )
             assert generic == pytest.approx(closed, rel=1e-9)
 
+    def test_other_material_rejected(self):
+        # With the other material's d, I would read 0.0948, twice the
+        # model's own 0.0474, and i_eq would still come from the model's.
+        other = glass_beads(d=2e-4, phi_max=0.62)
+        shear = 0.0474 * math.sqrt(1000.0 / MAT.rho_s) / MAT.d
+        state = FlowState(phi=0.5, p=1000.0, shear=shear)
+        with pytest.raises(ValueError) as exc:
+            div_u(MUI, state, other)
+        assert str(exc.value) == f"mat {other} is not the model's material {MAT}"
+
+    def test_model_without_mat_takes_any(self):
+        class Bare:
+            dilatancy = staticmethod(DP.dilatancy)
+
+        state = FlowState(phi=0.5, p=1000.0, shear=100.0)
+        assert div_u(Bare(), state, MAT) == div_u(DP, state, MAT)
+
     @pytest.mark.parametrize("model", BUILTINS, ids=["dp", "mui", "dp-psi", "mui-psi"])
     def test_sign_of_div_u(self, model):
         phi, p = 0.5, 500.0
@@ -744,6 +784,12 @@ class TestCatalogue:
     def test_power_id(self):
         model = build_model("power:-0.5", MAT)
         assert isinstance(model, PowerLaw) and model.n == -0.5
+
+    @pytest.mark.parametrize("model_id", ["power:abc", "power:", "power:1:2"])
+    def test_power_id_without_a_number_named(self, model_id):
+        with pytest.raises(ValueError) as exc:
+            build_model(model_id, MAT)
+        assert str(exc.value) == f"model id {model_id!r} needs a number after 'power:'"
 
     def test_z_override(self):
         model = build_model("roux-radjai", MAT, rr_gain=1.0, z_override="dp")

@@ -6,8 +6,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
+from granupore.gas import permeability_kappa
 from granupore.materials import EquilibriumLaw, GasParams, glass_beads
 from granupore.rheology import (
     DruckerPrager,
@@ -148,6 +151,34 @@ class TestStepBox:
         with pytest.raises(ValueError) as exc:
             run_box(*box, phi0=phi, t_end=1e-5, dt=1e-6, pf0=p_f, gas=GAS)
         assert str(exc.value) == message.replace("state.phi", "phi0").replace("state.p_f", "pf0")
+
+
+    def test_other_material_rejected(self):
+        # The model is built on MAT; stepping it with a material of another d
+        # and phi_max would read I from one material and i_eq from the other.
+        from granupore.simulate import BoxState
+
+        other = glass_beads(d=2e-4, phi_max=0.62)
+        message = f"mat {other} is not the model's material {MAT}"
+        forcing = constant_forcing(100.0, 1000.0)
+        with pytest.raises(ValueError) as exc:
+            step_box(BoxState(0.0, 0.55), MODELS["mui"], other, forcing, 1e-6)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            run_box(MODELS["mui"], other, forcing, phi0=0.55, t_end=1e-5, dt=1e-6)
+        assert str(exc.value) == message
+
+    def test_model_without_mat_takes_any(self):
+        from granupore.simulate import BoxState
+
+        class Bare:  # a duck-typed model with no mat of its own
+            dilatancy = staticmethod(MODELS["dp"].dilatancy)
+            i_eq = staticmethod(MODELS["dp"].i_eq)
+
+        other, forcing = glass_beads(d=2e-4), constant_forcing(100.0, 1000.0)
+        run = run_box(Bare(), other, forcing, phi0=0.55, t_end=2e-6, dt=1e-6)
+        step = step_box(BoxState(0.0, 0.55), Bare(), other, forcing, 1e-6)
+        assert run.phi[1] == step.phi
 
 
 class TestRunSettings:
@@ -725,3 +756,48 @@ class TestColumn:
         for recorded in res.history[1:]:
             state = step_column(state, GAS, MAT, dt, mode=mode)
             np.testing.assert_array_equal(recorded.pf_profile, state.pf_profile)
+
+
+def _modal_final_pf(state, dt, n_steps, mode):
+    """p_f after n_steps of a column scheme, from the eigenpairs of its operator.
+
+    With M = diag(1-phi) and K the zero-flux tridiagonal form with face
+    weights p_atm kappa_f / dz^2 (kappa_f the harmonic mean of the cells'
+    kappa), the column is M dp/dt = -K p.  Let S = M^(-1/2) K M^(-1/2) =
+    U diag(lam) U^T.  Explicit steps multiply each mode by 1 - dt lam,
+    implicit steps by 1/(1 + dt lam), so after n steps
+    p = M^(-1/2) U g(lam) U^T M^(1/2) p0.
+    """
+    kappa = permeability_kappa(GAS, MAT.d, state.phi_profile)
+    w = GAS.p_atm * 2.0 * kappa[:-1] * kappa[1:] / (kappa[:-1] + kappa[1:]) / state.dz**2
+    K = np.diag(np.append(w, 0.0) + np.append(0.0, w)) - np.diag(w, 1) - np.diag(w, -1)
+    root = np.sqrt(1.0 - state.phi_profile)
+    lam, U = np.linalg.eigh(K / np.outer(root, root))
+    g = (1.0 - dt * lam) ** n_steps if mode == "explicit" else (1.0 + dt * lam) ** -n_steps
+    return U @ (g * (U.T @ (root * state.pf_profile))) / root
+
+
+class TestColumnModalReference:
+    """Each column scheme against its own solution in the operator's modes,
+    on random graded columns."""
+
+    #: Worst error allowed, as a fraction of the initial deviation from the
+    #: content-weighted mean; on such columns rounding leaves at most 7e-14
+    #: (explicit) and 2.3e-13 (implicit).
+    BOUND = 1.0e-12
+
+    @pytest.mark.parametrize("mode,factor,n_steps", [("explicit", 1.0, 400),
+                                                     ("implicit", 10.0, 200)])
+    @settings(max_examples=6, deadline=None)
+    @given(n=st.integers(20, 200), seed=st.integers(0, 2**32 - 1), graded=st.booleans())
+    def test_final_pf_matches_modes(self, mode, factor, n_steps, n, seed, graded):
+        rng = np.random.default_rng(seed)
+        phi = rng.uniform(0.55, 0.62, n)  # shuffled, or sorted into a graded column
+        phi = np.sort(phi) if graded else phi
+        state = uniform_column(n, 0.1, phi, rng.uniform(-5.0e4, 5.0e5, n))
+        dt = factor * column_cfl_dt(state, GAS, MAT)
+        res = run_column(state, GAS, MAT, dt, n_steps, mode=mode, record_every=n_steps)
+        p0 = state.pf_profile
+        scale = np.max(np.abs(p0 - np.sum((1.0 - phi) * p0) / np.sum(1.0 - phi)))
+        reference = _modal_final_pf(state, dt, n_steps, mode)
+        assert np.max(np.abs(res.history[-1].pf_profile - reference)) <= self.BOUND * scale

@@ -105,6 +105,17 @@ class TestExtendedSymbol:
 
 
 class TestSpectrumProperty:
+    def test_spectra_sorted_and_decomposed_once(self, monkeypatch):
+        eigvals, shapes = np.linalg.eigvals, []
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: shapes.append(a.shape) or eigvals(a))
+        N = np.array([[3.0, 1.0, 0.0], [0.0, -1.0, 2.0], [0.0, 0.0, 1.0]])
+        sym = assemble_extended_symbol(N, [1.0, 2.0], [0, 1], 0.5)
+        assert spectral_union_matches(sym) and extended_spectrum_property(sym)
+        np.testing.assert_allclose(sym.spectrum_N, [-1.0, 1.0, 3.0], atol=1e-12)
+        np.testing.assert_allclose(sym.spectrum_M, [-1.0, 1.0, 2.5, 3.0], atol=1e-12)
+        assert sym.spectrum_M is sym.spectrum_M
+        assert sorted(shapes) == [(3, 3), (4, 4)]
+
     def test_positive_block(self):
         sym = assemble_extended_symbol(np.diag([1.0, 2.0]), [1.0, 2.0], [0, 1], 1.0)
         assert extended_spectrum_property(sym)
