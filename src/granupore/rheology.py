@@ -33,7 +33,9 @@ W = (3/(2I)) int_{I1}^{I} Z dJ - Z/2, invariant under the anchor I1.
 Every model above except ``DerivedNumeric`` also has its slopes dZ/dI, df/dI
 and df/dp in closed form (methods ``dZ_dI``, ``df_dI`` and ``df_dp``);
 ``DerivedNumeric`` has only df/dp, the shared base's 0.  :func:`_slopes`
-takes those, or central differences for a slope a model lacks.
+takes those, or central differences for a slope a model lacks.  The first
+four write f once, in I_eq and their factors in I alone, so that a box on
+one forcing segment computes those factors once (``_dilatancy_at``).
 """
 
 from __future__ import annotations
@@ -163,11 +165,21 @@ def dilatancy_angle_dp(delta: float, i_eq_value: float, I: float) -> float:
         raise ValueError(f"dilatancy angle requires I > 0, got {I}")
     if i_eq_value < 0:
         raise ValueError(f"equilibrium inertial number must be >= 0, got {i_eq_value}")
+    return _dp_angle(_dp_angle_factors(delta), i_eq_value, I)
+
+
+def _dp_angle_factors(delta: float) -> tuple[float, float]:
+    """K = sin(delta)/(1 - cos(delta)) and beta of :func:`dilatancy_angle_dp`."""
     c = math.cos(delta)
     if 1.0 - c == 0.0:
         raise ValueError("delta = 0 makes the dilatancy angle singular")
-    b = beta_exponent(delta)
-    return math.sin(delta) / (1.0 - c) * (1.0 - (i_eq_value / I) ** b)
+    return math.sin(delta) / (1.0 - c), beta_exponent(delta)
+
+
+def _dp_angle(factors: tuple[float, float], i_eq_value: float, I: float) -> float:
+    """psi = K (1 - (I_eq/I)^beta) from ``factors`` = (K, beta)."""
+    K, b = factors
+    return K * (1.0 - (i_eq_value / I) ** b)
 
 
 def dilatancy_angle_mui(
@@ -179,11 +191,19 @@ def dilatancy_angle_mui(
         ValueError: If I <= 0 or I_eq <= 0 (G is log-singular, so the state
             phi = phi_max is not admissible for this model).
     """
+    if i_eq_value <= 0:  # before G(I), which raises at I <= 0
+        raise _needs_positive_i_eq(i_eq_value)
+    consts = (mu1, mu2, I0)
+    return _mui_angle((consts, mui_angle_primitive(*consts, I)), i_eq_value, I)
+
+
+def _mui_angle(factors: tuple[tuple[float, float, float], float], i_eq_value: float,
+               I: float) -> float:
+    """psi = G(I) - G(I_eq) from ``factors`` = ((mu1, mu2, I0), G(I))."""
+    consts, g = factors
     if i_eq_value <= 0:
         raise _needs_positive_i_eq(i_eq_value)
-    return mui_angle_primitive(mu1, mu2, I0, I) - mui_angle_primitive(
-        mu1, mu2, I0, i_eq_value
-    )
+    return g - mui_angle_primitive(*consts, i_eq_value)
 
 
 # ----------------------------------------------------------------------
@@ -228,6 +248,15 @@ def _slopes(model) -> tuple[Callable, Callable, Callable]:
         or (lambda phi, p, I: _central(lambda J: model.dilatancy(phi, p, J), I, REL_STEP)),
         getattr(model, "df_dp", None)
         or (lambda phi, p, I: _central(lambda q: model.dilatancy(phi, q, I), p, REL_STEP)),
+    )
+
+
+def _segment_dilatancy(model) -> Callable[[float, float], Callable[[float], float]]:
+    """``(p, I) -> (phi -> f(phi, p, I))`` of ``model``: its own
+    ``_dilatancy_at`` or, for a model without one, the base's, which calls
+    its ``dilatancy``."""
+    return getattr(model, "_dilatancy_at", None) or functools.partial(
+        _ModelBase._dilatancy_at, model
     )
 
 
@@ -297,8 +326,9 @@ def _derived_f(
 @dataclass(frozen=True)
 class _ModelBase:
     """The protocol every catalogue model shares: material constants, the
-    equilibrium law of the f anchor, df/dp and the near-equilibrium gain.
-    A slope raises the ValueError of Z (for dZ/dI) or f (for df/dI, df/dp)."""
+    equilibrium law of the f anchor, f at a fixed (p, I), df/dp and the
+    near-equilibrium gain.  A slope raises the ValueError of Z (for dZ/dI)
+    or f (for df/dI, df/dp)."""
 
     mat: MaterialParams = MaterialParams()
     law: EquilibriumLaw = EquilibriumLaw()
@@ -311,6 +341,11 @@ class _ModelBase:
 
     def _consts(self) -> tuple[float, float, float]:
         return self.mat.mu1, self.mat.mu2, self.mat.I0
+
+    def _dilatancy_at(self, p: float, I: float) -> Callable[[float], float]:
+        """phi -> f(phi, p, I) at a fixed (p, I), as on one forcing segment
+        of the box; this default calls :meth:`dilatancy`."""
+        return lambda phi: self.dilatancy(phi, p, I)
 
     def df_dp(self, phi: float, p: float, I: float) -> float:
         """df/dp = 0: no catalogue f depends on p."""
@@ -331,17 +366,39 @@ class _ModelBase:
 
 
 @dataclass(frozen=True)
-class DruckerPrager(_ModelBase):
+class _Factored(_ModelBase):
+    """A model whose f(phi, p, I) is ``_f(_factors(I), i_eq(phi), I)``: the
+    factors of f in I and the material alone, then its one formula, which
+    ``dilatancy`` calls after its checks.  On one forcing segment of the
+    box the factors are computed once, not at every RK4 stage."""
+
+    def _dilatancy_at(self, p: float, I: float) -> Callable[[float], float]:
+        if not I > 0:  # dilatancy raises here, in its own order, or gives NaN
+            return super()._dilatancy_at(p, I)
+        factors, i_eq, f = self._factors(I), self.i_eq, self._f
+        return lambda phi: f(factors, i_eq(phi), I)
+
+
+@dataclass(frozen=True)
+class DruckerPrager(_Factored):
     """Constant yield coefficient Z = sin(delta) with the matching
     consistency-compliant dilatancy f = sin(delta) (1 - I_eq/I)."""
 
     def yield_function(self, phi: float, I: float) -> float:
         return math.sin(self.mat.delta)
 
+    def _factors(self, I: float) -> float:
+        return math.sin(self.mat.delta)
+
+    @staticmethod
+    def _f(sin_delta: float, ieq: float, I: float) -> float:
+        return sin_delta * (1.0 - ieq / I)
+
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         if I <= 0:
             raise _needs_positive_I("dilatancy", I)
-        return math.sin(self.mat.delta) * (1.0 - self.i_eq(phi) / I)
+        # sin(delta) written out, not _factors(I): one call fewer per sweep point
+        return self._f(math.sin(self.mat.delta), self.i_eq(phi), I)
 
     def dZ_dI(self, phi: float, I: float) -> float:
         return 0.0
@@ -353,21 +410,28 @@ class DruckerPrager(_ModelBase):
 
 
 @dataclass(frozen=True)
-class MuI(_ModelBase):
+class MuI(_Factored):
     """mu(I) rheology with the dilatancy law integrated from consistency:
     f = F(I) - (I_eq/I) F(I_eq)."""
 
     def yield_function(self, phi: float, I: float) -> float:
         return friction_mu(*self._consts(), I)
 
+    def _factors(self, I: float) -> tuple[tuple[float, float, float], float]:
+        consts = self._consts()
+        return consts, mui_shear_factor(*consts, I)
+
+    @staticmethod
+    def _f(factors: tuple[tuple[float, float, float], float], ieq: float, I: float) -> float:
+        consts, f = factors
+        if ieq > 0.0:
+            f -= ieq / I * mui_shear_factor(*consts, ieq)
+        return f
+
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         if I <= 0:
             raise _needs_positive_I("dilatancy", I)
-        ieq = self.i_eq(phi)
-        f = mui_shear_factor(*self._consts(), I)
-        if ieq > 0.0:
-            f -= ieq / I * mui_shear_factor(*self._consts(), ieq)
-        return f
+        return self._f(self._factors(I), self.i_eq(phi), I)
 
     def dZ_dI(self, phi: float, I: float) -> float:
         return friction_mu_prime(*self._consts(), I)
@@ -436,11 +500,16 @@ class PowerLaw(_ModelBase):
 
 
 @dataclass(frozen=True)
-class DruckerPragerDilatant(_ModelBase):
+class DruckerPragerDilatant(_Factored):
     """Drucker-Prager with a dilatation angle in the small-angle closure:
     Z = sin(delta) + cos(delta) psi, f = psi, psi per
     :func:`dilatancy_angle_dp`.  The dissipation gap is
     Z - f = sin(delta) (I_eq/I)^beta > 0."""
+
+    _f = staticmethod(_dp_angle)
+
+    def _factors(self, I: float) -> tuple[float, float]:
+        return _dp_angle_factors(self.mat.delta)
 
     def _psi(self, phi: float, I: float) -> float:
         return dilatancy_angle_dp(self.mat.delta, self.i_eq(phi), I)
@@ -448,8 +517,9 @@ class DruckerPragerDilatant(_ModelBase):
     def _psi_slope(self, phi: float, I: float) -> float:
         """dpsi/dI = K beta (I_eq/I)^beta / I = beta (K - psi) / I, with
         K = sin(delta)/(1 - cos(delta)); raises where psi raises."""
-        psi, delta = self._psi(phi, I), self.mat.delta
-        return beta_exponent(delta) * (math.sin(delta) / (1.0 - math.cos(delta)) - psi) / I
+        psi = self._psi(phi, I)
+        K, b = _dp_angle_factors(self.mat.delta)
+        return b * (K - psi) / I
 
     def yield_function(self, phi: float, I: float) -> float:
         return math.sin(self.mat.delta) + math.cos(self.mat.delta) * self._psi(phi, I)
@@ -468,11 +538,17 @@ class DruckerPragerDilatant(_ModelBase):
 
 
 @dataclass(frozen=True)
-class MuIDilatant(_ModelBase):
+class MuIDilatant(_Factored):
     """mu(I) rheology with a dilatation angle: Z = mu(I) + psi, f = psi,
     psi = G(I) - G(I_eq) per :func:`dilatancy_angle_mui`.  The dissipation
     gap is Z - f = mu(I) > 0.  Not defined at phi = phi_max (log-singular
     G at I_eq = 0)."""
+
+    _f = staticmethod(_mui_angle)
+
+    def _factors(self, I: float) -> tuple[tuple[float, float, float], float]:
+        consts = self._consts()
+        return consts, mui_angle_primitive(*consts, I)
 
     def _psi(self, phi: float, I: float) -> float:
         return dilatancy_angle_mui(*self._consts(), self.i_eq(phi), I)
@@ -668,6 +744,9 @@ class Isochoric:
         return 0.0
 
     df_dI = df_dp = dilatancy
+
+    def _dilatancy_at(self, p: float, I: float) -> Callable[[float], float]:
+        return lambda phi: 0.0  # not the base's f, which __getattr__ would give
 
     def near_equilibrium_gain(self, I: float) -> float:
         return 0.0

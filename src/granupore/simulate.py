@@ -8,7 +8,9 @@ without a momentum solver:
   pressure through the non-conservative gas equation without diffusion).
   This carries the packing-bound and equilibrium-attraction content: phi
   stays in [0, phi_max] for compliant models and relaxes to phi_eq(I)
-  under constant forcing.
+  under constant forcing.  A forcing signal is a pure function of t; the
+  RK4 stepper reads it once per distinct stage time and, on each forcing
+  segment, computes |S|, I and the model's factors of f in I alone once.
 
 * a 1D *column* of solid at rest, where the pore pressure obeys
   d/dt[(1-phi) p_f] = p_atm d/dz[kappa(phi) dp_f/dz] with zero flux at both
@@ -40,7 +42,7 @@ import numpy as np
 from .conditions import EQ_ANCHOR_TOL
 from .gas import enthalpy_ideal, permeability_kappa
 from .materials import GasParams, MaterialParams, _check_integer, inertial_number
-from .rheology import _check_mat
+from .rheology import _check_mat, _segment_dilatancy
 
 __all__ = [
     "Forcing",
@@ -122,7 +124,7 @@ def piecewise_constant_forcing(
         if not np.all(np.isfinite(values)):
             raise ValueError(f"forcing {name} must be finite")
     # Python lists and bisect: numpy calls on one float cost more than the
-    # lookup, which runs at every RK4 stage.
+    # lookup, which runs twice per RK4 step.
     edge_list, shear_list, p_list = edges_arr.tolist(), shear_arr.tolist(), p_arr.tolist()
 
     def segment(t: float) -> int:
@@ -162,19 +164,33 @@ def _box_stepper(
 ) -> Callable[[float, float, float], tuple[float, float]]:
     """Return ``advance(t, phi, p_f) -> (phi, p_f)`` for a checked dt > 0.
 
-    Each call is one classical 4-stage Runge-Kutta step of length dt, with
-    the forcing (and hence the inertial number) re-read at every stage
-    time.  With ``gas`` given, the non-conservative, diffusion-free gas
-    equation (1-phi) dp_f/dt = -(p_atm + p_f) div u is advanced alongside
-    phi; with ``gas`` None, p_f is not tracked and keeps a zero rate.
+    Each call is one classical 4-stage Runge-Kutta step of length dt.  A
+    forcing signal is a pure function of t, read once per distinct stage
+    time: stages 2 and 3 share t + dt/2, and stage 4's t + dt is the next
+    step's t when the caller advances t by ``t += dt``.  Only when the
+    (shear, p) read differs from the last one are 2 |S|, I and the model's
+    phi -> f at that (p, I) rebuilt, so a step across a forcing edge still
+    takes each stage's own segment.  With ``gas`` given, the
+    non-conservative, diffusion-free gas equation
+    (1-phi) dp_f/dt = -(p_atm + p_f) div u is advanced alongside phi; with
+    ``gas`` None, p_f is not tracked and keeps a zero rate.
     """
     half, sixth = 0.5 * dt, dt / 6.0
+    dilatancy_at = _segment_dilatancy(model)
+    # The memo: the last stage time, the (shear, p) read there, and 2 |S|
+    # and phi -> f on that segment (f None where the box is unsheared).
+    last_t = last_read = two_shear = f = None
 
     def rates(t: float, phi: float, p_f: float) -> tuple[float, float]:
-        shear, p = forcing.shear(t), forcing.p(t)
-        divu = 0.0
-        if shear != 0.0:
-            divu = 2.0 * shear * model.dilatancy(phi, p, inertial_number(mat, shear, p))
+        nonlocal last_t, last_read, two_shear, f
+        if t != last_t:
+            read = forcing.shear(t), forcing.p(t)
+            if read != last_read:
+                shear, p = read
+                f = None if shear == 0.0 else dilatancy_at(p, inertial_number(mat, shear, p))
+                two_shear, last_read = 2.0 * shear, read
+            last_t = t
+        divu = 0.0 if f is None else two_shear * f(phi)
         dpf = 0.0 if gas is None else -(gas.p_atm + p_f) * divu / (1.0 - phi)
         return -phi * divu, dpf
 
@@ -214,7 +230,9 @@ def step_box(
 
     This is one call of a :func:`_box_stepper` built for the step, so dt
     and gas are checked on every call, where :func:`run_box` checks them
-    once.  A state that carries a pore pressure advances it with ``gas``.
+    once.  The forcing, a pure function of t, is read once per distinct
+    stage time: at t, t + dt/2 and t + dt.  A state that carries a pore
+    pressure advances it with ``gas``.
 
     Raises:
         ValueError: If dt <= 0, or on a ``mat`` or state :func:`run_box`
@@ -290,10 +308,13 @@ def run_box(
     """Integrate the box and collect diagnostics.
 
     The run checks dt and gas once, builds one :func:`_box_stepper` and
-    steps on floats, advancing time by ``t += dt``.  ``gas`` is used only
-    when ``pf0`` is given.  Each recorded step stores div u, I and
-    i_eq(phi) and checks the critical-state sign agreement
-    sign(div u) = sign(I - i_eq(phi)) outside the |f| < EQ_ANCHOR_TOL band.
+    steps on floats, advancing time by ``t += dt``.  The forcing, a pure
+    function of t, is read once per distinct stage time, which a step's
+    last stage shares with the next step's first, and once per recorded
+    step.  ``gas`` is used only when ``pf0`` is given.  Each recorded step
+    stores div u, I and i_eq(phi) and checks the critical-state sign
+    agreement sign(div u) = sign(I - i_eq(phi)) outside the
+    |f| < EQ_ANCHOR_TOL band.
     Steps leaving [-1e-9, phi_max + 1e-9] are flagged as model-violation
     events and never clamped.
 

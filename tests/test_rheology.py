@@ -276,6 +276,25 @@ class TestDilatancyFunctions:
         with pytest.raises(ValueError):
             DP.dilatancy(0.5, 100.0, 0.0)
 
+    @pytest.mark.parametrize("law", ["linear", "schaeffer", "robinson", "breard"])
+    @pytest.mark.parametrize("name", ["dp", "mui", "dp-psi", "mui-psi", "power:0.5",
+                                      "roux-radjai"])
+    def test_rate_at_fixed_p_and_I_is_dilatancy(self, name, law):
+        """phi -> f at a fixed (p, I), as the box builds it once per forcing
+        segment, gives dilatancy's bits, or its error, at every phi."""
+
+        def outcome(f, *args):
+            try:
+                return f(*args).hex()
+            except ValueError as exc:
+                return str(exc)
+
+        model = build_model(name, MAT, EquilibriumLaw(variant=law), rr_gain=2.0)
+        for I in (0.0, 1e-3, 0.3, 2.0, 40.0):
+            rate = model._dilatancy_at(100.0, I)
+            for phi in (0.35, 0.45, 0.55, 0.5999, MAT.phi_max, 0.61):
+                assert outcome(rate, phi) == outcome(model.dilatancy, phi, 100.0, I)
+
 
 class TestDissipationGapClosedForms:
     def test_dp_psi_gap(self):

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from granupore.gas import permeability_kappa
-from granupore.materials import EquilibriumLaw, GasParams, glass_beads
+from granupore.materials import EquilibriumLaw, GasParams, glass_beads, inertial_number
 from granupore.rheology import (
     DruckerPrager,
     DruckerPragerDilatant,
+    Isochoric,
     MuI,
     MuIDilatant,
     RouxRadjai,
@@ -22,6 +23,7 @@ from granupore.rheology import (
 from granupore.simulate import (
     _LEDGER_BLOCK_VALUES,
     EnergyLedger,
+    Forcing,
     column_cfl_dt,
     constant_forcing,
     energy_ledger,
@@ -465,11 +467,17 @@ class TestBoxEquivalence:
                      dict(phi0=0.55, t_end=2e-3, dt=1e-6)),
         "pf": ("mui", lambda: random_forcing(np.random.default_rng(5), 2e-3),
                dict(phi0=0.55, t_end=2e-3, dt=1e-6, pf0=50.0, gas=GAS)),
+        "dp": ("dp", lambda: random_forcing(np.random.default_rng(6), 0.016),
+               dict(phi0=0.5, t_end=0.016, dt=1e-5)),
+        "mui-psi": ("mui-psi", lambda: random_forcing(np.random.default_rng(7), 0.016),
+                    dict(phi0=0.5, t_end=0.016, dt=1e-5)),
     }
     GOLDEN_SERIES = {
         "random": "f6ff7f9800226f710816c0b6672212d9d44a00245d86be6a09f52dafb510fe99",
         "constant": "25f8137981183c840504fc8d1249ecc78a24521dcb1213648f8fce55cb7e427a",
         "pf": "1f7d00b6eb0c44f6d60d714e395fcefe259a671be0f67730495feb073dbb72c8",
+        "dp": "e6f0d5c87adde859228b18f77922ea81245e0c54a00f9161ae88b5ab12374711",
+        "mui-psi": "226475c60039b29d59aab11f93c949c10b718d9c7607c71e6c67b137bceb2952",
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -498,6 +506,60 @@ class TestBoxEquivalence:
             state = step_box(state, MODELS[name], MAT, forcing(), settings["dt"], gas=gas)
             assert (state.t, state.phi) == (res.t[k], res.phi[k])
             assert gas is None or state.p_f == res.p_f[k]
+
+
+class TestBoxSegments:
+    """Each forcing signal is read once per stage time, and a model builds
+    its phi -> f once per forcing segment."""
+
+    # 8 segments of 1.25e-4 s under steps of 3e-5 s: every interior edge
+    # falls inside a step, whose stages then read two segments.
+    T_END, DT = 1e-3, 3e-5
+
+    def test_one_read_per_stage_time(self):
+        forcing = random_forcing(np.random.default_rng(11), self.T_END)
+        reads = {"shear": 0, "p": 0}
+
+        def counted(name, signal):
+            def read(t):
+                reads[name] += 1
+                return signal(t)
+            return read
+
+        counting = Forcing(shear=counted("shear", forcing.shear), p=counted("p", forcing.p))
+        res = run_box(MODELS["mui"], MAT, counting, phi0=0.5, t_end=self.T_END, dt=self.DT,
+                      record_every=4)
+        n_steps = round(self.T_END / self.DT)
+        # per step: t + dt/2 and t + dt; t itself once, at step 1; plus one
+        # read per recorded row
+        assert reads["shear"] == reads["p"] == 2 * n_steps + 1 + res.t.size
+        plain = run_box(MODELS["mui"], MAT, forcing, phi0=0.5, t_end=self.T_END, dt=self.DT,
+                        record_every=4)
+        assert res.phi.tobytes() == plain.phi.tobytes()
+
+    def test_one_rate_per_segment(self):
+        forcing = random_forcing(np.random.default_rng(11), self.T_END)
+        builds = []
+
+        class Counting(MuI):
+            def _dilatancy_at(self, p, I):
+                builds.append((p, I))
+                return super()._dilatancy_at(p, I)
+
+        res = run_box(Counting(MAT, LAW), MAT, forcing, phi0=0.5, t_end=self.T_END, dt=self.DT)
+        mids = (np.arange(8) + 0.5) * self.T_END / 8
+        assert builds == [(forcing.p(t), inertial_number(MAT, forcing.shear(t), forcing.p(t)))
+                          for t in mids]
+        plain = run_box(MODELS["mui"], MAT, forcing, phi0=0.5, t_end=self.T_END, dt=self.DT)
+        assert res.phi.tobytes() == plain.phi.tobytes()
+
+    @pytest.mark.parametrize("pf0", [None, 300.0])
+    def test_isochoric_box_stays_put(self, pf0):
+        forcing = random_forcing(np.random.default_rng(12), self.T_END)
+        res = run_box(Isochoric(MODELS["mui"]), MAT, forcing, phi0=0.55, t_end=self.T_END,
+                      dt=self.DT, pf0=pf0, gas=GAS)
+        assert np.all(res.phi == 0.55) and np.all(res.div_u == 0.0)
+        assert pf0 is None or np.all(res.p_f == pf0)
 
 
 class TestColumn:
