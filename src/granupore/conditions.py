@@ -273,12 +273,17 @@ class ConditionReport:
         return "\n".join(lines)
 
 
+def _skip_reason(exc: Exception) -> str:
+    """A ValueError's message; an arithmetic error's also names its type."""
+    return str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
+
+
 def sweep(model, grid: GridSpec) -> ConditionReport:
     """Evaluate all five checks at every grid point.
 
-    Points where the model raises a domain error are recorded as skipped
-    with the reason rather than aborting: the admissible-region boundary
-    (phi -> phi_max with log terms, for instance) is expected to be
+    Points where the model raises a domain or arithmetic error are recorded
+    as skipped with the reason rather than aborting: the admissible-region
+    boundary (phi -> phi_max with log terms, for instance) is expected to be
     singular.  Ordering is deterministic (phi outer, then I, then p).
     """
     report = ConditionReport()
@@ -296,14 +301,14 @@ def sweep(model, grid: GridSpec) -> ConditionReport:
                     z, fv = Z(phi, I), f(phi, p, I)
                     values = (_c1(I, dz, df, z, fv), _c2(I, dz, z),
                               _c3(I, p, df_dp(phi, p, I), df), _gap(z, fv))
-                except ValueError as exc:
-                    report.skipped.append((where, str(exc)))
+                except (ValueError, ArithmeticError) as exc:
+                    report.skipped.append((where, _skip_reason(exc)))
                     continue
                 if p not in eq_signs:
                     try:
                         eq_signs[p] = check_equilibrium_signs(model, phi, p)
-                    except ValueError as exc:
-                        eq_signs[p] = str(exc)
+                    except (ValueError, ArithmeticError) as exc:
+                        eq_signs[p] = _skip_reason(exc)
                 if isinstance(eq_signs[p], str):
                     report.skipped.append((where, eq_signs[p]))
                 else:

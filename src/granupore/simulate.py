@@ -8,9 +8,9 @@ without a momentum solver:
   pressure through the non-conservative gas equation without diffusion).
   This carries the packing-bound and equilibrium-attraction content: phi
   stays in [0, phi_max] for compliant models and relaxes to phi_eq(I)
-  under constant forcing.  A forcing signal is a pure function of t; the
-  RK4 stepper reads it once per distinct stage time and, on each forcing
-  segment, computes |S|, I and the model's factors of f in I alone once.
+  under constant forcing.  One RK4 stepper owns the box's clock: it reads
+  the forcing once per distinct stage time and builds |S|, I and f's
+  factors in I once per forcing segment, which a recorded row reuses.
 
 * a 1D *column* of solid at rest, where the pore pressure obeys
   d/dt[(1-phi) p_f] = p_atm d/dz[kappa(phi) dp_f/dz] with zero flux at both
@@ -160,49 +160,52 @@ class BoxState:
 
 
 def _box_stepper(
-    model, mat: MaterialParams, forcing: Forcing, dt: float, gas: GasParams | None
-) -> Callable[[float, float, float], tuple[float, float]]:
-    """Return ``advance(t, phi, p_f) -> (phi, p_f)`` for a checked dt > 0.
+    model, mat: MaterialParams, forcing: Forcing, dt: float, gas: GasParams | None, t: float
+) -> tuple[Callable[[float, float, float], tuple[float, float, float]], Callable[[], tuple]]:
+    """Return ``advance`` and ``segment``, the box's one clock and forcing reader.
 
-    Each call is one classical 4-stage Runge-Kutta step of length dt.  A
-    forcing signal is a pure function of t, read once per distinct stage
-    time: stages 2 and 3 share t + dt/2, and stage 4's t + dt is the next
-    step's t when the caller advances t by ``t += dt``.  Only when the
-    (shear, p) read differs from the last one are 2 |S|, I and the model's
-    phi -> f at that (p, I) rebuilt, so a step across a forcing edge still
-    takes each stage's own segment.  With ``gas`` given, the
-    non-conservative, diffusion-free gas equation
-    (1-phi) dp_f/dt = -(p_atm + p_f) div u is advanced alongside phi; with
-    ``gas`` None, p_f is not tracked and keeps a zero rate.
+    ``advance(t, phi, p_f) -> (t + dt, phi, p_f)`` is one classical 4-stage
+    Runge-Kutta step of a checked dt > 0, ending at its stage-4 time.  The
+    forcing, a pure function of t, is read at the start time t and then once
+    per new stage time.  Only a (shear, p) that differs from the last read
+    rebuilds 2 |S|, I and the model's phi -> f at that (p, I), so each stage
+    takes its own segment; ``segment()`` gives them at the last time read
+    (I 0 and f None where unsheared).  With ``gas``, the non-conservative,
+    diffusion-free gas equation (1-phi) dp_f/dt = -(p_atm + p_f) div u is
+    advanced alongside phi; without, p_f keeps a zero rate.
     """
     half, sixth = 0.5 * dt, dt / 6.0
     dilatancy_at = _segment_dilatancy(model)
-    # The memo: the last stage time, the (shear, p) read there, and 2 |S|
-    # and phi -> f on that segment (f None where the box is unsheared).
-    last_t = last_read = two_shear = f = None
+    # The memo: the last stage time, its (shear, p) and that segment's 2 |S|, I, f.
+    last_t = last_read = two_shear = I = f = None
+
+    def read(t: float) -> None:
+        nonlocal last_t, last_read, two_shear, I, f
+        shear, p = forcing.shear(t), forcing.p(t)
+        if (shear, p) != last_read:
+            I = 0.0 if shear == 0.0 else inertial_number(mat, shear, p)
+            f = None if shear == 0.0 else dilatancy_at(p, I)
+            two_shear, last_read = 2.0 * shear, (shear, p)
+        last_t = t
 
     def rates(t: float, phi: float, p_f: float) -> tuple[float, float]:
-        nonlocal last_t, last_read, two_shear, f
         if t != last_t:
-            read = forcing.shear(t), forcing.p(t)
-            if read != last_read:
-                shear, p = read
-                f = None if shear == 0.0 else dilatancy_at(p, inertial_number(mat, shear, p))
-                two_shear, last_read = 2.0 * shear, read
-            last_t = t
+            read(t)
         divu = 0.0 if f is None else two_shear * f(phi)
         dpf = 0.0 if gas is None else -(gas.p_atm + p_f) * divu / (1.0 - phi)
         return -phi * divu, dpf
 
-    def advance(t: float, phi: float, p_f: float) -> tuple[float, float]:
+    def advance(t: float, phi: float, p_f: float) -> tuple[float, float, float]:
+        t4 = t + dt
         a1, b1 = rates(t, phi, p_f)
         a2, b2 = rates(t + half, phi + half * a1, p_f + half * b1)
         a3, b3 = rates(t + half, phi + half * a2, p_f + half * b2)
-        a4, b4 = rates(t + dt, phi + dt * a3, p_f + dt * b3)
-        return (phi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+        a4, b4 = rates(t4, phi + dt * a3, p_f + dt * b3)
+        return (t4, phi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
                 p_f + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
-    return advance
+    read(t)
+    return advance, lambda: (two_shear, I, f)
 
 
 def _check_box_start(
@@ -228,11 +231,10 @@ def step_box(
 ) -> BoxState:
     """One classical 4-stage Runge-Kutta step of the box dynamics.
 
-    This is one call of a :func:`_box_stepper` built for the step, so dt
-    and gas are checked on every call, where :func:`run_box` checks them
-    once.  The forcing, a pure function of t, is read once per distinct
-    stage time: at t, t + dt/2 and t + dt.  A state that carries a pore
-    pressure advances it with ``gas``.
+    This is one call of a :func:`_box_stepper` built at ``state.t``, whose
+    step gives the new time; dt and gas are checked on every call, where
+    :func:`run_box` checks them once.  A state that carries a pore pressure
+    advances it with ``gas``.
 
     Raises:
         ValueError: If dt <= 0, or on a ``mat`` or state :func:`run_box`
@@ -245,9 +247,9 @@ def step_box(
     _check_mat(model, mat)
     _check_box_start(state.phi, state.p_f, gas, "state.phi", "state.p_f")
     tracked = state.p_f is not None
-    advance = _box_stepper(model, mat, forcing, dt, gas if tracked else None)
-    phi, p_f = advance(state.t, state.phi, state.p_f if tracked else 0.0)
-    return BoxState(t=state.t + dt, phi=phi, p_f=p_f if tracked else None)
+    advance = _box_stepper(model, mat, forcing, dt, gas if tracked else None, state.t)[0]
+    t, phi, p_f = advance(state.t, state.phi, state.p_f if tracked else 0.0)
+    return BoxState(t=t, phi=phi, p_f=p_f if tracked else None)
 
 
 @dataclass
@@ -307,16 +309,14 @@ def run_box(
 ) -> BoxResult:
     """Integrate the box and collect diagnostics.
 
-    The run checks dt and gas once, builds one :func:`_box_stepper` and
-    steps on floats, advancing time by ``t += dt``.  The forcing, a pure
-    function of t, is read once per distinct stage time, which a step's
-    last stage shares with the next step's first, and once per recorded
-    step.  ``gas`` is used only when ``pf0`` is given.  Each recorded step
-    stores div u, I and i_eq(phi) and checks the critical-state sign
-    agreement sign(div u) = sign(I - i_eq(phi)) outside the
-    |f| < EQ_ANCHOR_TOL band.
-    Steps leaving [-1e-9, phi_max + 1e-9] are flagged as model-violation
-    events and never clamped.
+    The run checks dt and gas once and builds one :func:`_box_stepper`,
+    which alone reads the forcing, evaluates f and advances time.  A
+    recorded row reads nothing: it takes I and div u = 2 |S| f(phi) from the
+    stepper's segment and i_eq(phi) from the model, or stores I = div u = 0
+    and i_eq NaN outside [0, phi_max].  It checks the critical-state sign
+    agreement sign(div u) = sign(I - i_eq) where |f| >= EQ_ANCHOR_TOL.
+    ``gas`` is used only when ``pf0`` is given.  Steps leaving
+    [-1e-9, phi_max + 1e-9] are flagged as violations, never clamped.
 
     Raises:
         ValueError: If dt <= 0, t_end is negative or not finite, t_end > 0
@@ -328,35 +328,30 @@ def run_box(
     _check_record_every(record_every)
     _check_mat(model, mat)
     _check_box_start(phi0, pf0, gas, "phi0", "pf0")
-    advance = _box_stepper(model, mat, forcing, dt, None if pf0 is None else gas)
+    t, phi, p_f = 0.0, phi0, 0.0 if pf0 is None else pf0
+    advance, segment = _box_stepper(model, mat, forcing, dt, None if pf0 is None else gas, t)
     rows: list[tuple[float, ...]] = []  # (t, phi, p_f, div u, I, i_eq)
     violations: list[tuple[int, float, float]] = []
     sign_ok = True
 
     def record(t: float, phi: float, p_f: float) -> None:
         nonlocal sign_ok
-        shear, p = forcing.shear(t), forcing.p(t)
-        in_domain = 0.0 <= phi <= mat.phi_max
-        if shear > 0.0 and in_domain:
-            I = inertial_number(mat, shear, p)
-            f_val = model.dilatancy(phi, p, I)
-            divu = 2.0 * shear * f_val
-        else:
-            I, f_val, divu = 0.0, 0.0, 0.0
-        ieq = model.i_eq(phi) if in_domain else float("nan")
+        if not 0.0 <= phi <= mat.phi_max:
+            rows.append((t, phi, p_f, 0.0, 0.0, math.nan))
+            return
+        two_shear, I, f = segment()
+        f_val = 0.0 if f is None else f(phi)
+        divu, ieq = two_shear * f_val, model.i_eq(phi)
         rows.append((t, phi, p_f, divu, I, ieq))
-        if shear > 0.0 and abs(f_val) >= EQ_ANCHOR_TOL and not math.isnan(ieq):
-            if math.copysign(1.0, divu) != math.copysign(1.0, I - ieq):
-                sign_ok = False
+        if abs(f_val) >= EQ_ANCHOR_TOL and not math.isnan(ieq):
+            sign_ok &= math.copysign(1.0, divu) == math.copysign(1.0, I - ieq)
 
-    t, phi, p_f = 0.0, phi0, 0.0 if pf0 is None else pf0
     record(t, phi, p_f)
     for step in range(1, n_steps + 1):
         try:
-            phi, p_f = advance(t, phi, p_f)
+            t, phi, p_f = advance(t, phi, p_f)
         except ValueError as exc:
             raise RuntimeError(f"box step {step} (t={t:g}) failed: {exc}") from exc
-        t += dt
         if not -BOUND_EPS <= phi <= mat.phi_max + BOUND_EPS:
             violations.append((step, t, phi))
         if step % record_every == 0 or step == n_steps:

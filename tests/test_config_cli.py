@@ -236,6 +236,27 @@ class TestCliCheckClassify:
         assert code == 2
         assert "conditions-violated" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    @pytest.mark.parametrize(
+        "model,grid,reason",
+        [
+            ("dp", "I=1e-170:1e-160:2", "ZeroDivisionError: float division by zero"),
+            ("mui", "I=1e-170:1e-160:2", "ZeroDivisionError: float division by zero"),
+            ("power:0.5", "I=1e-170:1e-160:2", "ZeroDivisionError: float division by zero"),
+            ("power:-0.5", "I=1e-170:1e-160:2", "ZeroDivisionError: float division by zero"),
+            ("power:-0.5", "I=5e-324:1e-323:2", "OverflowError: "),
+        ],
+        ids=["dp", "mui", "power0.5", "power-0.5", "power-0.5-overflow"],
+    )
+    def test_tiny_I_arithmetic_errors_skip(self, tmp_path, capsys, command, model, grid, reason):
+        # I**2 underflows to 0 below about 1.5e-162, and I**-1.5 overflows at
+        # the smallest subnormals: each such point is a skip row naming the error.
+        out = tmp_path / "report.csv"
+        assert main([command, "--model", model, "--grid", grid, "--out", str(out)]) == 2
+        skipped = [line for line in out.read_text().splitlines() if line.startswith("# skipped")]
+        assert skipped and all(f": {reason}" in line for line in skipped)
+        assert capsys.readouterr().err == ""
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         for path in (a, b):

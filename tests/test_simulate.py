@@ -12,12 +12,16 @@ from scipy.integrate import solve_ivp
 
 from granupore.gas import permeability_kappa
 from granupore.materials import EquilibriumLaw, GasParams, glass_beads, inertial_number
+from granupore.quadrature import integral
 from granupore.rheology import (
+    DerivedNumeric,
     DruckerPrager,
     DruckerPragerDilatant,
     Isochoric,
+    LinearCombination,
     MuI,
     MuIDilatant,
+    PowerLaw,
     RouxRadjai,
 )
 from granupore.simulate import (
@@ -48,6 +52,13 @@ MODELS = {
     "dp-psi": DruckerPragerDilatant(MAT, LAW),
     "mui-psi": MuIDilatant(MAT, LAW),
 }
+
+
+class _Bare:
+    """A duck-typed model with no mat of its own: dilatancy and i_eq only."""
+
+    dilatancy = staticmethod(MODELS["dp"].dilatancy)
+    i_eq = staticmethod(MODELS["dp"].i_eq)
 
 
 def _shear_for(mat, I, p):
@@ -173,13 +184,9 @@ class TestStepBox:
     def test_model_without_mat_takes_any(self):
         from granupore.simulate import BoxState
 
-        class Bare:  # a duck-typed model with no mat of its own
-            dilatancy = staticmethod(MODELS["dp"].dilatancy)
-            i_eq = staticmethod(MODELS["dp"].i_eq)
-
         other, forcing = glass_beads(d=2e-4), constant_forcing(100.0, 1000.0)
-        run = run_box(Bare(), other, forcing, phi0=0.55, t_end=2e-6, dt=1e-6)
-        step = step_box(BoxState(0.0, 0.55), Bare(), other, forcing, 1e-6)
+        run = run_box(_Bare(), other, forcing, phi0=0.55, t_end=2e-6, dt=1e-6)
+        step = step_box(BoxState(0.0, 0.55), _Bare(), other, forcing, 1e-6)
         assert run.phi[1] == step.phi
 
 
@@ -420,6 +427,16 @@ class TestBoxBounds:
         assert not res.violations
         assert not res.sign_agreement
 
+    def test_record_error_keeps_type_and_message(self):
+        # mu(I)+psi is log-singular at phi_max: the first row's f raises the
+        # model's own error, before any step.
+        with pytest.raises(ValueError) as exc:
+            run_box(MODELS["mui-psi"], MAT, constant_forcing(100.0, 1000.0),
+                    phi0=MAT.phi_max, t_end=1e-5, dt=1e-6)
+        assert str(exc.value) == (
+            "mu(I) dilatancy angle requires I_eq > 0 (phi < phi_max), got 0.0"
+        )
+
     def test_step_failure_names_step_and_time(self):
         with pytest.raises(RuntimeError) as exc:
             run_box(MODELS["mui"], MAT, constant_forcing(100.0, 1000.0),
@@ -459,18 +476,26 @@ class TestBoxEquivalence:
     """The box integrator keeps its arithmetic: per-step series are pinned,
     and a run equals its steps taken one by one."""
 
-    # case: (model, forcing, run settings), stepped at record_every = 1
+    # case: (model, forcing, run settings), stepped at record_every = 1.  The
+    # wrong-sign run leaves [0, phi_max], so 366 of its rows record I = 0,
+    # div u = 0 and i_eq NaN; the zero-shear run's first 2,001 rows have no f.
     CASES = {
-        "random": ("mui", lambda: random_forcing(np.random.default_rng(4), 0.016),
+        "random": (MODELS["mui"], lambda: random_forcing(np.random.default_rng(4), 0.016),
                    dict(phi0=0.5, t_end=0.016, dt=1e-5)),
-        "constant": ("dp-psi", lambda: constant_forcing(_shear_for(MAT, 1.0, 1000.0), 1000.0),
+        "constant": (MODELS["dp-psi"],
+                     lambda: constant_forcing(_shear_for(MAT, 1.0, 1000.0), 1000.0),
                      dict(phi0=0.55, t_end=2e-3, dt=1e-6)),
-        "pf": ("mui", lambda: random_forcing(np.random.default_rng(5), 2e-3),
+        "pf": (MODELS["mui"], lambda: random_forcing(np.random.default_rng(5), 2e-3),
                dict(phi0=0.55, t_end=2e-3, dt=1e-6, pf0=50.0, gas=GAS)),
-        "dp": ("dp", lambda: random_forcing(np.random.default_rng(6), 0.016),
+        "dp": (MODELS["dp"], lambda: random_forcing(np.random.default_rng(6), 0.016),
                dict(phi0=0.5, t_end=0.016, dt=1e-5)),
-        "mui-psi": ("mui-psi", lambda: random_forcing(np.random.default_rng(7), 0.016),
+        "mui-psi": (MODELS["mui-psi"], lambda: random_forcing(np.random.default_rng(7), 0.016),
                     dict(phi0=0.5, t_end=0.016, dt=1e-5)),
+        "wrong-sign": (TestBoxBounds.WRONG_SIGN, lambda: constant_forcing(100.0, 1000.0),
+                       dict(phi0=0.599, t_end=1e-3, dt=1e-6)),
+        "zero-shear": (MODELS["mui"], lambda: piecewise_constant_forcing(
+                           [0.0, 0.004, 0.008], [0.0, 300.0], [1000.0, 1000.0]),
+                       dict(phi0=0.5, t_end=0.008, dt=2e-6)),
     }
     GOLDEN_SERIES = {
         "random": "f6ff7f9800226f710816c0b6672212d9d44a00245d86be6a09f52dafb510fe99",
@@ -478,6 +503,8 @@ class TestBoxEquivalence:
         "pf": "1f7d00b6eb0c44f6d60d714e395fcefe259a671be0f67730495feb073dbb72c8",
         "dp": "e6f0d5c87adde859228b18f77922ea81245e0c54a00f9161ae88b5ab12374711",
         "mui-psi": "226475c60039b29d59aab11f93c949c10b718d9c7607c71e6c67b137bceb2952",
+        "wrong-sign": "dc9d988803a3a3618f38dca0ea22af3d2fc13b5f0046922d30954dcae89e1370",
+        "zero-shear": "8aed2109cdb4150b0224dada78bd50e0bb51ede26f2f2c6485fafa6fc6cd4653",
     }
 
     @pytest.mark.parametrize("case", list(CASES))
@@ -487,8 +514,8 @@ class TestBoxEquivalence:
         The hashes are tied to the libm and numpy they were recorded with
         (x86-64 Linux, Python 3.11.7, numpy 2.4.6, scipy 1.17.1).
         """
-        name, forcing, settings = self.CASES[case]
-        res = run_box(MODELS[name], MAT, forcing(), **settings)
+        model, forcing, settings = self.CASES[case]
+        res = run_box(model, MAT, forcing(), **settings)
         digest = hashlib.sha256()
         for series in (res.t, res.phi, res.p_f, res.div_u, res.inertial, res.i_eq):
             digest.update(b"untracked" if series is None else series.tobytes())
@@ -498,12 +525,12 @@ class TestBoxEquivalence:
     def test_run_matches_repeated_steps(self, case):
         from granupore.simulate import BoxState
 
-        name, forcing, settings = self.CASES[case]
-        res = run_box(MODELS[name], MAT, forcing(), **settings)
+        model, forcing, settings = self.CASES[case]
+        res = run_box(model, MAT, forcing(), **settings)
         gas = settings.get("gas")
         state = BoxState(0.0, settings["phi0"], settings.get("pf0"))
         for k in range(1, res.t.size):
-            state = step_box(state, MODELS[name], MAT, forcing(), settings["dt"], gas=gas)
+            state = step_box(state, model, MAT, forcing(), settings["dt"], gas=gas)
             assert (state.t, state.phi) == (res.t[k], res.phi[k])
             assert gas is None or state.p_f == res.p_f[k]
 
@@ -530,9 +557,9 @@ class TestBoxSegments:
         res = run_box(MODELS["mui"], MAT, counting, phi0=0.5, t_end=self.T_END, dt=self.DT,
                       record_every=4)
         n_steps = round(self.T_END / self.DT)
-        # per step: t + dt/2 and t + dt; t itself once, at step 1; plus one
-        # read per recorded row
-        assert reads["shear"] == reads["p"] == 2 * n_steps + 1 + res.t.size
+        # per step: t + dt/2 and t + dt; t itself once, when the run starts;
+        # a recorded row reads nothing
+        assert reads["shear"] == reads["p"] == 2 * n_steps + 1
         plain = run_box(MODELS["mui"], MAT, forcing, phi0=0.5, t_end=self.T_END, dt=self.DT,
                         record_every=4)
         assert res.phi.tobytes() == plain.phi.tobytes()
@@ -553,6 +580,18 @@ class TestBoxSegments:
         plain = run_box(MODELS["mui"], MAT, forcing, phi0=0.5, t_end=self.T_END, dt=self.DT)
         assert res.phi.tobytes() == plain.phi.tobytes()
 
+    def test_rows_call_no_dilatancy(self):
+        calls = []
+
+        class Counting(MuI):
+            def dilatancy(self, phi, p, I):
+                calls.append(phi)
+                return super().dilatancy(phi, p, I)
+
+        forcing = random_forcing(np.random.default_rng(11), self.T_END)
+        run_box(Counting(MAT, LAW), MAT, forcing, phi0=0.5, t_end=self.T_END, dt=self.DT)
+        assert calls == []
+
     @pytest.mark.parametrize("pf0", [None, 300.0])
     def test_isochoric_box_stays_put(self, pf0):
         forcing = random_forcing(np.random.default_rng(12), self.T_END)
@@ -560,6 +599,61 @@ class TestBoxSegments:
                       dt=self.DT, pf0=pf0, gas=GAS)
         assert np.all(res.phi == 0.55) and np.all(res.div_u == 0.0)
         assert pf0 is None or np.all(res.p_f == pf0)
+
+
+class TestBoxRows:
+    """A recorded row holds the model's own f and I at its (t, phi), and the
+    recorded times are those of the box law integrated by quadrature."""
+
+    ROW_MODELS = MODELS | {
+        "power:0.5": PowerLaw(MAT, LAW, n=0.5),
+        "power:-0.5": PowerLaw(MAT, LAW, n=-0.5),
+        "roux-radjai": RouxRadjai(MAT, LAW, gain=1.0),
+        "lincomb": LinearCombination(MAT, LAW,
+                                     terms=((0.25, MODELS["dp"]), (0.75, MODELS["mui"]))),
+        "derived": DerivedNumeric(MAT, LAW, Z=MODELS["mui"].yield_function),
+        "isochoric": Isochoric(MODELS["mui"]),
+        "bare": _Bare(),
+    }
+
+    @pytest.mark.parametrize("name", list(ROW_MODELS))
+    def test_rows_equal_dilatancy(self, name):
+        model, t_end = self.ROW_MODELS[name], 4e-4
+        forcing = random_forcing(np.random.default_rng(13), t_end)
+        res = run_box(model, MAT, forcing, phi0=0.5, t_end=t_end, dt=1e-6)
+        assert np.all((0.0 <= res.phi) & (res.phi <= MAT.phi_max))
+        for t, phi, div_u, inertial in zip(*(a.tolist() for a in (res.t, res.phi, res.div_u,
+                                                                  res.inertial))):
+            shear, p = forcing.shear(t), forcing.p(t)
+            I = inertial_number(MAT, shear, p)
+            assert inertial == I
+            assert div_u == 2.0 * shear * model.dilatancy(phi, p, I)
+
+    @pytest.mark.parametrize("law", ["linear", "schaeffer", "robinson", "breard"])
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_times_match_quadrature(self, name, law):
+        """t(phi) = int_phi0^phi dphi' / g(phi'), g = -2 |S| phi f(phi, p, I),
+        while |g| is at least 1e-3 of its start value."""
+        model = type(MODELS[name])(MAT, EquilibriumLaw(law))
+        p, phi0 = 1000.0, 0.5
+        shear = _shear_for(MAT, 0.158, p)
+        I = inertial_number(MAT, shear, p)
+
+        def g(phi):
+            return -2.0 * shear * phi * model.dilatancy(phi, p, I)
+
+        g0 = g(phi0)
+        t_end = 6.0 * abs(model.phi_eq(I) - phi0) / abs(g0)
+        res = run_box(model, MAT, constant_forcing(shear, p), phi0=phi0, t_end=t_end,
+                      dt=t_end / 400, record_every=10)
+        t_ref, compared = 0.0, 0
+        for t, start, phi in zip(res.t.tolist()[1:], res.phi.tolist(), res.phi.tolist()[1:]):
+            if abs(g(phi)) < 1e-3 * abs(g0):
+                break
+            t_ref += integral(lambda x: 1.0 / g(x), start, phi, "1/g")
+            assert t == pytest.approx(t_ref, rel=1e-8, abs=0.0)
+            compared += 1
+        assert compared >= 20
 
 
 class TestColumn:
