@@ -160,37 +160,38 @@ class BoxState:
 
 
 def _box_stepper(
-    model, mat: MaterialParams, forcing: Forcing, dt: float, gas: GasParams | None, t: float
-) -> tuple[Callable[[float, float, float], tuple[float, float, float]], Callable[[], tuple]]:
+    model, mat: MaterialParams, forcing: Forcing, dt: float, gas: GasParams | None
+) -> tuple[Callable[[float, float, float], tuple[float, float, float]], Callable]:
     """Return ``advance`` and ``segment``, the box's one clock and forcing reader.
 
     ``advance(t, phi, p_f) -> (t + dt, phi, p_f)`` is one classical 4-stage
     Runge-Kutta step of a checked dt > 0, ending at its stage-4 time.  The
-    forcing, a pure function of t, is read at the start time t and then once
-    per new stage time.  Only a (shear, p) that differs from the last read
-    rebuilds 2 |S|, I and the model's phi -> f at that (p, I), so each stage
-    takes its own segment; ``segment()`` gives them at the last time read
-    (I 0 and f None where unsheared).  With ``gas``, the non-conservative,
-    diffusion-free gas equation (1-phi) dp_f/dt = -(p_atm + p_f) div u is
-    advanced alongside phi; without, p_f keeps a zero rate.
+    forcing, a pure function of t, is read once per new time either closure
+    is given.  Only a (shear, p) that differs from the last read rebuilds
+    2 |S|, I and the model's phi -> f at that (p, I), so each stage takes its
+    own segment, which ``segment(t)`` returns (I 0 and f None unsheared).
+    With ``gas``, the non-conservative, diffusion-free gas equation
+    (1-phi) dp_f/dt = -(p_atm + p_f) div u advances p_f; else its rate is 0.
     """
     half, sixth = 0.5 * dt, dt / 6.0
     dilatancy_at = _segment_dilatancy(model)
     # The memo: the last stage time, its (shear, p) and that segment's 2 |S|, I, f.
     last_t = last_read = two_shear = I = f = None
 
-    def read(t: float) -> None:
+    def segment(t: float) -> tuple:
         nonlocal last_t, last_read, two_shear, I, f
-        shear, p = forcing.shear(t), forcing.p(t)
-        if (shear, p) != last_read:
-            I = 0.0 if shear == 0.0 else inertial_number(mat, shear, p)
-            f = None if shear == 0.0 else dilatancy_at(p, I)
-            two_shear, last_read = 2.0 * shear, (shear, p)
-        last_t = t
+        if t != last_t:
+            shear, p = forcing.shear(t), forcing.p(t)
+            if (shear, p) != last_read:
+                I = 0.0 if shear == 0.0 else inertial_number(mat, shear, p)
+                f = None if shear == 0.0 else dilatancy_at(p, I)
+                two_shear, last_read = 2.0 * shear, (shear, p)
+            last_t = t
+        return two_shear, I, f
 
     def rates(t: float, phi: float, p_f: float) -> tuple[float, float]:
         if t != last_t:
-            read(t)
+            segment(t)
         divu = 0.0 if f is None else two_shear * f(phi)
         dpf = 0.0 if gas is None else -(gas.p_atm + p_f) * divu / (1.0 - phi)
         return -phi * divu, dpf
@@ -204,8 +205,7 @@ def _box_stepper(
         return (t4, phi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
                 p_f + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
-    read(t)
-    return advance, lambda: (two_shear, I, f)
+    return advance, segment
 
 
 def _check_box_start(
@@ -231,8 +231,8 @@ def step_box(
 ) -> BoxState:
     """One classical 4-stage Runge-Kutta step of the box dynamics.
 
-    This is one call of a :func:`_box_stepper` built at ``state.t``, whose
-    step gives the new time; dt and gas are checked on every call, where
+    This is one call of a :func:`_box_stepper`, whose step gives the new
+    time; dt and gas are checked on every call, where
     :func:`run_box` checks them once.  A state that carries a pore pressure
     advances it with ``gas``.
 
@@ -247,7 +247,7 @@ def step_box(
     _check_mat(model, mat)
     _check_box_start(state.phi, state.p_f, gas, "state.phi", "state.p_f")
     tracked = state.p_f is not None
-    advance = _box_stepper(model, mat, forcing, dt, gas if tracked else None, state.t)[0]
+    advance = _box_stepper(model, mat, forcing, dt, gas if tracked else None)[0]
     t, phi, p_f = advance(state.t, state.phi, state.p_f if tracked else 0.0)
     return BoxState(t=t, phi=phi, p_f=p_f if tracked else None)
 
@@ -310,10 +310,10 @@ def run_box(
     """Integrate the box and collect diagnostics.
 
     The run checks dt and gas once and builds one :func:`_box_stepper`,
-    which alone reads the forcing, evaluates f and advances time.  A
-    recorded row reads nothing: it takes I and div u = 2 |S| f(phi) from the
-    stepper's segment and i_eq(phi) from the model, or stores I = div u = 0
-    and i_eq NaN outside [0, phi_max].  It checks the critical-state sign
+    which alone reads the forcing, evaluates f and advances time.  A row
+    takes I and div u = 2 |S| f(phi) from the segment at its own t (row 0's
+    read is the one step 1 reuses) and i_eq(phi) from the model, or stores
+    I = div u = 0 and i_eq NaN outside [0, phi_max].  It checks the sign
     agreement sign(div u) = sign(I - i_eq) where |f| >= EQ_ANCHOR_TOL.
     ``gas`` is used only when ``pf0`` is given.  Steps leaving
     [-1e-9, phi_max + 1e-9] are flagged as violations, never clamped.
@@ -329,7 +329,7 @@ def run_box(
     _check_mat(model, mat)
     _check_box_start(phi0, pf0, gas, "phi0", "pf0")
     t, phi, p_f = 0.0, phi0, 0.0 if pf0 is None else pf0
-    advance, segment = _box_stepper(model, mat, forcing, dt, None if pf0 is None else gas, t)
+    advance, segment = _box_stepper(model, mat, forcing, dt, None if pf0 is None else gas)
     rows: list[tuple[float, ...]] = []  # (t, phi, p_f, div u, I, i_eq)
     violations: list[tuple[int, float, float]] = []
     sign_ok = True
@@ -339,7 +339,7 @@ def run_box(
         if not 0.0 <= phi <= mat.phi_max:
             rows.append((t, phi, p_f, 0.0, 0.0, math.nan))
             return
-        two_shear, I, f = segment()
+        two_shear, I, f = segment(t)
         f_val = 0.0 if f is None else f(phi)
         divu, ieq = two_shear * f_val, model.i_eq(phi)
         rows.append((t, phi, p_f, divu, I, ieq))

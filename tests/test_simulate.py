@@ -446,6 +446,26 @@ class TestBoxBounds:
         )
         assert isinstance(exc.value.__cause__, ValueError)
 
+    @staticmethod
+    def _negative_shear_from(t0):
+        # Built by hand, so no constructor check rejects the negative shear.
+        return Forcing(shear=lambda t: -1.0 if t >= t0 else 100.0, p=lambda t: 1000.0)
+
+    def test_bad_forcing_at_start_raises_from_first_row(self):
+        # Row 0 makes the read at t = 0 that step 1 then reuses, so a bad
+        # forcing there raises inertial_number's own error from the row.
+        with pytest.raises(ValueError) as exc:
+            run_box(MODELS["mui"], MAT, self._negative_shear_from(0.0),
+                    phi0=0.5, t_end=1e-5, dt=1e-6)
+        assert str(exc.value) == "shear must be non-negative, got -1.0"
+
+    def test_bad_forcing_later_names_step(self):
+        # Step 5's mid-stage time is the first at or after 4.2e-6.
+        with pytest.raises(RuntimeError) as exc:
+            run_box(MODELS["mui"], MAT, self._negative_shear_from(4.2e-6),
+                    phi0=0.5, t_end=1e-5, dt=1e-6)
+        assert str(exc.value) == "box step 5 (t=4e-06) failed: shear must be non-negative, got -1.0"
+
 
 class TestBoxPorePressure:
     def test_matches_reference_and_sign(self):
