@@ -577,8 +577,8 @@ class TestBoxSegments:
         res = run_box(MODELS["mui"], MAT, counting, phi0=0.5, t_end=self.T_END, dt=self.DT,
                       record_every=4)
         n_steps = round(self.T_END / self.DT)
-        # per step: t + dt/2 and t + dt; t itself once, when the run starts;
-        # a recorded row reads nothing
+        # per step: t + dt/2 and t + dt; t = 0 once, by row 0, which step 1
+        # reuses; every later row's t is a stage time already read
         assert reads["shear"] == reads["p"] == 2 * n_steps + 1
         plain = run_box(MODELS["mui"], MAT, forcing, phi0=0.5, t_end=self.T_END, dt=self.DT,
                         record_every=4)
