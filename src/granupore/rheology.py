@@ -34,8 +34,9 @@ Every model above except ``DerivedNumeric`` also has its slopes dZ/dI, df/dI
 and df/dp in closed form (methods ``dZ_dI``, ``df_dI`` and ``df_dp``);
 ``DerivedNumeric`` has only df/dp, the shared base's 0.  :func:`_slopes`
 takes those, or central differences for a slope a model lacks.  The first
-four write f once, in I_eq and their factors in I alone, so that a box on
-one forcing segment computes those factors once (``_dilatancy_at``).
+four write f and df/dI once each, as ``_f`` and ``_f_dI`` of I_eq and their
+factors in I alone, behind one check, so df/dI raises where f raises; a box
+on one forcing segment computes those factors once (``_dilatancy_at``).
 """
 
 from __future__ import annotations
@@ -367,10 +368,20 @@ class _ModelBase:
 
 @dataclass(frozen=True)
 class _Factored(_ModelBase):
-    """A model whose f(phi, p, I) is ``_f(_factors(I), i_eq(phi), I)``: the
-    factors of f in I and the material alone, then its one formula, which
-    ``dilatancy`` calls after its checks.  On one forcing segment of the
-    box the factors are computed once, not at every RK4 stage."""
+    """A model whose f(phi, p, I) is ``_f(_factors(I), i_eq(phi), I)`` and
+    df/dI ``_f_dI`` of the same reads, made after the same check, so df/dI
+    raises where f raises.  On one forcing segment of the box the factors
+    (of I and the material alone) are computed once, not at every stage."""
+
+    def dilatancy(self, phi: float, p: float, I: float) -> float:
+        if I <= 0:
+            raise _needs_positive_I("dilatancy", I)
+        return self._f(self._factors(I), self.i_eq(phi), I)
+
+    def df_dI(self, phi: float, p: float, I: float) -> float:
+        if I <= 0:
+            raise _needs_positive_I("dilatancy", I)
+        return self._f_dI(self._factors(I), self.i_eq(phi), I)
 
     def _dilatancy_at(self, p: float, I: float) -> Callable[[float], float]:
         if not I > 0:  # dilatancy raises here, in its own order, or gives NaN
@@ -394,19 +405,12 @@ class DruckerPrager(_Factored):
     def _f(sin_delta: float, ieq: float, I: float) -> float:
         return sin_delta * (1.0 - ieq / I)
 
-    def dilatancy(self, phi: float, p: float, I: float) -> float:
-        if I <= 0:
-            raise _needs_positive_I("dilatancy", I)
-        # sin(delta) written out, not _factors(I): one call fewer per sweep point
-        return self._f(math.sin(self.mat.delta), self.i_eq(phi), I)
+    @staticmethod
+    def _f_dI(sin_delta: float, ieq: float, I: float) -> float:
+        return sin_delta * ieq / I**2
 
     def dZ_dI(self, phi: float, I: float) -> float:
         return 0.0
-
-    def df_dI(self, phi: float, p: float, I: float) -> float:
-        if I <= 0:
-            raise _needs_positive_I("dilatancy", I)
-        return math.sin(self.mat.delta) * self.i_eq(phi) / I**2
 
 
 @dataclass(frozen=True)
@@ -428,25 +432,19 @@ class MuI(_Factored):
             f -= ieq / I * mui_shear_factor(*consts, ieq)
         return f
 
-    def dilatancy(self, phi: float, p: float, I: float) -> float:
-        if I <= 0:
-            raise _needs_positive_I("dilatancy", I)
-        return self._f(self._factors(I), self.i_eq(phi), I)
-
-    def dZ_dI(self, phi: float, I: float) -> float:
-        return friction_mu_prime(*self._consts(), I)
-
-    def df_dI(self, phi: float, p: float, I: float) -> float:
+    @staticmethod
+    def _f_dI(factors: tuple[tuple[float, float, float], float], ieq: float,
+              I: float) -> float:
         """df/dI = F'(I) + (I_eq/I^2) F(I_eq), with F'(I) = (mu - F)/I - mu'/2."""
-        if I <= 0:
-            raise _needs_positive_I("dilatancy", I)
-        ieq = self.i_eq(phi)
-        consts = self._consts()
-        slope = (friction_mu(*consts, I) - mui_shear_factor(*consts, I)) / I
+        consts, f = factors
+        slope = (friction_mu(*consts, I) - f) / I
         slope -= 0.5 * friction_mu_prime(*consts, I)
         if ieq > 0.0:
             slope += ieq / I**2 * mui_shear_factor(*consts, ieq)
         return slope
+
+    def dZ_dI(self, phi: float, I: float) -> float:
+        return friction_mu_prime(*self._consts(), I)
 
 
 @dataclass(frozen=True)
@@ -511,27 +509,17 @@ class DruckerPragerDilatant(_Factored):
     def _factors(self, I: float) -> tuple[float, float]:
         return _dp_angle_factors(self.mat.delta)
 
-    def _psi(self, phi: float, I: float) -> float:
-        return dilatancy_angle_dp(self.mat.delta, self.i_eq(phi), I)
-
-    def _psi_slope(self, phi: float, I: float) -> float:
-        """dpsi/dI = K beta (I_eq/I)^beta / I = beta (K - psi) / I, with
-        K = sin(delta)/(1 - cos(delta)); raises where psi raises."""
-        psi = self._psi(phi, I)
-        K, b = _dp_angle_factors(self.mat.delta)
-        return b * (K - psi) / I
+    @staticmethod
+    def _f_dI(factors: tuple[float, float], ieq: float, I: float) -> float:
+        """dpsi/dI = K beta (I_eq/I)^beta / I = beta (K - psi) / I."""
+        K, b = factors
+        return b * (K - _dp_angle(factors, ieq, I)) / I
 
     def yield_function(self, phi: float, I: float) -> float:
-        return math.sin(self.mat.delta) + math.cos(self.mat.delta) * self._psi(phi, I)
-
-    def dilatancy(self, phi: float, p: float, I: float) -> float:
-        return self._psi(phi, I)
+        return math.sin(self.mat.delta) + math.cos(self.mat.delta) * self.dilatancy(phi, 0.0, I)
 
     def dZ_dI(self, phi: float, I: float) -> float:
-        return math.cos(self.mat.delta) * self._psi_slope(phi, I)
-
-    def df_dI(self, phi: float, p: float, I: float) -> float:
-        return self._psi_slope(phi, I)
+        return math.cos(self.mat.delta) * self.df_dI(phi, 0.0, I)
 
     def _gain_lhs(self, I: float) -> float:  # exact, no i_eq(phi_eq(I)) round trip
         return 2.0 * math.sin(self.mat.delta) / (2.0 + math.cos(self.mat.delta))
@@ -550,30 +538,20 @@ class MuIDilatant(_Factored):
         consts = self._consts()
         return consts, mui_angle_primitive(*consts, I)
 
-    def _psi(self, phi: float, I: float) -> float:
-        return dilatancy_angle_mui(*self._consts(), self.i_eq(phi), I)
-
-    def _psi_slope(self, phi: float, I: float) -> float:
+    @staticmethod
+    def _f_dI(factors: tuple[tuple[float, float, float], float], ieq: float,
+              I: float) -> float:
         """dpsi/dI = G'(I) = 2 mu(I)/(3I) - mu'(I)/3; raises where psi raises."""
-        ieq = self.i_eq(phi)
+        consts, _ = factors
         if ieq <= 0:
             raise _needs_positive_i_eq(ieq)
-        if I <= 0:
-            raise _needs_positive_I("G(I)", I)
-        consts = self._consts()
         return 2.0 * friction_mu(*consts, I) / (3.0 * I) - friction_mu_prime(*consts, I) / 3.0
 
     def yield_function(self, phi: float, I: float) -> float:
-        return friction_mu(*self._consts(), I) + self._psi(phi, I)
-
-    def dilatancy(self, phi: float, p: float, I: float) -> float:
-        return self._psi(phi, I)
+        return friction_mu(*self._consts(), I) + self.dilatancy(phi, 0.0, I)
 
     def dZ_dI(self, phi: float, I: float) -> float:
-        return friction_mu_prime(*self._consts(), I) + self._psi_slope(phi, I)
-
-    def df_dI(self, phi: float, p: float, I: float) -> float:
-        return self._psi_slope(phi, I)
+        return friction_mu_prime(*self._consts(), I) + self.df_dI(phi, 0.0, I)
 
     def _gain_lhs(self, I: float) -> float:  # exact, no i_eq(phi_eq(I)) round trip
         mu, mup = friction_mu(*self._consts(), I), friction_mu_prime(*self._consts(), I)

@@ -535,8 +535,10 @@ class TestClosedFormSlopes:
     @pytest.mark.parametrize(
         "law, phi, I",
         [("linear", 0.61, 1.0), ("schaeffer", 0.40, 0.01), ("linear", MAT.phi_max, 1.0),
-         ("linear", 0.5, 0.0), ("linear", 0.5, -0.1)],
-        ids=["above-phi-max", "below-law-range", "at-phi-max", "I-zero", "I-negative"],
+         ("linear", 0.5, 0.0), ("linear", 0.5, -0.1), ("linear", 0.5, math.nan),
+         ("linear", math.nan, 1.0)],
+        ids=["above-phi-max", "below-law-range", "at-phi-max", "I-zero", "I-negative", "I-nan",
+             "phi-nan"],
     )
     def test_slopes_raise_like_the_model(self, name, law, phi, I):
         model = _closed_form(name, EquilibriumLaw(law))

@@ -1,6 +1,7 @@
 """Yield/dilatancy catalogue: closed forms, quadrature oracle, gains."""
 
 import copy
+import hashlib
 import math
 import pickle
 import sys
@@ -212,6 +213,14 @@ class TestYieldFunctions:
             PowerLaw(MAT, LAW, **kwargs)
 
 
+def _outcome(fun, *args) -> str:
+    """``float.hex`` of fun(*args), or ``type: message`` of what it raises."""
+    try:
+        return fun(*args).hex()
+    except (ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 class TestDilatancyFunctions:
     PHIS = np.arange(0.40, 0.60, 0.05).tolist() + [0.595]
 
@@ -282,18 +291,77 @@ class TestDilatancyFunctions:
     def test_rate_at_fixed_p_and_I_is_dilatancy(self, name, law):
         """phi -> f at a fixed (p, I), as the box builds it once per forcing
         segment, gives dilatancy's bits, or its error, at every phi."""
-
-        def outcome(f, *args):
-            try:
-                return f(*args).hex()
-            except ValueError as exc:
-                return str(exc)
-
         model = build_model(name, MAT, EquilibriumLaw(variant=law), rr_gain=2.0)
         for I in (0.0, 1e-3, 0.3, 2.0, 40.0):
             rate = model._dilatancy_at(100.0, I)
             for phi in (0.35, 0.45, 0.55, 0.5999, MAT.phi_max, 0.61):
-                assert outcome(rate, phi) == outcome(model.dilatancy, phi, 100.0, I)
+                assert _outcome(rate, phi) == _outcome(model.dilatancy, phi, 100.0, I)
+
+
+class TestFactoredModels:
+    """dp, mui, dp-psi and mui-psi, whose f is ``_f(_factors(I), i_eq(phi), I)``
+    and whose df/dI is ``_f_dI`` of the same three."""
+
+    PHIS = (0.3, 0.4, 0.5, 0.5999, MAT.phi_max, 0.61, math.nan)
+    IS = (1e-300, 1e-12, 0.01, 0.3, 10.0, 1e3, math.inf, math.nan)
+    NAMES = ("dp", "mui", "dp-psi", "mui-psi")
+
+    #: sha256 over the outcomes (:func:`_outcome`) of Z, f, dZ/dI, df/dI,
+    #: df/dp and the per-segment rate at p = 100 on the grid PHIS x IS,
+    #: recorded before f and df/dI moved into the shared ``_Factored``.
+    GOLDEN = {
+        ("dp", "linear"): "e0b5503f7f14f6565afc7c25a98323e56349a111c5898c7c1a9addf1e51bcdc2",
+        ("dp", "schaeffer"): "02c9c0b903af31b01dce02f56fbf15460dffdb4911cf76b45866d1e587ed133b",
+        ("dp", "robinson"): "55cb5ab101198e2f169326f1cb82abf19eed386e04e395e1e9efb4453379d4b2",
+        ("dp", "breard"): "9db3c5ae1ca98f47aaa330dbf9917942237cacb8b3ce14ad97c61243a649e2d7",
+        ("mui", "linear"): "d4003ac71911a3211dc1887eaf07abf6edbeac8b4916828f7224e502347f8fc1",
+        ("mui", "schaeffer"): "83f1b25976823cff65a058cf0968e131d344d3ea03fd2aae97fdf02ecd87d06a",
+        ("mui", "robinson"): "19b266d1f174ed7b06c5a7c29b3ae7269cd9bb1296774d7df459dd7f39a4adf7",
+        ("mui", "breard"): "70039e176fe45151e0965397f8c9ad6485c379b33c8616b10053c57ad20f5ffc",
+        ("dp-psi", "linear"): "0b993394d80e6aaee4f1c6c95cf4b2474fbc8bd6a9bf2553836693ed767aa327",
+        ("dp-psi", "schaeffer"): "3a5ddb76e9f73544b438a7c7c29cc86b75895a627c5cd4a394b77cf6c107ae9d",
+        ("dp-psi", "robinson"): "618fddf046538f9fe8be8e9fbd465c0cae3d5efe76c000dc486be18ef943e27f",
+        ("dp-psi", "breard"): "d202ac4689bb92aa0e13d89748c436b301898fa005a7d3a9332ad2d2371d4ef4",
+        ("mui-psi", "linear"): "27fdd7799aee059dad8ec958873c3757bac7b37055320f82eab198040bfe9c91",
+        ("mui-psi", "schaeffer"): "b36449be081f0c1afdd2366d10eafc801a15f9d3b806dd02122eca89af8ce00f",
+        ("mui-psi", "robinson"): "786917273cde9c714d3d39777b095c669aadd158fc76e8570ec842dd8294c292",
+        ("mui-psi", "breard"): "6fbc532cf564b85db34f676083ed730e90c1a6a8d18b527b2827035b77cd8c17",
+    }
+
+    @pytest.mark.parametrize("name, law", list(GOLDEN), ids=[f"{n}-{l}" for n, l in GOLDEN])
+    def test_outputs_match_golden(self, name, law):
+        model = build_model(name, MAT, EquilibriumLaw(variant=law))
+        lines = [
+            "\t".join((
+                _outcome(model.yield_function, phi, I),
+                _outcome(model.dilatancy, phi, 100.0, I),
+                _outcome(model.dZ_dI, phi, I),
+                _outcome(model.df_dI, phi, 100.0, I),
+                _outcome(model.df_dp, phi, 100.0, I),
+                _outcome(lambda: model._dilatancy_at(100.0, I)(phi)),
+            ))
+            for phi in self.PHIS for I in self.IS
+        ]
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.GOLDEN[name, law]
+
+    @pytest.mark.parametrize("I", [0.0, -0.1])
+    @pytest.mark.parametrize("phi", [0.5, MAT.phi_max, 0.61])
+    @pytest.mark.parametrize("name", NAMES)
+    def test_one_error_at_nonpositive_I(self, name, phi, I):
+        """f, df/dI, df/dp and the per-segment rate raise f's own error at
+        I <= 0, and so do a dilatant model's Z and dZ/dI, which add f to a
+        yield term: mu(I)'s own error comes first at I < 0."""
+        model = build_model(name, MAT, LAW)
+        message = f"ValueError: dilatancy requires I > 0, got {I}"
+        for fun, args in ((model.dilatancy, (phi, 100.0, I)), (model.df_dI, (phi, 100.0, I)),
+                          (model.df_dp, (phi, 100.0, I)), (model._dilatancy_at(100.0, I), (phi,))):
+            assert _outcome(fun, *args) == message
+        if name == "mui-psi" and I < 0:
+            message = f"ValueError: mu(I) undefined for I < 0, got {I}"
+        if name.endswith("-psi"):
+            assert _outcome(model.yield_function, phi, I) == message
+            assert _outcome(model.dZ_dI, phi, I) == message
 
 
 class TestDissipationGapClosedForms:
