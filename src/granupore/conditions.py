@@ -13,7 +13,7 @@ linearly stable, its yield function Z and dilatancy function f must satisfy
 These are sufficient conditions; a failure pinpoints where a model leaves
 the certified regime, it does not by itself prove ill-posedness.
 The derivatives are the model's closed-form slopes where it has them, with
-central differences as the fallback (``rheology._slopes``), so the checker
+central differences as the fallback (``rheology._admit``), so the checker
 works equally for closed-form, quadrature-derived and tabulated models.
 
 At one (phi, p, I) a sweep evaluates Z, f, dZ/dI, df/dI and df/dp once
@@ -39,7 +39,7 @@ import numpy as np
 
 from .gas import permeability_kappa
 from .materials import FlowState, GasParams, MaterialParams, _check_integer, inertial_number
-from .rheology import _check_mat, _slopes
+from .rheology import _admit
 
 __all__ = [
     "C1_TOL",
@@ -107,22 +107,23 @@ def _gap(z: float, f: float) -> float:
 def residual_c1(model, phi: float, p: float, I: float) -> float:
     """Residual of the consistency equation,
     r = (Z - (I/2) dZ/dI) - (f + I df/dI); zero for compliant pairs."""
-    dZ_dI, df_dI, _ = _slopes(model)
-    return _c1(I, dZ_dI(phi, I), df_dI(phi, p, I),
+    model = _admit(model)
+    return _c1(I, model.dZ_dI(phi, I), model.df_dI(phi, p, I),
                model.yield_function(phi, I), model.dilatancy(phi, p, I))
 
 
 def check_c2(model, phi: float, I: float) -> tuple[float, bool]:
     """Value and pass flag of the growth bound Z + I dZ/dI >= 0."""
-    value = _c2(I, _slopes(model)[0](phi, I), model.yield_function(phi, I))
+    model = _admit(model)
+    value = _c2(I, model.dZ_dI(phi, I), model.yield_function(phi, I))
     return value, _RULES["C2"].passes(value)
 
 
 def check_c3(model, phi: float, p: float, I: float) -> tuple[float, bool]:
     """Value and pass flag of the strict pressure-slope condition
     df/dp - (I/(2p)) df/dI < 0."""
-    _, df_dI, df_dp = _slopes(model)
-    value = _c3(I, p, df_dp(phi, p, I), df_dI(phi, p, I))
+    model = _admit(model)
+    value = _c3(I, p, model.df_dp(phi, p, I), model.df_dI(phi, p, I))
     return value, _RULES["C3"].passes(value)
 
 
@@ -158,7 +159,7 @@ def dissipation_density(
 
     ``grad_pf`` may be a scalar or a gradient vector; ``mat`` is the model's.
     """
-    _check_mat(model, mat)
+    model = _admit(model, mat)
     g = np.atleast_1d(np.asarray(grad_pf, dtype=float))
     density = permeability_kappa(gas, mat.d, state.phi) * float(g @ g)
     if state.shear > 0.0:
@@ -287,8 +288,9 @@ def sweep(model, grid: GridSpec) -> ConditionReport:
     singular.  Ordering is deterministic (phi outer, then I, then p).
     """
     report = ConditionReport()
+    model = _admit(model)
     Z, f = model.yield_function, model.dilatancy
-    dZ_dI, df_dI, df_dp = _slopes(model)
+    dZ_dI, df_dI, df_dp = model.dZ_dI, model.df_dI, model.df_dp
     I_values, p_values = grid.I_values().tolist(), grid.p_values().tolist()
     for phi in grid.phi_values().tolist():
         # The equilibrium signs do not depend on I: one flag or error message per p.

@@ -30,13 +30,12 @@ The quadrature route, :func:`derive_f_numeric`, is the independent check on
 every closed form: f = W(phi, I) - I_eq W(phi, I_eq) / I with
 W = (3/(2I)) int_{I1}^{I} Z dJ - Z/2, invariant under the anchor I1.
 
-Every model above except ``DerivedNumeric`` also has its slopes dZ/dI, df/dI
-and df/dp in closed form (methods ``dZ_dI``, ``df_dI`` and ``df_dp``);
-``DerivedNumeric`` has only df/dp, the shared base's 0.  :func:`_slopes`
-takes those, or central differences for a slope a model lacks.  The first
-four write f and df/dI once each, as ``_f`` and ``_f_dI`` of I_eq and their
-factors in I alone, behind one check, so df/dI raises where f raises; a box
-on one forcing segment computes those factors once (``_dilatancy_at``).
+Every model above except ``DerivedNumeric`` has its slopes dZ/dI, df/dI and
+df/dp in closed form; ``DerivedNumeric`` takes the base's central differences
+and df/dp = 0.  The first four write f and df/dI once each, as ``_f`` and
+``_f_dI`` of I_eq and their factors in I alone, behind one check, so df/dI
+raises where f raises; a box on one forcing segment computes those factors
+once (``_dilatancy_at``).  Models enter the checks and the box by :func:`_admit`.
 """
 
 from __future__ import annotations
@@ -208,7 +207,7 @@ def _mui_angle(factors: tuple[tuple[float, float, float], float], i_eq_value: fl
 
 
 # ----------------------------------------------------------------------
-# Slopes: the model's own or central differences; f from Z by quadrature
+# Central differences; f from Z by quadrature
 # ----------------------------------------------------------------------
 
 #: Relative step of the central differences that stand in for the slopes a
@@ -231,34 +230,6 @@ def _central(fun: Callable[[float], float], x: float, rel: float) -> float:
         except ValueError as exc:
             error = exc
     raise ValueError(f"cannot take a central difference at {x} (step {h}): {error}") from error
-
-
-def _slopes(model) -> tuple[Callable, Callable, Callable]:
-    """The functions dZ/dI(phi, I), df/dI(phi, p, I) and df/dp(phi, p, I) of
-    ``model``.
-
-    This is the one fallback rule and the one caller of :func:`_central`:
-    each is the model's own slope (its ``dZ_dI``, ``df_dI`` or ``df_dp``
-    method) where it defines one, and otherwise a central difference of its
-    Z or f with relative step :data:`REL_STEP`.
-    """
-    return (
-        getattr(model, "dZ_dI", None)
-        or (lambda phi, I: _central(lambda J: model.yield_function(phi, J), I, REL_STEP)),
-        getattr(model, "df_dI", None)
-        or (lambda phi, p, I: _central(lambda J: model.dilatancy(phi, p, J), I, REL_STEP)),
-        getattr(model, "df_dp", None)
-        or (lambda phi, p, I: _central(lambda q: model.dilatancy(phi, q, I), p, REL_STEP)),
-    )
-
-
-def _segment_dilatancy(model) -> Callable[[float, float], Callable[[float], float]]:
-    """``(p, I) -> (phi -> f(phi, p, I))`` of ``model``: its own
-    ``_dilatancy_at`` or, for a model without one, the base's, which calls
-    its ``dilatancy``."""
-    return getattr(model, "_dilatancy_at", None) or functools.partial(
-        _ModelBase._dilatancy_at, model
-    )
 
 
 def derive_f_numeric(
@@ -326,10 +297,10 @@ def _derived_f(
 
 @dataclass(frozen=True)
 class _ModelBase:
-    """The protocol every catalogue model shares: material constants, the
-    equilibrium law of the f anchor, f at a fixed (p, I), df/dp and the
-    near-equilibrium gain.  A slope raises the ValueError of Z (for dZ/dI)
-    or f (for df/dI, df/dp)."""
+    """The one model protocol: mat, the law of the f anchor, the slopes
+    (by default central differences of Z and f in I, and df/dp = 0), f at a
+    fixed (p, I) and the near-equilibrium gain.  A slope raises the
+    ValueError of Z (for dZ/dI) or f (for df/dI, df/dp)."""
 
     mat: MaterialParams = MaterialParams()
     law: EquilibriumLaw = EquilibriumLaw()
@@ -344,9 +315,14 @@ class _ModelBase:
         return self.mat.mu1, self.mat.mu2, self.mat.I0
 
     def _dilatancy_at(self, p: float, I: float) -> Callable[[float], float]:
-        """phi -> f(phi, p, I) at a fixed (p, I), as on one forcing segment
-        of the box; this default calls :meth:`dilatancy`."""
+        """phi -> f(phi, p, I) at a fixed (p, I), as on one box forcing segment."""
         return lambda phi: self.dilatancy(phi, p, I)
+
+    def dZ_dI(self, phi: float, I: float) -> float:
+        return _central(lambda J: self.yield_function(phi, J), I, REL_STEP)
+
+    def df_dI(self, phi: float, p: float, I: float) -> float:
+        return _central(lambda J: self.dilatancy(phi, p, J), I, REL_STEP)
 
     def df_dp(self, phi: float, p: float, I: float) -> float:
         """df/dp = 0: no catalogue f depends on p."""
@@ -356,13 +332,16 @@ class _ModelBase:
     def _gain_lhs(self, I: float) -> float:
         """Z - (I/2) dZ/dI at the equilibrium packing phi_eq(I)."""
         phi_star = self.phi_eq(I)
-        return self.yield_function(phi_star, I) - 0.5 * I * _slopes(self)[0](phi_star, I)
+        return self.yield_function(phi_star, I) - 0.5 * I * self.dZ_dI(phi_star, I)
 
     def near_equilibrium_gain(self, I: float) -> float:
-        """Slope df/dphi at the equilibrium packing phi_eq(I) of a compliant
-        pair, (Z - (I/2) dZ/dI) (-1/phi_eq'(I)) / I."""
-        if I <= 0:
-            raise ValueError(f"gain requires I > 0, got {I}")
+        """Slope df/dphi at the equilibrium packing phi_eq(I), at I > 0."""
+        if not I > 0:
+            raise _needs_positive_I("gain", I)
+        return self._gain(I)
+
+    def _gain(self, I: float) -> float:
+        """The gain of a compliant pair, (Z - (I/2) dZ/dI) (-1/phi_eq'(I)) / I."""
         return self._gain_lhs(I) * (-1.0 / phi_eq_prime(self.law, self.mat, I)) / I
 
 
@@ -602,7 +581,7 @@ class RouxRadjai(_ModelBase):
             raise _needs_positive_I("dilatancy", I)
         return -self.gain * phi_eq_prime(self.law, self.mat, I)
 
-    def near_equilibrium_gain(self, I: float) -> float:
+    def _gain(self, I: float) -> float:
         return self.gain
 
 
@@ -613,17 +592,18 @@ class LinearCombination(_ModelBase):
     The consistency equation is linear in (Z, f) and involves no phi
     derivative, so weights may depend on phi; each term's f vanishes at the
     shared equilibrium, hence so does the sum.  The weights depend on phi
-    only, so each slope in I or p is the weighted sum of the terms' slopes
-    (per :func:`_slopes`).  Each term has the combination's mat and law.
+    only, so each slope in I or p is the weighted sum of the terms' slopes.
+    Each admitted term has the combination's mat and law, or none.
     """
 
     terms: tuple = field(kw_only=True)  # of (weight, model); weight float or callable
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "terms", tuple((w, _admit(m)) for w, m in self.terms))
         for k, (_, m) in enumerate(self.terms):
-            for name, own in (("mat", self.mat), ("law", self.law)):
-                if getattr(m, name, own) != own:
-                    raise ValueError(f"term {k} has another {name}: {getattr(m, name)}")
+            for name, own, theirs in (("mat", self.mat, m.mat), ("law", self.law, m.law)):
+                if theirs not in (None, own):
+                    raise ValueError(f"term {k} has another {name}: {theirs}")
 
     @staticmethod
     def _w(weight, phi: float) -> float:
@@ -637,19 +617,16 @@ class LinearCombination(_ModelBase):
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         return sum(self._w(w, phi) * m.dilatancy(phi, p, I) for w, m in self.terms)
 
-    def _weighted_slope(self, k: int, phi: float, *args: float) -> float:
-        return sum(self._w(w, phi) * _slopes(m)[k](phi, *args) for w, m in self.terms)
-
     def dZ_dI(self, phi: float, I: float) -> float:
-        return self._weighted_slope(0, phi, I)
+        return sum(self._w(w, phi) * m.dZ_dI(phi, I) for w, m in self.terms)
 
     def df_dI(self, phi: float, p: float, I: float) -> float:
-        return self._weighted_slope(1, phi, p, I)
+        return sum(self._w(w, phi) * m.df_dI(phi, p, I) for w, m in self.terms)
 
     def df_dp(self, phi: float, p: float, I: float) -> float:
-        return self._weighted_slope(2, phi, p, I)
+        return sum(self._w(w, phi) * m.df_dp(phi, p, I) for w, m in self.terms)
 
-    def near_equilibrium_gain(self, I: float) -> float:
+    def _gain(self, I: float) -> float:
         phi_star = self.phi_eq(I)
         return sum(
             self._w(w, phi_star) * m.near_equilibrium_gain(I) for w, m in self.terms
@@ -699,45 +676,67 @@ class DerivedNumeric(_ModelBase):
         return self._memo(phi, I)
 
 
-@dataclass(frozen=True)
-class Isochoric:
-    """Wrap a model with its dilatancy forced to zero (div u = 0).
-
-    This is the incompressible limit that the consistency condition rules
-    out; used as a negative control in the stability checks.  f and its
-    slopes are 0; every other attribute (Z, dZ/dI, mat, law, i_eq) is the
-    base's.
-    """
+@dataclass(frozen=True, init=False)
+class _Pair(_ModelBase):
+    """The adapter of :func:`_admit` around a duck-typed pair ``base``: its mat
+    and law or None (takes any), each ``_TAKEN`` name it has or else the
+    protocol's (df/dp central in p), and always its own Z, f, i_eq and gain."""
 
     base: object
+    _TAKEN = ("phi_eq", "dZ_dI", "df_dI", "df_dp", "_dilatancy_at")
 
-    def __getattr__(self, name: str):
-        # Reached only for names the wrapper lacks.  copy and pickle look up
-        # dunders on an instance whose ``base`` is not yet set.
-        if name == "base" or name.startswith("__"):
-            raise AttributeError(name)
-        return getattr(self.base, name)
+    def __init__(self, base) -> None:
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "mat", getattr(base, "mat", None))
+        object.__setattr__(self, "law", getattr(base, "law", None))
+        for name in self._TAKEN:
+            if (own := getattr(base, name, None)) is not None:
+                object.__setattr__(self, name, own)
+
+    def yield_function(self, phi: float, I: float) -> float:
+        return self.base.yield_function(phi, I)
+
+    def dilatancy(self, phi: float, p: float, I: float) -> float:
+        return self.base.dilatancy(phi, p, I)
+
+    def i_eq(self, phi: float) -> float:
+        return self.base.i_eq(phi)
+
+    def df_dp(self, phi: float, p: float, I: float) -> float:
+        return _central(lambda q: self.dilatancy(phi, q, I), p, REL_STEP)
+
+    def _gain(self, I: float) -> float:
+        return self.base.near_equilibrium_gain(I)
+
+
+@dataclass(frozen=True, init=False)
+class Isochoric(_Pair):
+    """Wrap a model with f, its slopes and the gain forced to zero (div u = 0),
+    the incompressible limit that consistency rules out: a negative control
+    in the stability checks.  Z, dZ/dI, mat, law, i_eq and phi_eq are the base's."""
+
+    _TAKEN = ("phi_eq", "dZ_dI")
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         return 0.0
 
     df_dI = df_dp = dilatancy
 
-    def _dilatancy_at(self, p: float, I: float) -> Callable[[float], float]:
-        return lambda phi: 0.0  # not the base's f, which __getattr__ would give
-
-    def near_equilibrium_gain(self, I: float) -> float:
+    def _gain(self, I: float) -> float:
         return 0.0
 
 
 # ----------------------------------------------------------------------
-# Divergence law and model catalogue
+# The door, the divergence law and the model catalogue
 # ----------------------------------------------------------------------
 
-def _check_mat(model, mat: MaterialParams) -> None:
-    """Reject a ``mat`` that is not the model's own; a model without ``mat`` takes any."""
-    if getattr(model, "mat", mat) != mat:
+def _admit(model, mat: MaterialParams | None = None) -> _ModelBase:
+    """``model`` as a :class:`_ModelBase`, a duck-typed pair wrapped once in
+    :class:`_Pair`; rejects a ``mat`` other than the model's, if it has one."""
+    model = model if isinstance(model, _ModelBase) else _Pair(model)
+    if mat is not None and model.mat not in (None, mat):
         raise ValueError(f"mat {mat} is not the model's material {model.mat}")
+    return model
 
 
 def div_u(model, state: FlowState, mat: MaterialParams) -> float:
@@ -747,7 +746,7 @@ def div_u(model, state: FlowState, mat: MaterialParams) -> float:
     of f).  The inertial number is computed from ``mat``, which must be the
     model's own, where the i_eq anchor inside f gets its packing constants.
     """
-    _check_mat(model, mat)
+    model = _admit(model, mat)
     if state.shear == 0.0:
         return 0.0
     I = inertial_number(mat, state.shear, state.p)

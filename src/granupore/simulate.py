@@ -42,7 +42,7 @@ import numpy as np
 from .conditions import EQ_ANCHOR_TOL
 from .gas import enthalpy_ideal, permeability_kappa
 from .materials import GasParams, MaterialParams, _check_integer, inertial_number
-from .rheology import _check_mat, _segment_dilatancy
+from .rheology import _admit
 
 __all__ = [
     "Forcing",
@@ -174,7 +174,6 @@ def _box_stepper(
     (1-phi) dp_f/dt = -(p_atm + p_f) div u advances p_f; else its rate is 0.
     """
     half, sixth = 0.5 * dt, dt / 6.0
-    dilatancy_at = _segment_dilatancy(model)
     # The memo: the last stage time, its (shear, p) and that segment's 2 |S|, I, f.
     last_t = last_read = two_shear = I = f = None
 
@@ -184,7 +183,7 @@ def _box_stepper(
             shear, p = forcing.shear(t), forcing.p(t)
             if (shear, p) != last_read:
                 I = 0.0 if shear == 0.0 else inertial_number(mat, shear, p)
-                f = None if shear == 0.0 else dilatancy_at(p, I)
+                f = None if shear == 0.0 else model._dilatancy_at(p, I)
                 two_shear, last_read = 2.0 * shear, (shear, p)
             last_t = t
         return two_shear, I, f
@@ -244,7 +243,7 @@ def step_box(
     """
     if not dt > 0:
         raise ValueError(f"dt must be positive, got {dt}")
-    _check_mat(model, mat)
+    model = _admit(model, mat)
     _check_box_start(state.phi, state.p_f, gas, "state.phi", "state.p_f")
     tracked = state.p_f is not None
     advance = _box_stepper(model, mat, forcing, dt, gas if tracked else None)[0]
@@ -326,7 +325,7 @@ def run_box(
     """
     n_steps = _step_count(t_end, dt)
     _check_record_every(record_every)
-    _check_mat(model, mat)
+    model = _admit(model, mat)
     _check_box_start(phi0, pf0, gas, "phi0", "pf0")
     t, phi, p_f = 0.0, phi0, 0.0 if pf0 is None else pf0
     advance, segment = _box_stepper(model, mat, forcing, dt, None if pf0 is None else gas)

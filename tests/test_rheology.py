@@ -6,11 +6,18 @@ import math
 import pickle
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from granupore.conditions import standard_grid
+from granupore.conditions import (
+    check_c2,
+    check_c3,
+    check_dissipation,
+    residual_c1,
+    standard_grid,
+)
 from granupore.materials import EquilibriumLaw, FlowState, glass_beads, i_eq, phi_eq_prime
 from granupore.rheology import (
     DERIVED_MEMO_SIZE,
@@ -25,7 +32,7 @@ from granupore.rheology import (
     PowerLaw,
     RouxRadjai,
     _central,
-    _slopes,
+    _ModelBase,
     beta_exponent,
     build_model,
     derive_f_numeric,
@@ -37,7 +44,7 @@ from granupore.rheology import (
     mui_angle_primitive,
     mui_shear_factor,
 )
-from granupore.simulate import constant_forcing, run_box
+from granupore.simulate import constant_forcing, piecewise_constant_forcing, run_box
 
 MAT = glass_beads()
 LAW = EquilibriumLaw()
@@ -564,7 +571,7 @@ class TestDerivedNumericModel:
 
     def test_df_dp_is_the_base_zero(self):
         model = DerivedNumeric(MAT, LAW, Z=MUI.yield_function)
-        assert _slopes(model)[2] == model.df_dp
+        assert type(model).df_dp is _ModelBase.df_dp
         assert model.df_dp(0.5, 100.0, 0.7) == 0.0
         with pytest.raises(ValueError, match="no equilibrium inertial number"):
             model.df_dp(0.61, 100.0, 0.7)
@@ -627,6 +634,115 @@ class TestDerivedNumericModel:
         assert model.dilatancy(0.5, 100.0, 1.0) == pytest.approx(
             ref.dilatancy(0.5, 100.0, 1.0), abs=1e-8
         )
+
+
+class _DuckF:
+    """A duck-typed pair with f and i_eq only: no Z, slopes, mat or law."""
+
+    dilatancy = staticmethod(MUI.dilatancy)
+    i_eq = staticmethod(MUI.i_eq)
+
+
+class _DuckZF(_DuckF):
+    """A duck-typed pair with Z, f and i_eq: no slopes, mat or law."""
+
+    yield_function = staticmethod(DP_PSI.yield_function)
+    dilatancy = staticmethod(DP_PSI.dilatancy)
+
+
+def _derived_z(phi, I):
+    return 0.38 + 0.27 * I / (I + 0.3) + 0.1 * (0.6 - phi)
+
+
+class TestProtocolSurface:
+    """What the checks, the divergence law, the gain and the box read from
+    every kind of model: catalogue models with and without closed-form
+    slopes, wrappers, combinations and duck-typed pairs."""
+
+    PHIS = (0.4, 0.5, 0.5999, 0.61, math.nan)
+    IS = (1e-12, 0.01, 1.0, 1e3, math.nan)
+    P = 100.0
+
+    MODELS = {
+        "power:0.5": lambda: build_model("power:0.5", MAT, LAW),
+        "power:-0.5": lambda: build_model("power:-0.5", MAT, LAW),
+        "roux-radjai": lambda: build_model("roux-radjai", MAT, LAW, rr_gain=2.0),
+        "roux-radjai-dp": lambda: build_model("roux-radjai", MAT, LAW, rr_gain=2.0,
+                                              z_override="dp"),
+        "lincomb-float": lambda: LinearCombination(MAT, LAW, terms=((0.25, DP), (0.75, MUI))),
+        "lincomb-callable": lambda: LinearCombination(MAT, LAW, terms=(
+            (lambda phi: (phi - 0.3) / 0.3, DP), (lambda phi: (0.6 - phi) / 0.3, MUI))),
+        "lincomb-duck": lambda: LinearCombination(MAT, LAW, terms=((0.5, DP), (0.5, _DuckZF()))),
+        "derived": lambda: DerivedNumeric(MAT, LAW, Z=_derived_z),
+        "isochoric-mui": lambda: Isochoric(MUI),
+        "isochoric-derived": lambda: Isochoric(DerivedNumeric(MAT, LAW, Z=_derived_z)),
+        "isochoric-duck": lambda: Isochoric(_DuckZF()),
+        "duck-f": _DuckF,
+        "duck-zf": _DuckZF,
+    }
+
+    #: sha256 over :meth:`_outcomes`, recorded before the models were
+    #: admitted through one protocol.
+    GOLDEN = {
+        "power:0.5": "faa29974b2cdfa05288ce98635a22d40689f107a7ac74dd345aa878c7025ce27",
+        "power:-0.5": "279308469912e8264bc4d8df11eee2bfebf5ae49fc927a4d6e206d267a5fa2b3",
+        "roux-radjai": "30acb2e29b1400f78ad7e77d1067d098f6911394258bb402618ee25fd1f202e8",
+        "roux-radjai-dp": "cb9386603e7740e5b3f49354599c0e6a31e1412975b277b12642a89a8ea9712a",
+        "lincomb-float": "9adeb14f20fab054de5881bbaa31dae1e624069dbb1a758e60e121b690f006ef",
+        "lincomb-callable": "8a1a7e8a27ff972c8d988bb1247cd41b424a9aa70c98e843847e6c0269afc754",
+        "lincomb-duck": "8602b51dca36ceb8c78641edcb68dd1480783a3d7c2d3624a5bd9ec8c4cfb9db",
+        "derived": "5a06952e883faeae74f2297097ee8c461a8daf5f8689e2ad450527384c2ae2f1",
+        "isochoric-mui": "eeb82b6ca607b41e15d2870065c5c12649524f756120e26d763aef1afc05f677",
+        "isochoric-derived": "8faa9afec14bc51c7494552ae601b1095e4c294db662ed978a6fad81b0442028",
+        "isochoric-duck": "bbfa2bcf6600e6f2373a305e3084f24eaff4048b6489b820ccac46a830a76dad",
+        "duck-f": "a9e789b6f8f60126b909469600d8a179977236fee2fb0e2f731a786174d72a1c",
+        "duck-zf": "b4c8c50ad1015ce018986aeca6666bbac0924a41be587bc5f936c16fe1d2d812",
+    }
+
+    @staticmethod
+    def _outcome(fun, *args) -> str:
+        """``float.hex`` of each value fun(*args) returns (a flag as 0 or 1),
+        or ``type: message`` of what it raises."""
+        try:
+            value = fun(*args)
+        except (ValueError, ArithmeticError, AttributeError, RuntimeError) as exc:
+            return f"{type(exc).__name__}: {exc}"
+        values = value if isinstance(value, tuple) else (value,)
+        return " ".join(float(v).hex() for v in values)
+
+    @classmethod
+    def _outcomes(cls, model) -> list[str]:
+        out, p = cls._outcome, cls.P
+        lines = [
+            "\t".join((
+                out(residual_c1, model, phi, p, I),
+                out(check_c2, model, phi, I),
+                out(check_c3, model, phi, p, I),
+                out(check_dissipation, model, phi, p, I),
+                out(lambda: div_u(model, SimpleNamespace(
+                    phi=phi, p=p, shear=I * math.sqrt(p / MAT.rho_s) / MAT.d), MAT)),
+            ))
+            for phi in cls.PHIS for I in cls.IS
+        ]
+        lines += [out(lambda I=I: model.near_equilibrium_gain(I)) for I in cls.IS if I > 0]
+        shear = [I * math.sqrt(p / MAT.rho_s) / MAT.d for I in (1.0, 0.01)]
+        forcing = piecewise_constant_forcing([0.0, 1e-5, 1.0], shear, [p, p])
+        for phi0 in (0.5, 0.5999):
+            try:
+                res = run_box(model, MAT, forcing, phi0=phi0, t_end=2e-5, dt=1e-6)
+            except (ValueError, ArithmeticError, AttributeError, RuntimeError) as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+                continue
+            rows = zip(res.t, res.phi, res.div_u, res.inertial, res.i_eq)
+            lines += [" ".join(float(v).hex() for v in row) for row in rows]
+            lines.append(f"{res.violations} {res.sign_agreement}")
+        return lines
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_outputs_match_golden(self, name):
+        lines = self._outcomes(self.MODELS[name]())
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.GOLDEN[name]
 
 
 class TestNearEquilibriumGain:
@@ -725,13 +841,17 @@ class TestNearEquilibriumGain:
 
     @pytest.mark.parametrize(
         "model",
-        BUILTINS + (PowerLaw(MAT, LAW, n=0.5), DerivedNumeric(MAT, LAW, Z=lambda phi, I: 0.4)),
-        ids=["dp", "mui", "dp-psi", "mui-psi", "power", "derived"],
+        BUILTINS + (PowerLaw(MAT, LAW, n=0.5), DerivedNumeric(MAT, LAW, Z=lambda phi, I: 0.4),
+                    build_model("roux-radjai", MAT, LAW, rr_gain=2.0), Isochoric(MUI),
+                    LinearCombination(MAT, LAW, terms=((0.25, DP), (0.75, MUI)))),
+        ids=["dp", "mui", "dp-psi", "mui-psi", "power", "derived", "roux-radjai", "isochoric",
+             "lincomb"],
     )
-    @pytest.mark.parametrize("I", [0.0, -1.0])
+    @pytest.mark.parametrize("I", [0.0, -1.0, math.nan])
     def test_needs_positive_I(self, model, I):
-        with pytest.raises(ValueError, match="gain requires I > 0"):
+        with pytest.raises(ValueError) as exc:
             model.near_equilibrium_gain(I)
+        assert str(exc.value) == f"gain requires I > 0, got {I}"
 
 
 class TestDivU:
@@ -834,7 +954,7 @@ class TestIsochoricWrapper:
 
     def test_central_slope_of_derived_base(self):
         base = DerivedNumeric(MAT, LAW, Z=lambda phi, I: 0.4 + 0.2 * I / (I + 0.3) - phi)
-        iso_dz, base_dz = _slopes(Isochoric(base))[0], _slopes(base)[0]
+        iso_dz, base_dz = Isochoric(base).dZ_dI, base.dZ_dI
         for phi, I in ((0.45, 0.05), (0.5, 0.7), (0.58, 3.0)):
             assert iso_dz(phi, I).hex() == base_dz(phi, I).hex()
 

@@ -1,12 +1,13 @@
-"""Symbolic certificates of the factored models' df/dI.
+"""Symbolic certificates of the factored models' slopes.
 
 Each of dp, mui, dp-psi and mui-psi is written here in sympy as a pair
 (Z, f) of I, I_eq and the material constants, from the paper's
 definitions: mu(I)'s F from the primitive M of mu, which sympy integrates.
 sympy proves that each pair satisfies the consistency equation
 Z - (I/2) dZ/dI = f + I df/dI and the anchor f(I_eq) = 0 identically, and
-takes df/dI, which mpmath evaluates at 50 digits at the model's own
-``i_eq(phi)`` to check the hand-written ``df_dI``.
+that the dilatant pairs' exact gain terms hold.  It takes df/dI and dZ/dI,
+which mpmath evaluates at 50 digits at the model's own ``i_eq(phi)`` to
+check the hand-written ``df_dI`` and ``dZ_dI``.
 """
 
 import math
@@ -64,6 +65,15 @@ def _lambdify(expr):
 
 #: Model id -> (f, df/dI) as mpmath functions of (I, I_eq, mu1, mu2, I0, delta).
 EXACT = {name: (_lambdify(f), _lambdify(sp.diff(f, I))) for name, (_, f) in PAIRS.items()}
+#: Model id -> (Z, dZ/dI), likewise.
+EXACT_Z = {name: (_lambdify(Z), _lambdify(sp.diff(Z, I))) for name, (Z, _) in PAIRS.items()}
+
+#: The exact Z - (I/2) dZ/dI at I_eq = I of the dilatant pairs, which their
+#: ``_gain_lhs`` returns in place of the base's rule at phi_eq(I).
+GAIN_LHS = {
+    "dp-psi": 2 * sp.sin(DELTA) / (2 + sp.cos(DELTA)),
+    "mui-psi": (2 * _mu(I) - I * sp.diff(_mu(I), I)) / 3,
+}
 
 
 @pytest.mark.parametrize("name", list(PAIRS))
@@ -74,21 +84,51 @@ def test_pair_is_consistent_and_anchored(name):
     assert sp.simplify(f.subs(I, I_EQ)) == 0
 
 
+def _assert_slope_matches(name, law, phi, log_I, slope, exact):
+    """``slope(model, phi, I)`` equals sympy's d/dI of the function F that
+    ``exact[name]`` pairs with it, at the model's own float I_eq(phi), to
+    1e-14 of max(|dF/dI|, |F|/I)."""
+    model, I_value = build_model(name, MAT, EquilibriumLaw(law)), math.exp(log_I)
+    try:
+        got, ieq = slope(model, phi, I_value), model.i_eq(phi)
+    except ValueError:  # outside the law's range, or mui-psi at phi_max
+        assume(False)
+    F, dF_dI = exact[name]
+    with mpmath.workdps(50):
+        args = (I_value, ieq, MAT.mu1, MAT.mu2, MAT.I0, MAT.delta)
+        args = [mpmath.mpf(a) for a in args]
+        want = dF_dI(*args)
+        assert abs(got - want) <= 1e-14 * max(abs(want), abs(F(*args)) / args[0])
+
+
 @pytest.mark.parametrize("law", LAWS)
 @pytest.mark.parametrize("name", list(PAIRS))
 @given(phi=st.floats(0.40, MAT.phi_max), log_I=st.floats(math.log(1e-6), math.log(1e3)))
 @settings(max_examples=100, deadline=None)
 def test_df_dI_matches_symbolic(name, law, phi, log_I):
-    """The closed-form df/dI equals sympy's d/dI of f, at the model's own
-    float I_eq(phi), to 1e-14 of max(|df/dI|, |f|/I)."""
-    model, I_value = build_model(name, MAT, EquilibriumLaw(law)), math.exp(log_I)
-    try:
-        got = model.df_dI(phi, 100.0, I_value)
-    except ValueError:  # outside the law's range, or mui-psi at phi_max
-        assume(False)
-    f, df_dI = EXACT[name]
-    with mpmath.workdps(50):
-        args = (I_value, model.i_eq(phi), MAT.mu1, MAT.mu2, MAT.I0, MAT.delta)
-        args = [mpmath.mpf(a) for a in args]
-        exact = df_dI(*args)
-        assert abs(got - exact) <= 1e-14 * max(abs(exact), abs(f(*args)) / args[0])
+    """The closed-form df/dI equals sympy's d/dI of f."""
+    _assert_slope_matches(name, law, phi, log_I, lambda m, phi, I: m.df_dI(phi, 100.0, I), EXACT)
+
+
+@pytest.mark.parametrize("law", LAWS)
+@pytest.mark.parametrize("name", list(PAIRS))
+@given(phi=st.floats(0.40, MAT.phi_max), log_I=st.floats(math.log(1e-6), math.log(1e3)))
+@settings(max_examples=100, deadline=None)
+def test_dZ_dI_matches_symbolic(name, law, phi, log_I):
+    """The closed-form dZ/dI equals sympy's d/dI of Z."""
+    _assert_slope_matches(name, law, phi, log_I, lambda m, phi, I: m.dZ_dI(phi, I), EXACT_Z)
+
+
+@pytest.mark.parametrize("name", list(GAIN_LHS))
+def test_exact_gain_lhs(name):
+    """Z - (I/2) dZ/dI at I_eq = I is identically the dilatant model's
+    ``_gain_lhs``, which equals it to 1e-15 at 50 digits."""
+    Z, _ = PAIRS[name]
+    lhs = (Z - I / 2 * sp.diff(Z, I)).subs(I_EQ, I)
+    assert sp.simplify(lhs - GAIN_LHS[name]) == 0
+    model, exact = build_model(name, MAT), _lambdify(GAIN_LHS[name])
+    for I_value in (1e-6, 1e-3, 0.3, 1.0, 1e3):
+        with mpmath.workdps(50):
+            args = [mpmath.mpf(a) for a in (I_value, I_value, MAT.mu1, MAT.mu2, MAT.I0, MAT.delta)]
+            value = exact(*args)
+            assert abs(model._gain_lhs(I_value) - value) <= 1e-15 * abs(value)
