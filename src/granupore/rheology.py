@@ -216,20 +216,14 @@ REL_STEP = 1.0e-6
 
 
 def _central(fun: Callable[[float], float], x: float, rel: float) -> float:
-    """Central difference with step h = rel * max(x, 1e-3) and one
-    domain-shrink retry.
-
-    Evaluation at x +/- h can leave the model's domain near a boundary
-    (for example I_eq terms at phi -> phi_max); in that case the step is
-    halved once before giving up, and the error names the last failure.
-    """
-    h = rel * max(x, 1.0e-3)
-    for step in (h, 0.5 * h):
-        try:
-            return (fun(x + step) - fun(x - step)) / (2.0 * step)
-        except ValueError as exc:
-            error = exc
-    raise ValueError(f"cannot take a central difference at {x} (step {h}): {error}") from error
+    """Central difference of ``fun`` at x > 0 with the relative step h = rel * x."""
+    if x <= 0:
+        raise ValueError(f"cannot take a central difference at {x}: it needs x > 0")
+    h = rel * x
+    try:
+        return (fun(x + h) - fun(x - h)) / (2.0 * h)
+    except ValueError as error:
+        raise ValueError(f"cannot take a central difference at {x} (step {h}): {error}") from error
 
 
 def derive_f_numeric(
@@ -298,8 +292,8 @@ def _derived_f(
 @dataclass(frozen=True)
 class _ModelBase:
     """The one model protocol: mat, the law of the f anchor, the slopes
-    (by default central differences of Z and f in I, and df/dp = 0), f at a
-    fixed (p, I) and the near-equilibrium gain.  A slope raises the
+    (by default central differences of Z and f in I > 0, and df/dp = 0), f
+    at a fixed (p, I) and the near-equilibrium gain.  A slope raises the
     ValueError of Z (for dZ/dI) or f (for df/dI, df/dp)."""
 
     mat: MaterialParams = MaterialParams()
@@ -702,6 +696,9 @@ class _Pair(_ModelBase):
     def i_eq(self, phi: float) -> float:
         return self.base.i_eq(phi)
 
+    def phi_eq(self, I: float) -> float:  # the pair has none: its law's, or its own error
+        return self.base.phi_eq(I) if self.law is None else super().phi_eq(I)
+
     def df_dp(self, phi: float, p: float, I: float) -> float:
         return _central(lambda q: self.dilatancy(phi, q, I), p, REL_STEP)
 
@@ -718,6 +715,8 @@ class Isochoric(_Pair):
     _TAKEN = ("phi_eq", "dZ_dI")
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
+        if I <= 0:  # where the base's f raises; NaN gives 0
+            raise _needs_positive_I("dilatancy", I)
         return 0.0
 
     df_dI = df_dp = dilatancy

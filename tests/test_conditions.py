@@ -32,6 +32,7 @@ from granupore.materials import (
     i_eq,
 )
 from granupore.rheology import (
+    DerivedNumeric,
     DruckerPrager,
     DruckerPragerDilatant,
     Isochoric,
@@ -132,6 +133,14 @@ class TestC1:
     def test_isochoric_surrogate_fails(self):
         model = Isochoric(DP)
         assert residual_c1(model, 0.5, 100.0, 1.0) == pytest.approx(SIN_D, abs=1e-9)
+
+    @pytest.mark.parametrize("model", [MUI, DerivedNumeric(MAT, LAW, Z=MUI.yield_function)],
+                             ids=["mui", "derived"])
+    def test_derived_f_passes_where_its_closed_form_does(self, model):
+        # f derived from mu(I)'s own Z, with central slopes, down to I = 1e-5
+        report = sweep(model, GridSpec((0.40, 0.595, 8), (1e-5, 1e-2, 7), (10.0, 1e4, 2)))
+        assert len(report.records) == 112 and not report.skipped
+        assert report.summaries["C1"].all_pass
 
     def test_central_path_names_the_error(self):
         with pytest.raises(ValueError) as info:

@@ -31,6 +31,7 @@ from granupore.rheology import (
     MuIDilatant,
     PowerLaw,
     RouxRadjai,
+    _admit,
     _central,
     _ModelBase,
     beta_exponent,
@@ -398,6 +399,18 @@ class TestCentral:
         e_h2 = _central(mu, 0.5, 5e-3) - exact
         assert e_h / e_h2 == pytest.approx(4.0, rel=0.25)
 
+    @pytest.mark.parametrize("x", [1e-300, 1e-12, 1.0, 1e300])
+    def test_step_relative_to_its_point(self, x):
+        # sqrt is defined only at x >= 0: a step of 1e-6 x stays inside at
+        # any x > 0, and the rounding error stays near eps / 1e-6 relative
+        assert _central(math.sqrt, x, 1e-6) == pytest.approx(0.5 / math.sqrt(x), rel=1e-8)
+
+    @pytest.mark.parametrize("x", [0.0, -1.0])
+    def test_needs_positive_x(self, x):
+        with pytest.raises(ValueError) as exc:
+            _central(math.sqrt, x, 1e-6)
+        assert str(exc.value) == f"cannot take a central difference at {x}: it needs x > 0"
+
 
 class TestDeriveFNumeric:
     def test_reproduces_dp(self):
@@ -628,6 +641,17 @@ class TestDerivedNumericModel:
             assert memo.cache_info().misses > DERIVED_MEMO_SIZE
             assert memo.cache_info().currsize <= DERIVED_MEMO_SIZE
 
+    @pytest.mark.parametrize("phi", np.linspace(0.40, 0.595, 5).tolist())
+    def test_df_dI_matches_mui_down_to_small_I(self, phi):
+        """The central df/dI of f derived from mu(I)'s own Z matches MuI's
+        closed form to 1e-8 max(|df/dI|, |f|/I), the bound of the closed-form
+        slope checks, at every I from 1e-9 to 10."""
+        model = DerivedNumeric(MAT, LAW, Z=MUI.yield_function)
+        for I in np.geomspace(1e-9, 10.0, 21).tolist():
+            want = MUI.df_dI(phi, 100.0, I)
+            scale = max(abs(want), abs(MUI.dilatancy(phi, 100.0, I)) / I)
+            assert abs(model.df_dI(phi, 100.0, I) - want) <= 1e-8 * scale, I
+
     def test_singular_Z_uses_safe_anchor(self):
         model = DerivedNumeric(MAT, LAW, Z=lambda phi, I: I**-0.5)
         ref = PowerLaw(MAT, LAW, n=-0.5)
@@ -682,7 +706,10 @@ class TestProtocolSurface:
     }
 
     #: sha256 over :meth:`_outcomes`, recorded before the models were
-    #: admitted through one protocol.
+    #: admitted through one protocol.  The six models with a central slope
+    #: (derived, isochoric-derived, isochoric-duck, duck-f, duck-zf and
+    #: lincomb-duck) were re-recorded when the central step became relative
+    #: to its point; only their rows and gain at I = 1e-12 moved.
     GOLDEN = {
         "power:0.5": "faa29974b2cdfa05288ce98635a22d40689f107a7ac74dd345aa878c7025ce27",
         "power:-0.5": "279308469912e8264bc4d8df11eee2bfebf5ae49fc927a4d6e206d267a5fa2b3",
@@ -690,13 +717,13 @@ class TestProtocolSurface:
         "roux-radjai-dp": "cb9386603e7740e5b3f49354599c0e6a31e1412975b277b12642a89a8ea9712a",
         "lincomb-float": "9adeb14f20fab054de5881bbaa31dae1e624069dbb1a758e60e121b690f006ef",
         "lincomb-callable": "8a1a7e8a27ff972c8d988bb1247cd41b424a9aa70c98e843847e6c0269afc754",
-        "lincomb-duck": "8602b51dca36ceb8c78641edcb68dd1480783a3d7c2d3624a5bd9ec8c4cfb9db",
-        "derived": "5a06952e883faeae74f2297097ee8c461a8daf5f8689e2ad450527384c2ae2f1",
+        "lincomb-duck": "ed36cfa085c79b1fda12339b09bed8fa3e23aeda370833134210d2583eca4e5f",
+        "derived": "f53df533b7478649c9f0e43c11d9d061590e616d07e3dc5e1f1733a08d2dbd12",
         "isochoric-mui": "eeb82b6ca607b41e15d2870065c5c12649524f756120e26d763aef1afc05f677",
-        "isochoric-derived": "8faa9afec14bc51c7494552ae601b1095e4c294db662ed978a6fad81b0442028",
-        "isochoric-duck": "bbfa2bcf6600e6f2373a305e3084f24eaff4048b6489b820ccac46a830a76dad",
-        "duck-f": "a9e789b6f8f60126b909469600d8a179977236fee2fb0e2f731a786174d72a1c",
-        "duck-zf": "b4c8c50ad1015ce018986aeca6666bbac0924a41be587bc5f936c16fe1d2d812",
+        "isochoric-derived": "f577e7c9fbf941da4dc16b0bdc951c0d653d1109b9f218fafac9324d3c6cd75f",
+        "isochoric-duck": "1f7847339be36868b8d22fd03cb394e0fab2a0080395c50828d160c54fc6d65a",
+        "duck-f": "91d449742d5851d4774932d3b36bede129763f747ccf5d696ee25a718df9e822",
+        "duck-zf": "ac6542fdc157740b2d7833e27ae3eec02a656a74641326dfa54da81a2c90a473",
     }
 
     @staticmethod
@@ -951,6 +978,30 @@ class TestIsochoricWrapper:
             assert model.yield_function(0.5, I) == base.yield_function(0.5, I)
             assert model.dZ_dI(0.5, I) == base.dZ_dI(0.5, I)
             assert model.df_dI(0.5, 100.0, I) == model.df_dp(0.5, 100.0, I) == 0.0
+
+    @pytest.mark.parametrize("I", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("base", [DP, MUI, PowerLaw(MAT, LAW, n=0.5)],
+                             ids=["dp", "mui", "power"])
+    def test_f_defined_where_the_base_f_is(self, base, I):
+        """f, df/dI and df/dp raise the base f's error at I <= 0; at NaN,
+        where the base's f gives NaN, they give 0."""
+        model = Isochoric(base)
+        want = _outcome(base.dilatancy, 0.5, 100.0, I) if I <= 0 else "0x0.0p+0"
+        for fun in (model.dilatancy, model.df_dI, model.df_dp):
+            assert _outcome(fun, 0.5, 100.0, I) == want
+
+    @pytest.mark.parametrize("wrap", [Isochoric, _admit], ids=["isochoric", "pair"])
+    def test_phi_eq_of_a_pair_without_law_names_the_pair(self, wrap):
+        with pytest.raises(AttributeError) as exc:
+            wrap(_DuckZF()).phi_eq(0.3)
+        assert str(exc.value) == "'_DuckZF' object has no attribute 'phi_eq'"
+
+    @pytest.mark.parametrize("wrap", [Isochoric, _admit], ids=["isochoric", "pair"])
+    def test_phi_eq_of_a_pair_with_a_law_is_the_laws(self, wrap):
+        class Lawful(_DuckZF):
+            mat, law = MAT, EquilibriumLaw("schaeffer")
+
+        assert wrap(Lawful()).phi_eq(0.3) == MuI(MAT, EquilibriumLaw("schaeffer")).phi_eq(0.3)
 
     def test_central_slope_of_derived_base(self):
         base = DerivedNumeric(MAT, LAW, Z=lambda phi, I: 0.4 + 0.2 * I / (I + 0.3) - phi)

@@ -1,13 +1,14 @@
-"""Symbolic certificates of the factored models' slopes.
+"""Symbolic certificates of the closed-form models' slopes.
 
-Each of dp, mui, dp-psi and mui-psi is written here in sympy as a pair
-(Z, f) of I, I_eq and the material constants, from the paper's
-definitions: mu(I)'s F from the primitive M of mu, which sympy integrates.
-sympy proves that each pair satisfies the consistency equation
+Each of dp, mui, dp-psi, mui-psi and power:n is written here in sympy as a
+pair (Z, f) of I, I_eq and the material constants, from the paper's
+definitions: mu(I)'s F from the primitive M of mu, which sympy integrates,
+and power:n with its exponent n and coefficient c as symbols.  sympy proves
+that each pair satisfies the consistency equation
 Z - (I/2) dZ/dI = f + I df/dI and the anchor f(I_eq) = 0 identically, and
 that the dilatant pairs' exact gain terms hold.  It takes df/dI and dZ/dI,
 which mpmath evaluates at 50 digits at the model's own ``i_eq(phi)`` to
-check the hand-written ``df_dI`` and ``dZ_dI``.
+check the hand-written ``df_dI`` and ``dZ_dI``, for power:n at four n.
 """
 
 import math
@@ -58,15 +59,28 @@ PAIRS = {
     "mui-psi": (_mu(I) + _G(I) - _G(I_EQ), _G(I) - _G(I_EQ)),
 }
 
+N, C = sp.symbols("n c", real=True)
+#: power:n, Z = c I^n, for any n but -1, where f's factor has its pole.
+POWER = (C * I**N, C * (2 - N) / (2 * (N + 1)) * (I**N - I_EQ ** (N + 1) / I))
+#: The power:n models checked in floats; ``build_model`` takes c = 1.
+POWER_NS = {"power:-0.5": sp.Rational(-1, 2), "power:0.5": sp.Rational(1, 2),
+            "power:2": 2, "power:3": 3}
+
 
 def _lambdify(expr):
     return sp.lambdify((I, I_EQ, *CONSTANTS), expr, "mpmath")
 
 
+#: (model id, law) of the float checks: power:n under the linear law only,
+#: since its Z and f read the law through I_eq alone.
+SLOPE_CASES = [(name, law) for name in PAIRS for law in LAWS] + [(n, "linear") for n in POWER_NS]
+#: Model id -> (Z, f) with every symbol but I, I_eq and the constants fixed.
+FIXED = {**PAIRS, **{name: tuple(e.subs({N: n, C: 1}) for e in POWER)
+                     for name, n in POWER_NS.items()}}
 #: Model id -> (f, df/dI) as mpmath functions of (I, I_eq, mu1, mu2, I0, delta).
-EXACT = {name: (_lambdify(f), _lambdify(sp.diff(f, I))) for name, (_, f) in PAIRS.items()}
+EXACT = {name: (_lambdify(f), _lambdify(sp.diff(f, I))) for name, (_, f) in FIXED.items()}
 #: Model id -> (Z, dZ/dI), likewise.
-EXACT_Z = {name: (_lambdify(Z), _lambdify(sp.diff(Z, I))) for name, (Z, _) in PAIRS.items()}
+EXACT_Z = {name: (_lambdify(Z), _lambdify(sp.diff(Z, I))) for name, (Z, _) in FIXED.items()}
 
 #: The exact Z - (I/2) dZ/dI at I_eq = I of the dilatant pairs, which their
 #: ``_gain_lhs`` returns in place of the base's rule at phi_eq(I).
@@ -76,9 +90,9 @@ GAIN_LHS = {
 }
 
 
-@pytest.mark.parametrize("name", list(PAIRS))
+@pytest.mark.parametrize("name", [*PAIRS, "power:n"])
 def test_pair_is_consistent_and_anchored(name):
-    Z, f = PAIRS[name]
+    Z, f = POWER if name == "power:n" else PAIRS[name]
     residual = Z - I / 2 * sp.diff(Z, I) - f - I * sp.diff(f, I)
     assert sp.simplify(residual) == 0
     assert sp.simplify(f.subs(I, I_EQ)) == 0
@@ -101,8 +115,7 @@ def _assert_slope_matches(name, law, phi, log_I, slope, exact):
         assert abs(got - want) <= 1e-14 * max(abs(want), abs(F(*args)) / args[0])
 
 
-@pytest.mark.parametrize("law", LAWS)
-@pytest.mark.parametrize("name", list(PAIRS))
+@pytest.mark.parametrize("name, law", SLOPE_CASES)
 @given(phi=st.floats(0.40, MAT.phi_max), log_I=st.floats(math.log(1e-6), math.log(1e3)))
 @settings(max_examples=100, deadline=None)
 def test_df_dI_matches_symbolic(name, law, phi, log_I):
@@ -110,8 +123,7 @@ def test_df_dI_matches_symbolic(name, law, phi, log_I):
     _assert_slope_matches(name, law, phi, log_I, lambda m, phi, I: m.df_dI(phi, 100.0, I), EXACT)
 
 
-@pytest.mark.parametrize("law", LAWS)
-@pytest.mark.parametrize("name", list(PAIRS))
+@pytest.mark.parametrize("name, law", SLOPE_CASES)
 @given(phi=st.floats(0.40, MAT.phi_max), log_I=st.floats(math.log(1e-6), math.log(1e3)))
 @settings(max_examples=100, deadline=None)
 def test_dZ_dI_matches_symbolic(name, law, phi, log_I):
