@@ -17,10 +17,14 @@ central differences as the fallback (``rheology._admit``), so the checker
 works equally for closed-form, quadrature-derived and tabulated models.
 
 At one (phi, p, I) a sweep evaluates Z, f, dZ/dI, df/dI and df/dp once
-each and the checks share them.  Where the model raises, a sweep skips the
-point with the first error's message, so the first reads keep one order: C1
-dZ/dI, df/dI, Z, f; C2 dZ/dI, Z; C3 df/dp, df/dI; the gap Z, f; the
-equilibrium signs last, once per (phi, p).
+each and the checks share them.  Where the model's f takes no p, as every
+catalogue f does (``rheology._ModelBase``), those reads and C1, C2 and the
+gap are made once per (phi, I) and shared by its p values, and the
+equilibrium signs once per phi; only C3, which divides by p, is computed
+per p.  Where the model raises, a sweep skips the point with the first
+error's message, so the first reads keep one order: C1 dZ/dI, df/dI, Z, f;
+C2 dZ/dI, Z; C3 df/dp, df/dI; the gap Z, f; the equilibrium signs last,
+once per (phi, p), or per phi where f takes no p.
 
 A report row is a :class:`PointRecord`, a plain named tuple.  The summaries
 are array reductions over one table of the rows (a failing flag reads 0.0):
@@ -279,42 +283,61 @@ def _skip_reason(exc: Exception) -> str:
     return str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
 
 
+def _shared_reads(model, phi: float, p: float, I: float) -> tuple[float, ...] | str:
+    """C1, C2, df/dp, df/dI and the gap at one point, read in the module
+    docstring's order, or the first error's message."""
+    try:
+        dz, df = model.dZ_dI(phi, I), model.df_dI(phi, p, I)
+        z, fv = model.yield_function(phi, I), model.dilatancy(phi, p, I)
+        c1, c2 = _c1(I, dz, df, z, fv), _c2(I, dz, z)
+        return c1, c2, model.df_dp(phi, p, I), df, _gap(z, fv)
+    except (ValueError, ArithmeticError) as exc:
+        return _skip_reason(exc)
+
+
+def _signs(model, phi: float, p: float) -> bool | str:
+    """The equilibrium-sign flag at (phi, p), or its error's message."""
+    try:
+        return check_equilibrium_signs(model, phi, p)
+    except (ValueError, ArithmeticError) as exc:
+        return _skip_reason(exc)
+
+
 def sweep(model, grid: GridSpec) -> ConditionReport:
     """Evaluate all five checks at every grid point.
 
     Points where the model raises a domain or arithmetic error are recorded
     as skipped with the reason rather than aborting: the admissible-region
     boundary (phi -> phi_max with log terms, for instance) is expected to be
-    singular.  Ordering is deterministic (phi outer, then I, then p).
+    singular.  Ordering is deterministic (phi outer, then I, then p).  Where
+    the model's f takes no p, each (phi, I) is read once and each phi's
+    equilibrium signs are checked once, whatever the number of p values.
     """
     report = ConditionReport()
     model = _admit(model)
-    Z, f = model.yield_function, model.dilatancy
-    dZ_dI, df_dI, df_dp = model.dZ_dI, model.df_dI, model.df_dp
+    takes_p = model._f_takes_p
     I_values, p_values = grid.I_values().tolist(), grid.p_values().tolist()
     for phi in grid.phi_values().tolist():
-        # The equilibrium signs do not depend on I: one flag or error message per p.
-        eq_signs: dict[float, bool | str] = {}
+        # The equilibrium signs do not depend on I: one flag or error message
+        # per p, or one per phi where f takes no p (key None).
+        eq_signs: dict[float | None, bool | str] = {}
         for I in I_values:
+            reads: dict[float | None, tuple[float, ...] | str] = {}
             for p in p_values:
-                where = (phi, I, p)
-                try:  # first reads in the module docstring's order
-                    dz, df = dZ_dI(phi, I), df_dI(phi, p, I)
-                    z, fv = Z(phi, I), f(phi, p, I)
-                    values = (_c1(I, dz, df, z, fv), _c2(I, dz, z),
-                              _c3(I, p, df_dp(phi, p, I), df), _gap(z, fv))
-                except (ValueError, ArithmeticError) as exc:
-                    report.skipped.append((where, _skip_reason(exc)))
+                where, key = (phi, I, p), p if takes_p else None
+                if key not in reads:
+                    reads[key] = _shared_reads(model, phi, p, I)
+                if isinstance(point := reads[key], str):
+                    report.skipped.append((where, point))
                     continue
-                if p not in eq_signs:
-                    try:
-                        eq_signs[p] = check_equilibrium_signs(model, phi, p)
-                    except (ValueError, ArithmeticError) as exc:
-                        eq_signs[p] = _skip_reason(exc)
-                if isinstance(eq_signs[p], str):
-                    report.skipped.append((where, eq_signs[p]))
+                if key not in eq_signs:
+                    eq_signs[key] = _signs(model, phi, p)
+                if isinstance(signs := eq_signs[key], str):
+                    report.skipped.append((where, signs))
                 else:
-                    report.records.append(PointRecord(*where, *values, eq_signs[p]))
+                    c1, c2, dfp, df, gap = point
+                    report.records.append(
+                        PointRecord(*where, c1, c2, _c3(I, p, dfp, df), gap, signs))
 
     rows = report.records
     table = np.fromiter(chain.from_iterable(rows), float, 8 * len(rows)).reshape(-1, 8)

@@ -32,10 +32,12 @@ W = (3/(2I)) int_{I1}^{I} Z dJ - Z/2, invariant under the anchor I1.
 
 Every model above except ``DerivedNumeric`` has its slopes dZ/dI, df/dI and
 df/dp in closed form; ``DerivedNumeric`` takes the base's central differences
-and df/dp = 0.  The first four write f and df/dI once each, as ``_f`` and
-``_f_dI`` of I_eq and their factors in I alone, behind one check, so df/dI
-raises where f raises; a box on one forcing segment computes those factors
-once (``_dilatancy_at``).  Models enter the checks and the box by :func:`_admit`.
+and df/dp = 0.  No f here takes p, which the protocol states once
+(``_f_takes_p``), so a condition sweep reads each (phi, I) once.  The first
+four write f and df/dI once each, as ``_f`` and ``_f_dI`` of I_eq and their
+factors in I alone, behind one check, so df/dI raises where f raises; a box
+on one forcing segment computes those factors once (``_dilatancy_at``).
+Models enter the checks and the box by :func:`_admit`.
 """
 
 from __future__ import annotations
@@ -298,6 +300,10 @@ class _ModelBase:
 
     mat: MaterialParams = MaterialParams()
     law: EquilibriumLaw = EquilibriumLaw()
+    #: Whether f and its slopes read p.  No catalogue f does, so a sweep
+    #: shares each (phi, I)'s reads across p; a subclass whose f reads p
+    #: sets it True.
+    _f_takes_p = False
 
     def i_eq(self, phi: float) -> float:
         return law_i_eq(self.law, self.mat, phi)
@@ -594,6 +600,7 @@ class LinearCombination(_ModelBase):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple((w, _admit(m)) for w, m in self.terms))
+        object.__setattr__(self, "_f_takes_p", any(m._f_takes_p for _, m in self.terms))
         for k, (_, m) in enumerate(self.terms):
             for name, own, theirs in (("mat", self.mat, m.mat), ("law", self.law, m.law)):
                 if theirs not in (None, own):
@@ -674,10 +681,12 @@ class DerivedNumeric(_ModelBase):
 class _Pair(_ModelBase):
     """The adapter of :func:`_admit` around a duck-typed pair ``base``: its mat
     and law or None (takes any), each ``_TAKEN`` name it has or else the
-    protocol's (df/dp central in p), and always its own Z, f, i_eq and gain."""
+    protocol's (df/dp central in p, and f takes p), and always its own Z, f,
+    i_eq and gain."""
 
     base: object
-    _TAKEN = ("phi_eq", "dZ_dI", "df_dI", "df_dp", "_dilatancy_at")
+    _TAKEN = ("phi_eq", "dZ_dI", "df_dI", "df_dp", "_dilatancy_at", "_f_takes_p")
+    _f_takes_p = True
 
     def __init__(self, base) -> None:
         object.__setattr__(self, "base", base)
@@ -713,6 +722,7 @@ class Isochoric(_Pair):
     in the stability checks.  Z, dZ/dI, mat, law, i_eq and phi_eq are the base's."""
 
     _TAKEN = ("phi_eq", "dZ_dI")
+    _f_takes_p = False  # f = 0
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         if I <= 0:  # where the base's f raises; NaN gives 0

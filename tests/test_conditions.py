@@ -99,6 +99,54 @@ class _Counting:
         return self._count("i_eq", phi)
 
 
+class _CountingShared(_Counting):
+    """Also forwards and counts the three slopes, and states that its f takes
+    no p, so a sweep shares each (phi, I)'s reads across p."""
+
+    _f_takes_p = False
+
+    def __init__(self, model):
+        super().__init__(model)
+        self.calls.update(dZ_dI=0, df_dI=0, df_dp=0)
+
+    def dZ_dI(self, phi, I):
+        return self._count("dZ_dI", phi, I)
+
+    def df_dI(self, phi, p, I):
+        return self._count("df_dI", phi, p, I)
+
+    def df_dp(self, phi, p, I):
+        return self._count("df_dp", phi, p, I)
+
+
+class _Forwarding:
+    """A duck pair that forwards every attribute, as a tracing proxy does."""
+
+    def __init__(self, model):
+        self._model = model
+
+    def __getattr__(self, name):
+        return getattr(self._model, name)
+
+
+class _PressureDependent:
+    """A duck pair whose f reads p: dp's f times p/(p + 100), plus
+    1e-15 (p - 1000), so that its equilibrium anchor fails above p = 2000;
+    with dp's i_eq and the protocol's central slopes."""
+
+    def __init__(self, law):
+        self._dp = DruckerPrager(MAT, law)
+
+    def yield_function(self, phi, I):
+        return self._dp.yield_function(phi, I)
+
+    def dilatancy(self, phi, p, I):
+        return self._dp.dilatancy(phi, p, I) * p / (p + 100.0) + 1e-15 * (p - 1000.0)
+
+    def i_eq(self, phi):
+        return self._dp.i_eq(phi)
+
+
 class TestC1:
     @pytest.mark.parametrize(
         "model", [DP, MUI, DP_PSI, MUI_PSI], ids=["dp", "mui", "dp-psi", "mui-psi"]
@@ -461,6 +509,35 @@ class TestSweepWork:
         assert {reason for _, reason in report.skipped} == {"no equilibrium"}
         assert model.calls["i_eq"] == 2 * 2
 
+    def test_shared_reads_once_per_phi_I(self):
+        # f takes no p: Z, f and the three slopes once per (phi, I), and the
+        # equilibrium signs (i_eq and three f) once per phi
+        grid = standard_grid()
+        n_phi, n_I = len(grid.phi_values()), len(grid.I_values())
+        model = _CountingShared(MUI)
+        report = sweep(model, grid)
+        assert not report.skipped and len(report.records) == n_phi * n_I * len(grid.p_values())
+        reads = n_phi * n_I
+        assert model.calls == {
+            "yield_function": reads, "dZ_dI": reads, "df_dI": reads, "df_dp": reads,
+            "dilatancy": reads + 3 * n_phi, "i_eq": n_phi,
+        }
+
+    @pytest.mark.parametrize("model, takes_p", [
+        (DP, False), (MUI_PSI, False), (PowerLaw(MAT, LAW, n=0.5), False),
+        (RouxRadjai(MAT, LAW, gain=2.0), False), (DerivedNumeric(MAT, LAW, Z=MUI.yield_function), False),
+        (Isochoric(MUI), False), (Isochoric(_PressureDependent(LAW)), False),
+        (_PressureDependent(LAW), True), (_ConstantF(), True), (_CountingShared(MUI), False),
+        (_Forwarding(MUI), False), (_Forwarding(_PressureDependent(LAW)), True),
+        (LinearCombination(MAT, LAW, terms=((0.5, DP), (0.5, MUI))), False),
+        (LinearCombination(MAT, LAW, terms=((0.5, DP), (0.5, _PressureDependent(LAW)))), True),
+    ], ids=["dp", "mui-psi", "power", "roux-radjai", "derived", "isochoric", "isochoric-of-p",
+            "pair-of-p", "pair", "pair-stating", "forwarding", "forwarding-of-p", "lincomb",
+            "lincomb-of-p"])
+    def test_whose_f_takes_p(self, model, takes_p):
+        # a pair that does not say takes p; a forwarding pair says what its model says
+        assert rheology._admit(model)._f_takes_p is takes_p
+
 
 def _closed_form(name, law):
     """The catalogue models with closed-form slopes, and the combinations
@@ -484,6 +561,102 @@ COMPLIANT = ("dp", "mui", "dp-psi", "mui-psi", "power:0.5", "power:-0.5", "power
              "lincomb-const", "lincomb-callable")
 CLOSED_FORM = COMPLIANT + ("roux-radjai", "roux-radjai-dp", "isochoric")
 LAWS = ("linear", "schaeffer", "robinson", "breard")
+
+
+def _reference_sweep(model, grid):
+    """The sweep read point by point: every read at every (phi, I, p), and the
+    equilibrium signs once per (phi, p).  Its summaries come from a scan of
+    the records in which the first NaN, else the first largest severity, is
+    the worst."""
+    report = conditions.ConditionReport()
+    model = rheology._admit(model)
+    for phi in grid.phi_values().tolist():
+        eq_signs = {}
+        for I in grid.I_values().tolist():
+            for p in grid.p_values().tolist():
+                where = (phi, I, p)
+                try:
+                    dz, df = model.dZ_dI(phi, I), model.df_dI(phi, p, I)
+                    z, fv = model.yield_function(phi, I), model.dilatancy(phi, p, I)
+                    values = (conditions._c1(I, dz, df, z, fv), conditions._c2(I, dz, z),
+                              conditions._c3(I, p, model.df_dp(phi, p, I), df),
+                              conditions._gap(z, fv))
+                except (ValueError, ArithmeticError) as exc:
+                    report.skipped.append((where, conditions._skip_reason(exc)))
+                    continue
+                if p not in eq_signs:
+                    try:
+                        eq_signs[p] = check_equilibrium_signs(model, phi, p)
+                    except (ValueError, ArithmeticError) as exc:
+                        eq_signs[p] = conditions._skip_reason(exc)
+                if isinstance(eq_signs[p], str):
+                    report.skipped.append((where, eq_signs[p]))
+                else:
+                    report.records.append(conditions.PointRecord(*where, *values, eq_signs[p]))
+    for cond, (name, passes, severity) in conditions._RULES.items():
+        failed = [r for r in report.records if not passes(getattr(r, name))]
+        summary = conditions.ConditionSummary(True, None, None, 0)
+        if failed:
+            worst = [severity(float(getattr(r, name))) for r in failed]
+            nan = [k for k, v in enumerate(worst) if math.isnan(v)]
+            k = nan[0] if nan else max(range(len(worst)), key=worst.__getitem__)
+            summary = conditions.ConditionSummary(
+                False, failed[k][:3], float(getattr(failed[k], name)), len(failed))
+        report.summaries[cond] = summary
+    return report
+
+
+def _bits(report):
+    """A report with every float as ``float.hex``, so NaN equals NaN."""
+    def hexed(values):
+        return tuple(v.hex() if type(v) is float else v for v in values)
+
+    summaries = {c: (s.all_pass, s.worst_point and hexed(s.worst_point),
+                     None if s.worst_value is None else s.worst_value.hex(), s.n_failures)
+                 for c, s in report.summaries.items()}
+    return [hexed(r) for r in report.records], report.skipped, summaries
+
+
+@st.composite
+def _small_grids(draw):
+    """2-4 values per axis: phi from 0.35 to past phi_max, where models and
+    laws raise; I log-spaced or not in [1e-3, 20]; p in [1, 1e4]."""
+    def axis(lo, hi, width):
+        a = draw(st.floats(lo, hi))
+        return a, a + draw(st.floats(width / 100.0, width)), draw(st.integers(2, 4))
+
+    return GridSpec(axis(0.35, 0.6, 0.1), axis(1e-3, 10.0, 10.0), axis(1.0, 5e3, 5e3),
+                    draw(st.booleans()))
+
+
+EQUIVALENCE_MODELS = ("dp", "mui", "dp-psi", "mui-psi", "power:0.5", "power:-0.5", "power:2",
+                      "roux-radjai", "roux-radjai-dp", "derived", "isochoric", "pair-of-p",
+                      "lincomb-of-p")
+
+
+def _equivalence_model(name, law):
+    if name == "derived":
+        return DerivedNumeric(MAT, law, Z=lambda phi, I: 0.38 + 0.27 * I / (I + 0.3) + 0.1 * (0.6 - phi))
+    if name == "pair-of-p":
+        return _PressureDependent(law)
+    if name == "lincomb-of-p":
+        return LinearCombination(MAT, law, terms=(
+            (lambda phi: (phi - 0.3) / 0.3, MuI(MAT, law)), (0.5, _PressureDependent(law))))
+    return _closed_form(name, law)
+
+
+class TestSweepMatchesPointwise:
+    """The shared reads change no bit of a report: records, skipped points
+    with their reasons, and summaries equal a point-by-point sweep's."""
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("name", EQUIVALENCE_MODELS)
+    @given(grid=_small_grids())
+    @settings(max_examples=8, deadline=None)
+    def test_bitwise(self, name, law, grid):
+        law = EquilibriumLaw(law)
+        report = sweep(_equivalence_model(name, law), grid)
+        assert _bits(report) == _bits(_reference_sweep(_equivalence_model(name, law), grid))
 
 
 def _error(fun, *args):

@@ -9,6 +9,16 @@ Z - (I/2) dZ/dI = f + I df/dI and the anchor f(I_eq) = 0 identically, and
 that the dilatant pairs' exact gain terms hold.  It takes df/dI and dZ/dI,
 which mpmath evaluates at 50 digits at the model's own ``i_eq(phi)`` to
 check the hand-written ``df_dI`` and ``dZ_dI``, for power:n at four n.
+
+Signs: for dp and dp-psi, sympy proves df/dp = 0 and df/dI > 0 at every
+I > 0, I_eq > 0 (phi < phi_max) and delta in (0, pi/2), so their C3 value
+df/dp - (I/(2p)) df/dI is negative at every point.  The C3 signs of mui and
+mui-psi are only sampled, by the condition sweeps.
+
+The ideal gas: sympy proves that H = (p_atm + p_f)[ln(1 + p_f/p_atm) - 1]
+at p_f = Q(x) satisfies x H'(x) - H(x) = Q(x) + p_atm, the identity up to
+the constant that acceptance criterion 9 allows, and mpmath checks
+``enthalpy_ideal`` and ``IdealGasLaw.Q`` against it at 50 digits.
 """
 
 import math
@@ -17,7 +27,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from granupore.materials import EquilibriumLaw, glass_beads
+from granupore.gas import IdealGasLaw, enthalpy_ideal
+from granupore.materials import EquilibriumLaw, GasParams, glass_beads
 from granupore.rheology import build_model
 
 sp = pytest.importorskip("sympy")
@@ -144,3 +155,52 @@ def test_exact_gain_lhs(name):
             args = [mpmath.mpf(a) for a in (I_value, I_value, MAT.mu1, MAT.mu2, MAT.I0, MAT.delta)]
             value = exact(*args)
             assert abs(model._gain_lhs(I_value) - value) <= 1e-15 * abs(value)
+
+
+P = sp.symbols("p", positive=True)
+#: sin(delta) and cos(delta) through u = tan(delta/2) = 1/(1 + t) with t > 0,
+#: which covers delta in (0, pi/2), the range ``beta_exponent`` admits.
+T = sp.symbols("t", positive=True)
+_U = 1 / (1 + T)
+HALF_ANGLE = {sp.sin(DELTA): 2 * _U / (1 + _U**2), sp.cos(DELTA): (1 - _U**2) / (1 + _U**2)}
+
+
+def test_half_angle_substitution():
+    for trig, value in HALF_ANGLE.items():
+        assert sp.simplify(trig.subs(DELTA, 2 * sp.atan(_U)) - value) == 0
+
+
+@pytest.mark.parametrize("name", ["dp", "dp-psi"])
+def test_c3_holds_everywhere(name):
+    """df/dp = 0 and df/dI > 0 (dp: sin(delta) I_eq/I^2; dp-psi:
+    K beta (I_eq/I)^beta / I), so the C3 value is negative at every p > 0."""
+    _, f = PAIRS[name]
+    slope = sp.simplify(sp.diff(f, I).subs(HALF_ANGLE))
+    assert sp.diff(f, P) == 0 and slope.is_positive
+    assert (sp.diff(f, P) - I / (2 * P) * slope).is_negative
+
+
+P_ATM, RHO_F0, X = sp.symbols("p_atm rho_f0 x", positive=True)
+P_F = sp.symbols("p_f", real=True)
+#: The ideal gas's state law Q(x) = p_atm (x/rho_f0 - 1) and the closed-form H of p_f.
+Q_IDEAL = P_ATM * (X / RHO_F0 - 1)
+H_IDEAL = (P_ATM + P_F) * (sp.log(1 + P_F / P_ATM) - 1)
+
+
+def test_ideal_gas_energy_identity():
+    """x H' - H - Q is the constant p_atm, and the code's H and Q equal the
+    sympy ones at 50 digits."""
+    H = H_IDEAL.subs(P_F, Q_IDEAL)
+    assert sp.simplify(X * sp.diff(H, X) - H - Q_IDEAL) == P_ATM
+    gas = GasParams()
+    H_of = sp.lambdify((P_F, P_ATM), H_IDEAL, "mpmath")
+    Q_of = sp.lambdify((X, P_ATM, RHO_F0), Q_IDEAL, "mpmath")
+    for ratio in (-0.99, -0.5, -1e-3, 0.0, 1e-3, math.e - 1.0, 5.0):
+        p_f = ratio * gas.p_atm
+        with mpmath.workdps(50):
+            want = H_of(mpmath.mpf(p_f), mpmath.mpf(gas.p_atm))
+            scale = (gas.p_atm + abs(p_f)) * (abs(math.log1p(ratio)) + 1.0)
+            assert abs(enthalpy_ideal(gas, p_f) - want) <= 1e-14 * scale
+            rho = gas.rho_f0 * (1.0 + ratio)
+            want = Q_of(*(mpmath.mpf(v) for v in (rho, gas.p_atm, gas.rho_f0)))
+            assert abs(IdealGasLaw(gas).Q(rho) - want) <= 1e-14 * (gas.p_atm + abs(p_f))
