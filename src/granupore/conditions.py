@@ -18,13 +18,14 @@ works equally for closed-form, quadrature-derived and tabulated models.
 
 At one (phi, p, I) a sweep evaluates Z, f, dZ/dI, df/dI and df/dp once
 each and the checks share them.  Where the model's f takes no p, as every
-catalogue f does (``rheology._ModelBase``), those reads and C1, C2 and the
-gap are made once per (phi, I) and shared by its p values, and the
-equilibrium signs once per phi; only C3, which divides by p, is computed
-per p.  Where the model raises, a sweep skips the point with the first
-error's message, so the first reads keep one order: C1 dZ/dI, df/dI, Z, f;
-C2 dZ/dI, Z; C3 df/dp, df/dI; the gap Z, f; the equilibrium signs last,
-once per (phi, p), or per phi where f takes no p.
+catalogue f does (``rheology._ModelBase``), df/dp is 0 and not read, the
+other reads and C1, C2 and the gap are made once per (phi, I) and shared by
+its p values, and the equilibrium signs once per phi; only C3, which
+divides by p, is computed per p.  Where the model raises, a sweep skips the
+point with the first error's message, so the first reads keep one order:
+C1 dZ/dI, df/dI, Z, f; C2 dZ/dI, Z; C3 df/dp where f takes p, then
+df/dI; the gap Z, f; the equilibrium signs last, once per (phi, p), or per
+phi where f takes no p.
 
 A report row is a :class:`PointRecord`, a plain named tuple.  The summaries
 are array reductions over one table of the rows (a failing flag reads 0.0):
@@ -285,12 +286,14 @@ def _skip_reason(exc: Exception) -> str:
 
 def _shared_reads(model, phi: float, p: float, I: float) -> tuple[float, ...] | str:
     """C1, C2, df/dp, df/dI and the gap at one point, read in the module
-    docstring's order, or the first error's message."""
+    docstring's order, or the first error's message.  Where f takes no p,
+    df/dp is 0 unread: f, read just before, raises wherever it would."""
     try:
         dz, df = model.dZ_dI(phi, I), model.df_dI(phi, p, I)
         z, fv = model.yield_function(phi, I), model.dilatancy(phi, p, I)
         c1, c2 = _c1(I, dz, df, z, fv), _c2(I, dz, z)
-        return c1, c2, model.df_dp(phi, p, I), df, _gap(z, fv)
+        dfp = model.df_dp(phi, p, I) if model._f_takes_p else 0.0
+        return c1, c2, dfp, df, _gap(z, fv)
     except (ValueError, ArithmeticError) as exc:
         return _skip_reason(exc)
 

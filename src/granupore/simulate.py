@@ -9,8 +9,10 @@ without a momentum solver:
   This carries the packing-bound and equilibrium-attraction content: phi
   stays in [0, phi_max] for compliant models and relaxes to phi_eq(I)
   under constant forcing.  One RK4 stepper owns the box's clock: it reads
-  the forcing once per distinct stage time and builds |S|, I and f's
-  factors in I once per forcing segment, which a recorded row reuses.
+  a forcing that declares its jumps once per segment, and one that does not
+  once per distinct stage time, and builds |S|, I and f's factors in I once
+  per forcing segment, which a recorded row reuses.  A step inside the
+  segment read last reads no forcing.
 
 * a 1D *column* of solid at rest, where the pore pressure obeys
   d/dt[(1-phi) p_f] = p_atm d/dz[kappa(phi) dp_f/dz] with zero flux at both
@@ -82,10 +84,32 @@ _LEDGER_BLOCK_VALUES = 16_384
 
 @dataclass(frozen=True)
 class Forcing:
-    """Prescribed shear-rate and pressure signals for the box."""
+    """Prescribed shear-rate and pressure signals for the box.
+
+    ``jumps`` lists, non-decreasing, the times at which the signals may
+    change: both are constant on each right-open span between consecutive
+    jumps, before the first and from the last on.  ``()`` declares constant
+    signals; None, the default for hand-built callables, lets them change at
+    any time, so the box reads them at every stage time.
+
+    Raises:
+        ValueError: If ``jumps`` is not finite or not non-decreasing.
+    """
 
     shear: Callable[[float], float]
     p: Callable[[float], float]
+    jumps: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.jumps is None:
+            return
+        jumps = tuple(map(float, self.jumps))
+        # Written so that NaN fails each check.
+        if not all(map(math.isfinite, jumps)):
+            raise ValueError(f"forcing jumps must be finite, got {jumps}")
+        if not all(a <= b for a, b in zip(jumps, jumps[1:])):
+            raise ValueError(f"forcing jumps must be non-decreasing, got {jumps}")
+        object.__setattr__(self, "jumps", jumps)
 
 
 def constant_forcing(shear: float, p: float) -> Forcing:
@@ -96,7 +120,7 @@ def constant_forcing(shear: float, p: float) -> Forcing:
     for name, value in (("pressure", p), ("shear", shear)):
         if math.isinf(value):
             raise ValueError(f"forcing {name} must be finite, got {value}")
-    return Forcing(shear=lambda t: shear, p=lambda t: p)
+    return Forcing(shear=lambda t: shear, p=lambda t: p, jumps=())
 
 
 def piecewise_constant_forcing(
@@ -105,7 +129,8 @@ def piecewise_constant_forcing(
     """Right-open piecewise-constant signals on [edges[k], edges[k+1]).
 
     ``edges`` is non-decreasing and has one more entry than the value lists;
-    times outside the range take the first/last segment values.
+    times outside the range take the first/last segment values, so the
+    forcing's jumps are the interior edges.
     """
     edges_arr = np.asarray(edges, dtype=float)
     shear_arr = np.asarray(shears, dtype=float)
@@ -124,7 +149,7 @@ def piecewise_constant_forcing(
         if not np.all(np.isfinite(values)):
             raise ValueError(f"forcing {name} must be finite")
     # Python lists and bisect: numpy calls on one float cost more than the
-    # lookup, which runs twice per RK4 step.
+    # lookup, which runs once per segment a box enters.
     edge_list, shear_list, p_list = edges_arr.tolist(), shear_arr.tolist(), p_arr.tolist()
 
     def segment(t: float) -> int:
@@ -133,6 +158,7 @@ def piecewise_constant_forcing(
     return Forcing(
         shear=lambda t: shear_list[segment(t)],
         p=lambda t: p_list[segment(t)],
+        jumps=tuple(edge_list[1:-1]),
     )
 
 
@@ -165,42 +191,57 @@ def _box_stepper(
     """Return ``advance`` and ``segment``, the box's one clock and forcing reader.
 
     ``advance(t, phi, p_f) -> (t + dt, phi, p_f)`` is one classical 4-stage
-    Runge-Kutta step of a checked dt > 0, ending at its stage-4 time.  The
-    forcing, a pure function of t, is read once per new time either closure
-    is given.  Only a (shear, p) that differs from the last read rebuilds
-    2 |S|, I and the model's phi -> f at that (p, I), so each stage takes its
-    own segment, which ``segment(t)`` returns (I 0 and f None unsheared).
-    With ``gas``, the non-conservative, diffusion-free gas equation
+    Runge-Kutta step of a checked dt > 0, ending at its stage-4 time.  A
+    read of the forcing at t holds on the span of t between the forcing's
+    jumps (on t alone under ``jumps=None``), and only a (shear, p) that
+    differs from the last read rebuilds 2 |S|, I and the model's phi -> f at
+    that (p, I), which ``segment(t)`` returns (I 0 and f None unsheared).
+    A step whose stage times all lie in the span read last takes that
+    segment's rate as it is, with no read and no check per stage; any other
+    step reads each stage time that lies outside the span.  With ``gas``, the
+    non-conservative, diffusion-free gas equation
     (1-phi) dp_f/dt = -(p_atm + p_f) div u advances p_f; else its rate is 0.
     """
     half, sixth = 0.5 * dt, dt / 6.0
-    # The memo: the last stage time, its (shear, p) and that segment's 2 |S|, I, f.
-    last_t = last_read = two_shear = I = f = None
+    jumps = forcing.jumps
+    # The memo: the span [since, until) of the last read (empty before the
+    # first), its (shear, p) and that segment's 2 |S|, I, f.
+    since, until = math.inf, -math.inf
+    last_read = two_shear = I = f = None
 
     def segment(t: float) -> tuple:
-        nonlocal last_t, last_read, two_shear, I, f
-        if t != last_t:
+        nonlocal since, until, last_read, two_shear, I, f
+        if not since <= t < until:
             shear, p = forcing.shear(t), forcing.p(t)
             if (shear, p) != last_read:
                 I = 0.0 if shear == 0.0 else inertial_number(mat, shear, p)
                 f = None if shear == 0.0 else model._dilatancy_at(p, I)
                 two_shear, last_read = 2.0 * shear, (shear, p)
-            last_t = t
+            if jumps is None:
+                since, until = t, math.nextafter(t, math.inf)
+            else:
+                k = bisect_right(jumps, t)
+                since = jumps[k - 1] if k else -math.inf
+                until = jumps[k] if k < len(jumps) else math.inf
         return two_shear, I, f
 
-    def rates(t: float, phi: float, p_f: float) -> tuple[float, float]:
-        if t != last_t:
-            segment(t)
+    def held(t: float, phi: float, p_f: float) -> tuple[float, float]:
+        """The rates in the segment read last."""
         divu = 0.0 if f is None else two_shear * f(phi)
         dpf = 0.0 if gas is None else -(gas.p_atm + p_f) * divu / (1.0 - phi)
         return -phi * divu, dpf
 
+    def rates(t: float, phi: float, p_f: float) -> tuple[float, float]:
+        segment(t)
+        return held(t, phi, p_f)
+
     def advance(t: float, phi: float, p_f: float) -> tuple[float, float, float]:
         t4 = t + dt
-        a1, b1 = rates(t, phi, p_f)
-        a2, b2 = rates(t + half, phi + half * a1, p_f + half * b1)
-        a3, b3 = rates(t + half, phi + half * a2, p_f + half * b2)
-        a4, b4 = rates(t4, phi + dt * a3, p_f + dt * b3)
+        rate = held if since <= t and t4 < until else rates
+        a1, b1 = rate(t, phi, p_f)
+        a2, b2 = rate(t + half, phi + half * a1, p_f + half * b1)
+        a3, b3 = rate(t + half, phi + half * a2, p_f + half * b2)
+        a4, b4 = rate(t4, phi + dt * a3, p_f + dt * b3)
         return (t4, phi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
                 p_f + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
 
@@ -230,8 +271,9 @@ def step_box(
 ) -> BoxState:
     """One classical 4-stage Runge-Kutta step of the box dynamics.
 
-    This is one call of a :func:`_box_stepper`, whose step gives the new
-    time; dt and gas are checked on every call, where
+    This is one call of a fresh :func:`_box_stepper`, whose step gives the
+    new time and, as a first step, reads the forcing at its stage times
+    (once per span they touch); dt and gas are checked on every call, where
     :func:`run_box` checks them once.  A state that carries a pore pressure
     advances it with ``gas``.
 

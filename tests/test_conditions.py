@@ -510,8 +510,8 @@ class TestSweepWork:
         assert model.calls["i_eq"] == 2 * 2
 
     def test_shared_reads_once_per_phi_I(self):
-        # f takes no p: Z, f and the three slopes once per (phi, I), and the
-        # equilibrium signs (i_eq and three f) once per phi
+        # f takes no p: Z, f and the two I slopes once per (phi, I), df/dp
+        # never, and the equilibrium signs (i_eq and three f) once per phi
         grid = standard_grid()
         n_phi, n_I = len(grid.phi_values()), len(grid.I_values())
         model = _CountingShared(MUI)
@@ -519,9 +519,32 @@ class TestSweepWork:
         assert not report.skipped and len(report.records) == n_phi * n_I * len(grid.p_values())
         reads = n_phi * n_I
         assert model.calls == {
-            "yield_function": reads, "dZ_dI": reads, "df_dI": reads, "df_dp": reads,
+            "yield_function": reads, "dZ_dI": reads, "df_dI": reads, "df_dp": 0,
             "dilatancy": reads + 3 * n_phi, "i_eq": n_phi,
         }
+
+    def test_df_dp_read_only_where_f_takes_p(self):
+        # A catalogue f takes no p, so C3 takes df/dp = 0 unread; a pair
+        # whose f takes p keeps one df/dp read per point, and equal records
+        grid = GridSpec((0.4, 0.5, 2), (0.1, 1.0, 3), (10.0, 100.0, 2))
+        points = 2 * 3 * 2
+        calls = []
+
+        class CountingMuI(MuI):
+            def df_dp(self, phi, p, I):
+                calls.append((phi, p, I))
+                return super().df_dp(phi, p, I)
+
+        catalogue = sweep(CountingMuI(MAT, LAW), grid)
+        assert calls == [] and len(catalogue.records) == points
+
+        class CountingTakesP(_CountingShared):
+            _f_takes_p = True
+
+        model = CountingTakesP(MUI)
+        taking_p = sweep(model, grid)
+        assert model.calls["df_dp"] == points and model.calls["df_dI"] == points
+        assert taking_p.records == catalogue.records
 
     @pytest.mark.parametrize("model, takes_p", [
         (DP, False), (MUI_PSI, False), (PowerLaw(MAT, LAW, n=0.5), False),

@@ -106,6 +106,26 @@ class TestForcing:
             with pytest.raises(ValueError, match=f"^forcing {name} must be finite$"):
                 piecewise_constant_forcing([0.0, 1.0, 2.0], shears, ps)
 
+    def test_constructors_declare_jumps(self):
+        assert constant_forcing(5.0, 10.0).jumps == ()
+        f = piecewise_constant_forcing([0.0, 1.0, 1.0, 2.0], [5.0, 6.0, 7.0], [1.0] * 3)
+        assert f.jumps == (1.0, 1.0)
+        f = random_forcing(np.random.default_rng(3), 0.016)
+        assert f.jumps == tuple(np.linspace(0.0, 0.016, 9)[1:-1].tolist())
+        assert Forcing(shear=f.shear, p=f.p).jumps is None
+        assert Forcing(shear=f.shear, p=f.p, jumps=[1, 2.5]).jumps == (1.0, 2.5)
+
+    @pytest.mark.parametrize("jumps, message", [
+        ((1.0, 0.5), "non-decreasing"),
+        ((0.5, math.nan), "finite"),
+        ((math.nan,), "finite"),
+        ((0.5, math.inf), "finite"),
+        ((-math.inf, 0.5), "finite"),
+    ], ids=["unsorted", "nan", "nan-alone", "inf", "minus-inf"])
+    def test_jumps_rejected(self, jumps, message):
+        with pytest.raises(ValueError, match=f"^forcing jumps must be {message}, got"):
+            Forcing(shear=lambda t: 1.0, p=lambda t: 1.0, jumps=jumps)
+
     def test_random_forcing_deterministic(self):
         a = random_forcing(np.random.default_rng(3), 1.0)
         b = random_forcing(np.random.default_rng(3), 1.0)
@@ -541,6 +561,41 @@ class TestBoxEquivalence:
             digest.update(b"untracked" if series is None else series.tobytes())
         assert digest.hexdigest() == self.GOLDEN_SERIES[case]
 
+    #: The CASES and runs whose edges test the declared jumps: every edge
+    #: inside a step, steps that end exactly on each edge (binary fractions,
+    #: so t adds up exactly), an empty segment, edges from t > 0, a tracked p_f.
+    JUMP_CASES = CASES | {
+        "steps-on-edges": (MODELS["mui"], lambda: piecewise_constant_forcing(
+                               [0.0, 2.0**-12, 2.0**-11, 2.0**-10], [300.0, 1000.0, 60.0],
+                               [1000.0, 40.0, 2000.0]),
+                           dict(phi0=0.5, t_end=2.0**-10, dt=2.0**-15)),
+        "edges-in-steps": (MODELS["mui"], lambda: random_forcing(np.random.default_rng(11), 1e-3),
+                           dict(phi0=0.5, t_end=1e-3, dt=3e-5, record_every=4)),
+        "empty-segment": (MODELS["dp"], lambda: piecewise_constant_forcing(
+                              [0.0, 2.5e-4, 2.5e-4, 6e-4, 1e-3], [300.0, 900.0, 80.0, 0.0],
+                              [1000.0, 50.0, 4000.0, 200.0]),
+                          dict(phi0=0.5, t_end=1e-3, dt=3e-5)),
+        "late-edges": (MODELS["mui-psi"], lambda: piecewise_constant_forcing(
+                           [3e-4, 5e-4, 7e-4], [200.0, 1200.0], [300.0, 30.0]),
+                       dict(phi0=0.5, t_end=1e-3, dt=3e-5)),
+        "pf-edges-in-steps": (MODELS["dp-psi"],
+                              lambda: random_forcing(np.random.default_rng(12), 1e-3),
+                              dict(phi0=0.55, t_end=1e-3, dt=3e-5, pf0=-300.0, gas=GAS)),
+    }
+
+    @pytest.mark.parametrize("case", list(JUMP_CASES))
+    def test_declared_jumps_change_no_bit(self, case):
+        """The forcing as built and its signals with no jumps give the same
+        recorded series, bit for bit."""
+        model, forcing, settings = self.JUMP_CASES[case]
+        built = forcing()
+        assert built.jumps is not None
+        undeclared = Forcing(shear=built.shear, p=built.p)
+        runs = [run_box(model, MAT, f, **settings) for f in (built, undeclared)]
+        for name in ("t", "phi", "p_f", "div_u", "inertial", "i_eq"):
+            a, b = (getattr(res, name) for res in runs)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+
     @pytest.mark.parametrize("case", list(CASES))
     def test_run_matches_repeated_steps(self, case):
         from granupore.simulate import BoxState
@@ -556,8 +611,9 @@ class TestBoxEquivalence:
 
 
 class TestBoxSegments:
-    """Each forcing signal is read once per stage time, and a model builds
-    its phi -> f once per forcing segment."""
+    """Each forcing signal is read once per segment where the forcing
+    declares its jumps, else once per stage time, and a model builds its
+    phi -> f once per forcing segment."""
 
     # 8 segments of 1.25e-4 s under steps of 3e-5 s: every interior edge
     # falls inside a step, whose stages then read two segments.
@@ -580,6 +636,31 @@ class TestBoxSegments:
         # per step: t + dt/2 and t + dt; t = 0 once, by row 0, which step 1
         # reuses; every later row's t is a stage time already read
         assert reads["shear"] == reads["p"] == 2 * n_steps + 1
+        plain = run_box(MODELS["mui"], MAT, forcing, phi0=0.5, t_end=self.T_END, dt=self.DT,
+                        record_every=4)
+        assert res.phi.tobytes() == plain.phi.tobytes()
+
+    def test_one_read_per_segment(self):
+        forcing = random_forcing(np.random.default_rng(11), self.T_END)
+        reads = {"shear": [], "p": []}
+
+        def counted(name, signal):
+            def read(t):
+                reads[name].append(t)
+                return signal(t)
+            return read
+
+        counting = Forcing(shear=counted("shear", forcing.shear), p=counted("p", forcing.p),
+                           jumps=forcing.jumps)
+        res = run_box(MODELS["mui"], MAT, counting, phi0=0.5, t_end=self.T_END, dt=self.DT,
+                      record_every=4)
+        # row 0 reads t = 0; a step that reaches an edge reads its first
+        # stage time past it; every other stage time and row lies in the
+        # segment read last
+        edges = (0.0, *forcing.jumps)
+        assert reads["shear"] == reads["p"] and len(reads["p"]) == len(edges)
+        for edge, t in zip(edges, reads["p"]):
+            assert edge <= t < edge + self.DT
         plain = run_box(MODELS["mui"], MAT, forcing, phi0=0.5, t_end=self.T_END, dt=self.DT,
                         record_every=4)
         assert res.phi.tobytes() == plain.phi.tobytes()

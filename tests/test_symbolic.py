@@ -10,6 +10,14 @@ that the dilatant pairs' exact gain terms hold.  It takes df/dI and dZ/dI,
 which mpmath evaluates at 50 digits at the model's own ``i_eq(phi)`` to
 check the hand-written ``df_dI`` and ``dZ_dI``, for power:n at four n.
 
+Roux-Radjai, f = a (phi - phi_eq(I)) under each law and both ``z_mode``s,
+is the negative control: sympy proves its C1 residual is
+sin(delta) - (1 - cos(delta)) f - (1 + cos(delta)/2) I df/dI
+(``small-angle``) or sin(delta) - f - I df/dI (``dp``), which at the
+equilibrium packing tends to sin(delta) > 0 as I -> 0 at every gain a.
+mpmath checks ``df_dI``, ``dZ_dI`` and ``residual_c1`` against sympy's at
+hypothesis-drawn (phi, I, a).
+
 Signs: for dp and dp-psi, sympy proves df/dp = 0 and df/dI > 0 at every
 I > 0, I_eq > 0 (phi < phi_max) and delta in (0, pi/2), so their C3 value
 df/dp - (I/(2p)) df/dI is negative at every point.  The C3 signs of mui and
@@ -27,6 +35,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from granupore.conditions import residual_c1
 from granupore.gas import IdealGasLaw, enthalpy_ideal
 from granupore.materials import EquilibriumLaw, GasParams, glass_beads
 from granupore.rheology import build_model
@@ -155,6 +164,83 @@ def test_exact_gain_lhs(name):
             args = [mpmath.mpf(a) for a in (I_value, I_value, MAT.mu1, MAT.mu2, MAT.I0, MAT.delta)]
             value = exact(*args)
             assert abs(model._gain_lhs(I_value) - value) <= 1e-15 * abs(value)
+
+
+PHI, GAIN = sp.symbols("phi a", real=True)
+PHI_MAX, DELTA_PHI, ROB_A, ROB_ALPHA = sp.symbols("phi_max delta_phi A alpha", positive=True)
+#: Law -> phi_eq(I), as ``materials.phi_eq`` writes it.
+PHI_EQ = {
+    "linear": PHI_MAX - DELTA_PHI * I,
+    "schaeffer": PHI_MAX - DELTA_PHI * I / (1 + I),
+    "robinson": PHI_MAX - ROB_A * I**ROB_ALPHA,
+    "breard": PHI_MAX / (1 + I),
+}
+
+
+def _roux_radjai(law, z_mode):
+    """Roux-Radjai's (Z, f): f = a (phi - phi_eq(I)), and Z = sin(delta) +
+    cos(delta) f (``small-angle``) or sin(delta) (``dp``)."""
+    f = GAIN * (PHI - PHI_EQ[law])
+    return (sp.sin(DELTA) + sp.cos(DELTA) * f if z_mode == "small-angle" else sp.sin(DELTA)), f
+
+
+def _rr_c1_residual(law, z_mode):
+    """The stated C1 residual: sin(delta) - (1 - cos(delta)) f - (1 + cos(delta)/2) I df/dI
+    for ``small-angle``, sin(delta) - f - I df/dI for ``dp``, with df/dI = -a phi_eq'(I)."""
+    _, f = _roux_radjai(law, z_mode)
+    I_df = -GAIN * I * sp.diff(PHI_EQ[law], I)
+    if z_mode == "dp":
+        return sp.sin(DELTA) - f - I_df
+    return sp.sin(DELTA) - (1 - sp.cos(DELTA)) * f - (1 + sp.cos(DELTA) / 2) * I_df
+
+
+RR_CASES = [(law, z_mode) for law in LAWS for z_mode in ("small-angle", "dp")]
+#: The arguments of the Roux-Radjai expressions, in lambdify's order.
+RR_ARGS = (I, PHI, GAIN, PHI_MAX, DELTA_PHI, ROB_A, ROB_ALPHA, DELTA)
+
+
+@pytest.mark.parametrize("law, z_mode", RR_CASES)
+def test_roux_radjai_c1_residual(law, z_mode):
+    """Roux-Radjai's C1 residual is the stated one, and at the equilibrium
+    packing it tends to sin(delta) > 0 as I -> 0 for every gain: criterion
+    3's negative control fails C1 at small I."""
+    Z, f = _roux_radjai(law, z_mode)
+    residual = Z - I / 2 * sp.diff(Z, I) - f - I * sp.diff(f, I)
+    stated = _rr_c1_residual(law, z_mode)
+    assert sp.simplify(residual - stated) == 0
+    at_equilibrium = stated.subs(PHI, PHI_EQ[law])
+    assert sp.limit(at_equilibrium, I, 0, "+") == sp.sin(DELTA)
+
+
+#: (law, z_mode) -> (f, df/dI, Z, dZ/dI, C1 residual) as mpmath functions of RR_ARGS.
+RR_EXACT = {
+    case: tuple(sp.lambdify(RR_ARGS, e, "mpmath") for e in (
+        f, sp.diff(f, I), Z, sp.diff(Z, I), _rr_c1_residual(*case)))
+    for case in RR_CASES for Z, f in [_roux_radjai(*case)]
+}
+
+
+@pytest.mark.parametrize("law, z_mode", RR_CASES)
+@given(phi=st.floats(0.40, MAT.phi_max), log_I=st.floats(math.log(1e-6), math.log(1e3)),
+       gain=st.floats(-10.0, 10.0).filter(lambda a: a == 0.0 or abs(a) >= 1e-3))
+@settings(max_examples=100, deadline=None)
+def test_roux_radjai_slopes_match_symbolic(law, z_mode, phi, log_I, gain):
+    """Roux-Radjai's df/dI and dZ/dI equal sympy's d/dI of f and Z, and
+    ``residual_c1`` the stated residual, at 50 digits."""
+    equilibrium = EquilibriumLaw(law)
+    model = build_model("roux-radjai", MAT, equilibrium, rr_gain=gain, z_override=z_mode)
+    I_value = math.exp(log_I)
+    f, df_dI, Z, dZ_dI, c1 = RR_EXACT[law, z_mode]
+    with mpmath.workdps(50):
+        args = [mpmath.mpf(a) for a in (I_value, phi, gain, MAT.phi_max, MAT.delta_phi,
+                                        equilibrium.A, equilibrium.a, MAT.delta)]
+        for got, F, dF_dI in ((model.df_dI(phi, 100.0, I_value), f, df_dI),
+                              (model.dZ_dI(phi, I_value), Z, dZ_dI)):
+            want = dF_dI(*args)
+            assert abs(got - want) <= 1e-14 * max(abs(want), abs(F(*args)) / args[0])
+        terms = (Z(*args), args[0] * dZ_dI(*args), f(*args), args[0] * df_dI(*args))
+        assert abs(residual_c1(model, phi, 100.0, I_value) - c1(*args)) <= 1e-14 * max(
+            1.0, *(abs(t) for t in terms))
 
 
 P = sp.symbols("p", positive=True)
