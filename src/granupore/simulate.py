@@ -8,11 +8,13 @@ without a momentum solver:
   pressure through the non-conservative gas equation without diffusion).
   This carries the packing-bound and equilibrium-attraction content: phi
   stays in [0, phi_max] for compliant models and relaxes to phi_eq(I)
-  under constant forcing.  One RK4 stepper owns the box's clock: it reads
-  a forcing that declares its jumps once per segment, and one that does not
-  once per distinct stage time, and builds |S|, I and f's factors in I once
-  per forcing segment, which a recorded row reuses.  A step inside the
-  segment read last reads no forcing.
+  under constant forcing.  One RK4 stepper owns the box's clock: one loop
+  takes each block of steps between recorded rows, its stages calling the
+  segment's f directly.  It reads a forcing that declares its jumps once per
+  segment, and one that does not once per distinct stage time, and builds
+  |S|, I and f's factors in I once per forcing segment, which a recorded row
+  reuses.  Only a step that leaves the span read last reads the forcing, at
+  each of its stages.
 
 * a 1D *column* of solid at rest, where the pore pressure obeys
   d/dt[(1-phi) p_f] = p_atm d/dz[kappa(phi) dp_f/dz] with zero flux at both
@@ -42,7 +44,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conditions import EQ_ANCHOR_TOL
-from .gas import enthalpy_ideal, permeability_kappa
+from .gas import _first_bad, enthalpy_ideal, permeability_kappa
 from .materials import GasParams, MaterialParams, _check_integer, inertial_number
 from .rheology import _admit
 
@@ -185,25 +187,35 @@ class BoxState:
     p_f: float | None = None
 
 
+class _StepFailed(Exception):
+    """A model error at a box step: the text names the step and its start
+    time, the cause is the model's error.  :func:`run_box` raises the text
+    as a RuntimeError, :func:`step_box` the cause as it is."""
+
+
 def _box_stepper(
     model, mat: MaterialParams, forcing: Forcing, dt: float, gas: GasParams | None
-) -> tuple[Callable[[float, float, float], tuple[float, float, float]], Callable]:
+) -> tuple[Callable, Callable[[float], tuple]]:
     """Return ``advance`` and ``segment``, the box's one clock and forcing reader.
 
-    ``advance(t, phi, p_f) -> (t + dt, phi, p_f)`` is one classical 4-stage
-    Runge-Kutta step of a checked dt > 0, ending at its stage-4 time.  A
-    read of the forcing at t holds on the span of t between the forcing's
+    ``advance(t, phi, p_f, first, last, violations) -> (t, phi, p_f)`` takes
+    steps ``first`` to ``last`` of a checked dt > 0 in one loop: classical
+    4-stage Runge-Kutta steps, each ending at its stage-4 time, whose stages
+    take d = 2 |S| f(x) from the segment held, dphi/dt = -x d and, with
+    ``gas``, the diffusion-free gas equation (1-phi) dp_f/dt = -(p_atm + p_f) d
+    (else p_f's rate is 0).  It appends ``(step, t, phi)`` to ``violations``
+    for each step that leaves [-1e-9, phi_max + 1e-9], and raises
+    :class:`_StepFailed` on a model error at a stage.
+
+    A read of the forcing at t holds on the span of t between the forcing's
     jumps (on t alone under ``jumps=None``), and only a (shear, p) that
     differs from the last read rebuilds 2 |S|, I and the model's phi -> f at
-    that (p, I), which ``segment(t)`` returns (I 0 and f None unsheared).
-    A step whose stage times all lie in the span read last takes that
-    segment's rate as it is, with no read and no check per stage; any other
-    step reads each stage time that lies outside the span.  With ``gas``, the
-    non-conservative, diffusion-free gas equation
-    (1-phi) dp_f/dt = -(p_atm + p_f) div u advances p_f; else its rate is 0.
+    that (p, I), which ``segment(t)`` returns (I 0 and f 0 unsheared).  A
+    step inside the span read last reads nothing; any other reads each of its
+    stage times that lies outside the span.
     """
-    half, sixth = 0.5 * dt, dt / 6.0
-    jumps = forcing.jumps
+    half, sixth, jumps = 0.5 * dt, dt / 6.0, forcing.jumps
+    p_atm, phi_hi = None if gas is None else gas.p_atm, mat.phi_max + BOUND_EPS
     # The memo: the span [since, until) of the last read (empty before the
     # first), its (shear, p) and that segment's 2 |S|, I, f.
     since, until = math.inf, -math.inf
@@ -215,7 +227,7 @@ def _box_stepper(
             shear, p = forcing.shear(t), forcing.p(t)
             if (shear, p) != last_read:
                 I = 0.0 if shear == 0.0 else inertial_number(mat, shear, p)
-                f = None if shear == 0.0 else model._dilatancy_at(p, I)
+                f = (lambda phi: 0.0) if shear == 0.0 else model._dilatancy_at(p, I)
                 two_shear, last_read = 2.0 * shear, (shear, p)
             if jumps is None:
                 since, until = t, math.nextafter(t, math.inf)
@@ -225,25 +237,37 @@ def _box_stepper(
                 until = jumps[k] if k < len(jumps) else math.inf
         return two_shear, I, f
 
-    def held(t: float, phi: float, p_f: float) -> tuple[float, float]:
-        """The rates in the segment read last."""
-        divu = 0.0 if f is None else two_shear * f(phi)
-        dpf = 0.0 if gas is None else -(gas.p_atm + p_f) * divu / (1.0 - phi)
-        return -phi * divu, dpf
-
-    def rates(t: float, phi: float, p_f: float) -> tuple[float, float]:
-        segment(t)
-        return held(t, phi, p_f)
-
-    def advance(t: float, phi: float, p_f: float) -> tuple[float, float, float]:
-        t4 = t + dt
-        rate = held if since <= t and t4 < until else rates
-        a1, b1 = rate(t, phi, p_f)
-        a2, b2 = rate(t + half, phi + half * a1, p_f + half * b1)
-        a3, b3 = rate(t + half, phi + half * a2, p_f + half * b2)
-        a4, b4 = rate(t4, phi + dt * a3, p_f + dt * b3)
-        return (t4, phi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
-                p_f + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
+    def advance(t: float, phi: float, p_f: float, first: int, last: int,
+                violations: list) -> tuple[float, float, float]:
+        try:
+            for step in range(first, last + 1):
+                tm, t4 = t + half, t + dt
+                # Stage 2 reads tm, so stage 3, at tm too, never reads.
+                read = not (since <= t and t4 < until)
+                if read:
+                    segment(t)
+                d = two_shear * f(phi)
+                a1, b1 = -phi * d, 0.0 if p_atm is None else -(p_atm + p_f) * d / (1.0 - phi)
+                x, q = phi + half * a1, p_f + half * b1
+                if read:
+                    segment(tm)
+                d = two_shear * f(x)
+                a2, b2 = -x * d, 0.0 if p_atm is None else -(p_atm + q) * d / (1.0 - x)
+                x, q = phi + half * a2, p_f + half * b2
+                d = two_shear * f(x)
+                a3, b3 = -x * d, 0.0 if p_atm is None else -(p_atm + q) * d / (1.0 - x)
+                x, q = phi + dt * a3, p_f + dt * b3
+                if read:
+                    segment(t4)
+                d = two_shear * f(x)
+                a4, b4 = -x * d, 0.0 if p_atm is None else -(p_atm + q) * d / (1.0 - x)
+                t, phi = t4, phi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+                p_f += sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+                if not -BOUND_EPS <= phi <= phi_hi:
+                    violations.append((step, t, phi))
+        except ValueError as exc:
+            raise _StepFailed(f"box step {step} (t={t:g}) failed: {exc}") from exc
+        return t, phi, p_f
 
     return advance, segment
 
@@ -271,25 +295,28 @@ def step_box(
 ) -> BoxState:
     """One classical 4-stage Runge-Kutta step of the box dynamics.
 
-    This is one call of a fresh :func:`_box_stepper`, whose step gives the
-    new time and, as a first step, reads the forcing at its stage times
-    (once per span they touch); dt and gas are checked on every call, where
-    :func:`run_box` checks them once.  A state that carries a pore pressure
-    advances it with ``gas``.
+    This is a one-step run of a fresh :func:`_box_stepper`'s loop, which
+    gives the new time and, as a first step, reads the forcing at its stage
+    times (once per span they touch); dt and gas are checked on every call,
+    where :func:`run_box` checks them once.  A state that carries a pore
+    pressure advances it with ``gas``.
 
     Raises:
-        ValueError: If dt <= 0, or on a ``mat`` or state :func:`run_box`
-            would not start from: phi outside (0, 1), or p_f tracked without
-            gas parameters, at or below -p_atm, or infinite.  Model domain
-            errors at stage states propagate.
+        ValueError: If dt is not positive and finite, or on a ``mat`` or
+            state :func:`run_box` would not start from: phi outside (0, 1),
+            or p_f tracked without gas parameters, at or below -p_atm, or
+            infinite.  Model domain errors at stage states propagate as the
+            model raises them.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     model = _admit(model, mat)
     _check_box_start(state.phi, state.p_f, gas, "state.phi", "state.p_f")
     tracked = state.p_f is not None
     advance = _box_stepper(model, mat, forcing, dt, gas if tracked else None)[0]
-    t, phi, p_f = advance(state.t, state.phi, state.p_f if tracked else 0.0)
+    try:
+        t, phi, p_f = advance(state.t, state.phi, state.p_f if tracked else 0.0, 1, 1, [])
+    except _StepFailed as exc:
+        raise exc.__cause__ from None
     return BoxState(t=t, phi=phi, p_f=p_f if tracked else None)
 
 
@@ -323,6 +350,14 @@ def _check_record_every(record_every: int) -> None:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
 
 
+def _check_dt(dt: float) -> None:
+    """Reject a time step that is not positive (NaN included) or infinite."""
+    if not dt > 0:
+        raise ValueError(f"dt must be positive, got {dt}")
+    if dt == math.inf:
+        raise ValueError(f"dt must be finite, got {dt}")
+
+
 def _check_t_end(t_end: float) -> None:
     """Reject a run length that is negative, NaN or infinite."""
     if not t_end >= 0:  # written so that NaN fails
@@ -333,10 +368,9 @@ def _check_t_end(t_end: float) -> None:
 
 def _step_count(t_end: float, dt: float) -> int:
     """The whole number of steps of dt nearest to t_end, after checking that
-    dt is positive and t_end finite and non-negative; a positive t_end must
-    round to at least one step."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    dt and t_end are finite, dt positive and t_end non-negative; a positive
+    t_end must round to at least one step."""
+    _check_dt(dt)
     _check_t_end(t_end)
     n_steps = int(round(t_end / dt))
     if n_steps == 0 and t_end > 0:
@@ -351,19 +385,24 @@ def run_box(
     """Integrate the box and collect diagnostics.
 
     The run checks dt and gas once and builds one :func:`_box_stepper`,
-    which alone reads the forcing, evaluates f and advances time.  A row
-    takes I and div u = 2 |S| f(phi) from the segment at its own t (row 0's
-    read is the one step 1 reuses) and i_eq(phi) from the model, or stores
-    I = div u = 0 and i_eq NaN outside [0, phi_max].  It checks the sign
-    agreement sign(div u) = sign(I - i_eq) where |f| >= EQ_ANCHOR_TOL.
-    ``gas`` is used only when ``pf0`` is given.  Steps leaving
-    [-1e-9, phi_max + 1e-9] are flagged as violations, never clamped.
+    which alone reads the forcing, evaluates f and advances time: one call
+    of its loop takes each block of ``record_every`` steps, and a row is
+    recorded after each block.  A row takes I and div u = 2 |S| f(phi) from
+    the segment at its own t (row 0's read is the one step 1 reuses) and
+    i_eq(phi) from the model, or stores I = div u = 0 and i_eq NaN outside
+    [0, phi_max].  It checks the sign agreement sign(div u) = sign(I - i_eq)
+    where |f| >= EQ_ANCHOR_TOL.  ``gas`` is used only when ``pf0`` is given.
+    Steps leaving [-1e-9, phi_max + 1e-9] are flagged as violations, never
+    clamped.
 
     Raises:
-        ValueError: If dt <= 0, t_end is negative or not finite, t_end > 0
-            rounds to zero steps, record_every is not an integer or < 1,
-            ``mat`` is not the model's material, phi0 is outside (0, 1), or
-            pf0 is given without gas, at or below -p_atm, or infinite.
+        ValueError: If dt is not positive and finite, t_end is negative or
+            not finite, t_end > 0 rounds to zero steps, record_every is not
+            an integer or < 1, ``mat`` is not the model's material, phi0 is
+            outside (0, 1), or pf0 is given without gas, at or below -p_atm,
+            or infinite; a row's model error as the model raises it.
+        RuntimeError: On a model error at a step's stage, naming the step
+            and its start time.
     """
     n_steps = _step_count(t_end, dt)
     _check_record_every(record_every)
@@ -381,22 +420,20 @@ def run_box(
             rows.append((t, phi, p_f, 0.0, 0.0, math.nan))
             return
         two_shear, I, f = segment(t)
-        f_val = 0.0 if f is None else f(phi)
+        f_val = f(phi)
         divu, ieq = two_shear * f_val, model.i_eq(phi)
         rows.append((t, phi, p_f, divu, I, ieq))
         if abs(f_val) >= EQ_ANCHOR_TOL and not math.isnan(ieq):
             sign_ok &= math.copysign(1.0, divu) == math.copysign(1.0, I - ieq)
 
     record(t, phi, p_f)
-    for step in range(1, n_steps + 1):
+    for first in range(1, n_steps + 1, record_every):
+        last = min(first + record_every - 1, n_steps)
         try:
-            t, phi, p_f = advance(t, phi, p_f)
-        except ValueError as exc:
-            raise RuntimeError(f"box step {step} (t={t:g}) failed: {exc}") from exc
-        if not -BOUND_EPS <= phi <= mat.phi_max + BOUND_EPS:
-            violations.append((step, t, phi))
-        if step % record_every == 0 or step == n_steps:
-            record(t, phi, p_f)
+            t, phi, p_f = advance(t, phi, p_f, first, last, violations)
+        except _StepFailed as exc:
+            raise RuntimeError(*exc.args) from exc.__cause__
+        record(t, phi, p_f)
 
     t, phi, p_f, div_u, inertial, i_eq = np.array(rows).T
     p_f = None if pf0 is None else p_f
@@ -487,9 +524,18 @@ def _column_stepper(
 
     Returns the static 1-phi, the face kappa and ``advance(p_f) -> p_f``,
     one step of length dt on the grid and phi profile of ``state``.
+
+    An implicit step solves (M + dt K) q = M p with M = diag(1-phi) and K
+    the zero-flux face Laplacian, by LAPACK's ``dgtsv``.  The matrix has a
+    positive diagonal, non-positive off-diagonals and row sums 1-phi > 0,
+    so at the cell i where q is largest (1-phi_i) q_i <= (1-phi_i) q_i +
+    dt sum_j w_ij (q_i - q_j) = (1-phi_i) p_i: max q <= max p, and likewise
+    min q >= min p (the discrete maximum principle).  A finite profile thus
+    stays finite, so once dt and the matrix are checked finite here, the
+    solve needs no per-step check; a pivot that rounds to zero (dt decades
+    above the explicit bound) raises LinAlgError.
     """
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
+    _check_dt(dt)
     if mode not in ("explicit", "implicit"):
         raise ValueError(f"unknown mode {mode!r}")
     one_m, kf, dz = 1.0 - state.phi_profile, _face_kappa(state, gas, mat), state.dz
@@ -511,19 +557,21 @@ def _column_stepper(
 
         return one_m, kf, advance
 
-    from scipy.linalg import solve_banded
+    from scipy.linalg.lapack import dgtsv
 
     off = -dt * gas.p_atm / (dz * dz) * kf  # off-diagonals of the backward-Euler matrix
-    ab = np.vstack([np.append(0.0, off), one_m, np.append(off, 0.0)])
-    ab[1, :-1] -= off
-    ab[1, 1:] -= off
+    diag = one_m - np.append(off, 0.0) - np.append(0.0, off)
+    if not np.all(np.isfinite(diag)):
+        raise ValueError(f"implicit step dt={dt:g} overflows the column matrix")
     weight = one_m.sum()
 
     def solve(p: np.ndarray) -> np.ndarray:
         # The solve's round-off grows with dt; a uniform shift puts the
         # content sum (1-phi) p_f back at its value before the step.
         content = one_m * p
-        q = solve_banded((1, 1), ab, content)
+        q, info = dgtsv(off, diag, off, content)[3:]
+        if info:
+            raise np.linalg.LinAlgError("singular matrix")
         q += (content.sum() - (one_m * q).sum()) / weight
         return q
 
@@ -548,8 +596,9 @@ def step_column(
     drifts only by rounding (see the module docstring).
 
     Raises:
-        ValueError: On dt <= 0, unknown mode, or an explicit step above the
-            stability bound.
+        ValueError: On dt not positive and finite, unknown mode, an
+            explicit step above the stability bound, or an implicit dt that
+            overflows the matrix.
     """
     advance = _column_stepper(state, gas, mat, dt, mode)[2]
     return replace(state, pf_profile=advance(state.pf_profile), t=state.t + dt)
@@ -630,11 +679,12 @@ def run_column(
 
     Raises:
         ValueError: First on the errors of :func:`step_column`, even when
-            n_steps is 0: dt <= 0, an unknown mode, or an explicit dt above
-            the stability bound; then if record_every is not an integer or
+            n_steps is 0: dt not positive and finite, an unknown mode, an
+            explicit dt above the stability bound, or an implicit dt that
+            overflows the matrix; then if record_every is not an integer or
             < 1, or n_steps is not an integer or < 0; then, before any
-            step, if an initial p_f is at or below -p_atm (the message
-            gives its cell index).
+            step, if an initial p_f is infinite, or at or below -p_atm (the
+            message gives its cell index).
     """
     one_m, kf, advance = _column_stepper(state0, gas, mat, dt, mode)
     _check_record_every(record_every)
@@ -642,6 +692,8 @@ def run_column(
     if n_steps < 0:
         raise ValueError(f"n_steps must be non-negative, got {n_steps}")
     t, p, dz = state0.t, state0.pf_profile, state0.dz
+    if np.any(np.isinf(p)):  # NaN fails the -p_atm check of the sums below
+        raise ValueError(f"initial p_f must be finite, got {_first_bad(p, ~np.isinf(p))}")
     ledger = np.empty((4, n_steps + 1))  # rows: t, content, E1, D
     ledger[0, 0] = t
     ledger[1:, 0] = _ledger_sums(p, dz, gas, one_m, kf)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from bisect import bisect_right
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.linalg import solve_banded
 
+from granupore import simulate
 from granupore.gas import permeability_kappa
 from granupore.materials import EquilibriumLaw, GasParams, glass_beads, inertial_number
 from granupore.quadrature import integral
@@ -23,6 +26,7 @@ from granupore.rheology import (
     MuIDilatant,
     PowerLaw,
     RouxRadjai,
+    _admit,
 )
 from granupore.simulate import (
     _LEDGER_BLOCK_VALUES,
@@ -300,6 +304,50 @@ class TestRunSettings:
         dt = factor * column_cfl_dt(state, GAS, MAT)
         with pytest.raises(ValueError, match=message):
             run_column(state, GAS, MAT, dt, 0, mode=mode)
+
+    @pytest.mark.parametrize("call", ["step_box", "run_box", "step_column", "run_column-explicit",
+                                      "run_column-implicit-0", "run_column-implicit-1"])
+    def test_infinite_dt_rejected(self, call):
+        from granupore.simulate import BoxState
+
+        box, state = (MODELS["dp"], MAT, constant_forcing(1.0, 10.0)), uniform_column(10, 0.1, 0.6)
+        run = {
+            "step_box": lambda: step_box(BoxState(0.0, 0.5), *box, math.inf),
+            "run_box": lambda: run_box(*box, phi0=0.5, t_end=1e-5, dt=math.inf),
+            "step_column": lambda: step_column(state, GAS, MAT, math.inf, mode="implicit"),
+            "run_column-explicit": lambda: run_column(state, GAS, MAT, math.inf, 1),
+            "run_column-implicit-0": lambda: run_column(state, GAS, MAT, math.inf, 0,
+                                                        mode="implicit"),
+            "run_column-implicit-1": lambda: run_column(state, GAS, MAT, math.inf, 1,
+                                                        mode="implicit"),
+        }[call]
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == "dt must be finite, got inf"
+
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf])
+    def test_run_column_rejects_infinite_initial_pf(self, mode, bad):
+        # uniform_column rejects it; a hand-built state must fail before any step
+        state = uniform_column(10, 0.1, 0.6, 100.0)
+        pf = state.pf_profile.copy()
+        pf[3] = bad
+        with pytest.raises(ValueError) as exc:
+            run_column(replace(state, pf_profile=pf), GAS, MAT, 1e-9, 5, mode=mode)
+        assert str(exc.value) == f"initial p_f must be finite, got {bad} at index 3"
+
+    def test_implicit_matrix_overflow_rejected(self):
+        state = uniform_column(200, 0.1, 0.6, 100.0)
+        with pytest.raises(ValueError) as exc:
+            run_column(state, GAS, MAT, 1e300, 0, mode="implicit")
+        assert str(exc.value) == "implicit step dt=1e+300 overflows the column matrix"
+
+    def test_implicit_singular_matrix_raises(self):
+        # 1-phi is lost beside dt p_atm kappa / dz^2, leaving the singular
+        # zero-flux Laplacian: the solve raises as solve_banded did
+        state = uniform_column(200, 0.1, 0.6, 100.0)
+        with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+            run_column(state, GAS, MAT, 1e100, 1, mode="implicit")
 
     def test_counts_take_numpy_integers(self):
         box = run_box(MODELS["dp"], MAT, constant_forcing(1.0, 10.0), phi0=0.5, t_end=1e-5,
@@ -608,6 +656,187 @@ class TestBoxEquivalence:
             state = step_box(state, model, MAT, forcing(), settings["dt"], gas=gas)
             assert (state.t, state.phi) == (res.t[k], res.phi[k])
             assert gas is None or state.p_f == res.p_f[k]
+
+
+def _reference_stepper(model, mat, forcing, dt, gas):
+    """The box stepper as one call per step: ``advance`` takes a step whose
+    stages call ``held``, the rates of the segment read last, when the step
+    lies inside its span, and else ``rates``, which first reads the stage
+    time; ``segment`` is the memoised forcing reader."""
+    half, sixth = 0.5 * dt, dt / 6.0
+    jumps = forcing.jumps
+    since, until = math.inf, -math.inf
+    last_read = two_shear = I = f = None
+
+    def segment(t):
+        nonlocal since, until, last_read, two_shear, I, f
+        if not since <= t < until:
+            shear, p = forcing.shear(t), forcing.p(t)
+            if (shear, p) != last_read:
+                I = 0.0 if shear == 0.0 else inertial_number(mat, shear, p)
+                f = None if shear == 0.0 else model._dilatancy_at(p, I)
+                two_shear, last_read = 2.0 * shear, (shear, p)
+            if jumps is None:
+                since, until = t, math.nextafter(t, math.inf)
+            else:
+                k = bisect_right(jumps, t)
+                since = jumps[k - 1] if k else -math.inf
+                until = jumps[k] if k < len(jumps) else math.inf
+        return two_shear, I, f
+
+    def held(t, phi, p_f):
+        divu = 0.0 if f is None else two_shear * f(phi)
+        dpf = 0.0 if gas is None else -(gas.p_atm + p_f) * divu / (1.0 - phi)
+        return -phi * divu, dpf
+
+    def rates(t, phi, p_f):
+        segment(t)
+        return held(t, phi, p_f)
+
+    def advance(t, phi, p_f):
+        t4 = t + dt
+        rate = held if since <= t and t4 < until else rates
+        a1, b1 = rate(t, phi, p_f)
+        a2, b2 = rate(t + half, phi + half * a1, p_f + half * b1)
+        a3, b3 = rate(t + half, phi + half * a2, p_f + half * b2)
+        a4, b4 = rate(t4, phi + dt * a3, p_f + dt * b3)
+        return (t4, phi + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4),
+                p_f + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4))
+
+    return advance, segment
+
+
+def _reference_run_box(model, mat, forcing, phi0, t_end, dt, pf0=None, gas=None,
+                       record_every=1):
+    """:func:`run_box` on :func:`_reference_stepper`, one call per step;
+    returns the result, or the error as :func:`_error_of` gives it."""
+    try:
+        n_steps = simulate._step_count(t_end, dt)
+        simulate._check_record_every(record_every)
+        model = _admit(model, mat)
+        simulate._check_box_start(phi0, pf0, gas, "phi0", "pf0")
+    except ValueError as exc:
+        return _error_of(exc)
+    advance, segment = _reference_stepper(model, mat, forcing, dt, None if pf0 is None else gas)
+    rows, violations, sign_ok = [], [], True
+
+    def record(t, phi, p_f):
+        nonlocal sign_ok
+        if not 0.0 <= phi <= mat.phi_max:
+            rows.append((t, phi, p_f, 0.0, 0.0, math.nan))
+            return
+        two_shear, I, f = segment(t)
+        f_val = 0.0 if f is None else f(phi)
+        divu, ieq = two_shear * f_val, model.i_eq(phi)
+        rows.append((t, phi, p_f, divu, I, ieq))
+        if abs(f_val) >= simulate.EQ_ANCHOR_TOL and not math.isnan(ieq):
+            sign_ok &= math.copysign(1.0, divu) == math.copysign(1.0, I - ieq)
+
+    t, phi, p_f = 0.0, phi0, 0.0 if pf0 is None else pf0
+    try:
+        record(t, phi, p_f)
+        for step in range(1, n_steps + 1):
+            try:
+                t, phi, p_f = advance(t, phi, p_f)
+            except ValueError as exc:
+                raise RuntimeError(f"box step {step} (t={t:g}) failed: {exc}") from exc
+            if not -simulate.BOUND_EPS <= phi <= mat.phi_max + simulate.BOUND_EPS:
+                violations.append((step, t, phi))
+            if step % record_every == 0 or step == n_steps:
+                record(t, phi, p_f)
+    except (ValueError, RuntimeError) as exc:
+        return _error_of(exc)
+    t, phi, p_f, div_u, inertial, i_eq = np.array(rows).T
+    p_f = None if pf0 is None else p_f
+    return simulate.BoxResult(t, phi, p_f, div_u, inertial, i_eq, violations, sign_ok)
+
+
+def _error_of(exc):
+    """An error as strings: its type, text, and its cause's type and text."""
+    cause = exc.__cause__
+    return (type(exc).__name__, str(exc), type(cause).__name__, str(cause))
+
+
+def _box_bits(outcome):
+    """A run_box result with every float as ``float.hex``, or an error."""
+    if isinstance(outcome, tuple):
+        return outcome
+    series = tuple(None if a is None else tuple(map(float.hex, a.tolist()))
+                   for a in (outcome.t, outcome.phi, outcome.p_f, outcome.div_u,
+                             outcome.inertial, outcome.i_eq))
+    violations = tuple((step, t.hex(), phi.hex()) for step, t, phi in outcome.violations)
+    return series, violations, outcome.sign_agreement
+
+
+def _step_bits(step):
+    """One box step's (t, phi, p_f) as ``float.hex``, or its error's type and
+    text."""
+    try:
+        values = step()
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+    return tuple(None if v is None else v.hex() for v in values)
+
+
+@st.composite
+def _box_runs(draw):
+    """A short box run on a piecewise-constant forcing: binary-fraction steps
+    (so t adds up exactly) or decimal ones, edges on step ends and inside
+    steps, empty and unsheared segments, with the jumps declared or not."""
+    dt = draw(st.sampled_from([2.0**-12, 2.0**-14, 3e-5, 1e-5]))
+    n_steps = draw(st.integers(1, 30))
+    t_end = n_steps * dt
+    n = draw(st.integers(1, 4))
+    point = st.one_of(st.integers(0, n_steps).map(lambda k: k * dt), st.floats(0.0, t_end))
+    edges = sorted(draw(st.lists(point, min_size=n + 1, max_size=n + 1)))
+    shears = draw(st.lists(st.one_of(st.just(0.0), st.floats(50.0, 1500.0)),
+                           min_size=n, max_size=n))
+    ps = draw(st.lists(st.floats(10.0, 1.0e4), min_size=n, max_size=n))
+    forcing = piecewise_constant_forcing(edges, shears, ps)
+    if not draw(st.booleans()):
+        forcing = Forcing(shear=forcing.shear, p=forcing.p)
+    settings = dict(phi0=draw(st.floats(0.45, 0.62)), t_end=t_end, dt=dt,
+                    record_every=draw(st.integers(1, 7)))
+    if draw(st.booleans()):
+        settings |= dict(pf0=draw(st.floats(-1000.0, 1000.0)), gas=GAS)
+    return forcing, settings
+
+
+class TestBoxLoopMatchesSteps:
+    """One loop per record block changes no bit of a run: every series, the
+    violations, the sign agreement and any error equal those of
+    :func:`_reference_run_box`, and :func:`step_box` equals one reference
+    step, its error included."""
+
+    LOOP_MODELS = MODELS | {"isochoric": Isochoric(MODELS["mui"]),
+                            "wrong-sign": TestBoxBounds.WRONG_SIGN}
+
+    @pytest.mark.parametrize("name", list(LOOP_MODELS))
+    @given(run=_box_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_bitwise(self, name, run):
+        from granupore.simulate import BoxState
+
+        forcing, settings = run
+        model = self.LOOP_MODELS[name]
+        try:
+            res = run_box(model, MAT, forcing, **settings)
+        except (ValueError, RuntimeError) as exc:
+            res = _error_of(exc)
+        assert _box_bits(res) == _box_bits(_reference_run_box(model, MAT, forcing, **settings))
+
+        phi0, pf0, gas, dt = (settings.get(k) for k in ("phi0", "pf0", "gas", "dt"))
+        reference = _reference_stepper(_admit(model, MAT), MAT, forcing, dt, gas)[0]
+
+        def one_step():
+            state = step_box(BoxState(0.0, phi0, pf0), model, MAT, forcing, dt, gas=gas)
+            return state.t, state.phi, state.p_f
+
+        def one_reference_step():
+            t, phi, p_f = reference(0.0, phi0, 0.0 if pf0 is None else pf0)
+            return t, phi, None if pf0 is None else p_f
+
+        assert _step_bits(one_step) == _step_bits(one_reference_step)
 
 
 class TestBoxSegments:
@@ -1067,6 +1296,33 @@ class TestColumnModalReference:
         scale = np.max(np.abs(p0 - np.sum((1.0 - phi) * p0) / np.sum(1.0 - phi)))
         reference = _modal_final_pf(state, dt, n_steps, mode)
         assert np.max(np.abs(res.history[-1].pf_profile - reference)) <= self.BOUND * scale
+
+
+class TestColumnImplicitSolve:
+    """The implicit step's direct tridiagonal solve is bitwise the banded
+    solve of the backward-Euler matrix, plus the uniform content shift."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1), graded=st.booleans(),
+           decades=st.floats(0.0, 5.0))
+    def test_matches_solve_banded(self, n, seed, graded, decades):
+        rng = np.random.default_rng(seed)
+        phi = rng.uniform(0.45, 0.62, n)
+        phi = np.sort(phi) if graded else phi
+        state = uniform_column(n, 0.1, phi, rng.uniform(-5.0e4, 5.0e5, n))
+        dt = 10.0**decades * column_cfl_dt(state, GAS, MAT)
+        one_m, dz = 1.0 - phi, state.dz
+        off = -dt * GAS.p_atm / (dz * dz) * simulate._face_kappa(state, GAS, MAT)
+        ab = np.vstack([np.append(0.0, off), one_m, np.append(off, 0.0)])
+        ab[1, :-1] -= off
+        ab[1, 1:] -= off
+        p = state.pf_profile
+        for _ in range(3):
+            content = one_m * p
+            p = solve_banded((1, 1), ab, content)
+            p += (content.sum() - (one_m * p).sum()) / one_m.sum()
+            state = step_column(state, GAS, MAT, dt, mode="implicit")
+            assert state.pf_profile.tobytes() == p.tobytes()
 
 
 class TestColumnConvergence:
