@@ -20,16 +20,19 @@ At one (phi, p, I) a sweep evaluates Z, f, dZ/dI, df/dI and df/dp once
 each and the checks share them.  Where the model's f takes no p, as every
 catalogue f does (``rheology._ModelBase``), df/dp is 0 and not read, the
 other reads and C1, C2 and the gap are made once per (phi, I) and shared by
-its p values, and the equilibrium signs once per phi; only C3, which
-divides by p, is computed per p.  Where the model raises, a sweep skips the
-point with the first error's message, so the first reads keep one order:
-C1 dZ/dI, df/dI, Z, f; C2 dZ/dI, Z; C3 df/dp where f takes p, then
-df/dI; the gap Z, f; the equilibrium signs last, once per (phi, p), or per
-phi where f takes no p.
+its p values, and the equilibrium signs once per phi.  Either way each
+kept read covers a run of p values (all of them, or its own), and C3,
+which divides by p, is computed for every point at once as one array
+expression in the scalar formula's operation order.  Where the model
+raises, a sweep skips the point with the first error's message, so the
+first reads keep one order: C1 dZ/dI, df/dI, Z, f; C2 dZ/dI, Z; C3 df/dp
+where f takes p, then df/dI; the gap Z, f; the equilibrium signs last, once
+per (phi, p), or per phi where f takes no p.
 
-A report row is a :class:`PointRecord`, a plain named tuple.  The summaries
-are array reductions over one table of the rows (a failing flag reads 0.0):
-a pass mask, a count and the first argmax of the severity, NaN worst of all.
+A report row is a :class:`PointRecord`, a plain named tuple of Python
+floats and a bool.  The summaries are array reductions over one table with
+a row per point (a failing flag reads 0.0): a pass mask, a count and the
+first argmax of the severity, NaN worst of all.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple, TextIO
 
 import numpy as np
@@ -306,6 +308,16 @@ def _signs(model, phi: float, p: float) -> bool | str:
         return _skip_reason(exc)
 
 
+def _columns(kept: list[tuple], width: int, p_values: list[float]) -> dict[str, np.ndarray]:
+    """Each condition's values, a row per kept read and a column per p value
+    it covers: one column, or for C3, which divides by p, ``width``."""
+    phi, I, j, c1, c2, dfp, df, gap, signs = (
+        np.array(kept, dtype=float).reshape(-1, 9, 1).transpose(1, 0, 2))
+    with np.errstate(all="ignore"):  # inf and NaN as float arithmetic gives them
+        c3 = _c3(I, np.array(p_values)[j.astype(int) + np.arange(width)], dfp, df)
+    return dict(c1_residual=c1, c2_value=c2, c3_value=c3, dissipation_gap=gap, eq_sign_ok=signs)
+
+
 def sweep(model, grid: GridSpec) -> ConditionReport:
     """Evaluate all five checks at every grid point.
 
@@ -318,39 +330,39 @@ def sweep(model, grid: GridSpec) -> ConditionReport:
     """
     report = ConditionReport()
     model = _admit(model)
-    takes_p = model._f_takes_p
     I_values, p_values = grid.I_values().tolist(), grid.p_values().tolist()
+    # The read at p_values[j] covers p_values[j:j + width]: every p where f
+    # takes no p, else its own.  So the equilibrium signs, one flag or error
+    # message per j, are checked once per phi where f takes no p.
+    width = 1 if model._f_takes_p else len(p_values)
+    kept = []  # (phi, I, j, C1, C2, df/dp, df/dI, gap, signs) of each kept read
     for phi in grid.phi_values().tolist():
-        # The equilibrium signs do not depend on I: one flag or error message
-        # per p, or one per phi where f takes no p (key None).
-        eq_signs: dict[float | None, bool | str] = {}
+        eq_signs: dict[int, bool | str] = {}
         for I in I_values:
-            reads: dict[float | None, tuple[float, ...] | str] = {}
-            for p in p_values:
-                where, key = (phi, I, p), p if takes_p else None
-                if key not in reads:
-                    reads[key] = _shared_reads(model, phi, p, I)
-                if isinstance(point := reads[key], str):
-                    report.skipped.append((where, point))
-                    continue
-                if key not in eq_signs:
-                    eq_signs[key] = _signs(model, phi, p)
-                if isinstance(signs := eq_signs[key], str):
-                    report.skipped.append((where, signs))
-                else:
-                    c1, c2, dfp, df, gap = point
-                    report.records.append(
-                        PointRecord(*where, c1, c2, _c3(I, p, dfp, df), gap, signs))
+            for j in range(0, len(p_values), width):
+                point = _shared_reads(model, phi, p_values[j], I)
+                if not isinstance(point, str):
+                    if j not in eq_signs:
+                        eq_signs[j] = _signs(model, phi, p_values[j])
+                    if not isinstance(signs := eq_signs[j], str):
+                        kept.append((phi, I, j, *point, signs))
+                        continue
+                    point = signs
+                report.skipped.extend(((phi, I, p), point) for p in p_values[j:j + width])
 
-    rows = report.records
-    table = np.fromiter(chain.from_iterable(rows), float, 8 * len(rows)).reshape(-1, 8)
+    columns = _columns(kept, width, p_values)
+    c3 = iter(columns["c3_value"].ravel().tolist())
+    report.records = [
+        PointRecord(phi, I, p, c1, c2, next(c3), gap, signs)
+        for phi, I, j, c1, c2, _, _, gap, signs in kept for p in p_values[j:j + width]
+    ]
     for cond, (name, passes, severity) in _RULES.items():
-        values = table[:, PointRecord._fields.index(name)]
+        values = np.broadcast_to(columns[name], (len(kept), width)).ravel()
         failed = np.flatnonzero(~passes(values))
         summary = ConditionSummary(True, None, None, 0)
         if failed.size:  # argmax takes the first of equally bad points
             i = failed[np.argmax(severity(values[failed]))]
-            summary = ConditionSummary(False, rows[i][:3], float(values[i]), failed.size)
+            summary = ConditionSummary(False, report.records[i][:3], float(values[i]), failed.size)
         report.summaries[cond] = summary
     return report
 

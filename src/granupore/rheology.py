@@ -648,7 +648,9 @@ class DerivedNumeric(_ModelBase):
     Quadratures are memoised: f per (phi, I), as f does not depend on p, and
     the equilibrium term I_eq W(I_eq) per phi, so evaluation behaves as a
     pure function from the outside.  Each memo keeps the last
-    ``DERIVED_MEMO_SIZE`` keys used.
+    ``DERIVED_MEMO_SIZE`` keys used.  df/dI is the one the consistency
+    condition gives, (Z - f)/I - dZ/dI / 2, so it costs no quadrature beyond
+    f's; dZ/dI is the central difference of Z.
     """
 
     Z: Callable[[float, float], float] = field(kw_only=True)
@@ -675,6 +677,11 @@ class DerivedNumeric(_ModelBase):
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         return self._memo(phi, I)
+
+    def df_dI(self, phi: float, p: float, I: float) -> float:
+        """The exact slope of the derived f, as f solves Z - (I/2) dZ/dI = f + I df/dI."""
+        f = self._memo(phi, I)  # raises where f raises
+        return (self.Z(phi, I) - f) / I - 0.5 * self.dZ_dI(phi, I)
 
 
 @dataclass(frozen=True, init=False)

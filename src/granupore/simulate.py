@@ -533,7 +533,8 @@ def _column_stepper(
     min q >= min p (the discrete maximum principle).  A finite profile thus
     stays finite, so once dt and the matrix are checked finite here, the
     solve needs no per-step check; a pivot that rounds to zero (dt decades
-    above the explicit bound) raises LinAlgError.
+    above the explicit bound) raises LinAlgError, a ValueError that names
+    dt's ratio to that bound.
     """
     _check_dt(dt)
     if mode not in ("explicit", "implicit"):
@@ -571,7 +572,11 @@ def _column_stepper(
         content = one_m * p
         q, info = dgtsv(off, diag, off, content)[3:]
         if info:
-            raise np.linalg.LinAlgError("singular matrix")
+            bound = column_cfl_dt(state, gas, mat)
+            raise np.linalg.LinAlgError(
+                f"singular matrix: implicit step dt={dt:g} is {dt / bound:.3g} times "
+                f"column_cfl_dt's bound {bound:g}, so 1-phi rounds off the diagonal"
+            )
         q += (content.sum() - (one_m * q).sum()) / weight
         return q
 
@@ -598,7 +603,7 @@ def step_column(
     Raises:
         ValueError: On dt not positive and finite, unknown mode, an
             explicit step above the stability bound, or an implicit dt that
-            overflows the matrix.
+            overflows the matrix or leaves it singular (a LinAlgError).
     """
     advance = _column_stepper(state, gas, mat, dt, mode)[2]
     return replace(state, pf_profile=advance(state.pf_profile), t=state.t + dt)

@@ -185,10 +185,13 @@ class TestC1:
     @pytest.mark.parametrize("model", [MUI, DerivedNumeric(MAT, LAW, Z=MUI.yield_function)],
                              ids=["mui", "derived"])
     def test_derived_f_passes_where_its_closed_form_does(self, model):
-        # f derived from mu(I)'s own Z, with central slopes, down to I = 1e-5
-        report = sweep(model, GridSpec((0.40, 0.595, 8), (1e-5, 1e-2, 7), (10.0, 1e4, 2)))
-        assert len(report.records) == 112 and not report.skipped
-        assert report.summaries["C1"].all_pass
+        # f derived from mu(I)'s own Z, with the df/dI C1 gives, down to
+        # I = 1e-9; a central df/dI failed 14 points of the second grid and
+        # 52 of the third
+        for I_range in ((1e-5, 1e-2, 7), (1e-6, 1e-5, 4), (1e-9, 1e-2, 8)):
+            report = sweep(model, GridSpec((0.40, 0.595, 8), I_range, (10.0, 1e4, 2)))
+            assert len(report.records) == 8 * I_range[2] * 2 and not report.skipped
+            assert report.summaries["C1"].all_pass, I_range
 
     def test_central_path_names_the_error(self):
         with pytest.raises(ValueError) as info:
@@ -441,6 +444,34 @@ class TestSweep:
             "phi=0.4 below the range of the schaeffer law on [0, 1000.0]"
         )
 
+    def test_every_point_skipped(self):
+        grid = GridSpec((0.4, 0.5, 2), (0.1, 1.0, 2), (10.0, 100.0, 3))
+        report = sweep(_NoDilatancy(), grid)
+        assert report.records == [] and len(report.skipped) == 2 * 2 * 3
+        assert all(s == conditions.ConditionSummary(True, None, None, 0)
+                   for s in report.summaries.values())
+        assert list(report.summaries) == list(conditions.CONDITIONS)
+        assert not report.all_pass  # skipped points leave a report unproven
+        buf = io.StringIO()
+        write_report_csv(report, buf)
+        lines = buf.getvalue().splitlines()
+        assert lines[0] == ",".join(conditions.PointRecord._fields)
+        assert lines[1:] == [
+            f"# skipped phi={phi},I={I},p={p}: cannot take a central difference at {I} "
+            f"(step {I * rheology.REL_STEP}): f undefined"
+            for phi in (0.4, 0.5) for I in (0.1, 1.0) for p in (10.0, 55.0, 100.0)
+        ]
+
+    @pytest.mark.parametrize("name", ["dp", "derived", "pair-of-p", "nan"])
+    def test_record_fields_are_python_scalars(self, name):
+        # no numpy scalar leaks into a row: numpy 2 prints np.float64(...)
+        model = {"dp": DP, "derived": DerivedNumeric(MAT, LAW, Z=MUI.yield_function),
+                 "pair-of-p": _PressureDependent(LAW), "nan": _NaNAfterFailure()}[name]
+        report = sweep(model, GridSpec((0.4, 0.5, 2), (0.5, 2.0, 2), (10.0, 100.0, 2)))
+        assert len(report.records) == 8
+        for row in report.records:
+            assert [type(v) for v in row] == [float] * 7 + [bool]
+
     def test_csv_shape(self):
         report = sweep(DP, GridSpec((0.4, 0.5, 2), (0.1, 1.0, 2), (10.0, 100.0, 2)))
         buf = io.StringIO()
@@ -522,6 +553,18 @@ class TestSweepWork:
             "yield_function": reads, "dZ_dI": reads, "df_dI": reads, "df_dp": 0,
             "dilatancy": reads + 3 * n_phi, "i_eq": n_phi,
         }
+
+    def test_derived_one_quadrature_per_read(self, monkeypatch):
+        # one per (phi, I) read, as df/dI takes f's; one anchor and three
+        # equilibrium-sign reads per phi
+        calls = []
+        integral = rheology.integral
+        monkeypatch.setattr(
+            rheology, "integral", lambda *args: calls.append(args[1:3]) or integral(*args))
+        grid = standard_grid()
+        report = sweep(DerivedNumeric(MAT, LAW, Z=MUI.yield_function), grid)
+        assert len(report.records) == 12 * 12 * 4 and not report.skipped
+        assert len(calls) == 12 * 12 + 12 + 3 * 12 == 192
 
     def test_df_dp_read_only_where_f_takes_p(self):
         # A catalogue f takes no p, so C3 takes df/dp = 0 unread; a pair

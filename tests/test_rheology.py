@@ -4,6 +4,7 @@ import copy
 import hashlib
 import math
 import pickle
+import re
 import sys
 import threading
 from types import SimpleNamespace
@@ -643,14 +644,30 @@ class TestDerivedNumericModel:
 
     @pytest.mark.parametrize("phi", np.linspace(0.40, 0.595, 5).tolist())
     def test_df_dI_matches_mui_down_to_small_I(self, phi):
-        """The central df/dI of f derived from mu(I)'s own Z matches MuI's
-        closed form to 1e-8 max(|df/dI|, |f|/I), the bound of the closed-form
-        slope checks, at every I from 1e-9 to 10."""
+        """Under each equilibrium law, the df/dI that C1 gives the f derived
+        from mu(I)'s own Z matches MuI's closed form to
+        1e-8 max(|df/dI|, |f|/I), the bound of the closed-form slope checks,
+        at every I from 1e-9 to 10, and raises MuI's error where MuI's f
+        raises (schaeffer below its range)."""
+        for law in ("linear", "schaeffer", "robinson", "breard"):
+            mui = MuI(MAT, EquilibriumLaw(law))
+            model = DerivedNumeric(MAT, mui.law, Z=mui.yield_function)
+            for I in np.geomspace(1e-9, 10.0, 21).tolist():
+                try:
+                    want = mui.df_dI(phi, 100.0, I)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        model.df_dI(phi, 100.0, I)
+                    continue
+                scale = max(abs(want), abs(mui.dilatancy(phi, 100.0, I)) / I)
+                assert abs(model.df_dI(phi, 100.0, I) - want) <= 1e-8 * scale, (law, I)
+
+    def test_df_dI_raises_the_error_of_f(self):
         model = DerivedNumeric(MAT, LAW, Z=MUI.yield_function)
-        for I in np.geomspace(1e-9, 10.0, 21).tolist():
-            want = MUI.df_dI(phi, 100.0, I)
-            scale = max(abs(want), abs(MUI.dilatancy(phi, 100.0, I)) / I)
-            assert abs(model.df_dI(phi, 100.0, I) - want) <= 1e-8 * scale, I
+        message = "^no equilibrium inertial number for phi=0.61 > phi_max=0.6$"
+        for fun in (model.dilatancy, model.df_dI):
+            with pytest.raises(ValueError, match=message):
+                fun(0.61, 100.0, 1.0)
 
     def test_singular_Z_uses_safe_anchor(self):
         model = DerivedNumeric(MAT, LAW, Z=lambda phi, I: I**-0.5)
@@ -709,7 +726,10 @@ class TestProtocolSurface:
     #: admitted through one protocol.  The six models with a central slope
     #: (derived, isochoric-derived, isochoric-duck, duck-f, duck-zf and
     #: lincomb-duck) were re-recorded when the central step became relative
-    #: to its point; only their rows and gain at I = 1e-12 moved.
+    #: to its point; only their rows and gain at I = 1e-12 moved.  derived
+    #: was re-recorded when its df/dI became the one C1 gives: its C1 and C3
+    #: values moved (C1 at I = 1e-12 from 22.6 to -2.4e-5 at phi = 0.4, C3 by
+    #: at most 1.5e-7 relative), and df/dI now raises f's own message.
     GOLDEN = {
         "power:0.5": "faa29974b2cdfa05288ce98635a22d40689f107a7ac74dd345aa878c7025ce27",
         "power:-0.5": "279308469912e8264bc4d8df11eee2bfebf5ae49fc927a4d6e206d267a5fa2b3",
@@ -718,7 +738,7 @@ class TestProtocolSurface:
         "lincomb-float": "9adeb14f20fab054de5881bbaa31dae1e624069dbb1a758e60e121b690f006ef",
         "lincomb-callable": "8a1a7e8a27ff972c8d988bb1247cd41b424a9aa70c98e843847e6c0269afc754",
         "lincomb-duck": "ed36cfa085c79b1fda12339b09bed8fa3e23aeda370833134210d2583eca4e5f",
-        "derived": "f53df533b7478649c9f0e43c11d9d061590e616d07e3dc5e1f1733a08d2dbd12",
+        "derived": "a5566f27b5bf2725d121d018e0543bd9815117cd76bdf714ebc7f062428e7c7c",
         "isochoric-mui": "eeb82b6ca607b41e15d2870065c5c12649524f756120e26d763aef1afc05f677",
         "isochoric-derived": "f577e7c9fbf941da4dc16b0bdc951c0d653d1109b9f218fafac9324d3c6cd75f",
         "isochoric-duck": "1f7847339be36868b8d22fd03cb394e0fab2a0080395c50828d160c54fc6d65a",

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 from bisect import bisect_right
 from dataclasses import replace
 
@@ -344,9 +345,13 @@ class TestRunSettings:
 
     def test_implicit_singular_matrix_raises(self):
         # 1-phi is lost beside dt p_atm kappa / dz^2, leaving the singular
-        # zero-flux Laplacian: the solve raises as solve_banded did
+        # zero-flux Laplacian: the solve raises as solve_banded did, and
+        # names how far dt is above the explicit bound
         state = uniform_column(200, 0.1, 0.6, 100.0)
-        with pytest.raises(np.linalg.LinAlgError, match="^singular matrix$"):
+        bound = column_cfl_dt(state, GAS, MAT)
+        message = (f"singular matrix: implicit step dt=1e+100 is {1e100 / bound:.3g} times "
+                   f"column_cfl_dt's bound {bound:g}, so 1-phi rounds off the diagonal")
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{re.escape(message)}$"):
             run_column(state, GAS, MAT, 1e100, 1, mode="implicit")
 
     def test_counts_take_numpy_integers(self):

@@ -23,6 +23,11 @@ I > 0, I_eq > 0 (phi < phi_max) and delta in (0, pi/2), so their C3 value
 df/dp - (I/(2p)) df/dI is negative at every point.  The C3 signs of mui and
 mui-psi are only sampled, by the condition sweeps.
 
+A derived f: for a generic Z (a sympy ``Function``), f = W(I) - G/I with
+W = (3/(2I)) int_{I1}^{I} Z dJ - Z/2 and any constant G, sympy proves
+df/dI = (Z - f)/I - (1/2) dZ/dI identically: the slope
+``DerivedNumeric.df_dI`` takes from f in place of a difference of f.
+
 The ideal gas: sympy proves that H = (p_atm + p_f)[ln(1 + p_f/p_atm) - 1]
 at p_f = Q(x) satisfies x H'(x) - H(x) = Q(x) + p_atm, the identity up to
 the constant that acceptance criterion 9 allows, and mpmath checks
@@ -264,6 +269,15 @@ def test_c3_holds_everywhere(name):
     slope = sp.simplify(sp.diff(f, I).subs(HALF_ANGLE))
     assert sp.diff(f, P) == 0 and slope.is_positive
     assert (sp.diff(f, P) - I / (2 * P) * slope).is_negative
+
+
+def test_derived_slope_identity():
+    """The slope of f = W - G/I that solves C1 is (Z - f)/I - Z'/2, for any
+    Z, anchor I1 and equilibrium term G = I_eq W(I_eq)."""
+    Z, I1, G = sp.Function("Z"), *sp.symbols("I1 G", positive=True)
+    f = sp.Rational(3, 2) / I * sp.Integral(Z(J), (J, I1, I)) - Z(I) / 2 - G / I
+    slope = (Z(I) - f) / I - sp.diff(Z(I), I) / 2
+    assert sp.simplify(sp.diff(f, I) - slope) == 0
 
 
 P_ATM, RHO_F0, X = sp.symbols("p_atm rho_f0 x", positive=True)
