@@ -24,15 +24,17 @@ its p values, and the equilibrium signs once per phi.  Either way each
 kept read covers a run of p values (all of them, or its own), and C3,
 which divides by p, is computed for every point at once as one array
 expression in the scalar formula's operation order.  Where the model
-raises, a sweep skips the point with the first error's message, so the
-first reads keep one order: C1 dZ/dI, df/dI, Z, f; C2 dZ/dI, Z; C3 df/dp
-where f takes p, then df/dI; the gap Z, f; the equilibrium signs last, once
-per (phi, p), or per phi where f takes no p.
+raises a domain or arithmetic error, a sweep skips the point with the first
+error's message, so the first reads keep one order: C1 dZ/dI, df/dI, Z, f;
+C2 dZ/dI, Z; C3 df/dp where f takes p, then df/dI; the gap Z, f; the
+equilibrium signs last, once per (phi, p), or per phi where f takes no p.
+``_attempt`` is the one door that turns such an error into a skip.
 
 A report row is a :class:`PointRecord`, a plain named tuple of Python
-floats and a bool.  The summaries are array reductions over one table with
-a row per point (a failing flag reads 0.0): a pass mask, a count and the
-first argmax of the severity, NaN worst of all.
+floats and a bool.  The summaries are array reductions over the kept
+reads' columns, each broadcast over the p values its read covers (a
+failing flag reads 0.0): a pass mask, a count and the first argmax of the
+severity, NaN worst of all.
 """
 
 from __future__ import annotations
@@ -286,26 +288,24 @@ def _skip_reason(exc: Exception) -> str:
     return str(exc) if isinstance(exc, ValueError) else f"{type(exc).__name__}: {exc}"
 
 
-def _shared_reads(model, phi: float, p: float, I: float) -> tuple[float, ...] | str:
+def _attempt(read, *args):
+    """``read(*args)``, or the skip reason of the domain or arithmetic error
+    it raises: the one place a model error becomes a skipped point."""
+    try:
+        return read(*args)
+    except (ValueError, ArithmeticError) as exc:
+        return _skip_reason(exc)
+
+
+def _shared_reads(model, phi: float, p: float, I: float) -> tuple[float, ...]:
     """C1, C2, df/dp, df/dI and the gap at one point, read in the module
-    docstring's order, or the first error's message.  Where f takes no p,
-    df/dp is 0 unread: f, read just before, raises wherever it would."""
-    try:
-        dz, df = model.dZ_dI(phi, I), model.df_dI(phi, p, I)
-        z, fv = model.yield_function(phi, I), model.dilatancy(phi, p, I)
-        c1, c2 = _c1(I, dz, df, z, fv), _c2(I, dz, z)
-        dfp = model.df_dp(phi, p, I) if model._f_takes_p else 0.0
-        return c1, c2, dfp, df, _gap(z, fv)
-    except (ValueError, ArithmeticError) as exc:
-        return _skip_reason(exc)
-
-
-def _signs(model, phi: float, p: float) -> bool | str:
-    """The equilibrium-sign flag at (phi, p), or its error's message."""
-    try:
-        return check_equilibrium_signs(model, phi, p)
-    except (ValueError, ArithmeticError) as exc:
-        return _skip_reason(exc)
+    docstring's order.  Where f takes no p, df/dp is 0 unread: f, read just
+    before, raises wherever it would."""
+    dz, df = model.dZ_dI(phi, I), model.df_dI(phi, p, I)
+    z, fv = model.yield_function(phi, I), model.dilatancy(phi, p, I)
+    c1, c2 = _c1(I, dz, df, z, fv), _c2(I, dz, z)
+    dfp = model.df_dp(phi, p, I) if model._f_takes_p else 0.0
+    return c1, c2, dfp, df, _gap(z, fv)
 
 
 def _columns(kept: list[tuple], width: int, p_values: list[float]) -> dict[str, np.ndarray]:
@@ -340,10 +340,10 @@ def sweep(model, grid: GridSpec) -> ConditionReport:
         eq_signs: dict[int, bool | str] = {}
         for I in I_values:
             for j in range(0, len(p_values), width):
-                point = _shared_reads(model, phi, p_values[j], I)
+                point = _attempt(_shared_reads, model, phi, p_values[j], I)
                 if not isinstance(point, str):
                     if j not in eq_signs:
-                        eq_signs[j] = _signs(model, phi, p_values[j])
+                        eq_signs[j] = _attempt(check_equilibrium_signs, model, phi, p_values[j])
                     if not isinstance(signs := eq_signs[j], str):
                         kept.append((phi, I, j, *point, signs))
                         continue

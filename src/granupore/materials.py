@@ -311,6 +311,14 @@ def _bisect_i_eq(law: EquilibriumLaw, mat: MaterialParams, phi: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def _check_shear(shear: float) -> None:
+    """Reject a shear rate that is negative, NaN or infinite."""
+    if not shear >= 0:
+        raise ValueError(f"shear must be non-negative, got {shear}")
+    if math.isinf(shear):
+        raise ValueError(f"shear must be finite, got {shear}")
+
+
 def div_u_from_angle(shear: float, psi: float, mode: str = "planar2D") -> float:
     """Velocity divergence produced by a geometric dilatancy angle.
 
@@ -322,9 +330,11 @@ def div_u_from_angle(shear: float, psi: float, mode: str = "planar2D") -> float:
         ``small_angle``: div u = 2 |S| psi.
 
     Raises:
-        ValueError: If |psi| >= pi/2 or the mode is unknown.
+        ValueError: If the shear is negative, NaN or infinite, psi is NaN or
+            |psi| >= pi/2, or the mode is unknown.
     """
-    if abs(psi) >= math.pi / 2:
+    _check_shear(shear)
+    if not abs(psi) < math.pi / 2:
         raise ValueError(f"dilatancy angle must satisfy |psi| < pi/2, got {psi}")
     if mode == "planar2D":
         return 2.0 * shear * math.sin(psi)
@@ -341,16 +351,15 @@ def angle_from_div_u(shear: float, divu: float, mode: str = "planar2D") -> float
     :func:`div_u_from_angle` in the matching mode.
 
     Raises:
-        ValueError: If shear = 0 with divu != 0, the arcsine argument
-            falls outside [-1, 1], a small angle reaches |psi| >= pi/2, or
-            the mode is unknown.
+        ValueError: If the shear is negative, NaN or infinite, shear = 0
+            with divu != 0, the arcsine argument falls outside [-1, 1], a
+            small angle reaches |psi| >= pi/2, or the mode is unknown.
     """
+    _check_shear(shear)
     if shear == 0.0:
         if divu != 0.0:
             raise ValueError("cannot infer an angle from divu != 0 at zero shear")
         return 0.0
-    if shear < 0:
-        raise ValueError(f"shear must be non-negative, got {shear}")
     if mode == "small_angle":
         psi = divu / (2.0 * shear)
         if not abs(psi) < math.pi / 2:

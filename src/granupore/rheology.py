@@ -31,9 +31,10 @@ every closed form: f = W(phi, I) - I_eq W(phi, I_eq) / I with
 W = (3/(2I)) int_{I1}^{I} Z dJ - Z/2, invariant under the anchor I1.
 
 Every model above except ``DerivedNumeric`` has its slopes dZ/dI, df/dI and
-df/dp in closed form; ``DerivedNumeric`` takes the base's central differences
-and df/dp = 0.  No f here takes p, which the protocol states once
-(``_f_takes_p``), so a condition sweep reads each (phi, I) once.  The first
+df/dp in closed form; ``DerivedNumeric`` takes the central difference of its
+Z for dZ/dI, df/dI = (Z - f)/I - dZ/dI / 2 from consistency, and df/dp = 0.
+No f here takes p, which the protocol states once (``_f_takes_p``), so a
+condition sweep reads each (phi, I) once.  The first
 four write f and df/dI once each, as ``_f`` and ``_f_dI`` of I_eq and their
 factors in I alone, behind one check, so df/dI raises where f raises; a box
 on one forcing segment computes those factors once (``_dilatancy_at``).
@@ -174,7 +175,7 @@ def _dp_angle_factors(delta: float) -> tuple[float, float]:
     """K = sin(delta)/(1 - cos(delta)) and beta of :func:`dilatancy_angle_dp`."""
     c = math.cos(delta)
     if 1.0 - c == 0.0:
-        raise ValueError("delta = 0 makes the dilatancy angle singular")
+        raise ValueError(f"delta = {delta} makes the dilatancy angle singular")
     return math.sin(delta) / (1.0 - c), beta_exponent(delta)
 
 

@@ -84,6 +84,11 @@ class TestKVFile:
         with pytest.raises(ConfigError):
             parse_angle("30 degrees")
 
+    def test_parse_angle_bad_number(self):
+        with pytest.raises(ConfigError) as exc:
+            parse_angle("abc deg", "m.cfg:3")
+        assert str(exc.value) == "m.cfg:3: cannot parse angle from 'abc deg' (use e.g. '30 deg')"
+
 
 class TestSymbolConfig:
     def test_parse(self, tmp_path):
@@ -201,6 +206,14 @@ class TestCliTable1:
         assert f_closed[2.0] == 0.0
         diffs = [float(r[header.index("abs_diff")]) for r in body]
         assert max(diffs) < 1e-8
+
+    def test_mismatch_exits_2(self, monkeypatch, capsys):
+        from granupore import cli
+
+        derive = cli.derive_f_numeric
+        monkeypatch.setattr(cli, "derive_f_numeric", lambda *args: derive(*args) + 1e-3)
+        assert main(["table1"]) == 2
+        assert capsys.readouterr().err == "closed-form vs derived mismatch 1.000e-03\n"
 
 
 class TestCliCheckClassify:

@@ -7,6 +7,7 @@ already imported scipy itself.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -108,4 +109,12 @@ def test_scipy_subcommands_still_run(name, tmp_path):
 @pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(demo, tmp_path):
     proc = _python([str(demo)], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_python_runs(tmp_path):
+    """The README's Python blocks, run in order as one script, keep up with the API."""
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    assert len(blocks) == 2
+    proc = _python(["-c", "".join(blocks)], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr

@@ -150,6 +150,15 @@ class TestStateLaw:
         assert law.Q(1.25) == pytest.approx(GAS.p_atm * 0.25, rel=1e-9)
         assert law.Q_prime(1.25) == pytest.approx(GAS.p_atm, rel=1e-6)
 
+    def test_csv_law_skips_blank_rows(self, tmp_path):
+        rows = ["0.5,1", "1.0,2", "1.5,4", "2.0,8"]
+        plain, gapped = tmp_path / "plain.csv", tmp_path / "gapped.csv"
+        plain.write_text("rho,Q\n" + "\n".join(rows) + "\n")
+        gapped.write_text("rho,Q\n" + "\n".join(rows[:2] + ["", " ,", *rows[2:]]) + "\n")
+        law, gapped_law = state_law_from_csv(plain), state_law_from_csv(gapped)
+        assert (gapped_law.rho_min, gapped_law.rho_max) == (0.5, 2.0)
+        assert gapped_law.Q(1.25) == law.Q(1.25)
+
     def test_custom_outside_table_named(self):
         law = CustomStateLaw(Q=lambda rho: 3.0 * (rho - 1.0), rho_min=1.0, rho_max=5.0)
         with pytest.raises(ValueError, match=r"^rho_f=6\.0 outside the tabulated range \[1\.0, 5\.0\]$"):

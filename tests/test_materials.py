@@ -13,6 +13,7 @@ from granupore.materials import (
     GasParams,
     MaterialParams,
     _bisect_i_eq,
+    air,
     angle_from_div_u,
     div_u_from_angle,
     glass_beads,
@@ -35,6 +36,10 @@ class TestParams:
         assert MAT.I0 == 0.3
         assert MAT.phi_max == 0.6
         assert MAT.delta_phi == 0.2
+
+    def test_air_defaults_and_overrides(self):
+        assert air() == GasParams()
+        assert air(p_atm=9e4) == GasParams(p_atm=9e4)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -331,3 +336,34 @@ class TestDilatancyAngleGeometry:
             angle_from_div_u(1.0, 3.0, "planar2D")
         with pytest.raises(ValueError, match="outside"):
             angle_from_div_u(1.0, math.pi, "small_angle")
+
+    @pytest.mark.parametrize(
+        "shear, message",
+        [
+            (-1.0, "shear must be non-negative, got -1.0"),
+            (math.nan, "shear must be non-negative, got nan"),
+            (math.inf, "shear must be finite, got inf"),
+        ],
+        ids=["negative", "nan", "infinite"],
+    )
+    def test_bad_shear_rejected(self, shear, message):
+        with pytest.raises(ValueError) as exc:
+            div_u_from_angle(shear, 0.3)
+        assert str(exc.value) == message
+        with pytest.raises(ValueError) as exc:
+            angle_from_div_u(shear, 0.0)
+        assert str(exc.value) == message
+
+    def test_nan_angle_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            div_u_from_angle(1.0, math.nan)
+        assert str(exc.value) == "dilatancy angle must satisfy |psi| < pi/2, got nan"
+
+    def test_exact3d_divergence_too_large(self):
+        with pytest.raises(ValueError, match="^divergence too large for the 3D angle relation$"):
+            angle_from_div_u(1.0, 4.0, "exact3D")
+
+    @pytest.mark.parametrize("convert", [div_u_from_angle, angle_from_div_u])
+    def test_unknown_mode(self, convert):
+        with pytest.raises(ValueError, match="^unknown mode 'planar'$"):
+            convert(1.0, 0.1, "planar")

@@ -41,6 +41,12 @@ def test_end_singularity_out_of_reach_raises(a):
         integral(lambda J: J**a, 0.0, 1.0, "Z")
 
 
+def test_panel_budget_spent_raises():
+    # a 1/|J - c| pole inside positive ends never meets the tolerance
+    with pytest.raises(RuntimeError, match=r"^quadrature of Z did not converge on \[0\.01, 1\.0\]"):
+        integral(lambda J: 1.0 / abs(J - 0.3), 0.01, 1.0, "Z")
+
+
 def test_end_zero_wants_a_smooth_integrand():
     with pytest.raises(RuntimeError, match=r"did not converge on \[0\.0, 1\.0\]"):
         integral(lambda J: 1.0 if J < 0.3 else 2.0, 0.0, 1.0, "Z")

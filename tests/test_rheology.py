@@ -186,6 +186,19 @@ class TestDilatancyAngles:
         with pytest.raises(ValueError):
             beta_exponent(0.0)
 
+    def test_mui_angle_primitive_needs_positive_I(self):
+        with pytest.raises(ValueError, match=r"^G\(I\) requires I > 0, got 0\.0$"):
+            mui_angle_primitive(MAT.mu1, MAT.mu2, MAT.I0, 0.0)
+
+    def test_dp_angle_rejects_negative_i_eq(self):
+        with pytest.raises(ValueError, match=r"^equilibrium inertial number must be >= 0, got -0\.1$"):
+            dilatancy_angle_dp(MAT.delta, -0.1, 1.0)
+
+    def test_dp_angle_names_a_singular_delta(self):
+        # 1 - cos(1e-9) rounds to 0, so K = sin/(1 - cos) has no value
+        with pytest.raises(ValueError, match=r"^delta = 1e-09 makes the dilatancy angle singular$"):
+            dilatancy_angle_dp(1e-9, 0.5, 1.0)
+
 
 class TestYieldFunctions:
     def test_dp_constant(self):

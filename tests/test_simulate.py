@@ -1168,6 +1168,13 @@ class TestColumn:
         ledger = EnergyLedger(np.arange(5.0), energy, np.zeros(5))
         assert ledger.non_increasing is expected
 
+    def test_max_residual(self):
+        # |dE1/dt + D| per step: |-3/1 + 2| = 1 and |-5/2 + 2| = 0.5
+        ledger = EnergyLedger(np.array([0.0, 1.0, 3.0]), np.array([10.0, 7.0, 2.0]),
+                              np.array([2.0, 2.0, 0.0]))
+        assert ledger.max_residual == 1.0
+        assert EnergyLedger(np.zeros(1), np.ones(1), np.zeros(1)).max_residual == 0.0
+
     def test_ledger_rejects_mixed_phi_profiles(self):
         state = self._cosine_column(10)
         later = step_column(self._cosine_column(10, phi=0.5), GAS, MAT, 1e-9)
