@@ -22,7 +22,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import types
 from dataclasses import dataclass
+from typing import Callable
 
 __all__ = [
     "MaterialParams",
@@ -170,6 +172,10 @@ class FlowState:
         phi: Solid volume fraction.
         p: Solid (granular) pressure (Pa).
         shear: Second-invariant norm |S| of the deviatoric strain rate (1/s).
+
+    Raises:
+        ValueError: If phi lies outside [0, 1], or p or the shear is
+            negative, NaN or infinite.
     """
 
     phi: float
@@ -181,8 +187,8 @@ class FlowState:
             raise ValueError(f"phi must lie in [0, 1], got {self.phi}")
         if not self.p >= 0:
             raise ValueError(f"p must be non-negative, got {self.p}")
-        if not self.shear >= 0:
-            raise ValueError(f"shear must be non-negative, got {self.shear}")
+        _reject_infinite(self, ("p",))
+        _check_shear(self.shear)
 
 
 def glass_beads(**overrides) -> MaterialParams:
@@ -209,22 +215,29 @@ def inertial_number(mat: MaterialParams, shear: float, p: float) -> float:
 
     Raises:
         ValueError: If p <= 0 (I is singular at vanishing pressure; callers
-            that need a regularisation must apply their own pressure floor)
-            or shear < 0, or either is NaN.
+            that need a regularisation must apply their own pressure floor),
+            p is infinite, or the shear is negative or infinite, or either
+            is NaN; p is checked first.
     """
     if not p > 0:
         raise ValueError(f"inertial number undefined for p <= 0, got p={p}")
-    if not shear >= 0:
-        raise ValueError(f"shear must be non-negative, got {shear}")
+    if p == math.inf:
+        raise ValueError(f"p must be finite, got {p}")
+    _check_shear(shear)
     return mat.d * shear / math.sqrt(p / mat.rho_s)
 
 
 def viscous_number(gas: GasParams, shear: float, p: float) -> float:
-    """Viscous number J = eta_f * shear / p for low-Stokes suspensions."""
+    """Viscous number J = eta_f * shear / p for low-Stokes suspensions.
+
+    Raises:
+        ValueError: As :func:`inertial_number`.
+    """
     if not p > 0:
         raise ValueError(f"viscous number undefined for p <= 0, got p={p}")
-    if not shear >= 0:
-        raise ValueError(f"shear must be non-negative, got {shear}")
+    if p == math.inf:
+        raise ValueError(f"p must be finite, got {p}")
+    _check_shear(shear)
     return gas.eta_f * shear / p
 
 
@@ -272,25 +285,56 @@ def i_eq(law: EquilibriumLaw, mat: MaterialParams, phi: float) -> float:
     is slower than Newton but cannot diverge on these monotone laws.  Its
     results are memoised per ``(law, mat, phi)``, so a sweep that holds phi
     fixed bisects once per phi; errors are raised before the memo and are
-    never cached.
+    never cached.  :func:`_i_eq_at` binds the same inverse to one law and
+    material.
 
     Raises:
         ValueError: If phi > phi_max (no non-negative equilibrium I exists)
             or is NaN, or phi lies below the law's range.
     """
-    if not phi <= mat.phi_max:
-        raise ValueError(
-            f"no equilibrium inertial number for phi={phi} > phi_max={mat.phi_max}"
-        )
     if law.variant == "linear":
-        return (mat.phi_max - phi) / mat.delta_phi
+        return _linear_i_eq(phi, mat.phi_max, mat.delta_phi)
+    return _bisected_i_eq(phi, law, mat)
 
+
+def _i_eq_at(law: EquilibriumLaw, mat: MaterialParams) -> Callable[[float], float]:
+    """phi -> i_eq(law, mat, phi), with the variant read and the law and
+    material bound once, so that each phi costs one Python call under the
+    linear law (off it, the range check and the bisection's memo add theirs)."""
+    if law.variant == "linear":
+        return _bound(_linear_i_eq, mat.phi_max, mat.delta_phi)
+    return _bound(_bisected_i_eq, law, mat)
+
+
+def _bound(fn: Callable, *values) -> Callable[[float], float]:
+    """``fn`` with every parameter after its first fixed to ``values``.
+
+    The copy shares ``fn``'s code and takes ``values`` as its defaults, so
+    that a call from Python code is one frame, which the interpreter runs
+    inline; a ``functools.partial`` is entered through C, which it cannot.
+    """
+    return types.FunctionType(fn.__code__, fn.__globals__, fn.__name__, values, fn.__closure__)
+
+
+def _linear_i_eq(phi: float, phi_max: float, delta_phi: float) -> float:
+    if not phi <= phi_max:
+        raise _above_phi_max(phi, phi_max)
+    return (phi_max - phi) / delta_phi
+
+
+def _bisected_i_eq(phi: float, law: EquilibriumLaw, mat: MaterialParams) -> float:
+    if not phi <= mat.phi_max:
+        raise _above_phi_max(phi, mat.phi_max)
     # phi_eq(0) = phi_max >= phi, so only the upper end can miss the root.
     if phi_eq(law, mat, I_CAP) - phi > 0.0:
         raise ValueError(
             f"phi={phi} below the range of the {law.variant} law on [0, {I_CAP}]"
         )
     return _bisect_i_eq(law, mat, float(phi))  # float keys a 0-d array too
+
+
+def _above_phi_max(phi: float, phi_max: float) -> ValueError:
+    return ValueError(f"no equilibrium inertial number for phi={phi} > phi_max={phi_max}")
 
 
 @functools.lru_cache

@@ -36,8 +36,10 @@ Z for dZ/dI, df/dI = (Z - f)/I - dZ/dI / 2 from consistency, and df/dp = 0.
 No f here takes p, which the protocol states once (``_f_takes_p``), so a
 condition sweep reads each (phi, I) once.  The first
 four write f and df/dI once each, as ``_f`` and ``_f_dI`` of I_eq and their
-factors in I alone, behind one check, so df/dI raises where f raises; a box
-on one forcing segment computes those factors once (``_dilatancy_at``).
+factors in I alone, behind one check, so df/dI raises where f raises.  On one
+forcing segment a box binds ``_f`` to those factors, I and the law's inverse
+with its constants (``_dilatancy_at``), so each RK4 stage costs two Python
+calls, f and the inverse, and a third for mu(I)'s F or G.
 Models enter the checks and the box by :func:`_admit`.
 """
 
@@ -52,6 +54,8 @@ from .materials import (
     EquilibriumLaw,
     FlowState,
     MaterialParams,
+    _bound,
+    _i_eq_at,
     i_eq as law_i_eq,
     inertial_number,
     phi_eq as law_phi_eq,
@@ -168,7 +172,13 @@ def dilatancy_angle_dp(delta: float, i_eq_value: float, I: float) -> float:
         raise ValueError(f"dilatancy angle requires I > 0, got {I}")
     if i_eq_value < 0:
         raise ValueError(f"equilibrium inertial number must be >= 0, got {i_eq_value}")
-    return _dp_angle(_dp_angle_factors(delta), i_eq_value, I)
+    return _dp_angle(i_eq_value, _dp_angle_factors(delta), _itself, I)
+
+
+def _itself(i_eq_value: float) -> float:
+    """The I_eq map under which a factored model's ``_f`` of phi takes I_eq
+    itself, as the angle functions do."""
+    return i_eq_value
 
 
 def _dp_angle_factors(delta: float) -> tuple[float, float]:
@@ -179,10 +189,11 @@ def _dp_angle_factors(delta: float) -> tuple[float, float]:
     return math.sin(delta) / (1.0 - c), beta_exponent(delta)
 
 
-def _dp_angle(factors: tuple[float, float], i_eq_value: float, I: float) -> float:
-    """psi = K (1 - (I_eq/I)^beta) from ``factors`` = (K, beta)."""
+def _dp_angle(phi: float, factors: tuple[float, float], i_eq: Callable[[float], float],
+              I: float) -> float:
+    """psi = K (1 - (I_eq/I)^beta) at I_eq = i_eq(phi), from ``factors`` = (K, beta)."""
     K, b = factors
-    return K * (1.0 - (i_eq_value / I) ** b)
+    return K * (1.0 - (i_eq(phi) / I) ** b)
 
 
 def dilatancy_angle_mui(
@@ -197,16 +208,18 @@ def dilatancy_angle_mui(
     if i_eq_value <= 0:  # before G(I), which raises at I <= 0
         raise _needs_positive_i_eq(i_eq_value)
     consts = (mu1, mu2, I0)
-    return _mui_angle((consts, mui_angle_primitive(*consts, I)), i_eq_value, I)
+    return _mui_angle(i_eq_value, (consts, mui_angle_primitive(*consts, I)), _itself, I)
 
 
-def _mui_angle(factors: tuple[tuple[float, float, float], float], i_eq_value: float,
-               I: float) -> float:
-    """psi = G(I) - G(I_eq) from ``factors`` = ((mu1, mu2, I0), G(I))."""
-    consts, g = factors
-    if i_eq_value <= 0:
-        raise _needs_positive_i_eq(i_eq_value)
-    return g - mui_angle_primitive(*consts, i_eq_value)
+def _mui_angle(phi: float, factors: tuple[tuple[float, float, float], float],
+               i_eq: Callable[[float], float], I: float) -> float:
+    """psi = G(I) - G(I_eq) at I_eq = i_eq(phi), from ``factors`` =
+    ((mu1, mu2, I0), G(I))."""
+    (mu1, mu2, I0), g = factors
+    ieq = i_eq(phi)
+    if ieq <= 0:
+        raise _needs_positive_i_eq(ieq)
+    return g - mui_angle_primitive(mu1, mu2, I0, ieq)
 
 
 # ----------------------------------------------------------------------
@@ -348,15 +361,19 @@ class _ModelBase:
 
 @dataclass(frozen=True)
 class _Factored(_ModelBase):
-    """A model whose f(phi, p, I) is ``_f(_factors(I), i_eq(phi), I)`` and
-    df/dI ``_f_dI`` of the same reads, made after the same check, so df/dI
-    raises where f raises.  On one forcing segment of the box the factors
-    (of I and the material alone) are computed once, not at every stage."""
+    """A model whose f(phi, p, I) is ``_f(phi, _factors(I), i_eq, I)``, with
+    ``i_eq`` the model's inverse of its law, and whose df/dI is
+    ``_f_dI(_factors(I), i_eq(phi), I)``, made after the same check, so df/dI
+    raises where f raises.  On one forcing segment of the box,
+    ``_dilatancy_at`` binds ``_f`` to the segment's factors (of I and the
+    material alone), I and the law's inverse bound to the material
+    (:func:`_i_eq_at`): a stage then costs two Python calls, ``_f`` and the
+    inverse, and a third for mu(I)'s F or G."""
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         if I <= 0:
             raise _needs_positive_I("dilatancy", I)
-        return self._f(self._factors(I), self.i_eq(phi), I)
+        return self._f(phi, self._factors(I), self.i_eq, I)
 
     def df_dI(self, phi: float, p: float, I: float) -> float:
         if I <= 0:
@@ -366,8 +383,7 @@ class _Factored(_ModelBase):
     def _dilatancy_at(self, p: float, I: float) -> Callable[[float], float]:
         if not I > 0:  # dilatancy raises here, in its own order, or gives NaN
             return super()._dilatancy_at(p, I)
-        factors, i_eq, f = self._factors(I), self.i_eq, self._f
-        return lambda phi: f(factors, i_eq(phi), I)
+        return _bound(self._f, self._factors(I), _i_eq_at(self.law, self.mat), I)
 
 
 @dataclass(frozen=True)
@@ -382,8 +398,8 @@ class DruckerPrager(_Factored):
         return math.sin(self.mat.delta)
 
     @staticmethod
-    def _f(sin_delta: float, ieq: float, I: float) -> float:
-        return sin_delta * (1.0 - ieq / I)
+    def _f(phi: float, sin_delta: float, i_eq: Callable[[float], float], I: float) -> float:
+        return sin_delta * (1.0 - i_eq(phi) / I)
 
     @staticmethod
     def _f_dI(sin_delta: float, ieq: float, I: float) -> float:
@@ -402,25 +418,27 @@ class MuI(_Factored):
         return friction_mu(*self._consts(), I)
 
     def _factors(self, I: float) -> tuple[tuple[float, float, float], float]:
-        consts = self._consts()
-        return consts, mui_shear_factor(*consts, I)
+        mu1, mu2, I0 = consts = self._consts()
+        return consts, mui_shear_factor(mu1, mu2, I0, I)
 
     @staticmethod
-    def _f(factors: tuple[tuple[float, float, float], float], ieq: float, I: float) -> float:
-        consts, f = factors
+    def _f(phi: float, factors: tuple[tuple[float, float, float], float],
+           i_eq: Callable[[float], float], I: float) -> float:
+        (mu1, mu2, I0), f = factors
+        ieq = i_eq(phi)
         if ieq > 0.0:
-            f -= ieq / I * mui_shear_factor(*consts, ieq)
+            f -= ieq / I * mui_shear_factor(mu1, mu2, I0, ieq)
         return f
 
     @staticmethod
     def _f_dI(factors: tuple[tuple[float, float, float], float], ieq: float,
               I: float) -> float:
         """df/dI = F'(I) + (I_eq/I^2) F(I_eq), with F'(I) = (mu - F)/I - mu'/2."""
-        consts, f = factors
-        slope = (friction_mu(*consts, I) - f) / I
-        slope -= 0.5 * friction_mu_prime(*consts, I)
+        (mu1, mu2, I0), f = factors
+        slope = (friction_mu(mu1, mu2, I0, I) - f) / I
+        slope -= 0.5 * friction_mu_prime(mu1, mu2, I0, I)
         if ieq > 0.0:
-            slope += ieq / I**2 * mui_shear_factor(*consts, ieq)
+            slope += ieq / I**2 * mui_shear_factor(mu1, mu2, I0, ieq)
         return slope
 
     def dZ_dI(self, phi: float, I: float) -> float:
@@ -493,7 +511,7 @@ class DruckerPragerDilatant(_Factored):
     def _f_dI(factors: tuple[float, float], ieq: float, I: float) -> float:
         """dpsi/dI = K beta (I_eq/I)^beta / I = beta (K - psi) / I."""
         K, b = factors
-        return b * (K - _dp_angle(factors, ieq, I)) / I
+        return b * (K - _dp_angle(ieq, factors, _itself, I)) / I
 
     def yield_function(self, phi: float, I: float) -> float:
         return math.sin(self.mat.delta) + math.cos(self.mat.delta) * self.dilatancy(phi, 0.0, I)
@@ -515,17 +533,18 @@ class MuIDilatant(_Factored):
     _f = staticmethod(_mui_angle)
 
     def _factors(self, I: float) -> tuple[tuple[float, float, float], float]:
-        consts = self._consts()
-        return consts, mui_angle_primitive(*consts, I)
+        mu1, mu2, I0 = consts = self._consts()
+        return consts, mui_angle_primitive(mu1, mu2, I0, I)
 
     @staticmethod
     def _f_dI(factors: tuple[tuple[float, float, float], float], ieq: float,
               I: float) -> float:
         """dpsi/dI = G'(I) = 2 mu(I)/(3I) - mu'(I)/3; raises where psi raises."""
-        consts, _ = factors
+        (mu1, mu2, I0), _ = factors
         if ieq <= 0:
             raise _needs_positive_i_eq(ieq)
-        return 2.0 * friction_mu(*consts, I) / (3.0 * I) - friction_mu_prime(*consts, I) / 3.0
+        return (2.0 * friction_mu(mu1, mu2, I0, I) / (3.0 * I)
+                - friction_mu_prime(mu1, mu2, I0, I) / 3.0)
 
     def yield_function(self, phi: float, I: float) -> float:
         return friction_mu(*self._consts(), I) + self.dilatancy(phi, 0.0, I)

@@ -12,8 +12,10 @@ without a momentum solver:
   takes each block of steps between recorded rows, its stages calling the
   segment's f directly.  It reads a forcing that declares its jumps once per
   segment, and one that does not once per distinct stage time, and builds
-  |S|, I and f's factors in I once per forcing segment, which a recorded row
-  reuses.  Only a step that leaves the span read last reads the forcing, at
+  |S|, I and the model's phi -> f once per forcing segment, which a recorded
+  row reuses.  That f has its factors in I and its law's inverse bound, so a
+  stage costs the catalogue models two Python calls (three for mu(I)'s F or
+  G).  Only a step that leaves the span read last reads the forcing, at
   each of its stages.
 
 * a 1D *column* of solid at rest, where the pore pressure obeys

@@ -94,6 +94,24 @@ class TestParams:
         with pytest.raises(ValueError, match=f"^{name} must be non-negative, got nan$"):
             FlowState(**kwargs)
 
+    @pytest.mark.parametrize("name", ["p", "shear"])
+    def test_flow_state_rejects_infinite(self, name):
+        kwargs = {"phi": 0.5, "p": 10.0, "shear": 1.0, name: math.inf}
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got inf$"):
+            FlowState(**kwargs)
+
+    def test_flow_state_checks_in_order(self):
+        """phi, then p, then the shear: each error names the first bad field."""
+        for kwargs, message in (
+            ({"phi": 1.2, "p": math.inf, "shear": math.inf}, "phi must lie in [0, 1], got 1.2"),
+            ({"phi": 0.5, "p": -math.inf, "shear": math.inf}, "p must be non-negative, got -inf"),
+            ({"phi": 0.5, "p": math.inf, "shear": -1.0}, "p must be finite, got inf"),
+            ({"phi": 0.5, "p": 10.0, "shear": -math.inf}, "shear must be non-negative, got -inf"),
+        ):
+            with pytest.raises(ValueError) as exc:
+                FlowState(**kwargs)
+            assert str(exc.value) == message
+
     def test_flow_state_invariants(self):
         with pytest.raises(ValueError):
             FlowState(phi=1.2, p=10.0, shear=1.0)
@@ -128,6 +146,22 @@ class TestInertialNumber:
         with pytest.raises(ValueError, match="shear must be non-negative, got nan"):
             inertial_number(MAT, math.nan, 100.0)
 
+    def test_infinite_rejected(self):
+        with pytest.raises(ValueError, match="^shear must be finite, got inf$"):
+            inertial_number(MAT, math.inf, 1.0)
+        with pytest.raises(ValueError, match="^p must be finite, got inf$"):
+            inertial_number(MAT, 1.0, math.inf)
+
+    @pytest.mark.parametrize("shear, p, message", [
+        (math.inf, 0.0, "inertial number undefined for p <= 0, got p=0.0"),
+        (-1.0, math.inf, "p must be finite, got inf"),
+        (math.inf, -math.inf, "inertial number undefined for p <= 0, got p=-inf"),
+    ])
+    def test_pressure_checked_first(self, shear, p, message):
+        with pytest.raises(ValueError) as exc:
+            inertial_number(MAT, shear, p)
+        assert str(exc.value) == message
+
     @given(s=st.floats(min_value=1e-3, max_value=1e3))
     @settings(max_examples=30)
     def test_homogeneity(self, s):
@@ -155,6 +189,14 @@ class TestViscousNumber:
             viscous_number(GasParams(), 1.0, math.nan)
         with pytest.raises(ValueError, match="shear must be non-negative, got nan"):
             viscous_number(GasParams(), math.nan, 100.0)
+
+    def test_infinite_rejected(self):
+        with pytest.raises(ValueError, match="^shear must be finite, got inf$"):
+            viscous_number(GasParams(), math.inf, 1.0)
+        with pytest.raises(ValueError, match="^p must be finite, got inf$"):
+            viscous_number(GasParams(), 1.0, math.inf)
+        with pytest.raises(ValueError, match="^viscous number undefined for p <= 0, got p=0.0$"):
+            viscous_number(GasParams(), math.inf, 0.0)
 
 
 class TestEquilibriumLaws:

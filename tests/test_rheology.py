@@ -11,6 +11,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from granupore.conditions import (
     check_c2,
@@ -19,7 +21,14 @@ from granupore.conditions import (
     residual_c1,
     standard_grid,
 )
-from granupore.materials import EquilibriumLaw, FlowState, glass_beads, i_eq, phi_eq_prime
+from granupore.materials import (
+    EquilibriumLaw,
+    FlowState,
+    MaterialParams,
+    glass_beads,
+    i_eq,
+    phi_eq_prime,
+)
 from granupore.rheology import (
     DERIVED_MEMO_SIZE,
     MODEL_IDS,
@@ -321,8 +330,11 @@ class TestDilatancyFunctions:
 
 
 class TestFactoredModels:
-    """dp, mui, dp-psi and mui-psi, whose f is ``_f(_factors(I), i_eq(phi), I)``
-    and whose df/dI is ``_f_dI`` of the same three."""
+    """dp, mui, dp-psi and mui-psi, whose f is ``_f(phi, _factors(I), i_eq, I)``
+    and whose df/dI is ``_f_dI(_factors(I), i_eq(phi), I)``.  A box forcing
+    segment binds ``_f`` to its factors, I and the law's inverse bound to the
+    material, so a stage costs two Python calls, and three for mu(I)'s F or
+    G."""
 
     PHIS = (0.3, 0.4, 0.5, 0.5999, MAT.phi_max, 0.61, math.nan)
     IS = (1e-300, 1e-12, 0.01, 0.3, 10.0, 1e3, math.inf, math.nan)
@@ -384,6 +396,58 @@ class TestFactoredModels:
         if name.endswith("-psi"):
             assert _outcome(model.yield_function, phi, I) == message
             assert _outcome(model.dZ_dI, phi, I) == message
+
+
+@st.composite
+def _materials(draw) -> MaterialParams:
+    mu1 = draw(st.floats(0.1, 0.6))
+    return MaterialParams(
+        phi_max=draw(st.floats(0.45, 0.64)), delta_phi=draw(st.floats(0.05, 0.5)),
+        delta=draw(st.floats(0.05, 1.4)), mu1=mu1, mu2=mu1 + draw(st.floats(0.05, 0.6)),
+        I0=draw(st.floats(0.05, 2.0)),
+    )
+
+
+def _any_model(name: str, mat: MaterialParams, law: EquilibriumLaw):
+    if name == "lincomb":
+        return LinearCombination(mat, law, terms=((lambda phi: phi, DruckerPrager(mat, law)),
+                                                  (0.5, MuIDilatant(mat, law))))
+    if name == "isochoric":
+        return Isochoric(MuI(mat, law))
+    return build_model(name, mat, law, rr_gain=2.0)
+
+
+class TestSegmentRateOnAnyMaterial:
+    """The phi -> f a box segment builds once, at a fixed (p, I), gives
+    dilatancy's bits or its error on any valid material and law: a constant
+    bound from another material, or a law inverse bound to another law,
+    shows here."""
+
+    NAMES = ("dp", "mui", "dp-psi", "mui-psi", "power:0.5", "power:-0.5", "roux-radjai",
+             "lincomb", "isochoric")
+
+    @given(mat=_materials(), variant=st.sampled_from(["linear", "schaeffer", "robinson",
+                                                      "breard"]),
+           name=st.sampled_from(NAMES), data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rate_is_dilatancy(self, mat, variant, name, data):
+        law = EquilibriumLaw(variant=variant)
+        model = _any_model(name, mat, law)
+        phi = data.draw(st.one_of(st.just(mat.phi_max), st.floats(0.3, 0.62)), label="phi")
+        I = 10.0 ** data.draw(st.floats(-12.0, 3.0), label="log10 I")
+        rate = model._dilatancy_at(100.0, I)
+        assert _outcome(rate, phi) == _outcome(model.dilatancy, phi, 100.0, I)
+
+    @pytest.mark.parametrize("name", ["dp", "mui"])
+    def test_range_check_after_phi_max_check(self, name):
+        """A law whose phi_eq(I_CAP) overflows still names phi > phi_max
+        first, and the segment's f is built before either check runs."""
+        model = build_model(name, MAT, EquilibriumLaw("robinson", a=200.0))
+        rate = model._dilatancy_at(100.0, 0.5)
+        assert _outcome(rate, 0.7) == _outcome(model.dilatancy, 0.7, 100.0, 0.5) == (
+            "ValueError: no equilibrium inertial number for phi=0.7 > phi_max=0.6")
+        overflow = _outcome(model.dilatancy, 0.5, 100.0, 0.5)
+        assert _outcome(rate, 0.5) == overflow and overflow.startswith("OverflowError: ")
 
 
 class TestDissipationGapClosedForms:
@@ -1107,6 +1171,24 @@ class TestCatalogue:
     def test_every_listed_id_builds(self, model_id):
         model = build_model(model_id.replace("<n>", "1.5"), MAT, rr_gain=2.0)
         assert model.yield_function(0.5, 1.0) > 0.0
+
+    @pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy,
+                                       lambda m: pickle.loads(pickle.dumps(m))],
+                             ids=["copy", "deepcopy", "pickle"])
+    @pytest.mark.parametrize("model_id", [i.replace("<n>", "0.5") for i in MODEL_IDS])
+    def test_round_trip_runs_the_same_box(self, model_id, clone):
+        """A copied, deep-copied or unpickled model is equal to its original
+        and runs the box to the same bits."""
+        model = build_model(model_id, MAT, EquilibriumLaw(variant="schaeffer"), rr_gain=2.0)
+        twin = clone(model)
+        assert twin == model
+        forcing = piecewise_constant_forcing([0.0, 1e-4, 2e-4], [400.0, 900.0], [1e3, 300.0])
+        runs = [run_box(m, MAT, forcing, phi0=0.55, t_end=2e-4, dt=1e-6, record_every=10)
+                for m in (model, twin)]
+        for name in ("t", "phi", "div_u", "inertial", "i_eq"):
+            assert getattr(runs[1], name).tobytes() == getattr(runs[0], name).tobytes()
+        assert runs[1].violations == runs[0].violations
+        assert runs[1].sign_agreement == runs[0].sign_agreement
 
     def test_unknown_id_lists_ids_in_order(self):
         message = (

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import re
+import sys
 from bisect import bisect_right
 from dataclasses import replace
 
@@ -934,6 +935,35 @@ class TestBoxSegments:
                       dt=self.DT, pf0=pf0, gas=GAS)
         assert np.all(res.phi == 0.55) and np.all(res.div_u == 0.0)
         assert pf0 is None or np.all(res.p_f == pf0)
+
+
+class TestBoxWork:
+    """The Python calls a box step costs, counted with ``sys.setprofile``:
+    each of its 4 stages calls the segment's f and the law's inverse, and for
+    mu(I) F or G, so a step costs 8 calls for dp and dp-psi and 12 for mui
+    and mui-psi.  Rows and segment reads add under 0.15 per step at one row
+    per 100 steps; a stage that gains one call adds 4."""
+
+    STEPS = 2000
+    BUDGET = {"dp": 8.1, "dp-psi": 8.1, "mui": 12.1, "mui-psi": 12.1}
+
+    @pytest.mark.parametrize("name", list(BUDGET))
+    def test_python_calls_per_step(self, name):
+        forcing = piecewise_constant_forcing([0.0, 1e-3, 2e-3], [400.0, 900.0], [1e3, 300.0])
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event == "call"
+
+        previous = sys.getprofile()
+        sys.setprofile(count)
+        try:
+            run_box(MODELS[name], MAT, forcing, phi0=0.55, t_end=2e-3, dt=2e-3 / self.STEPS,
+                    record_every=100)
+        finally:
+            sys.setprofile(previous)
+        assert round(calls / self.STEPS, 1) <= self.BUDGET[name], f"{calls} calls"
 
 
 class TestBoxRows:
