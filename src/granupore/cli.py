@@ -44,7 +44,7 @@ from .conditions import GridSpec, dissipation_density, standard_grid, sweep, wri
 from .config import (
     ConfigError, load_parameters, parameters_text, read_kv_file, read_symbol_config
 )
-from .materials import EquilibriumLaw, FlowState, GasParams, MaterialParams
+from .materials import EquilibriumLaw, FlowState, GasParams, MaterialParams, _check_amount
 from .rheology import MODEL_IDS, DerivedNumeric, PowerLaw, build_model, derive_f_numeric
 from .simulate import (
     _step_count,
@@ -237,6 +237,7 @@ def cmd_simulate_box(args) -> int:
     else:
         p = BOX_P if args.p is None else args.p
         if args.I is not None:  # a p <= 0 or NaN is named by constant_forcing
+            _check_amount("--I", args.I, zero_ok=True)
             shear = args.I * math.sqrt(p / mat.rho_s) / mat.d if p > 0 else 0.0
         else:
             shear = BOX_SHEAR if args.shear is None else args.shear

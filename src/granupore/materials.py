@@ -49,20 +49,40 @@ I_CAP = 1.0e3
 I_EQ_TOL = 1.0e-12
 
 
-def _reject_infinite(params, names: tuple[str, ...]) -> None:
-    """Name the first infinite field of ``params``; NaN is left to the
-    range checks that follow."""
-    for name in names:
-        if math.isinf(getattr(params, name)):
-            raise ValueError(f"{name} must be finite, got {getattr(params, name)}")
-
-
 def _check_integer(name: str, value) -> None:
     """Reject a count that is not an integer; numpy integers pass."""
     try:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_finite(name: str, value: float) -> None:
+    """Reject an infinite scalar; the package's only ``math.isinf``.
+
+    NaN passes: every caller checks a range that NaN fails, before this
+    call or after it.  ``math.isfinite``, which also rejects NaN, is a
+    different rule, kept where no range check follows (the power-law and
+    Roux-Radjai constants, grid ends and forcing jumps).
+    """
+    if math.isinf(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _check_amount(name: str, value: float, zero_ok: bool = False) -> None:
+    """Reject a scalar that is not positive (non-negative with ``zero_ok``),
+    NaN included, or that is infinite."""
+    if not (value >= 0 if zero_ok else value > 0):
+        sign = "non-negative" if zero_ok else "positive"
+        raise ValueError(f"{name} must be {sign}, got {value}")
+    _check_finite(name, value)
+
+
+def _reject_infinite(params, names: tuple[str, ...]) -> None:
+    """Name the first infinite field of ``params``; NaN is left to the
+    range checks that follow."""
+    for name in names:
+        _check_finite(name, getattr(params, name))
 
 
 @dataclass(frozen=True)
@@ -93,20 +113,16 @@ class MaterialParams:
 
     def __post_init__(self) -> None:
         _reject_infinite(self, ("rho_s", "d", "delta_phi", "mu1", "mu2", "I0"))
-        if not self.rho_s > 0:
-            raise ValueError(f"rho_s must be positive, got {self.rho_s}")
-        if not self.d > 0:
-            raise ValueError(f"d must be positive, got {self.d}")
+        _check_amount("rho_s", self.rho_s)
+        _check_amount("d", self.d)
         if not 0.0 < self.phi_max < 1.0:
             raise ValueError(f"phi_max must lie in (0, 1), got {self.phi_max}")
-        if not self.delta_phi > 0:
-            raise ValueError(f"delta_phi must be positive, got {self.delta_phi}")
+        _check_amount("delta_phi", self.delta_phi)
         if not 0.0 < self.delta < math.pi / 2:
             raise ValueError(f"delta must lie in (0, pi/2), got {self.delta}")
         if not 0.0 < self.mu1 < self.mu2:
             raise ValueError(f"need 0 < mu1 < mu2, got mu1={self.mu1}, mu2={self.mu2}")
-        if not self.I0 > 0:
-            raise ValueError(f"I0 must be positive, got {self.I0}")
+        _check_amount("I0", self.I0)
 
 
 @dataclass(frozen=True)
@@ -126,8 +142,7 @@ class GasParams:
     def __post_init__(self) -> None:
         _reject_infinite(self, ("eta_f", "p_atm", "rho_f0"))
         for name in ("eta_f", "p_atm", "rho_f0"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            _check_amount(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -185,10 +200,8 @@ class FlowState:
     def __post_init__(self) -> None:
         if not 0.0 <= self.phi <= 1.0:
             raise ValueError(f"phi must lie in [0, 1], got {self.phi}")
-        if not self.p >= 0:
-            raise ValueError(f"p must be non-negative, got {self.p}")
-        _reject_infinite(self, ("p",))
-        _check_shear(self.shear)
+        _check_amount("p", self.p, zero_ok=True)
+        _check_amount("shear", self.shear, zero_ok=True)
 
 
 def glass_beads(**overrides) -> MaterialParams:
@@ -221,9 +234,8 @@ def inertial_number(mat: MaterialParams, shear: float, p: float) -> float:
     """
     if not p > 0:
         raise ValueError(f"inertial number undefined for p <= 0, got p={p}")
-    if p == math.inf:
-        raise ValueError(f"p must be finite, got {p}")
-    _check_shear(shear)
+    _check_finite("p", p)
+    _check_amount("shear", shear, zero_ok=True)
     return mat.d * shear / math.sqrt(p / mat.rho_s)
 
 
@@ -235,9 +247,8 @@ def viscous_number(gas: GasParams, shear: float, p: float) -> float:
     """
     if not p > 0:
         raise ValueError(f"viscous number undefined for p <= 0, got p={p}")
-    if p == math.inf:
-        raise ValueError(f"p must be finite, got {p}")
-    _check_shear(shear)
+    _check_finite("p", p)
+    _check_amount("shear", shear, zero_ok=True)
     return gas.eta_f * shear / p
 
 
@@ -355,14 +366,6 @@ def _bisect_i_eq(law: EquilibriumLaw, mat: MaterialParams, phi: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _check_shear(shear: float) -> None:
-    """Reject a shear rate that is negative, NaN or infinite."""
-    if not shear >= 0:
-        raise ValueError(f"shear must be non-negative, got {shear}")
-    if math.isinf(shear):
-        raise ValueError(f"shear must be finite, got {shear}")
-
-
 def div_u_from_angle(shear: float, psi: float, mode: str = "planar2D") -> float:
     """Velocity divergence produced by a geometric dilatancy angle.
 
@@ -377,7 +380,7 @@ def div_u_from_angle(shear: float, psi: float, mode: str = "planar2D") -> float:
         ValueError: If the shear is negative, NaN or infinite, psi is NaN or
             |psi| >= pi/2, or the mode is unknown.
     """
-    _check_shear(shear)
+    _check_amount("shear", shear, zero_ok=True)
     if not abs(psi) < math.pi / 2:
         raise ValueError(f"dilatancy angle must satisfy |psi| < pi/2, got {psi}")
     if mode == "planar2D":
@@ -399,7 +402,7 @@ def angle_from_div_u(shear: float, divu: float, mode: str = "planar2D") -> float
             with divu != 0, the arcsine argument falls outside [-1, 1], a
             small angle reaches |psi| >= pi/2, or the mode is unknown.
     """
-    _check_shear(shear)
+    _check_amount("shear", shear, zero_ok=True)
     if shear == 0.0:
         if divu != 0.0:
             raise ValueError("cannot infer an angle from divu != 0 at zero shear")

@@ -325,9 +325,6 @@ class _ModelBase:
     def phi_eq(self, I: float) -> float:
         return law_phi_eq(self.law, self.mat, I)
 
-    def _consts(self) -> tuple[float, float, float]:
-        return self.mat.mu1, self.mat.mu2, self.mat.I0
-
     def _dilatancy_at(self, p: float, I: float) -> Callable[[float], float]:
         """phi -> f(phi, p, I) at a fixed (p, I), as on one box forcing segment."""
         return lambda phi: self.dilatancy(phi, p, I)
@@ -415,10 +412,10 @@ class MuI(_Factored):
     f = F(I) - (I_eq/I) F(I_eq)."""
 
     def yield_function(self, phi: float, I: float) -> float:
-        return friction_mu(*self._consts(), I)
+        return friction_mu(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
 
     def _factors(self, I: float) -> tuple[tuple[float, float, float], float]:
-        mu1, mu2, I0 = consts = self._consts()
+        mu1, mu2, I0 = consts = self.mat.mu1, self.mat.mu2, self.mat.I0
         return consts, mui_shear_factor(mu1, mu2, I0, I)
 
     @staticmethod
@@ -442,7 +439,7 @@ class MuI(_Factored):
         return slope
 
     def dZ_dI(self, phi: float, I: float) -> float:
-        return friction_mu_prime(*self._consts(), I)
+        return friction_mu_prime(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
 
 
 @dataclass(frozen=True)
@@ -533,7 +530,7 @@ class MuIDilatant(_Factored):
     _f = staticmethod(_mui_angle)
 
     def _factors(self, I: float) -> tuple[tuple[float, float, float], float]:
-        mu1, mu2, I0 = consts = self._consts()
+        mu1, mu2, I0 = consts = self.mat.mu1, self.mat.mu2, self.mat.I0
         return consts, mui_angle_primitive(mu1, mu2, I0, I)
 
     @staticmethod
@@ -547,13 +544,16 @@ class MuIDilatant(_Factored):
                 - friction_mu_prime(mu1, mu2, I0, I) / 3.0)
 
     def yield_function(self, phi: float, I: float) -> float:
-        return friction_mu(*self._consts(), I) + self.dilatancy(phi, 0.0, I)
+        return (friction_mu(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
+                + self.dilatancy(phi, 0.0, I))
 
     def dZ_dI(self, phi: float, I: float) -> float:
-        return friction_mu_prime(*self._consts(), I) + self.df_dI(phi, 0.0, I)
+        return (friction_mu_prime(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
+                + self.df_dI(phi, 0.0, I))
 
     def _gain_lhs(self, I: float) -> float:  # exact, no i_eq(phi_eq(I)) round trip
-        mu, mup = friction_mu(*self._consts(), I), friction_mu_prime(*self._consts(), I)
+        mu = friction_mu(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
+        mup = friction_mu_prime(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
         return (2.0 * mu - I * mup) / 3.0
 
 

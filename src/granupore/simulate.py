@@ -47,7 +47,9 @@ import numpy as np
 
 from .conditions import EQ_ANCHOR_TOL
 from .gas import _first_bad, enthalpy_ideal, permeability_kappa
-from .materials import GasParams, MaterialParams, _check_integer, inertial_number
+from .materials import (
+    GasParams, MaterialParams, _check_amount, _check_finite, _check_integer, inertial_number
+)
 from .rheology import _admit
 
 __all__ = [
@@ -117,13 +119,8 @@ class Forcing:
 
 
 def constant_forcing(shear: float, p: float) -> Forcing:
-    if not p > 0:
-        raise ValueError(f"forcing pressure must be positive, got {p}")
-    if not shear >= 0:
-        raise ValueError(f"forcing shear must be non-negative, got {shear}")
-    for name, value in (("pressure", p), ("shear", shear)):
-        if math.isinf(value):
-            raise ValueError(f"forcing {name} must be finite, got {value}")
+    _check_amount("forcing pressure", p)
+    _check_amount("forcing shear", shear, zero_ok=True)
     return Forcing(shear=lambda t: shear, p=lambda t: p, jumps=())
 
 
@@ -169,7 +166,7 @@ def piecewise_constant_forcing(
 def random_forcing(rng: np.random.Generator, t_end: float) -> Forcing:
     """Seeded forcing on 8 equal segments of [0, t_end], log-uniform in shear
     on [50, 1500] 1/s and in pressure on [10, 1e4] Pa."""
-    _check_t_end(t_end)
+    _check_amount("t_end", t_end, zero_ok=True)
     edges = np.linspace(0.0, t_end, 9)
     shears = np.exp(rng.uniform(math.log(50.0), math.log(1500.0), 8))
     ps = np.exp(rng.uniform(math.log(10.0), math.log(1.0e4), 8))
@@ -287,8 +284,7 @@ def _check_box_start(
             raise ValueError("tracking p_f requires gas parameters")
         if not p_f > -gas.p_atm:
             raise ValueError(f"{pf_name} must exceed -p_atm = {-gas.p_atm}, got {p_f}")
-        if p_f == math.inf:
-            raise ValueError(f"{pf_name} must be finite, got {p_f}")
+        _check_finite(pf_name, p_f)
 
 
 def step_box(
@@ -310,7 +306,7 @@ def step_box(
             infinite.  Model domain errors at stage states propagate as the
             model raises them.
     """
-    _check_dt(dt)
+    _check_amount("dt", dt)
     model = _admit(model, mat)
     _check_box_start(state.phi, state.p_f, gas, "state.phi", "state.p_f")
     tracked = state.p_f is not None
@@ -352,28 +348,12 @@ def _check_record_every(record_every: int) -> None:
         raise ValueError(f"record_every must be at least 1, got {record_every}")
 
 
-def _check_dt(dt: float) -> None:
-    """Reject a time step that is not positive (NaN included) or infinite."""
-    if not dt > 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if dt == math.inf:
-        raise ValueError(f"dt must be finite, got {dt}")
-
-
-def _check_t_end(t_end: float) -> None:
-    """Reject a run length that is negative, NaN or infinite."""
-    if not t_end >= 0:  # written so that NaN fails
-        raise ValueError(f"t_end must be non-negative, got {t_end}")
-    if t_end == math.inf:
-        raise ValueError(f"t_end must be finite, got {t_end}")
-
-
 def _step_count(t_end: float, dt: float) -> int:
     """The whole number of steps of dt nearest to t_end, after checking that
     dt and t_end are finite, dt positive and t_end non-negative; a positive
     t_end must round to at least one step."""
-    _check_dt(dt)
-    _check_t_end(t_end)
+    _check_amount("dt", dt)
+    _check_amount("t_end", t_end, zero_ok=True)
     n_steps = int(round(t_end / dt))
     if n_steps == 0 and t_end > 0:
         raise ValueError(f"t_end = {t_end} rounds to zero steps of dt = {dt}")
@@ -491,10 +471,7 @@ def uniform_column(
     _check_integer("n_cells", n_cells)
     if n_cells < 2:
         raise ValueError(f"need at least 2 cells, got {n_cells}")
-    if not length > 0:
-        raise ValueError(f"column length must be positive, got {length}")
-    if length == math.inf:
-        raise ValueError(f"column length must be finite, got {length}")
+    _check_amount("column length", length)
     dz = length / n_cells
     z = (np.arange(n_cells) + 0.5) * dz
     phi_arr = _per_cell("phi", phi, n_cells)
@@ -538,7 +515,7 @@ def _column_stepper(
     above the explicit bound) raises LinAlgError, a ValueError that names
     dt's ratio to that bound.
     """
-    _check_dt(dt)
+    _check_amount("dt", dt)
     if mode not in ("explicit", "implicit"):
         raise ValueError(f"unknown mode {mode!r}")
     one_m, kf, dz = 1.0 - state.phi_profile, _face_kappa(state, gas, mat), state.dz

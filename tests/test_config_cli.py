@@ -540,12 +540,26 @@ class TestCliSimulate:
         "flag,message",
         [
             ("--shear", "forcing shear must be finite, got inf"),
-            ("--I", "forcing shear must be finite, got inf"),
             ("--p", "forcing pressure must be finite, got inf"),
         ],
     )
     def test_box_infinite_forcing_named(self, capsys, flag, message):
         assert main(["simulate-box", "--model", "dp", "--t-end=1e-4", flag, "inf"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--I=-1"], "--I must be non-negative, got -1.0"),
+            (["--I=nan"], "--I must be non-negative, got nan"),
+            (["--I=inf"], "--I must be finite, got inf"),
+            (["--I=-1", "--p=-1"], "--I must be non-negative, got -1.0"),
+        ],
+        ids=["neg", "nan", "inf", "before-p"],
+    )
+    def test_box_bad_I_named(self, capsys, argv, message):
+        """A bad --I is named as given, before it becomes a shear."""
+        assert main(["simulate-box", "--model", "dp", "--t-end=1e-4", *argv]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize(

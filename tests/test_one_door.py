@@ -9,10 +9,15 @@ those two.
 A model's error has one door out of a sweep: ``conditions._attempt`` is
 the only code in ``conditions`` that catches a ValueError or an
 ArithmeticError and turns it into a skipped point.
+
+A scalar is tested for infinity in one place: ``materials._check_finite``
+is the only code in the package that calls ``math.isinf`` or compares a
+value equal or unequal to ``math.inf``.
 """
 
 import ast
 import builtins
+import re
 from pathlib import Path
 
 import pytest
@@ -111,3 +116,62 @@ def test_the_skip_guard_sees_each_kind():
         "try:\n    pass\nexcept:\n    pass\n"
     )
     assert _skip_handlers(tree) == ["4: _attempt", "11: reads", "17: C.m", "21: module"]
+
+
+#: The one function that may test a scalar for infinity.
+FINITE_DOOR = "materials.py: _check_finite"
+
+
+def _is_infinity(node: ast.AST) -> bool:
+    """Whether ``node`` is ``math.inf`` or ``-math.inf``."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        node = node.operand
+    return (isinstance(node, ast.Attribute) and node.attr == "inf"
+            and isinstance(node.value, ast.Name) and node.value.id == "math")
+
+
+def _infinity_tests(tree: ast.AST, inside: tuple[str, ...] = ()) -> list[str]:
+    """Each ``math.isinf`` call and each ``==`` or ``!=`` against
+    ``math.inf`` or ``-math.inf`` in ``tree``, as ``line: enclosing
+    function: what``; order tests such as ``a < math.inf`` pass."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        scope = inside
+        where = f"{getattr(node, 'lineno', 0)}: {'.'.join(inside) or 'module'}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = inside + (node.name,)
+        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "math.isinf":
+            found.append(f"{where}: math.isinf")
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            for op, left, right in zip(node.ops, sides, sides[1:]):
+                inf = next((x for x in (left, right) if _is_infinity(x)), None)
+                if isinstance(op, (ast.Eq, ast.NotEq)) and inf is not None:
+                    symbol = "==" if isinstance(op, ast.Eq) else "!="
+                    found.append(f"{where}: {symbol} {ast.unparse(inf)}")
+        found += _infinity_tests(node, scope)
+    return found
+
+
+def test_one_finiteness_door():
+    hits = [
+        f"{path.name}: {hit}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for hit in _infinity_tests(ast.parse(path.read_text(), filename=path.name))
+    ]
+    assert [re.sub(r": \d+:", ":", h) for h in hits] == [f"{FINITE_DOOR}: math.isinf"], hits
+
+
+def test_the_finiteness_guard_sees_each_kind():
+    tree = ast.parse(
+        "import math\n"
+        "def _check_finite(name, v):\n    if math.isinf(v):\n        pass\n"
+        "def f(x):\n    return x == math.inf or math.inf != x or x == -math.inf\n"
+        "class C:\n    def m(self, a):\n        return 0 <= a < math.inf and a > -math.inf\n"
+        "math.isinf(1.0)\n"
+        "x = y == math.nan or y is math.inf or y == math.pi\n"
+    )
+    assert _infinity_tests(tree) == [
+        "3: _check_finite: math.isinf", "6: f: == math.inf", "6: f: != math.inf",
+        "6: f: == -math.inf", "10: module: math.isinf",
+    ]

@@ -1,9 +1,12 @@
-"""The package root re-exports each public module's ``__all__`` and nothing else."""
+"""The package root re-exports each public module's ``__all__`` and nothing else,
+and holds the one version string."""
 
 import importlib
 import types
+from pathlib import Path
 
 import pytest
+from setuptools.config.pyprojecttoml import read_configuration
 
 import granupore
 
@@ -33,3 +36,10 @@ def test_root_names_nothing_else():
 def test_no_name_is_public_in_two_modules():
     names = [name for _, name in PUBLIC]
     assert len(names) == len(set(names))
+
+
+@pytest.mark.filterwarnings("ignore:Support for `\\[tool.setuptools\\]`:UserWarning")
+def test_one_version():
+    """The build reads the version from ``granupore.__version__``, its one source."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert read_configuration(pyproject, expand=True)["project"]["version"] == granupore.__version__

@@ -112,6 +112,18 @@ class TestForcing:
             with pytest.raises(ValueError, match=f"^forcing {name} must be finite$"):
                 piecewise_constant_forcing([0.0, 1.0, 2.0], shears, ps)
 
+    @pytest.mark.parametrize("shear, p, message", [
+        (1.0, 0.0, "forcing pressure must be positive, got 0.0"),
+        (1.0, math.nan, "forcing pressure must be positive, got nan"),
+        (-1.0, 1.0, "forcing shear must be non-negative, got -1.0"),
+        (math.nan, 1.0, "forcing shear must be non-negative, got nan"),
+        (-1.0, math.inf, "forcing pressure must be finite, got inf"),
+    ], ids=["p-zero", "p-nan", "shear-neg", "shear-nan", "p-inf-first"])
+    def test_constant_forcing_texts(self, shear, p, message):
+        """The pressure is checked in full, range then finiteness, before the shear."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            constant_forcing(shear, p)
+
     def test_constructors_declare_jumps(self):
         assert constant_forcing(5.0, 10.0).jumps == ()
         f = piecewise_constant_forcing([0.0, 1.0, 1.0, 2.0], [5.0, 6.0, 7.0], [1.0] * 3)
@@ -280,6 +292,15 @@ class TestRunSettings:
     def test_uniform_column_rejects(self, args, name):
         with pytest.raises(ValueError, match=name):
             uniform_column(*args)
+
+    @pytest.mark.parametrize("length, message", [
+        (-1, "column length must be positive, got -1"),
+        (math.nan, "column length must be positive, got nan"),
+        (math.inf, "column length must be finite, got inf"),
+    ], ids=["neg", "nan", "inf"])
+    def test_uniform_column_length_texts(self, length, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            uniform_column(10, length, 0.6)
 
     def test_uniform_column_broadcasts_callable_result(self):
         state = uniform_column(4, 0.1, 0.6, lambda z: 5.0)
