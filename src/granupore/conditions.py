@@ -47,8 +47,8 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .gas import permeability_kappa
-from .materials import FlowState, GasParams, MaterialParams, _check_integer, inertial_number
-from .rheology import _admit
+from .materials import FlowState, GasParams, MaterialParams, _check_integer
+from .rheology import _admit, _forced
 
 __all__ = [
     "C1_TOL",
@@ -171,9 +171,9 @@ def dissipation_density(
     model = _admit(model, mat)
     g = np.atleast_1d(np.asarray(grad_pf, dtype=float))
     density = permeability_kappa(gas, mat.d, state.phi) * float(g @ g)
-    if state.shear > 0.0:
-        I = inertial_number(mat, state.shear, state.p)
-        gap, _ = check_dissipation(model, state.phi, state.p, I)
+    two_shear, I, f = _forced(model, mat, state.shear, state.p)
+    if two_shear:  # no shear term at rest
+        gap = _gap(model.yield_function(state.phi, I), f(state.phi))
         density += 2.0 * gap * state.p * state.shear
     return density
 

@@ -36,11 +36,11 @@ Z for dZ/dI, df/dI = (Z - f)/I - dZ/dI / 2 from consistency, and df/dp = 0.
 No f here takes p, which the protocol states once (``_f_takes_p``), so a
 condition sweep reads each (phi, I) once.  The first
 four write f and df/dI once each, as ``_f`` and ``_f_dI`` of I_eq and their
-factors in I alone, behind one check, so df/dI raises where f raises.  On one
-forcing segment a box binds ``_f`` to those factors, I and the law's inverse
-with its constants (``_dilatancy_at``), so each RK4 stage costs two Python
-calls, f and the inverse, and a third for mu(I)'s F or G.
-Models enter the checks and the box by :func:`_admit`.
+factors in I alone, behind one check, so df/dI raises where f raises.
+``_dilatancy_at`` binds ``_f`` to those factors, I and the law's inverse with
+its constants, so each box RK4 stage costs two Python calls, f and the
+inverse, and a third for mu(I)'s F or G.  Models enter the checks and the box
+by :func:`_admit`, and a forcing becomes a rate by :func:`_forced` alone.
 """
 
 from __future__ import annotations
@@ -775,18 +775,23 @@ def _admit(model, mat: MaterialParams | None = None) -> _ModelBase:
     return model
 
 
-def div_u(model, state: FlowState, mat: MaterialParams) -> float:
-    """Velocity divergence div u = 2 |S| f(phi, p, I) at a flow state.
+def _forced(model: _ModelBase, mat: MaterialParams, shear: float, p: float) -> tuple:
+    """The one door from a forcing (|S|, p) to a rate: (2 |S|, I, phi -> f).
 
-    Returns 0 when the state is unsheared (the product vanishes regardless
-    of f).  The inertial number is computed from ``mat``, which must be the
-    model's own, where the i_eq anchor inside f gets its packing constants.
+    Unsheared is taken as at rest, (0, 0, f = 0), reading neither the model
+    nor p: a choice, as 2 |S| f has a finite |S| -> 0 limit for dp and mu(I).
     """
-    model = _admit(model, mat)
-    if state.shear == 0.0:
-        return 0.0
-    I = inertial_number(mat, state.shear, state.p)
-    return 2.0 * state.shear * model.dilatancy(state.phi, state.p, I)
+    if shear == 0.0:
+        return 0.0, 0.0, (lambda phi: 0.0)
+    I = inertial_number(mat, shear, p)
+    return 2.0 * shear, I, model._dilatancy_at(p, I)
+
+
+def div_u(model, state: FlowState, mat: MaterialParams) -> float:
+    """Velocity divergence div u = 2 |S| f(phi, p, I) at a flow state, 0 at
+    rest (:func:`_forced`).  ``mat`` must be the model's own."""
+    two_shear, _, f = _forced(_admit(model, mat), mat, state.shear, state.p)
+    return two_shear * f(state.phi)
 
 
 #: The catalogue models that take only the material and the law.

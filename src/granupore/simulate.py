@@ -11,12 +11,10 @@ without a momentum solver:
   under constant forcing.  One RK4 stepper owns the box's clock: one loop
   takes each block of steps between recorded rows, its stages calling the
   segment's f directly.  It reads a forcing that declares its jumps once per
-  segment, and one that does not once per distinct stage time, and builds
-  |S|, I and the model's phi -> f once per forcing segment, which a recorded
-  row reuses.  That f has its factors in I and its law's inverse bound, so a
-  stage costs the catalogue models two Python calls (three for mu(I)'s F or
-  G).  Only a step that leaves the span read last reads the forcing, at
-  each of its stages.
+  segment, and one that does not once per distinct stage time, and takes
+  2 |S|, I and f from ``rheology._forced`` once per forcing segment, which a
+  recorded row reuses.  Only a step that leaves the span read last reads
+  the forcing, at each of its stages.
 
 * a 1D *column* of solid at rest, where the pore pressure obeys
   d/dt[(1-phi) p_f] = p_atm d/dz[kappa(phi) dp_f/dz] with zero flux at both
@@ -47,10 +45,8 @@ import numpy as np
 
 from .conditions import EQ_ANCHOR_TOL
 from .gas import _first_bad, enthalpy_ideal, permeability_kappa
-from .materials import (
-    GasParams, MaterialParams, _check_amount, _check_finite, _check_integer, inertial_number
-)
-from .rheology import _admit
+from .materials import GasParams, MaterialParams, _check_amount, _check_finite, _check_integer
+from .rheology import _admit, _forced
 
 __all__ = [
     "Forcing",
@@ -208,10 +204,10 @@ def _box_stepper(
 
     A read of the forcing at t holds on the span of t between the forcing's
     jumps (on t alone under ``jumps=None``), and only a (shear, p) that
-    differs from the last read rebuilds 2 |S|, I and the model's phi -> f at
-    that (p, I), which ``segment(t)`` returns (I 0 and f 0 unsheared).  A
-    step inside the span read last reads nothing; any other reads each of its
-    stage times that lies outside the span.
+    differs from the last read asks :func:`rheology._forced` anew for the
+    2 |S|, I and f that ``segment(t)`` returns.  A step inside the span read
+    last reads nothing; any other reads each of its stage times that lies
+    outside the span.
     """
     half, sixth, jumps = 0.5 * dt, dt / 6.0, forcing.jumps
     p_atm, phi_hi = None if gas is None else gas.p_atm, mat.phi_max + BOUND_EPS
@@ -225,9 +221,8 @@ def _box_stepper(
         if not since <= t < until:
             shear, p = forcing.shear(t), forcing.p(t)
             if (shear, p) != last_read:
-                I = 0.0 if shear == 0.0 else inertial_number(mat, shear, p)
-                f = (lambda phi: 0.0) if shear == 0.0 else model._dilatancy_at(p, I)
-                two_shear, last_read = 2.0 * shear, (shear, p)
+                two_shear, I, f = _forced(model, mat, shear, p)
+                last_read = shear, p
             if jumps is None:
                 since, until = t, math.nextafter(t, math.inf)
             else:

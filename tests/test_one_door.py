@@ -13,6 +13,11 @@ ArithmeticError and turns it into a skipped point.
 A scalar is tested for infinity in one place: ``materials._check_finite``
 is the only code in the package that calls ``math.isinf`` or compares a
 value equal or unequal to ``math.inf``.
+
+A forcing becomes a rate in one place: ``rheology._forced`` is the only
+code in the modules that take models that calls ``inertial_number`` or
+compares a ``shear`` with 0, so the box, ``div_u`` and
+``dissipation_density`` share one unsheared rule.
 """
 
 import ast
@@ -174,4 +179,67 @@ def test_the_finiteness_guard_sees_each_kind():
     assert _infinity_tests(tree) == [
         "3: _check_finite: math.isinf", "6: f: == math.inf", "6: f: != math.inf",
         "6: f: == -math.inf", "10: module: math.isinf",
+    ]
+
+
+#: The one function that turns a forcing (|S|, p) into a rate, and what it
+#: alone does: compute I and test for an unsheared forcing.
+FORCING_DOOR = ["rheology.py: _forced: shear == 0.0", "rheology.py: _forced: inertial_number"]
+
+
+def _is_shear(node: ast.AST) -> bool:
+    """Whether ``node`` is a name or an attribute called ``shear``."""
+    return (isinstance(node, ast.Name) and node.id == "shear") or (
+        isinstance(node, ast.Attribute) and node.attr == "shear")
+
+
+def _is_zero(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0
+
+
+def _forcing_reads(tree: ast.AST, inside: tuple[str, ...] = ()) -> list[str]:
+    """Each ``inertial_number`` call and each comparison of a ``shear`` with
+    0 in ``tree``, as ``line: enclosing function: what``."""
+    found = []
+    for node in ast.iter_child_nodes(tree):
+        scope = inside
+        where = f"{getattr(node, 'lineno', 0)}: {'.'.join(inside) or 'module'}"
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = inside + (node.name,)
+        elif isinstance(node, ast.Call) and re.search(r"\binertial_number$", ast.unparse(node.func)):
+            found.append(f"{where}: inertial_number")
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            for left, right in zip(sides, sides[1:]):
+                if (_is_shear(left) and _is_zero(right)) or (_is_zero(left) and _is_shear(right)):
+                    found.append(f"{where}: {ast.unparse(node)}")
+        found += _forcing_reads(node, scope)
+    return found
+
+
+def test_one_forcing_door():
+    """Only ``rheology._forced`` computes I or decides that a forcing is
+    unsheared, in the modules that take models."""
+    hits = [
+        f"{module}: {hit}"
+        for module in MODULES
+        for hit in _forcing_reads(ast.parse((SOURCE / module).read_text(), filename=module))
+    ]
+    assert [re.sub(r": \d+:", ":", h) for h in hits] == FORCING_DOOR, hits
+
+
+def test_the_forcing_guard_sees_each_kind():
+    tree = ast.parse(
+        "def _forced(model, mat, shear, p):\n    if shear == 0.0:\n        return None\n"
+        "    return inertial_number(mat, shear, p)\n"
+        "def segment(shear, p):\n    I = 0.0 if shear == 0.0 else inertial_number(mat, shear, p)\n"
+        "class C:\n    def m(self, state):\n        if state.shear > 0:\n"
+        "            return materials.inertial_number(mat, state.shear, state.p)\n"
+        "x = 0.0 < shear\n"
+        "y = shear_arr >= 0 or shear == 1.0 or state.shear is None or shear == '0'\n"
+    )
+    assert _forcing_reads(tree) == [
+        "2: _forced: shear == 0.0", "4: _forced: inertial_number",
+        "6: segment: shear == 0.0", "6: segment: inertial_number",
+        "9: C.m: state.shear > 0", "10: C.m: inertial_number", "11: module: 0.0 < shear",
     ]
