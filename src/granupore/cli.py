@@ -44,7 +44,9 @@ from .conditions import GridSpec, dissipation_density, standard_grid, sweep, wri
 from .config import (
     ConfigError, load_parameters, parameters_text, read_kv_file, read_symbol_config
 )
-from .materials import EquilibriumLaw, FlowState, GasParams, MaterialParams, _check_amount
+from .materials import (
+    EquilibriumLaw, FlowState, GasParams, MaterialParams, _check_amount, _check_finite
+)
 from .rheology import MODEL_IDS, DerivedNumeric, PowerLaw, build_model, derive_f_numeric
 from .simulate import (
     _step_count,
@@ -236,9 +238,10 @@ def cmd_simulate_box(args) -> int:
         forcing = random_forcing(rng, args.t_end)
     else:
         p = BOX_P if args.p is None else args.p
-        if args.I is not None:  # a p <= 0 or NaN is named by constant_forcing
+        if args.I is not None:  # a p <= 0, NaN or inf is named by constant_forcing
             _check_amount("--I", args.I, zero_ok=True)
-            shear = args.I * math.sqrt(p / mat.rho_s) / mat.d if p > 0 else 0.0
+            shear = args.I * math.sqrt(p / mat.rho_s) / mat.d if 0 < p < math.inf else 0.0
+            _check_finite(f"the shear from --I={args.I} and --p={p}", shear)
         else:
             shear = BOX_SHEAR if args.shear is None else args.shear
         forcing = constant_forcing(shear, p)
@@ -280,7 +283,11 @@ def cmd_simulate_column(args) -> int:
             f"--pf-mean {args.pf_mean} and --pf-amplitude {args.pf_amplitude} give an initial"
             f" p_f as low as {lowest}; it must exceed -p_atm = {-gas.p_atm}"
         )
-    dt = args.dt if args.dt is not None else column_cfl_dt(state0, gas, mat)
+    dt = args.dt
+    if dt is None:
+        dt = column_cfl_dt(state0, gas, mat)
+        _check_amount(f"the step derived from --length={args.length}, --cells={args.cells}"
+                      f" and --phi={args.phi} (no --dt given)", dt)
     n_steps = _step_count(args.t_end, dt)
     result = run_column(
         state0, gas, mat, dt, n_steps, mode=args.mode, record_every=args.record_every

@@ -345,10 +345,11 @@ def _check_record_every(record_every: int) -> None:
 
 def _step_count(t_end: float, dt: float) -> int:
     """The whole number of steps of dt nearest to t_end, after checking that
-    dt and t_end are finite, dt positive and t_end non-negative; a positive
-    t_end must round to at least one step."""
+    dt and t_end are finite, dt positive and t_end non-negative; t_end / dt
+    must be finite, and a positive t_end must round to at least one step."""
     _check_amount("dt", dt)
     _check_amount("t_end", t_end, zero_ok=True)
+    _check_finite(f"the step count t_end / dt = {t_end} / {dt}", t_end / dt)
     n_steps = int(round(t_end / dt))
     if n_steps == 0 and t_end > 0:
         raise ValueError(f"t_end = {t_end} rounds to zero steps of dt = {dt}")
@@ -374,10 +375,11 @@ def run_box(
 
     Raises:
         ValueError: If dt is not positive and finite, t_end is negative or
-            not finite, t_end > 0 rounds to zero steps, record_every is not
-            an integer or < 1, ``mat`` is not the model's material, phi0 is
-            outside (0, 1), or pf0 is given without gas, at or below -p_atm,
-            or infinite; a row's model error as the model raises it.
+            not finite, t_end / dt overflows, t_end > 0 rounds to zero
+            steps, record_every is not an integer or < 1, ``mat`` is not the
+            model's material, phi0 is outside (0, 1), or pf0 is given without
+            gas, at or below -p_atm, or infinite; a row's model error as the
+            model raises it.
         RuntimeError: On a model error at a step's stage, naming the step
             and its start time.
     """

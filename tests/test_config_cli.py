@@ -593,6 +593,41 @@ class TestCliSimulate:
         t_end, dt = float(argv[-3]), float(argv[-1])
         assert captured.err == f"error: t_end = {t_end} rounds to zero steps of dt = {dt}\n"
 
+    @pytest.mark.parametrize(
+        "argv,dt",
+        [
+            (["simulate-box", "--model", "dp"], "1e-06"),
+            (["simulate-column"], "5.997038499506414e-07"),
+        ],
+        ids=["box", "column"],
+    )
+    def test_overflowing_step_count_named(self, capsys, argv, dt):
+        assert main([*argv, "--t-end=1e308"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the step count t_end / dt = 1e+308 / {dt} must be finite, got inf\n"
+        )
+
+    def test_box_overflowing_I_shear_named(self, capsys):
+        """A finite --I whose shear overflows names --I and --p, not the shear."""
+        assert main(["simulate-box", "--model", "dp", "--t-end=1e-4", "--I=1e308"]) == 1
+        assert capsys.readouterr().err == (
+            "error: the shear from --I=1e+308 and --p=1000.0 must be finite, got inf\n"
+        )
+
+    @pytest.mark.parametrize(
+        "length,problem",
+        [("1e-308", "positive, got 0.0"), ("1e300", "finite, got inf")],
+        ids=["tiny", "huge"],
+    )
+    def test_column_derived_step_names_its_flags(self, capsys, length, problem):
+        """With no --dt, a stability bound that is not positive and finite
+        names the flags it came from, not dt."""
+        assert main(["simulate-column", "--t-end=1e-4", f"--length={length}"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: the step derived from --length={float(length)}, --cells=200 and"
+            f" --phi=0.6 (no --dt given) must be {problem}\n"
+        )
+
     def test_column_zero_steps_still_checks_dt(self, capsys):
         assert main(["simulate-column", "--t-end", "0", "--dt", "1"]) == 1
         assert "above the stability bound" in capsys.readouterr().err

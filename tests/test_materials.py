@@ -355,6 +355,10 @@ class TestDilatancyAngleGeometry:
             math.pi / 6, rel=1e-12
         )
 
+    @pytest.mark.parametrize("mode", ["planar2D", "exact3D", "small_angle"])
+    def test_inverse_unsheared(self, mode):
+        assert angle_from_div_u(0.0, 0.0, mode) == 0.0
+
     @given(psi=st.floats(min_value=-1.3, max_value=1.3))
     @settings(max_examples=40)
     def test_roundtrip_both_modes(self, psi):

@@ -187,6 +187,10 @@ def test_the_finiteness_guard_sees_each_kind():
 FORCING_DOOR = ["rheology.py: _forced: shear == 0.0", "rheology.py: _forced: inertial_number"]
 
 
+#: A call of ``inertial_number``, by its name or through its module.
+INERTIAL = r"\binertial_number$"
+
+
 def _is_shear(node: ast.AST) -> bool:
     """Whether ``node`` is a name or an attribute called ``shear``."""
     return (isinstance(node, ast.Name) and node.id == "shear") or (
@@ -206,7 +210,7 @@ def _forcing_reads(tree: ast.AST, inside: tuple[str, ...] = ()) -> list[str]:
         where = f"{getattr(node, 'lineno', 0)}: {'.'.join(inside) or 'module'}"
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = inside + (node.name,)
-        elif isinstance(node, ast.Call) and re.search(r"\binertial_number$", ast.unparse(node.func)):
+        elif isinstance(node, ast.Call) and re.search(INERTIAL, ast.unparse(node.func)):
             found.append(f"{where}: inertial_number")
         elif isinstance(node, ast.Compare):
             sides = [node.left, *node.comparators]

@@ -245,6 +245,14 @@ class TestRunSettings:
             run_box(*box, phi0=0.5, t_end=1e-6, dt=1e-5)
         assert run_box(*box, phi0=0.5, t_end=0.0, dt=1e-5).t.tolist() == [0.0]
 
+    def test_run_box_rejects_an_overflowing_step_count(self):
+        box = (MODELS["dp"], MAT, constant_forcing(1.0, 10.0))
+        with pytest.raises(ValueError) as exc:
+            run_box(*box, phi0=0.5, t_end=1e308, dt=1e-6)
+        assert str(exc.value) == (
+            "the step count t_end / dt = 1e+308 / 1e-06 must be finite, got inf"
+        )
+
     @pytest.mark.parametrize(
         "kwargs,name",
         [
