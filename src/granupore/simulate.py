@@ -349,8 +349,9 @@ def _step_count(t_end: float, dt: float) -> int:
     must be finite, and a positive t_end must round to at least one step."""
     _check_amount("dt", dt)
     _check_amount("t_end", t_end, zero_ok=True)
-    _check_finite(f"the step count t_end / dt = {t_end} / {dt}", t_end / dt)
-    n_steps = int(round(t_end / dt))
+    steps = t_end / dt
+    _check_finite(f"the step count t_end / dt = {t_end} / {dt}", steps)
+    n_steps = int(round(steps))
     if n_steps == 0 and t_end > 0:
         raise ValueError(f"t_end = {t_end} rounds to zero steps of dt = {dt}")
     return n_steps
