@@ -44,8 +44,9 @@ from .conditions import GridSpec, dissipation_density, standard_grid, sweep, wri
 from .config import (
     ConfigError, load_parameters, parameters_text, read_kv_file, read_symbol_config
 )
+from .gas import permeability_kappa
 from .materials import (
-    EquilibriumLaw, FlowState, GasParams, MaterialParams, _check_amount, _check_finite
+    EquilibriumLaw, FlowState, GasParams, MaterialParams, _check_all, _check_amount, _check_finite
 )
 from .rheology import MODEL_IDS, DerivedNumeric, PowerLaw, build_model, derive_f_numeric
 from .simulate import (
@@ -271,12 +272,19 @@ def cmd_simulate_box(args) -> int:
 
 def cmd_simulate_column(args) -> int:
     mat, gas, _ = _setup(args)
-    state0 = uniform_column(
-        args.cells,
-        args.length,
-        args.phi,
-        lambda z: args.pf_mean + args.pf_amplitude * np.cos(np.pi * z / args.length),
-    )
+
+    def pf_init(z: np.ndarray) -> np.ndarray:
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite p_f is named below
+            pf = args.pf_mean + args.pf_amplitude * np.cos(np.pi * z / args.length)
+        _check_all(f"the initial p_f from --pf-mean={args.pf_mean}, --pf-amplitude="
+                   f"{args.pf_amplitude} and --length={args.length} must be finite", pf)
+        return pf
+
+    state0 = uniform_column(args.cells, args.length, args.phi, pf_init)
+    try:  # the permeability's error names its phi, not the flag
+        permeability_kappa(gas, mat.d, args.phi)
+    except ValueError as exc:
+        raise ValueError(f"--phi={args.phi}: {exc}") from None
     lowest = float(np.min(state0.pf_profile))
     if not lowest > -gas.p_atm:
         raise ValueError(

@@ -47,7 +47,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .gas import permeability_kappa
-from .materials import FlowState, GasParams, MaterialParams, _check_integer
+from .materials import FlowState, GasParams, MaterialParams, _check_all, _check_count
 from .rheology import _admit, _forced
 
 __all__ = [
@@ -202,11 +202,8 @@ class GridSpec:
         ):
             if not lo < hi:
                 raise ValueError(f"{name}: need lo < hi, got {lo} >= {hi}")
-            if not (np.isfinite(lo) and np.isfinite(hi)):
-                raise ValueError(f"{name}: ends must be finite, got {lo} and {hi}")
-            _check_integer(f"{name}: count", count)
-            if count < 2:
-                raise ValueError(f"{name}: need at least 2 points, got {count}")
+            _check_all(f"{name}: ends must be finite", (lo, hi))
+            _check_count(f"{name}: count", count, 2)
         if self.I_range[0] <= 0:
             raise ValueError("I grid must be strictly positive")
         if self.p_range[0] <= 0:

@@ -24,12 +24,13 @@ so it has no effect on the energy balance.
 from __future__ import annotations
 
 import csv
+import sys
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .materials import GasParams
+from .materials import GasParams, _check_all
 from .quadrature import integral
 
 if TYPE_CHECKING:
@@ -108,17 +109,6 @@ class EnthalpyH:
         return self._spline(x)
 
 
-def _first_bad(values, ok) -> str:
-    """``values`` if it is a scalar, else its first element where ``ok`` is
-    False and that element's index: a number for a 1-D array, a tuple such
-    as ``(state, cell)`` for a stack."""
-    if np.ndim(values) == 0:
-        return f"{values}"
-    k = int(np.argmin(ok))
-    index = tuple(int(i) for i in np.unravel_index(k, np.shape(values)))
-    return f"{np.ravel(values)[k]} at index {index[0] if len(index) == 1 else index}"
-
-
 def drag_beta(gas: GasParams, d: float, phi: float) -> float:
     """Interphase drag coefficient beta(phi) = 150 eta_f phi^2 / (d^2 (1-phi)).
 
@@ -126,8 +116,7 @@ def drag_beta(gas: GasParams, d: float, phi: float) -> float:
         ValueError: If phi is outside [0, 1) (beta diverges at close packing
             of the pore space, phi -> 1).
     """
-    if not 0.0 <= phi < 1.0:
-        raise ValueError(f"drag coefficient requires 0 <= phi < 1, got {phi}")
+    _check_all("drag coefficient requires 0 <= phi < 1", phi, 0.0 <= phi < 1.0)
     return 150.0 * gas.eta_f * phi * phi / (d * d * (1.0 - phi))
 
 
@@ -137,13 +126,13 @@ def permeability_kappa(gas: GasParams, d: float, phi):
     Satisfies kappa * beta = (1 - phi)^2 identically, for float or array phi.
 
     Raises:
-        ValueError: If any phi <= 0 (kappa unbounded), >= 1 or NaN.
+        ValueError: If any phi <= 0 (kappa unbounded), >= 1 or NaN, or is so
+            small that kappa overflows (below about 1e-157 for glass beads).
     """
-    ok = (0.0 < phi) & (phi < 1.0)
-    if not np.all(ok):
-        raise ValueError(f"permeability requires 0 < phi < 1, got {_first_bad(phi, ok)}")
-    one_m = 1.0 - phi
-    return d * d * one_m**3 / (150.0 * gas.eta_f * phi * phi)
+    _check_all("permeability requires 0 < phi < 1", phi, (0.0 < phi) & (phi < 1.0))
+    num, den = d * d * (1.0 - phi) ** 3, 150.0 * gas.eta_f * phi * phi
+    _check_all("permeability overflows at phi", phi, den > num / sys.float_info.max)
+    return num / den
 
 
 def darcy_fluid_velocity(u, grad_pf, phi: float, gas: GasParams, d: float):
@@ -159,8 +148,7 @@ def darcy_fluid_velocity(u, grad_pf, phi: float, gas: GasParams, d: float):
     Returns:
         Gas velocity with the shape of ``u``.
     """
-    if not 0.0 < phi < 1.0:
-        raise ValueError(f"Darcy closure requires 0 < phi < 1, got {phi}")
+    _check_all("Darcy closure requires 0 < phi < 1", phi, 0.0 < phi < 1.0)
     beta = drag_beta(gas, d, phi)
     return np.asarray(u, dtype=float) - (1.0 - phi) * np.asarray(grad_pf, dtype=float) / beta
 
@@ -208,9 +196,7 @@ def enthalpy_ideal(gas: GasParams, p_f):
     Raises:
         ValueError: If any p_f <= -p_atm (log branch point) or NaN.
     """
-    ok = p_f > -gas.p_atm
-    if not np.all(ok):
-        raise ValueError(f"p_f must exceed -p_atm = {-gas.p_atm}, got {_first_bad(p_f, ok)}")
+    _check_all(f"p_f must exceed -p_atm = {-gas.p_atm}", p_f, p_f > -gas.p_atm)
     return (gas.p_atm + p_f) * (np.log1p(p_f / gas.p_atm) - 1.0)
 
 

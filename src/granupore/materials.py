@@ -26,6 +26,8 @@ import types
 from dataclasses import dataclass
 from typing import Callable
 
+import numpy as np
+
 __all__ = [
     "MaterialParams",
     "GasParams",
@@ -49,21 +51,47 @@ I_CAP = 1.0e3
 I_EQ_TOL = 1.0e-12
 
 
-def _check_integer(name: str, value) -> None:
-    """Reject a count that is not an integer; numpy integers pass."""
+def _check_count(name: str, value, least: int) -> None:
+    """Reject a count that is not an integer (numpy integers pass) or is
+    below ``least``; the package's only ``operator.index``."""
     try:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+
+
+def _check_all(rule: str, values, ok=None) -> None:
+    """Reject ``values`` unless ``ok`` (default: finite, NaN failing) holds at
+    each element, as ``{rule}, got {value}``, plus `` at index {i}`` for an
+    array's first bad element (``i`` a tuple for a stack); in the modules that
+    check inputs, the only finiteness test that NaN fails."""
+    ok = np.isfinite(values) if ok is None else ok
+    if np.all(ok):
+        return
+    if np.ndim(values) == 0:
+        raise ValueError(f"{rule}, got {values}")
+    k = int(np.argmin(ok))
+    index = tuple(int(i) for i in np.unravel_index(k, np.shape(values)))
+    where = index[0] if len(index) == 1 else index
+    raise ValueError(f"{rule}, got {np.ravel(values)[k]} at index {where}")
+
+
+def _check_amounts(name: str, values: np.ndarray, zero_ok: bool = False) -> None:
+    """:func:`_check_amount` for an array: every element's sign (NaN failing),
+    then every element's finiteness, naming the first bad element."""
+    sign = "non-negative" if zero_ok else "positive"
+    _check_all(f"{name} must be {sign}", values, values >= 0 if zero_ok else values > 0)
+    _check_all(f"{name} must be finite", values)
 
 
 def _check_finite(name: str, value: float) -> None:
     """Reject an infinite scalar; the package's only ``math.isinf``.
 
     NaN passes: every caller checks a range that NaN fails, before this
-    call or after it.  ``math.isfinite``, which also rejects NaN, is a
-    different rule, kept where no range check follows (the power-law and
-    Roux-Radjai constants, grid ends and forcing jumps).
+    call or after it.  Where none follows (the power-law and Roux-Radjai
+    constants, forcing jumps), :func:`_check_all` rejects NaN as well.
     """
     if math.isinf(value):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -115,11 +143,9 @@ class MaterialParams:
         _reject_infinite(self, ("rho_s", "d", "delta_phi", "mu1", "mu2", "I0"))
         _check_amount("rho_s", self.rho_s)
         _check_amount("d", self.d)
-        if not 0.0 < self.phi_max < 1.0:
-            raise ValueError(f"phi_max must lie in (0, 1), got {self.phi_max}")
+        _check_all("phi_max must lie in (0, 1)", self.phi_max, 0.0 < self.phi_max < 1.0)
         _check_amount("delta_phi", self.delta_phi)
-        if not 0.0 < self.delta < math.pi / 2:
-            raise ValueError(f"delta must lie in (0, pi/2), got {self.delta}")
+        _check_all("delta must lie in (0, pi/2)", self.delta, 0.0 < self.delta < math.pi / 2)
         if not 0.0 < self.mu1 < self.mu2:
             raise ValueError(f"need 0 < mu1 < mu2, got mu1={self.mu1}, mu2={self.mu2}")
         _check_amount("I0", self.I0)
@@ -198,8 +224,7 @@ class FlowState:
     shear: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.phi <= 1.0:
-            raise ValueError(f"phi must lie in [0, 1], got {self.phi}")
+        _check_all("phi must lie in [0, 1]", self.phi, 0.0 <= self.phi <= 1.0)
         _check_amount("p", self.p, zero_ok=True)
         _check_amount("shear", self.shear, zero_ok=True)
 

@@ -55,6 +55,7 @@ from .materials import (
     FlowState,
     MaterialParams,
     _bound,
+    _check_all,
     _i_eq_at,
     i_eq as law_i_eq,
     inertial_number,
@@ -456,8 +457,7 @@ class PowerLaw(_ModelBase):
 
     def __post_init__(self) -> None:
         for name, value in (("n", self.n), ("coefficient", self.coefficient)):
-            if not math.isfinite(value):
-                raise ValueError(f"power-law {name} must be finite, got {value}")
+            _check_all(f"power-law {name} must be finite", float(value))  # one number
         if self.n == -1.0:
             raise ValueError("power-law exponent n = -1 is excluded")
 
@@ -576,8 +576,7 @@ class RouxRadjai(_ModelBase):
     def __post_init__(self) -> None:
         if self.z_mode not in ("small-angle", "dp"):
             raise ValueError(f"unknown z_mode {self.z_mode!r}")
-        if not math.isfinite(self.gain):
-            raise ValueError(f"Roux-Radjai gain must be finite, got {self.gain}")
+        _check_all("Roux-Radjai gain must be finite", float(self.gain))  # one number
 
     def yield_function(self, phi: float, I: float) -> float:
         z = math.sin(self.mat.delta)

@@ -44,8 +44,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conditions import EQ_ANCHOR_TOL
-from .gas import _first_bad, enthalpy_ideal, permeability_kappa
-from .materials import GasParams, MaterialParams, _check_amount, _check_finite, _check_integer
+from .gas import enthalpy_ideal, permeability_kappa
+from .materials import (
+    GasParams, MaterialParams, _check_all, _check_amount, _check_amounts, _check_count,
+    _check_finite,
+)
 from .rheology import _admit, _forced
 
 __all__ = [
@@ -106,11 +109,9 @@ class Forcing:
         if self.jumps is None:
             return
         jumps = tuple(map(float, self.jumps))
-        # Written so that NaN fails each check.
-        if not all(map(math.isfinite, jumps)):
-            raise ValueError(f"forcing jumps must be finite, got {jumps}")
-        if not all(a <= b for a, b in zip(jumps, jumps[1:])):
-            raise ValueError(f"forcing jumps must be non-decreasing, got {jumps}")
+        _check_all("forcing jumps must be finite", jumps)
+        _check_all("forcing jumps must be non-decreasing", jumps,
+                   np.append(True, np.less_equal(jumps[:-1], jumps[1:])))
         object.__setattr__(self, "jumps", jumps)
 
 
@@ -127,7 +128,10 @@ def piecewise_constant_forcing(
 
     ``edges`` is non-decreasing and has one more entry than the value lists;
     times outside the range take the first/last segment values, so the
-    forcing's jumps are the interior edges.
+    forcing's jumps are the interior edges.  The first edge whose step up from
+    the one before it is negative or NaN raises a ValueError naming it and its
+    index, then a pressure and then a shear that :func:`constant_forcing`
+    would reject.
     """
     edges_arr = np.asarray(edges, dtype=float)
     shear_arr = np.asarray(shears, dtype=float)
@@ -135,16 +139,10 @@ def piecewise_constant_forcing(
     n = shear_arr.size
     if n == 0 or edges_arr.size != n + 1 or p_arr.size != n:
         raise ValueError("need len(edges) = len(shears) + 1 = len(ps) + 1 >= 2")
-    # Written so that NaN fails each check.
-    if not np.all(np.diff(edges_arr) >= 0):
-        raise ValueError("forcing edges must be non-decreasing numbers")
-    if not np.all(shear_arr >= 0):
-        raise ValueError("forcing shears must be non-negative")
-    if not np.all(p_arr > 0):
-        raise ValueError("forcing pressures must be positive")
-    for name, values in (("shears", shear_arr), ("pressures", p_arr)):
-        if not np.all(np.isfinite(values)):
-            raise ValueError(f"forcing {name} must be finite")
+    _check_all("forcing edges must be non-decreasing numbers", edges_arr,
+               np.append(True, np.diff(edges_arr) >= 0))
+    _check_amounts("forcing pressure", p_arr)
+    _check_amounts("forcing shear", shear_arr, zero_ok=True)
     # Python lists and bisect: numpy calls on one float cost more than the
     # lookup, which runs once per segment a box enters.
     edge_list, shear_list, p_list = edges_arr.tolist(), shear_arr.tolist(), p_arr.tolist()
@@ -272,13 +270,11 @@ def _check_box_start(
     """Reject a box state to step from, naming its phi and p_f as given:
     phi outside (0, 1), or a tracked p_f without gas, at or below -p_atm,
     or infinite.  Written so that NaN fails each check."""
-    if not 0.0 < phi < 1.0:
-        raise ValueError(f"{phi_name} must lie in (0, 1), got {phi}")
+    _check_all(f"{phi_name} must lie in (0, 1)", phi, 0.0 < phi < 1.0)
     if p_f is not None:
         if gas is None:
             raise ValueError("tracking p_f requires gas parameters")
-        if not p_f > -gas.p_atm:
-            raise ValueError(f"{pf_name} must exceed -p_atm = {-gas.p_atm}, got {p_f}")
+        _check_all(f"{pf_name} must exceed -p_atm = {-gas.p_atm}", p_f, p_f > -gas.p_atm)
         _check_finite(pf_name, p_f)
 
 
@@ -335,22 +331,18 @@ class BoxResult:
         return float(np.max(self.phi))
 
 
-def _check_record_every(record_every: int) -> None:
-    """Reject a recording stride that is not an integer, would divide by
-    zero or would never record."""
-    _check_integer("record_every", record_every)
-    if record_every < 1:
-        raise ValueError(f"record_every must be at least 1, got {record_every}")
-
-
 def _step_count(t_end: float, dt: float) -> int:
     """The whole number of steps of dt nearest to t_end, after checking that
     dt and t_end are finite, dt positive and t_end non-negative; t_end / dt
-    must be finite, and a positive t_end must round to at least one step."""
+    must be finite and at most 2**53, past which floats are 2 or more apart
+    and no longer name a whole number of steps, and a positive t_end must
+    round to at least one step."""
     _check_amount("dt", dt)
     _check_amount("t_end", t_end, zero_ok=True)
-    steps = t_end / dt
-    _check_finite(f"the step count t_end / dt = {t_end} / {dt}", steps)
+    steps, name = t_end / dt, f"the step count t_end / dt = {t_end} / {dt}"
+    _check_finite(name, steps)
+    if steps > 2**53:
+        raise ValueError(f"{name} must be at most 2**53, got {steps:g}")
     n_steps = int(round(steps))
     if n_steps == 0 and t_end > 0:
         raise ValueError(f"t_end = {t_end} rounds to zero steps of dt = {dt}")
@@ -376,16 +368,16 @@ def run_box(
 
     Raises:
         ValueError: If dt is not positive and finite, t_end is negative or
-            not finite, t_end / dt overflows, t_end > 0 rounds to zero
-            steps, record_every is not an integer or < 1, ``mat`` is not the
-            model's material, phi0 is outside (0, 1), or pf0 is given without
-            gas, at or below -p_atm, or infinite; a row's model error as the
-            model raises it.
+            not finite, t_end / dt overflows or exceeds 2**53, t_end > 0 rounds
+            to zero steps, record_every is not an integer or < 1, ``mat`` is not
+            the model's material, phi0 is outside (0, 1), or pf0 is given
+            without gas, at or below -p_atm, or infinite; a row's model error
+            as the model raises it.
         RuntimeError: On a model error at a step's stage, naming the step
             and its start time.
     """
     n_steps = _step_count(t_end, dt)
-    _check_record_every(record_every)
+    _check_count("record_every", record_every, 1)
     model = _admit(model, mat)
     _check_box_start(phi0, pf0, gas, "phi0", "pf0")
     t, phi, p_f = 0.0, phi0, 0.0 if pf0 is None else pf0
@@ -466,18 +458,14 @@ def uniform_column(
             value per cell, or a phi is outside (0, 1) or a p_f is not
             finite (NaN included).
     """
-    _check_integer("n_cells", n_cells)
-    if n_cells < 2:
-        raise ValueError(f"need at least 2 cells, got {n_cells}")
+    _check_count("n_cells", n_cells, 2)
     _check_amount("column length", length)
     dz = length / n_cells
     z = (np.arange(n_cells) + 0.5) * dz
     phi_arr = _per_cell("phi", phi, n_cells)
-    if not np.all((0.0 < phi_arr) & (phi_arr < 1.0)):
-        raise ValueError("column phi profile must lie in (0, 1)")
+    _check_all("column phi profile must lie in (0, 1)", phi_arr, (0.0 < phi_arr) & (phi_arr < 1.0))
     pf = _per_cell("pf_init", pf_init(z) if callable(pf_init) else pf_init, n_cells)
-    if not np.all(np.isfinite(pf)):
-        raise ValueError("column initial p_f must be finite")
+    _check_all("column initial p_f must be finite", pf)
     return ColumnState(z=z, phi_profile=phi_arr, pf_profile=pf, t=0.0)
 
 
@@ -539,8 +527,7 @@ def _column_stepper(
 
     off = -dt * gas.p_atm / (dz * dz) * kf  # off-diagonals of the backward-Euler matrix
     diag = one_m - np.append(off, 0.0) - np.append(0.0, off)
-    if not np.all(np.isfinite(diag)):
-        raise ValueError(f"implicit step dt={dt:g} overflows the column matrix")
+    _check_all(f"implicit step dt={dt:g} overflows the column matrix", diag)
     weight = one_m.sum()
 
     def solve(p: np.ndarray) -> np.ndarray:
@@ -665,17 +652,14 @@ def run_column(
             explicit dt above the stability bound, or an implicit dt that
             overflows the matrix; then if record_every is not an integer or
             < 1, or n_steps is not an integer or < 0; then, before any
-            step, if an initial p_f is infinite, or at or below -p_atm (the
-            message gives its cell index).
+            step, if an initial p_f is not finite (NaN included), or at or
+            below -p_atm (each message gives the cell index).
     """
     one_m, kf, advance = _column_stepper(state0, gas, mat, dt, mode)
-    _check_record_every(record_every)
-    _check_integer("n_steps", n_steps)
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be non-negative, got {n_steps}")
+    _check_count("record_every", record_every, 1)
+    _check_count("n_steps", n_steps, 0)
     t, p, dz = state0.t, state0.pf_profile, state0.dz
-    if np.any(np.isinf(p)):  # NaN fails the -p_atm check of the sums below
-        raise ValueError(f"initial p_f must be finite, got {_first_bad(p, ~np.isinf(p))}")
+    _check_all("initial p_f must be finite", p)
     ledger = np.empty((4, n_steps + 1))  # rows: t, content, E1, D
     ledger[0, 0] = t
     ledger[1:, 0] = _ledger_sums(p, dz, gas, one_m, kf)

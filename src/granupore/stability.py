@@ -28,7 +28,7 @@ import numpy as np
 
 from .conditions import ConditionReport, GridSpec, standard_grid, sweep
 from .gas import permeability_kappa
-from .materials import GasParams
+from .materials import GasParams, _check_all
 
 __all__ = [
     "pore_diffusivity",
@@ -49,8 +49,7 @@ def pore_diffusivity(phi0: float, gas: GasParams, d: float) -> float:
 
     Scales as d^2 through the permeability; strictly positive on (0, 1).
     """
-    if not 0.0 < phi0 < 1.0:
-        raise ValueError(f"pore diffusivity requires 0 < phi0 < 1, got {phi0}")
+    _check_all("pore diffusivity requires 0 < phi0 < 1", phi0, 0.0 < phi0 < 1.0)
     return gas.p_atm * permeability_kappa(gas, d, phi0) / (1.0 - phi0)
 
 

@@ -628,6 +628,41 @@ class TestCliSimulate:
             f" --phi=0.6 (no --dt given) must be {problem}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["--phi=1e-308"], "--phi=1e-308: permeability overflows at phi, got 1e-308"),
+            (["--length=1e308"], "the initial p_f from --pf-mean=200.0, --pf-amplitude=100.0 and"
+                                 " --length=1e+308 must be finite, got nan at index 114"),
+        ],
+        ids=["tiny-phi", "huge-length"],
+    )
+    def test_column_overflowing_input_named(self, capsys, argv, message):
+        """An input that overflows the column's permeability or initial
+        profile is named, and no numpy warning escapes first (the test
+        configuration makes a RuntimeWarning an error)."""
+        assert main(["simulate-column", "--t-end=1e-4", *argv]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv,quotient,steps",
+        [
+            (["simulate-box", "--model", "dp", "--t-end=1e300"], "1e+300 / 1e-06", "1e+306"),
+            (["simulate-box", "--model", "dp", "--dt=1e-308"], "0.05 / 1e-308", "5e+306"),
+            (["simulate-column", "--t-end=1e300"], "1e+300 / 5.997038499506414e-07",
+             "1.66749e+306"),
+        ],
+        ids=["box-t_end", "box-dt", "column-t_end"],
+    )
+    def test_step_count_ceiling_named(self, capsys, argv, quotient, steps):
+        """A run of more than 2**53 steps fails before its first step."""
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: the step count t_end / dt = {quotient} must be at most 2**53, got {steps}\n"
+        )
+
     def test_column_zero_steps_still_checks_dt(self, capsys):
         assert main(["simulate-column", "--t-end", "0", "--dt", "1"]) == 1
         assert "above the stability bound" in capsys.readouterr().err

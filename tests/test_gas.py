@@ -1,5 +1,7 @@
 """Gas state laws, drag/permeability closures and the energy function H."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -69,6 +71,17 @@ class TestDragAndPermeability:
         with pytest.raises(ValueError) as exc:
             permeability_kappa(GAS, D, 0.0)
         assert str(exc.value) == "permeability requires 0 < phi < 1, got 0.0"
+
+    def test_kappa_overflow_named(self):
+        """A phi whose kappa overflows is named, with no numpy warning or
+        ZeroDivisionError first; a tiny phi whose kappa is finite passes."""
+        with pytest.raises(ValueError) as exc:
+            permeability_kappa(GAS, D, 1e-308)
+        assert str(exc.value) == "permeability overflows at phi, got 1e-308"
+        with pytest.raises(ValueError) as exc:
+            permeability_kappa(GAS, D, np.array([0.3, 1e-160, 1e-308]))
+        assert str(exc.value) == "permeability overflows at phi, got 1e-160 at index 1"
+        assert math.isfinite(permeability_kappa(GAS, D, 1e-150))
 
     @given(phi=st.floats(min_value=1e-3, max_value=0.999))
     @settings(max_examples=50)

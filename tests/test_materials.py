@@ -1,6 +1,7 @@
 """Material parameters, equilibrium laws and dimensionless numbers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -13,6 +14,9 @@ from granupore.materials import (
     GasParams,
     MaterialParams,
     _bisect_i_eq,
+    _check_all,
+    _check_amounts,
+    _check_count,
     air,
     angle_from_div_u,
     div_u_from_angle,
@@ -413,3 +417,58 @@ class TestDilatancyAngleGeometry:
     def test_unknown_mode(self, convert):
         with pytest.raises(ValueError, match="^unknown mode 'planar'$"):
             convert(1.0, 0.1, "planar")
+
+
+#: Values planted in an otherwise valid array of positive amounts.
+PLANTS = [math.nan, math.inf, -math.inf, -1.0, 0.0, -5e-324]
+
+
+class TestInputDoors:
+    @pytest.mark.parametrize(
+        "value, least, message",
+        [
+            (2.5, 1, "n must be an integer, got 2.5"),
+            (0, 1, "n must be at least 1, got 0"),
+            (np.int64(-1), 0, "n must be at least 0, got -1"),
+        ],
+        ids=["float", "below", "numpy-below"],
+    )
+    def test_count_texts(self, value, least, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _check_count("n", value, least)
+
+    def test_counts_pass(self):
+        for value in (1, np.int64(3), 2**64):
+            _check_count("n", value, 1)
+
+    @given(
+        shape=st.sampled_from([(), (1,), (5,), (2, 3), (4, 1)]),
+        values=st.lists(st.floats(min_value=1e-3, max_value=1e3), min_size=12, max_size=12),
+        plant=st.none() | st.tuples(st.sampled_from(PLANTS), st.integers(0, 11)),
+        zero_ok=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_array_door_names_the_planted_value(self, shape, values, plant, zero_ok):
+        """One bad value planted among good ones is the one the error names,
+        with its index; with none planted, nothing raises."""
+        arr = np.array(values[: math.prod(shape)]).reshape(shape)
+        if plant is None:
+            _check_amounts("x", arr, zero_ok)
+            _check_all("x must be finite", arr)
+            return
+        bad, k = plant
+        k %= arr.size
+        arr.flat[k] = bad
+        index = tuple(int(i) for i in np.unravel_index(k, shape))
+        where = "" if not shape else f" at index {index[0] if len(shape) == 1 else index}"
+        if bad == 0.0 and zero_ok:
+            _check_amounts("x", arr, zero_ok)
+            return
+        rule = "finite" if bad == math.inf else ("non-negative" if zero_ok else "positive")
+        with pytest.raises(ValueError) as exc:
+            _check_amounts("x", arr, zero_ok)
+        assert str(exc.value) == f"x must be {rule}, got {bad}{where}"
+        if not math.isfinite(bad):
+            with pytest.raises(ValueError) as exc:
+                _check_all("x must be finite", arr)
+            assert str(exc.value) == f"x must be finite, got {bad}{where}"

@@ -18,6 +18,12 @@ A forcing becomes a rate in one place: ``rheology._forced`` is the only
 code in the modules that take models that calls ``inertial_number`` or
 compares a ``shear`` with 0, so the box, ``div_u`` and
 ``dissipation_density`` share one unsheared rule.
+
+A count and an array are checked in one place each: ``materials._check_count``
+is the only code in the modules that check inputs that calls
+``operator.index``, and ``materials._check_all`` the only code there that
+calls ``np.isfinite``, ``np.isinf``, ``np.isnan`` or ``math.isfinite`` or
+finds an array's first bad element, so every such message has one wording.
 """
 
 import ast
@@ -35,21 +41,33 @@ MODULES = ("rheology.py", "conditions.py", "simulate.py", "stability.py")
 DOOR = {"_admit", "_Pair"}
 
 
-def _questions(tree: ast.AST, inside: tuple[str, ...] = ()) -> list[str]:
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _nodes(tree: ast.AST, inside: tuple[str, ...] = ()):
+    """Each node below ``tree``, parents before children, with the names of
+    the functions and classes that enclose it, outermost first."""
+    for node in ast.iter_child_nodes(tree):
+        yield node, inside
+        yield from _nodes(node, inside + (node.name,) if isinstance(node, SCOPES) else inside)
+
+
+def _where(node: ast.AST, inside: tuple[str, ...]) -> str:
+    """``line: enclosing function``, or ``line: module`` at the top level."""
+    return f"{getattr(node, 'lineno', 0)}: {'.'.join(inside) or 'module'}"
+
+
+def _questions(tree: ast.AST) -> list[str]:
     """Each ``__getattr__`` definition, ``hasattr`` call and three-argument
     ``getattr`` call in ``tree`` outside :data:`DOOR`, as ``line: what``."""
     found = []
-    for node in ast.iter_child_nodes(tree):
-        scope = inside
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            if node.name == "__getattr__":
-                found.append(f"{node.lineno}: def __getattr__")
-            scope = inside + (node.name,)
+    for node, inside in _nodes(tree):
+        if isinstance(node, SCOPES) and node.name == "__getattr__":
+            found.append(f"{node.lineno}: def __getattr__")
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
             name, n_args = node.func.id, len(node.args)
             if name == "hasattr" or (name == "getattr" and n_args == 3 and not DOOR & set(inside)):
                 found.append(f"{node.lineno}: {name} with {n_args} arguments")
-        found += _questions(node, scope)
     return found
 
 
@@ -90,18 +108,11 @@ def _catches_model_error(handler: ast.ExceptHandler) -> bool:
     )
 
 
-def _skip_handlers(tree: ast.AST, inside: tuple[str, ...] = ()) -> list[str]:
+def _skip_handlers(tree: ast.AST) -> list[str]:
     """Each ``except`` clause in ``tree`` that catches a model error, as
     ``line: enclosing function``, or ``line: module`` at the top level."""
-    found = []
-    for node in ast.iter_child_nodes(tree):
-        scope = inside
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = inside + (node.name,)
-        elif isinstance(node, ast.ExceptHandler) and _catches_model_error(node):
-            found.append(f"{node.lineno}: {'.'.join(inside) or 'module'}")
-        found += _skip_handlers(node, scope)
-    return found
+    return [_where(node, inside) for node, inside in _nodes(tree)
+            if isinstance(node, ast.ExceptHandler) and _catches_model_error(node)]
 
 
 def test_one_skip_door():
@@ -135,26 +146,21 @@ def _is_infinity(node: ast.AST) -> bool:
             and isinstance(node.value, ast.Name) and node.value.id == "math")
 
 
-def _infinity_tests(tree: ast.AST, inside: tuple[str, ...] = ()) -> list[str]:
+def _infinity_tests(tree: ast.AST) -> list[str]:
     """Each ``math.isinf`` call and each ``==`` or ``!=`` against
     ``math.inf`` or ``-math.inf`` in ``tree``, as ``line: enclosing
     function: what``; order tests such as ``a < math.inf`` pass."""
     found = []
-    for node in ast.iter_child_nodes(tree):
-        scope = inside
-        where = f"{getattr(node, 'lineno', 0)}: {'.'.join(inside) or 'module'}"
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = inside + (node.name,)
-        elif isinstance(node, ast.Call) and ast.unparse(node.func) == "math.isinf":
-            found.append(f"{where}: math.isinf")
+    for node, inside in _nodes(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "math.isinf":
+            found.append(f"{_where(node, inside)}: math.isinf")
         elif isinstance(node, ast.Compare):
             sides = [node.left, *node.comparators]
             for op, left, right in zip(node.ops, sides, sides[1:]):
                 inf = next((x for x in (left, right) if _is_infinity(x)), None)
                 if isinstance(op, (ast.Eq, ast.NotEq)) and inf is not None:
                     symbol = "==" if isinstance(op, ast.Eq) else "!="
-                    found.append(f"{where}: {symbol} {ast.unparse(inf)}")
-        found += _infinity_tests(node, scope)
+                    found.append(f"{_where(node, inside)}: {symbol} {ast.unparse(inf)}")
     return found
 
 
@@ -201,23 +207,18 @@ def _is_zero(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and type(node.value) in (int, float) and node.value == 0
 
 
-def _forcing_reads(tree: ast.AST, inside: tuple[str, ...] = ()) -> list[str]:
+def _forcing_reads(tree: ast.AST) -> list[str]:
     """Each ``inertial_number`` call and each comparison of a ``shear`` with
     0 in ``tree``, as ``line: enclosing function: what``."""
     found = []
-    for node in ast.iter_child_nodes(tree):
-        scope = inside
-        where = f"{getattr(node, 'lineno', 0)}: {'.'.join(inside) or 'module'}"
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            scope = inside + (node.name,)
-        elif isinstance(node, ast.Call) and re.search(INERTIAL, ast.unparse(node.func)):
-            found.append(f"{where}: inertial_number")
+    for node, inside in _nodes(tree):
+        if isinstance(node, ast.Call) and re.search(INERTIAL, ast.unparse(node.func)):
+            found.append(f"{_where(node, inside)}: inertial_number")
         elif isinstance(node, ast.Compare):
             sides = [node.left, *node.comparators]
             for left, right in zip(sides, sides[1:]):
                 if (_is_shear(left) and _is_zero(right)) or (_is_zero(left) and _is_shear(right)):
-                    found.append(f"{where}: {ast.unparse(node)}")
-        found += _forcing_reads(node, scope)
+                    found.append(f"{_where(node, inside)}: {ast.unparse(node)}")
     return found
 
 
@@ -246,4 +247,59 @@ def test_the_forcing_guard_sees_each_kind():
         "2: _forced: shear == 0.0", "4: _forced: inertial_number",
         "6: segment: shear == 0.0", "6: segment: inertial_number",
         "9: C.m: state.shear > 0", "10: C.m: inertial_number", "11: module: 0.0 < shear",
+    ]
+
+
+#: The modules whose inputs pass the count and array doors.
+INPUT_MODULES = ("materials.py", "gas.py", "simulate.py", "conditions.py", "rheology.py",
+                 "stability.py")
+#: The two doors, and what they alone call.
+INPUT_DOORS = [
+    "materials.py: _check_count: operator.index", "materials.py: _check_all: np.isfinite",
+    "materials.py: _check_all: np.argmin", "materials.py: _check_all: np.unravel_index",
+]
+#: A count's integer test, a finiteness test that NaN fails or an array's,
+#: and a call that finds the first bad element of an array (``np.argmin`` of a
+#: mask and its index, or a helper named ``_first_bad``).
+INPUT_CALL = re.compile(
+    r"^((np|numpy)\.(isfinite|isinf|isnan|argmin|unravel_index)|operator\.index"
+    r"|math\.isfinite|(\w+\.)*_first_bad)$"
+)
+
+
+def _input_checks(tree: ast.AST) -> list[str]:
+    """Each call in ``tree`` that :data:`INPUT_CALL` matches, as ``line:
+    enclosing function: what``."""
+    return [f"{_where(node, inside)}: {ast.unparse(node.func)}" for node, inside in _nodes(tree)
+            if isinstance(node, ast.Call) and INPUT_CALL.match(ast.unparse(node.func))]
+
+
+def test_one_door_per_input_kind():
+    """Counts pass ``materials._check_count``, arrays ``materials._check_all``."""
+    hits = [
+        f"{module}: {hit}"
+        for module in INPUT_MODULES
+        for hit in _input_checks(ast.parse((SOURCE / module).read_text(), filename=module))
+    ]
+    assert [re.sub(r": \d+:", ":", h) for h in hits] == INPUT_DOORS, hits
+
+
+def test_the_input_guard_sees_each_kind():
+    tree = ast.parse(
+        "import numpy as np, operator\n"
+        "def _check_count(name, value, least):\n    operator.index(value)\n"
+        "def _check_all(rule, values, ok=None):\n    ok = np.isfinite(values)\n"
+        "    np.unravel_index(np.argmin(ok), np.shape(values))\n"
+        "def kappa(phi):\n    if not np.all(np.isfinite(phi)) or np.any(numpy.isnan(phi)):\n"
+        "        raise ValueError(_first_bad(phi, ok))\n"
+        "class C:\n    def m(self, n):\n"
+        "        return operator.index(n), gas._first_bad(n, ok), np.isinf(n)\n"
+        "x = math.isfinite(1.0) or np.isclose(1, 2) or np.all(ok) or np.argmax(ok) or isinf(x)\n"
+    )
+    assert _input_checks(tree) == [
+        "3: _check_count: operator.index", "5: _check_all: np.isfinite",
+        "6: _check_all: np.unravel_index", "6: _check_all: np.argmin",
+        "8: kappa: np.isfinite", "8: kappa: numpy.isnan", "9: kappa: _first_bad",
+        "12: C.m: operator.index", "12: C.m: gas._first_bad", "12: C.m: np.isinf",
+        "13: module: math.isfinite",
     ]

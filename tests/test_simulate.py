@@ -16,7 +16,9 @@ from scipy.linalg import solve_banded
 
 from granupore import simulate
 from granupore.gas import permeability_kappa
-from granupore.materials import EquilibriumLaw, GasParams, glass_beads, inertial_number
+from granupore.materials import (
+    EquilibriumLaw, GasParams, _check_count, glass_beads, inertial_number
+)
 from granupore.quadrature import integral
 from granupore.rheology import (
     DerivedNumeric,
@@ -107,9 +109,10 @@ class TestForcing:
         for shear, p, name in [(inf, 1.0, "shear"), (1.0, inf, "pressure")]:
             with pytest.raises(ValueError, match=f"^forcing {name} must be finite, got inf$"):
                 constant_forcing(shear, p)
-        for shears, ps, name in [([1.0, inf], [1.0, 2.0], "shears"),
-                                 ([1.0, 2.0], [inf, 2.0], "pressures")]:
-            with pytest.raises(ValueError, match=f"^forcing {name} must be finite$"):
+        for shears, ps, name, k in [([1.0, inf], [1.0, 2.0], "shear", 1),
+                                    ([1.0, 2.0], [inf, 2.0], "pressure", 0)]:
+            message = f"^forcing {name} must be finite, got inf at index {k}$"
+            with pytest.raises(ValueError, match=message):
                 piecewise_constant_forcing([0.0, 1.0, 2.0], shears, ps)
 
     @pytest.mark.parametrize("shear, p, message", [
@@ -253,6 +256,17 @@ class TestRunSettings:
             "the step count t_end / dt = 1e+308 / 1e-06 must be finite, got inf"
         )
 
+    def test_step_count_ceiling(self):
+        """At most 2**53 steps, past which floats no longer resolve one step."""
+        with pytest.raises(ValueError) as exc:
+            simulate._step_count(1e300, 1e-6)
+        assert str(exc.value) == (
+            "the step count t_end / dt = 1e+300 / 1e-06 must be at most 2**53, got 1e+306"
+        )
+        assert simulate._step_count(2.0**53, 1.0) == 2**53
+        with pytest.raises(ValueError, match=r"must be at most 2\*\*53, got 9\.0072e\+15$"):
+            simulate._step_count(math.nextafter(2.0**53, math.inf), 1.0)
+
     @pytest.mark.parametrize(
         "kwargs,name",
         [
@@ -284,7 +298,7 @@ class TestRunSettings:
             ((10, 0.1, 0.6, math.nan), "p_f"),
             ((10, 0.1, 0.6, math.inf), "p_f"),
             ((10, 0.1, 0.6, lambda z: np.where(z > 0.05, math.nan, 0.0)), "p_f"),
-            ((1, 0.1, 0.6), "at least 2 cells, got 1"),
+            ((1, 0.1, 0.6), "^n_cells must be at least 2, got 1$"),
             ((2.5, 0.1, 0.6), "^n_cells must be an integer, got 2.5$"),
             ((10, 0.1, 0.6, lambda z: z[:5]),
              r"^pf_init has shape \(5,\), which does not broadcast to 10 cells$"),
@@ -371,7 +385,9 @@ class TestRunSettings:
         state = uniform_column(200, 0.1, 0.6, 100.0)
         with pytest.raises(ValueError) as exc:
             run_column(state, GAS, MAT, 1e300, 0, mode="implicit")
-        assert str(exc.value) == "implicit step dt=1e+300 overflows the column matrix"
+        assert str(exc.value) == (
+            "implicit step dt=1e+300 overflows the column matrix, got inf at index 0"
+        )
 
     def test_implicit_singular_matrix_raises(self):
         # 1-phi is lost beside dt p_atm kappa / dz^2, leaving the singular
@@ -747,7 +763,7 @@ def _reference_run_box(model, mat, forcing, phi0, t_end, dt, pf0=None, gas=None,
     returns the result, or the error as :func:`_error_of` gives it."""
     try:
         n_steps = simulate._step_count(t_end, dt)
-        simulate._check_record_every(record_every)
+        _check_count("record_every", record_every, 1)
         model = _admit(model, mat)
         simulate._check_box_start(phi0, pf0, gas, "phi0", "pf0")
     except ValueError as exc:
