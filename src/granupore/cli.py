@@ -50,6 +50,8 @@ from .materials import (
 )
 from .rheology import MODEL_IDS, DerivedNumeric, PowerLaw, build_model, derive_f_numeric
 from .simulate import (
+    _check_column_steps,
+    _face_kappa,
     _step_count,
     column_cfl_dt,
     constant_forcing,
@@ -281,8 +283,9 @@ def cmd_simulate_column(args) -> int:
         return pf
 
     state0 = uniform_column(args.cells, args.length, args.phi, pf_init)
-    try:  # the permeability's error names its phi, not the flag
+    try:  # the permeability's errors name its phi, not the flag
         permeability_kappa(gas, mat.d, args.phi)
+        _face_kappa(state0, gas, mat)
     except ValueError as exc:
         raise ValueError(f"--phi={args.phi}: {exc}") from None
     lowest = float(np.min(state0.pf_profile))
@@ -297,6 +300,7 @@ def cmd_simulate_column(args) -> int:
         _check_amount(f"the step derived from --length={args.length}, --cells={args.cells}"
                       f" and --phi={args.phi} (no --dt given)", dt)
     n_steps = _step_count(args.t_end, dt)
+    _check_column_steps(f"n_steps = --t-end / --dt = {args.t_end} / {dt}", n_steps)
     result = run_column(
         state0, gas, mat, dt, n_steps, mode=args.mode, record_every=args.record_every
     )

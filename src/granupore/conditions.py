@@ -30,11 +30,27 @@ C2 dZ/dI, Z; C3 df/dp where f takes p, then df/dI; the gap Z, f; the
 equilibrium signs last, once per (phi, p), or per phi where f takes no p.
 ``_attempt`` is the one door that turns such an error into a skip.
 
+A model with a row read (``rheology._ModelBase._row``: the closed forms and
+their linear combinations) is read a phi row at a time.  Its terms in I
+alone are taken once per sweep, one element at a time by the scalar
+functions; then, per phi, the row read takes i_eq(phi) once and gives dZ/dI,
+df/dI, Z and f over every I, and C1, C2 and the gap are array expressions in
+the formulas' operation order.  One rule sends a point to the scalar reads
+above instead: its four row values are not all finite, or its row read
+raised, or the sweep's terms in I alone raised, or the model has no row read
+(a duck pair through ``_Pair``, ``DerivedNumeric``, ``Isochoric``, or a
+subclass, which inherits none).  Where all four are finite they are the
+scalar reads' values, bit for bit, and no scalar read raises there, so
+values, skip reasons and the scalar calls made are as point by point.  A
+phi whose every I the row read gives checks its equilibrium signs once, up
+front; otherwise they are checked at the row's first kept read.
+
 A report row is a :class:`PointRecord`, a plain named tuple of Python
-floats and a bool.  The summaries are array reductions over the kept
-reads' columns, each broadcast over the p values its read covers (a
-failing flag reads 0.0): a pass mask, a count and the first argmax of the
-severity, NaN worst of all.
+floats and a bool, made in C by ``tuple.__new__`` over columns in which a
+read's float objects repeat over the p values it covers.  The summaries
+are array reductions over the kept reads' columns, each repeated over the p
+values its read covers (a failing flag reads 0.0): a pass mask, a count and
+the first argmax of the severity, NaN worst of all.
 """
 
 from __future__ import annotations
@@ -42,12 +58,13 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import NamedTuple, TextIO
 
 import numpy as np
 
 from .gas import permeability_kappa
-from .materials import FlowState, GasParams, MaterialParams, _check_all, _check_count
+from .materials import FlowState, GasParams, MaterialParams, _check_all, _check_count, _finite
 from .rheology import _admit, _forced
 
 __all__ = [
@@ -305,14 +322,73 @@ def _shared_reads(model, phi: float, p: float, I: float) -> tuple[float, ...]:
     return c1, c2, dfp, df, _gap(z, fv)
 
 
-def _columns(kept: list[tuple], width: int, p_values: list[float]) -> dict[str, np.ndarray]:
+def _row_reads(model, phi: float, I: np.ndarray, terms) -> list[list] | None:
+    """The row read's C1, C2, df/dI and gap at each I, as lists, in the
+    condition formulas' operation order, and whether dZ/dI, df/dI, Z and f
+    are all finite there; None where the row read raises."""
+    with np.errstate(all="ignore"):  # what is not finite is read again
+        row = _attempt(model._row, phi, I, terms)
+        if isinstance(row, str):
+            return None
+        dz, df, z, f = row  # df and f take I, so each of these is an array
+        finite = _finite(dz) & _finite(df) & _finite(z) & _finite(f)
+        reads = _c1(I, dz, df, z, f), _c2(I, dz, z), df, _gap(z, f), finite
+    return [v.tolist() for v in reads]
+
+
+def _kept_reads(model, phi: float, I_values: list[float], p_values: list[float], width: int,
+                row: list[list] | None, skipped: list) -> tuple:
+    """One phi's kept reads as the columns phi, I, j, C1, C2, df/dp, df/dI,
+    gap and equilibrium signs, with its skipped points appended to
+    ``skipped`` in (I, p) order.  A point takes the row read's values where
+    they are finite, else the scalar reads; a row read finite at every I
+    needs only one equilibrium check."""
+    eq_signs: dict[int, bool | str] = {}
+    if row is not None and all(row[-1]):
+        eq_signs[0] = signs = _attempt(check_equilibrium_signs, model, phi, p_values[0])
+        if not isinstance(signs, str):
+            (c1, c2, df, gap, _), n = row, len(I_values)
+            return (repeat(phi, n), I_values, repeat(0, n), c1, c2, repeat(0.0, n), df, gap,
+                    repeat(signs, n))
+    reads = repeat(None) if row is None else (
+        (c1, c2, 0.0, df, gap) if finite else None for c1, c2, df, gap, finite in zip(*row))
+    kept = []
+    for I, read in zip(I_values, reads):
+        for j in range(0, len(p_values), width):
+            point = read or _attempt(_shared_reads, model, phi, p_values[j], I)
+            if not isinstance(point, str):
+                if j not in eq_signs:
+                    eq_signs[j] = _attempt(check_equilibrium_signs, model, phi, p_values[j])
+                if not isinstance(signs := eq_signs[j], str):
+                    kept.append((phi, I, j, *point, signs))
+                    continue
+                point = signs
+            skipped.extend(((phi, I, p), point) for p in p_values[j:j + width])
+    return tuple(zip(*kept))
+
+
+def _columns(kept: list[list], width: int, p_values: list[float]) -> dict[str, np.ndarray]:
     """Each condition's values, a row per kept read and a column per p value
     it covers: one column, or for C3, which divides by p, ``width``."""
-    phi, I, j, c1, c2, dfp, df, gap, signs = (
-        np.array(kept, dtype=float).reshape(-1, 9, 1).transpose(1, 0, 2))
+    phi, I, j, c1, c2, dfp, df, gap, signs = (np.array(c, dtype=float)[:, None] for c in kept)
     with np.errstate(all="ignore"):  # inf and NaN as float arithmetic gives them
         c3 = _c3(I, np.array(p_values)[j.astype(int) + np.arange(width)], dfp, df)
     return dict(c1_residual=c1, c2_value=c2, c3_value=c3, dissipation_gap=gap, eq_sign_ok=signs)
+
+
+def _records(kept: list[list], c3: np.ndarray, width: int,
+             p_values: list[float]) -> list[PointRecord]:
+    """A PointRecord per kept point, made in C by ``tuple.__new__`` over
+    columns in which each read's objects repeat over the p values it covers."""
+    phi, I, j, c1, c2, _, _, gap, signs = kept
+
+    def each(column: list):
+        return chain.from_iterable(map(repeat, column, repeat(width)))
+
+    spans = {k: p_values[k:k + width] for k in range(0, len(p_values), width)}
+    columns = zip(each(phi), each(I), chain.from_iterable(map(spans.__getitem__, j)),
+                  each(c1), each(c2), c3.ravel().tolist(), each(gap), each(signs))
+    return list(map(tuple.__new__, repeat(PointRecord), columns))
 
 
 def sweep(model, grid: GridSpec) -> ConditionReport:
@@ -327,34 +403,25 @@ def sweep(model, grid: GridSpec) -> ConditionReport:
     """
     report = ConditionReport()
     model = _admit(model)
-    I_values, p_values = grid.I_values().tolist(), grid.p_values().tolist()
+    I_array = grid.I_values()
+    I_values, p_values = I_array.tolist(), grid.p_values().tolist()
     # The read at p_values[j] covers p_values[j:j + width]: every p where f
     # takes no p, else its own.  So the equilibrium signs, one flag or error
     # message per j, are checked once per phi where f takes no p.
     width = 1 if model._f_takes_p else len(p_values)
-    kept = []  # (phi, I, j, C1, C2, df/dp, df/dI, gap, signs) of each kept read
+    # Terms in I alone that raise leave every point to the scalar reads.
+    terms = "no row read" if model._row is None else _attempt(model._row_terms, I_values)
+    kept = [[] for _ in range(9)]  # phi, I, j, C1, C2, df/dp, df/dI, gap, signs
     for phi in grid.phi_values().tolist():
-        eq_signs: dict[int, bool | str] = {}
-        for I in I_values:
-            for j in range(0, len(p_values), width):
-                point = _attempt(_shared_reads, model, phi, p_values[j], I)
-                if not isinstance(point, str):
-                    if j not in eq_signs:
-                        eq_signs[j] = _attempt(check_equilibrium_signs, model, phi, p_values[j])
-                    if not isinstance(signs := eq_signs[j], str):
-                        kept.append((phi, I, j, *point, signs))
-                        continue
-                    point = signs
-                report.skipped.extend(((phi, I, p), point) for p in p_values[j:j + width])
+        row = None if isinstance(terms, str) else _row_reads(model, phi, I_array, terms)
+        for column, values in zip(kept, _kept_reads(
+                model, phi, I_values, p_values, width, row, report.skipped)):
+            column.extend(values)
 
     columns = _columns(kept, width, p_values)
-    c3 = iter(columns["c3_value"].ravel().tolist())
-    report.records = [
-        PointRecord(phi, I, p, c1, c2, next(c3), gap, signs)
-        for phi, I, j, c1, c2, _, _, gap, signs in kept for p in p_values[j:j + width]
-    ]
+    report.records = _records(kept, columns["c3_value"], width, p_values)
     for cond, (name, passes, severity) in _RULES.items():
-        values = np.broadcast_to(columns[name], (len(kept), width)).ravel()
+        values = np.repeat(columns[name], width // columns[name].shape[1])  # one per point
         failed = np.flatnonzero(~passes(values))
         summary = ConditionSummary(True, None, None, 0)
         if failed.size:  # argmax takes the first of equally bad points

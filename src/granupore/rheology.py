@@ -34,7 +34,9 @@ Every model above except ``DerivedNumeric`` has its slopes dZ/dI, df/dI and
 df/dp in closed form; ``DerivedNumeric`` takes the central difference of its
 Z for dZ/dI, df/dI = (Z - f)/I - dZ/dI / 2 from consistency, and df/dp = 0.
 No f here takes p, which the protocol states once (``_f_takes_p``), so a
-condition sweep reads each (phi, I) once.  The first
+condition sweep reads each (phi, I) once.  The closed forms and their linear
+combinations also read a whole row of I at one phi (``_row``), with their
+terms in I alone taken once per sweep, which a sweep prefers.  The first
 four write f and df/dI once each, as ``_f`` and ``_f_dI`` of I_eq and their
 factors in I alone, behind one check, so df/dI raises where f raises.
 ``_dilatancy_at`` binds ``_f`` to those factors, I and the law's inverse with
@@ -47,8 +49,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
+
+import numpy as np
 
 from .materials import (
     EquilibriumLaw,
@@ -223,6 +228,28 @@ def _mui_angle(phi: float, factors: tuple[tuple[float, float, float], float],
     return g - mui_angle_primitive(mu1, mu2, I0, ieq)
 
 
+def _square(I: float) -> float:
+    return I**2
+
+
+def _each(fun: Callable[[float], float], I: list[float]) -> np.ndarray:
+    """``fun`` at each I of a list, one Python call each, so that a row
+    read's term in I alone has the bits of the scalar read's (numpy's power
+    and log1p need not give them)."""
+    return np.array([fun(J) for J in I])
+
+
+def _mu_terms(mat: MaterialParams, funs: tuple, I: list[float]) -> tuple[np.ndarray, ...]:
+    """Each mu(I) function of ``funs`` at each I, with mat's mu1, mu2 and I0."""
+    return tuple(_each(functools.partial(fun, mat.mu1, mat.mu2, mat.I0), I) for fun in funs)
+
+
+def _sum(values):
+    """0 + v1 + v2 + ..., left to right, for numbers and arrays alike (the
+    builtin sum compensates a float sum from Python 3.12 on)."""
+    return functools.reduce(operator.add, values, 0)
+
+
 # ----------------------------------------------------------------------
 # Central differences; f from Z by quadrature
 # ----------------------------------------------------------------------
@@ -319,6 +346,21 @@ class _ModelBase:
     #: shares each (phi, I)'s reads across p; a subclass whose f reads p
     #: sets it True.
     _f_takes_p = False
+    #: The row read, or None: ``_row(phi, I, terms)`` is dZ/dI, df/dI, Z and
+    #: f at one phi over the array ``I``, each an array or a number, where
+    #: ``terms = _row_terms(I)`` (I a list) are the model's terms in I alone,
+    #: taken once per sweep one element at a time by the scalar functions.
+    #: It reads i_eq(phi) once and broadcasts only the arithmetic that takes
+    #: phi, in the scalar reads' order, so at each I where all four are
+    #: finite they are the scalar reads' values, bit for bit, and no scalar
+    #: read raises there.  A model with one takes no p.  A subclass inherits
+    #: none, so a subclass's own scalar reads are what a sweep reads.
+    _row = None
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        if "_row" not in vars(cls):
+            cls._row = None
 
     def i_eq(self, phi: float) -> float:
         return law_i_eq(self.law, self.mat, phi)
@@ -406,6 +448,13 @@ class DruckerPrager(_Factored):
     def dZ_dI(self, phi: float, I: float) -> float:
         return 0.0
 
+    def _row_terms(self, I: list[float]) -> np.ndarray:
+        return _each(_square, I)
+
+    def _row(self, phi: float, I: np.ndarray, I2: np.ndarray) -> tuple:
+        sin_delta, ieq = math.sin(self.mat.delta), self.i_eq(phi)
+        return 0.0, sin_delta * ieq / I2, sin_delta, self._f(ieq, sin_delta, _itself, I)
+
 
 @dataclass(frozen=True)
 class MuI(_Factored):
@@ -424,8 +473,8 @@ class MuI(_Factored):
            i_eq: Callable[[float], float], I: float) -> float:
         (mu1, mu2, I0), f = factors
         ieq = i_eq(phi)
-        if ieq > 0.0:
-            f -= ieq / I * mui_shear_factor(mu1, mu2, I0, ieq)
+        if ieq > 0.0:  # not -=, which would write into a row's F(I)
+            f = f - ieq / I * mui_shear_factor(mu1, mu2, I0, ieq)
         return f
 
     @staticmethod
@@ -441,6 +490,18 @@ class MuI(_Factored):
 
     def dZ_dI(self, phi: float, I: float) -> float:
         return friction_mu_prime(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
+
+    def _row_terms(self, I: list[float]) -> tuple[np.ndarray, ...]:
+        return (*_mu_terms(self.mat, (mui_shear_factor, friction_mu, friction_mu_prime), I),
+                _each(_square, I))
+
+    def _row(self, phi: float, I: np.ndarray, terms: tuple) -> tuple:
+        F, mu, mu_prime, I2 = terms
+        consts, ieq = (self.mat.mu1, self.mat.mu2, self.mat.I0), self.i_eq(phi)
+        slope = (mu - F) / I - 0.5 * mu_prime
+        if ieq > 0.0:
+            slope = slope + ieq / I2 * mui_shear_factor(*consts, ieq)
+        return mu_prime, slope, mu, self._f(ieq, (consts, F), _itself, I)
 
 
 @dataclass(frozen=True)
@@ -476,6 +537,10 @@ class PowerLaw(_ModelBase):
         """The factor c (2-n)/(2(n+1)) and I_eq(phi), after f's checks."""
         if I <= 0:
             raise _needs_positive_I("dilatancy", I)
+        return self._anchor(phi)
+
+    def _anchor(self, phi: float) -> tuple[float, float]:
+        """:meth:`_f_terms` past its check of I."""
         ieq = self.i_eq(phi)
         if ieq == 0.0 and self.n < -1.0:
             raise ValueError(
@@ -490,6 +555,17 @@ class PowerLaw(_ModelBase):
     def df_dI(self, phi: float, p: float, I: float) -> float:
         c, ieq = self._f_terms(phi, I)
         return c * (self.n * I ** (self.n - 1.0) + ieq ** (self.n + 1.0) / I**2)
+
+    def _row_terms(self, I: list[float]) -> tuple[np.ndarray, ...]:
+        n = self.n
+        return _each(lambda J: J**n, I), _each(lambda J: J ** (n - 1.0), I), _each(_square, I)
+
+    def _row(self, phi: float, I: np.ndarray, terms: tuple) -> tuple:
+        I_n, I_n1, I2 = terms
+        (c, ieq), n = self._anchor(phi), self.n
+        anchored = ieq ** (n + 1.0)
+        z = self.coefficient * I_n
+        return n * z / I, c * (n * I_n1 + anchored / I2), z, c * (I_n - anchored / I)
 
 
 @dataclass(frozen=True)
@@ -518,6 +594,17 @@ class DruckerPragerDilatant(_Factored):
 
     def _gain_lhs(self, I: float) -> float:  # exact, no i_eq(phi_eq(I)) round trip
         return 2.0 * math.sin(self.mat.delta) / (2.0 + math.cos(self.mat.delta))
+
+    def _row_terms(self, I: list[float]) -> None:
+        return None
+
+    def _row(self, phi: float, I: np.ndarray, terms: None) -> tuple:
+        (K, b), ieq = _dp_angle_factors(self.mat.delta), self.i_eq(phi)
+        # (I_eq/I)^beta takes phi and I: one Python power each, for its bits
+        psi = K * (1.0 - np.array([r**b for r in (ieq / I).tolist()]))
+        slope = b * (K - psi) / I
+        c = math.cos(self.mat.delta)
+        return c * slope, slope, math.sin(self.mat.delta) + c * psi, psi
 
 
 @dataclass(frozen=True)
@@ -555,6 +642,16 @@ class MuIDilatant(_Factored):
         mu = friction_mu(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
         mup = friction_mu_prime(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
         return (2.0 * mu - I * mup) / 3.0
+
+    def _row_terms(self, I: list[float]) -> tuple[np.ndarray, ...]:
+        return _mu_terms(self.mat, (mui_angle_primitive, friction_mu, friction_mu_prime), I)
+
+    def _row(self, phi: float, I: np.ndarray, terms: tuple) -> tuple:
+        G, mu, mu_prime = terms
+        consts = self.mat.mu1, self.mat.mu2, self.mat.I0
+        psi = self._f(self.i_eq(phi), (consts, G), _itself, I)  # raises at I_eq <= 0
+        slope = 2.0 * mu / (3.0 * I) - mu_prime / 3.0
+        return mu_prime + slope, slope, mu + psi, psi
 
 
 @dataclass(frozen=True)
@@ -603,6 +700,17 @@ class RouxRadjai(_ModelBase):
     def _gain(self, I: float) -> float:
         return self.gain
 
+    def _row_terms(self, I: list[float]) -> tuple[np.ndarray, np.ndarray]:
+        return _each(self.phi_eq, I), _each(functools.partial(phi_eq_prime, self.law, self.mat), I)
+
+    def _row(self, phi: float, I: np.ndarray, terms: tuple) -> tuple:
+        phi_eq_I, phi_eq_slope = terms
+        f, slope = self.gain * (phi - phi_eq_I), -self.gain * phi_eq_slope
+        if self.z_mode == "dp":
+            return 0.0, slope, math.sin(self.mat.delta), f
+        c = math.cos(self.mat.delta)
+        return c * slope, slope, math.sin(self.mat.delta) + c * f, f
+
 
 @dataclass(frozen=True)
 class LinearCombination(_ModelBase):
@@ -620,6 +728,8 @@ class LinearCombination(_ModelBase):
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple((w, _admit(m)) for w, m in self.terms))
         object.__setattr__(self, "_f_takes_p", any(m._f_takes_p for _, m in self.terms))
+        if any(m._row is None for _, m in self.terms):
+            object.__setattr__(self, "_row", None)
         for k, (_, m) in enumerate(self.terms):
             for name, own, theirs in (("mat", self.mat, m.mat), ("law", self.law, m.law)):
                 if theirs not in (None, own):
@@ -630,27 +740,32 @@ class LinearCombination(_ModelBase):
         return weight(phi) if callable(weight) else float(weight)
 
     def yield_function(self, phi: float, I: float) -> float:
-        return sum(
-            self._w(w, phi) * m.yield_function(phi, I) for w, m in self.terms
-        )
+        return _sum(self._w(w, phi) * m.yield_function(phi, I) for w, m in self.terms)
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
-        return sum(self._w(w, phi) * m.dilatancy(phi, p, I) for w, m in self.terms)
+        return _sum(self._w(w, phi) * m.dilatancy(phi, p, I) for w, m in self.terms)
 
     def dZ_dI(self, phi: float, I: float) -> float:
-        return sum(self._w(w, phi) * m.dZ_dI(phi, I) for w, m in self.terms)
+        return _sum(self._w(w, phi) * m.dZ_dI(phi, I) for w, m in self.terms)
 
     def df_dI(self, phi: float, p: float, I: float) -> float:
-        return sum(self._w(w, phi) * m.df_dI(phi, p, I) for w, m in self.terms)
+        return _sum(self._w(w, phi) * m.df_dI(phi, p, I) for w, m in self.terms)
 
     def df_dp(self, phi: float, p: float, I: float) -> float:
-        return sum(self._w(w, phi) * m.df_dp(phi, p, I) for w, m in self.terms)
+        return _sum(self._w(w, phi) * m.df_dp(phi, p, I) for w, m in self.terms)
 
     def _gain(self, I: float) -> float:
         phi_star = self.phi_eq(I)
-        return sum(
+        return _sum(
             self._w(w, phi_star) * m.near_equilibrium_gain(I) for w, m in self.terms
         )
+
+    def _row_terms(self, I: list[float]) -> tuple:
+        return tuple(m._row_terms(I) for _, m in self.terms)
+
+    def _row(self, phi: float, I: np.ndarray, terms: tuple) -> tuple:
+        rows = [(self._w(w, phi), m._row(phi, I, t)) for (w, m), t in zip(self.terms, terms)]
+        return tuple(_sum(w * row[k] for w, row in rows) for k in range(4))
 
 
 #: Entries kept by each of a :class:`DerivedNumeric`'s memos.  A sweep reuses

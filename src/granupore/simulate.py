@@ -47,7 +47,7 @@ from .conditions import EQ_ANCHOR_TOL
 from .gas import enthalpy_ideal, permeability_kappa
 from .materials import (
     GasParams, MaterialParams, _check_all, _check_amount, _check_amounts, _check_count,
-    _check_finite,
+    _check_finite, _finite,
 )
 from .rheology import _admit, _forced
 
@@ -81,6 +81,12 @@ CFL_SAFETY = 0.4
 #: one call (128 KB): a block this size stays in cache, while a 4 MB block
 #: made 2,000 cells slower than one call per step.
 _LEDGER_BLOCK_VALUES = 16_384
+
+#: Most steps ``run_column`` takes.  Its ledger holds 4 floats a step and is
+#: allocated before the first, so 2**25 steps ask for 1 GiB at once, a share
+#: of a desk machine's memory one run may take; at about 14 us an explicit
+#: step of 200 cells (2-vCPU x86-64 host), they already run for 8 minutes.
+COLUMN_MAX_STEPS = 2**25
 
 
 # ----------------------------------------------------------------------
@@ -471,15 +477,28 @@ def uniform_column(
 
 def _face_kappa(state: ColumnState, gas: GasParams, mat: MaterialParams) -> np.ndarray:
     """Face permeabilities: the harmonic mean of the neighbouring cells'
-    kappa, which preserves flux continuity across jumps in kappa."""
+    kappa, which preserves flux continuity across jumps in kappa.  Raises
+    where 2 kappa kappa' overflows, at phi below about 2e-80 for glass beads."""
     kappa = permeability_kappa(gas, mat.d, state.phi_profile)
-    return 2.0 * kappa[:-1] * kappa[1:] / (kappa[:-1] + kappa[1:])
+    with np.errstate(over="ignore"):  # named below
+        product = 2.0 * kappa[:-1] * kappa[1:]
+    _check_all("the face permeability 2 kappa kappa' overflows at phi", state.phi_profile[:-1],
+               _finite(product))
+    return product / (kappa[:-1] + kappa[1:])
 
 
 def column_cfl_dt(state: ColumnState, gas: GasParams, mat: MaterialParams) -> float:
-    """Largest explicit step: CFL_SAFETY * min(dz^2 (1-phi) / (p_atm kappa))."""
+    """Largest explicit step: CFL_SAFETY * min(dz^2 (1-phi) / (p_atm kappa)).
+
+    Raises:
+        ValueError: Where phi is outside (0, 1), or so small that kappa or
+            p_atm kappa overflows.
+    """
     one_m, kappa = 1.0 - state.phi_profile, permeability_kappa(gas, mat.d, state.phi_profile)
-    return CFL_SAFETY * float(np.min(state.dz * state.dz * one_m / (gas.p_atm * kappa)))
+    with np.errstate(over="ignore"):  # named below
+        rate = gas.p_atm * kappa
+    _check_all("p_atm kappa overflows at phi", state.phi_profile, _finite(rate))
+    return CFL_SAFETY * float(np.min(state.dz * state.dz * one_m / rate))
 
 
 def _column_stepper(
@@ -628,6 +647,14 @@ class ColumnResult(EnergyLedger):
         return float(np.max(np.abs(np.diff(content)), initial=0.0) / max(abs(content[0]), 1.0))
 
 
+def _check_column_steps(name: str, n_steps: int) -> None:
+    """Reject a step count above :data:`COLUMN_MAX_STEPS`, before its
+    ledger is allocated."""
+    if n_steps > COLUMN_MAX_STEPS:
+        raise ValueError(f"{name} must be at most 2**25 = {COLUMN_MAX_STEPS}, a 1 GiB ledger,"
+                         f" got {n_steps}")
+
+
 def run_column(
     state0: ColumnState,
     gas: GasParams,
@@ -651,13 +678,15 @@ def run_column(
             n_steps is 0: dt not positive and finite, an unknown mode, an
             explicit dt above the stability bound, or an implicit dt that
             overflows the matrix; then if record_every is not an integer or
-            < 1, or n_steps is not an integer or < 0; then, before any
-            step, if an initial p_f is not finite (NaN included), or at or
-            below -p_atm (each message gives the cell index).
+            < 1, or n_steps is not an integer, < 0 or above
+            :data:`COLUMN_MAX_STEPS`; then, before any step, if an initial
+            p_f is not finite (NaN included), or at or below -p_atm (each
+            message gives the cell index).
     """
     one_m, kf, advance = _column_stepper(state0, gas, mat, dt, mode)
     _check_count("record_every", record_every, 1)
     _check_count("n_steps", n_steps, 0)
+    _check_column_steps("n_steps", n_steps)
     t, p, dz = state0.t, state0.pf_profile, state0.dz
     _check_all("initial p_f must be finite", p)
     ledger = np.empty((4, n_steps + 1))  # rows: t, content, E1, D

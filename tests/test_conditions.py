@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from granupore import conditions, rheology
@@ -723,6 +723,114 @@ class TestSweepMatchesPointwise:
         law = EquilibriumLaw(law)
         report = sweep(_equivalence_model(name, law), grid)
         assert _bits(report) == _bits(_reference_sweep(_equivalence_model(name, law), grid))
+
+
+#: The closed-form models with a row read, and combinations of them.
+ROW_MODELS = ("dp", "mui", "dp-psi", "mui-psi", "power:0.5", "power:-0.5", "power:2",
+              "roux-radjai", "roux-radjai-dp", "lincomb-const", "lincomb-callable")
+
+
+@st.composite
+def _edge_grids(draw):
+    """Grids that reach where row reads stop: phi from 0.30, below the
+    schaeffer law's range (which starts near 0.4002), to past phi_max = 0.6,
+    and I from 1e-170, where Python's I**2 underflows to 0 and a scalar read
+    divides by it, up to 20."""
+    phi_lo = draw(st.floats(0.30, 0.62))
+    I_lo = 10.0 ** draw(st.one_of(st.floats(-170.0, -150.0), st.floats(-4.0, 1.0)))
+    return GridSpec(
+        (phi_lo, phi_lo + draw(st.floats(1e-3, 0.1)), draw(st.integers(2, 4))),
+        (I_lo, min(20.0, I_lo * 10.0 ** draw(st.floats(0.5, 175.0))), draw(st.integers(2, 5))),
+        (10.0, 10.0 + draw(st.floats(1.0, 1e4)), draw(st.integers(2, 3))),
+        draw(st.booleans()),
+    )
+
+
+class TestRowReads:
+    """A closed-form model's row read over every I of a phi changes no bit
+    of a report, and costs one i_eq read per phi and one call of each term in
+    I alone per sweep."""
+
+    #: Reaches every edge at once: phi below the schaeffer law's range and past
+    #: phi_max, and I where I**2 underflows.
+    EDGES = GridSpec((0.35, 0.62, 4), (1e-170, 10.0, 6), (10.0, 1e4, 2))
+
+    @pytest.mark.parametrize("law", LAWS)
+    @pytest.mark.parametrize("name", ROW_MODELS)
+    @given(grid=_edge_grids())
+    @example(grid=EDGES)
+    @settings(max_examples=10, deadline=None)
+    def test_bitwise_at_the_edges(self, name, law, grid):
+        model = _closed_form(name, EquilibriumLaw(law))
+        assert rheology._admit(model)._row is not None
+        assert _bits(sweep(model, grid)) == _bits(_reference_sweep(model, grid))
+
+    def test_edges_reach_every_fallback(self):
+        # the edge grid holds points skipped by i_eq above phi_max and below
+        # the schaeffer law's range, by the ZeroDivisionError of I**2 = 0, and
+        # rows read by the row read
+        report = sweep(MuI(MAT, EquilibriumLaw("schaeffer")), self.EDGES)
+        reasons = {reason.split(" ")[0] for _, reason in report.skipped}
+        assert reasons == {"phi=0.35", "no", "ZeroDivisionError:"}
+        assert report.records
+
+    def test_subclass_sweeps_its_override(self):
+        class Doubled(MuI):
+            def dilatancy(self, phi, p, I):
+                return 2.0 * super().dilatancy(phi, p, I)
+
+        model, grid = Doubled(MAT, LAW), GridSpec((0.45, 0.55, 3), (0.1, 1.0, 4), (10.0, 100.0, 2))
+        assert MuI._row is not None and Doubled._row is None
+        report = sweep(model, grid)
+        assert _bits(report) == _bits(_reference_sweep(model, grid))
+        assert report.records != sweep(MUI, grid).records
+
+    #: Per model: i_eq calls per phi (one by the row read, one and three f
+    #: reads by the equilibrium signs; none by Roux-Radjai's f), calls per I
+    #: of the terms in I alone, and of those the calls per I of F, G, mu, mu',
+    #: phi_eq, phi_eq' and I**2.
+    WORK = {
+        "dp": (5, 1, 1), "mui": (5, 4, 4), "dp-psi": (5, 0, 0), "mui-psi": (5, 3, 3),
+        "power:0.5": (5, 3, 1), "roux-radjai": (1, 2, 2), "roux-radjai-dp": (1, 2, 2),
+        "lincomb-const": (9, 5, 5),
+    }
+    SCALAR = ("friction_mu", "friction_mu_prime", "mui_shear_factor", "mui_angle_primitive",
+              "law_phi_eq", "phi_eq_prime", "_square")
+
+    @pytest.mark.parametrize("name", list(WORK))
+    def test_work_per_phi_and_per_sweep(self, name, monkeypatch):
+        # I in [0.01, 0.09] meets none of the equilibrium signs' I_eq, 2 I_eq
+        # and I_eq / 2 (I_eq in [0.25, 0.75] on these phi), so every term
+        # call at a grid I is the row read's
+        calls = {"i_eq": 0, "each": 0, "scalar": 0, "shared": 0}
+        grid_I = set()
+
+        def counted(fun, key, at_grid_I=False):
+            def call(*args):
+                calls[key] += not at_grid_I or args[-1] in grid_I
+                return fun(*args)
+            return call
+
+        def each(fun, I, each=rheology._each):  # one scalar call per element
+            calls["each"] += len(I)
+            return each(fun, I)
+
+        monkeypatch.setattr(rheology, "_each", each)
+        monkeypatch.setattr(rheology, "law_i_eq", counted(rheology.law_i_eq, "i_eq"))
+        monkeypatch.setattr(conditions, "_shared_reads", counted(conditions._shared_reads,
+                                                                 "shared"))
+        for fun in self.SCALAR:
+            monkeypatch.setattr(rheology, fun, counted(getattr(rheology, fun), "scalar", True))
+        for n_phi, n_I, n_p in ((3, 5, 2), (4, 7, 6)):
+            grid = GridSpec((0.45, 0.55, n_phi), (0.01, 0.09, n_I), (10.0, 100.0, n_p))
+            grid_I.clear()
+            grid_I.update(grid.I_values().tolist())
+            calls.update(dict.fromkeys(calls, 0))
+            report = sweep(_closed_form(name, LAW), grid)
+            assert len(report.records) == n_phi * n_I * n_p and not report.skipped
+            per_phi, per_I, scalar_per_I = self.WORK[name]
+            assert calls == {"i_eq": per_phi * n_phi, "each": per_I * n_I,
+                             "scalar": scalar_per_I * n_I, "shared": 0}
 
 
 def _error(fun, *args):

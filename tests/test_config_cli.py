@@ -634,8 +634,12 @@ class TestCliSimulate:
             (["--phi=1e-308"], "--phi=1e-308: permeability overflows at phi, got 1e-308"),
             (["--length=1e308"], "the initial p_f from --pf-mean=200.0, --pf-amplitude=100.0 and"
                                  " --length=1e+308 must be finite, got nan at index 114"),
+            (["--phi=2e-157"], "--phi=2e-157: the face permeability 2 kappa kappa' overflows at"
+                               " phi, got 2e-157 at index 0"),
+            (["--phi=1e-100", "--dt=1e-3"], "--phi=1e-100: the face permeability 2 kappa kappa'"
+                                            " overflows at phi, got 1e-100 at index 0"),
         ],
-        ids=["tiny-phi", "huge-length"],
+        ids=["tiny-phi", "huge-length", "huge-kappa-bound", "huge-kappa-face"],
     )
     def test_column_overflowing_input_named(self, capsys, argv, message):
         """An input that overflows the column's permeability or initial
@@ -662,6 +666,15 @@ class TestCliSimulate:
         assert captured.err == (
             f"error: the step count t_end / dt = {quotient} must be at most 2**53, got {steps}\n"
         )
+
+    def test_column_ledger_ceiling_named(self, capsys):
+        """A column run of more than 2**25 steps fails before its ledger is
+        allocated, naming --t-end and --dt; 1e15 steps asked numpy for 28 PiB
+        and ended in a MemoryError traceback."""
+        assert main(["simulate-column", "--t-end=1e12", "--dt=1e-3", "--mode", "implicit"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: n_steps = --t-end / --dt = 1000000000000.0 / 0.001 must be at most"
+            " 2**25 = 33554432, a 1 GiB ledger, got 1000000000000000\n"))
 
     def test_column_zero_steps_still_checks_dt(self, capsys):
         assert main(["simulate-column", "--t-end", "0", "--dt", "1"]) == 1

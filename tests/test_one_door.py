@@ -22,8 +22,9 @@ compares a ``shear`` with 0, so the box, ``div_u`` and
 A count and an array are checked in one place each: ``materials._check_count``
 is the only code in the modules that check inputs that calls
 ``operator.index``, and ``materials._check_all`` the only code there that
-calls ``np.isfinite``, ``np.isinf``, ``np.isnan`` or ``math.isfinite`` or
 finds an array's first bad element, so every such message has one wording.
+Its default test, ``materials._finite``, is the only code there that calls
+``np.isfinite``, ``np.isinf``, ``np.isnan`` or ``math.isfinite``.
 """
 
 import ast
@@ -253,9 +254,9 @@ def test_the_forcing_guard_sees_each_kind():
 #: The modules whose inputs pass the count and array doors.
 INPUT_MODULES = ("materials.py", "gas.py", "simulate.py", "conditions.py", "rheology.py",
                  "stability.py")
-#: The two doors, and what they alone call.
+#: The two doors and the array door's finiteness test, and what they alone call.
 INPUT_DOORS = [
-    "materials.py: _check_count: operator.index", "materials.py: _check_all: np.isfinite",
+    "materials.py: _check_count: operator.index", "materials.py: _finite: np.isfinite",
     "materials.py: _check_all: np.argmin", "materials.py: _check_all: np.unravel_index",
 ]
 #: A count's integer test, a finiteness test that NaN fails or an array's,

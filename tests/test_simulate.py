@@ -400,6 +400,35 @@ class TestRunSettings:
         with pytest.raises(np.linalg.LinAlgError, match=f"^{re.escape(message)}$"):
             run_column(state, GAS, MAT, 1e100, 1, mode="implicit")
 
+    def test_ledger_ceiling(self):
+        """A run whose ledger would pass 2**25 steps fails before allocating
+        it; 1e15 steps asked numpy for 28 PiB, past the address space, and
+        raised MemoryError."""
+        state = uniform_column(4, 0.1, 0.6, 100.0)
+        dt = column_cfl_dt(state, GAS, MAT)
+        with pytest.raises(ValueError) as exc:  # first: never grantable
+            run_column(state, GAS, MAT, dt, 10**15)
+        assert str(exc.value) == (
+            "n_steps must be at most 2**25 = 33554432, a 1 GiB ledger, got 1000000000000000")
+        with pytest.raises(ValueError, match=r"^n_steps must be at most 2\*\*25 = .* got 33554433$"):
+            run_column(state, GAS, MAT, dt, simulate.COLUMN_MAX_STEPS + 1)
+
+    @pytest.mark.parametrize("phi,call,message", [
+        (2e-157, "column_cfl_dt", "p_atm kappa overflows at phi, got 2e-157 at index 0"),
+        (1e-100, "run_column", "the face permeability 2 kappa kappa' overflows at phi,"
+                               " got 1e-100 at index 0"),
+    ], ids=["bound", "face"])
+    def test_huge_finite_kappa_named(self, phi, call, message):
+        """A phi whose kappa is finite but whose p_atm kappa or face product
+        overflows is named, and no numpy warning escapes (the test
+        configuration makes a RuntimeWarning an error)."""
+        state = uniform_column(4, 0.1, phi, 100.0)
+        run = {"column_cfl_dt": lambda: column_cfl_dt(state, GAS, MAT),
+               "run_column": lambda: run_column(state, GAS, MAT, 1e-3, 1, mode="implicit")}[call]
+        with pytest.raises(ValueError) as exc:
+            run()
+        assert str(exc.value) == message
+
     def test_counts_take_numpy_integers(self):
         box = run_box(MODELS["dp"], MAT, constant_forcing(1.0, 10.0), phi0=0.5, t_end=1e-5,
                       dt=1e-6, record_every=np.int64(5))
