@@ -55,6 +55,7 @@ the first argmax of the severity, NaN worst of all.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -64,7 +65,7 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .gas import permeability_kappa
-from .materials import FlowState, GasParams, MaterialParams, _check_all, _check_count, _finite
+from .materials import FlowState, GasParams, MaterialParams, _check_all, _check_count
 from .rheology import _admit, _forced
 
 __all__ = [
@@ -331,7 +332,7 @@ def _row_reads(model, phi: float, I: np.ndarray, terms) -> list[list] | None:
         if isinstance(row, str):
             return None
         dz, df, z, f = row  # df and f take I, so each of these is an array
-        finite = _finite(dz) & _finite(df) & _finite(z) & _finite(f)
+        finite = functools.reduce(operator.and_, (np.isfinite(v) for v in row))
         reads = _c1(I, dz, df, z, f), _c2(I, dz, z), df, _gap(z, f), finite
     return [v.tolist() for v in reads]
 

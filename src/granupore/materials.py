@@ -62,17 +62,12 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-def _finite(values) -> np.ndarray:
-    """Whether each element is finite, NaN failing; in the modules that check
-    inputs, the only such test, which :func:`_check_all` makes by default."""
-    return np.isfinite(values)
-
-
 def _check_all(rule: str, values, ok=None) -> None:
-    """Reject ``values`` unless ``ok`` (default: :func:`_finite`) holds at
+    """Reject ``values`` unless ``ok`` (default: finite, NaN failing) holds at
     each element, as ``{rule}, got {value}``, plus `` at index {i}`` for an
-    array's first bad element (``i`` a tuple for a stack)."""
-    ok = _finite(values) if ok is None else ok
+    array's first bad element (``i`` a tuple for a stack); in the modules that
+    check inputs, the only finiteness test that NaN fails."""
+    ok = np.isfinite(values) if ok is None else ok
     if np.all(ok):
         return
     if np.ndim(values) == 0:

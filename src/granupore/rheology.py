@@ -35,8 +35,9 @@ df/dp in closed form; ``DerivedNumeric`` takes the central difference of its
 Z for dZ/dI, df/dI = (Z - f)/I - dZ/dI / 2 from consistency, and df/dp = 0.
 No f here takes p, which the protocol states once (``_f_takes_p``), so a
 condition sweep reads each (phi, I) once.  The closed forms and their linear
-combinations also read a whole row of I at one phi (``_row``), with their
-terms in I alone taken once per sweep, which a sweep prefers.  The first
+combinations also read a whole row of I at one phi (``_row``), which a sweep
+prefers: their terms in I alone are taken once per sweep and passed, as
+arrays, to the formulas the scalar reads pass numbers to.  The first
 four write f and df/dI once each, as ``_f`` and ``_f_dI`` of I_eq and their
 factors in I alone, behind one check, so df/dI raises where f raises.
 ``_dilatancy_at`` binds ``_f`` to those factors, I and the law's inverse with
@@ -228,20 +229,33 @@ def _mui_angle(phi: float, factors: tuple[tuple[float, float, float], float],
     return g - mui_angle_primitive(mu1, mu2, I0, ieq)
 
 
-def _square(I: float) -> float:
-    return I**2
+def _dp_angle_slope(factors: tuple[float, float], psi, I):
+    """dpsi/dI = K beta (I_eq/I)^beta / I = beta (K - psi) / I of :func:`_dp_angle`."""
+    K, b = factors
+    return b * (K - psi) / I
 
 
-def _each(fun: Callable[[float], float], I: list[float]) -> np.ndarray:
-    """``fun`` at each I of a list, one Python call each, so that a row
-    read's term in I alone has the bits of the scalar read's (numpy's power
-    and log1p need not give them)."""
-    return np.array([fun(J) for J in I])
+def _small_angle(delta: float, f):
+    """Z = sin(delta) + cos(delta) f, the small-angle closure of an angle f."""
+    return math.sin(delta) + math.cos(delta) * f
 
 
-def _mu_terms(mat: MaterialParams, funs: tuple, I: list[float]) -> tuple[np.ndarray, ...]:
-    """Each mu(I) function of ``funs`` at each I, with mat's mu1, mu2 and I0."""
-    return tuple(_each(functools.partial(fun, mat.mu1, mat.mu2, mat.I0), I) for fun in funs)
+def _small_angle_slope(delta: float, df_dI):
+    """dZ/dI = cos(delta) df/dI of :func:`_small_angle`."""
+    return math.cos(delta) * df_dI
+
+
+def _mu_and_slope(mat: MaterialParams, I: float) -> tuple[float, float]:
+    """mu(I) and mu'(I) with mat's mu1, mu2 and I0."""
+    return friction_mu(mat.mu1, mat.mu2, mat.I0, I), friction_mu_prime(mat.mu1, mat.mu2, mat.I0, I)
+
+
+def _each(fun: Callable[[float], float | tuple], I: list[float]) -> np.ndarray:
+    """``fun`` at each I of a list, one Python call each, as an array, or as
+    one row per term where ``fun`` gives a tuple of them.  So a row read's
+    terms have the scalar reads' bits (numpy's power and log1p need not give
+    them)."""
+    return np.array([fun(J) for J in I]).T
 
 
 def _sum(values):
@@ -350,11 +364,11 @@ class _ModelBase:
     #: f at one phi over the array ``I``, each an array or a number, where
     #: ``terms = _row_terms(I)`` (I a list) are the model's terms in I alone,
     #: taken once per sweep one element at a time by the scalar functions.
-    #: It reads i_eq(phi) once and broadcasts only the arithmetic that takes
-    #: phi, in the scalar reads' order, so at each I where all four are
-    #: finite they are the scalar reads' values, bit for bit, and no scalar
-    #: read raises there.  A model with one takes no p.  A subclass inherits
-    #: none, so a subclass's own scalar reads are what a sweep reads.
+    #: It reads i_eq(phi) once and passes the arrays to the formulas the
+    #: scalar reads pass numbers to, so at each I where all four are finite
+    #: they are the scalar reads' values, bit for bit, and no scalar read
+    #: raises there.  A model with one takes no p.  A subclass inherits none,
+    #: so a subclass's own scalar reads are what a sweep reads.
     _row = None
 
     def __init_subclass__(cls, **kwargs) -> None:
@@ -403,8 +417,10 @@ class _ModelBase:
 class _Factored(_ModelBase):
     """A model whose f(phi, p, I) is ``_f(phi, _factors(I), i_eq, I)``, with
     ``i_eq`` the model's inverse of its law, and whose df/dI is
-    ``_f_dI(_factors(I), i_eq(phi), I)``, made after the same check, so df/dI
-    raises where f raises.  On one forcing segment of the box,
+    ``_f_dI(_factors(I), i_eq(phi), I, *_slope_terms(I))``, made after the
+    same check, so df/dI raises where f raises.  ``_f_dI``, and ``_f`` but
+    for the Drucker-Prager angle's power, take numbers or a row read's arrays
+    of the factors and terms in I alone.  On one forcing segment of the box,
     ``_dilatancy_at`` binds ``_f`` to the segment's factors (of I and the
     material alone), I and the law's inverse bound to the material
     (:func:`_i_eq_at`): a stage then costs two Python calls, ``_f`` and the
@@ -418,7 +434,11 @@ class _Factored(_ModelBase):
     def df_dI(self, phi: float, p: float, I: float) -> float:
         if I <= 0:
             raise _needs_positive_I("dilatancy", I)
-        return self._f_dI(self._factors(I), self.i_eq(phi), I)
+        return self._f_dI(self._factors(I), self.i_eq(phi), I, *self._slope_terms(I))
+
+    def _slope_terms(self, I: float) -> tuple:
+        """df/dI's terms in I alone besides f's factors: none by default."""
+        return ()
 
     def _dilatancy_at(self, p: float, I: float) -> Callable[[float], float]:
         if not I > 0:  # dilatancy raises here, in its own order, or gives NaN
@@ -442,18 +462,23 @@ class DruckerPrager(_Factored):
         return sin_delta * (1.0 - i_eq(phi) / I)
 
     @staticmethod
-    def _f_dI(sin_delta: float, ieq: float, I: float) -> float:
-        return sin_delta * ieq / I**2
+    def _slope_terms(I: float) -> tuple[float]:
+        return (I**2,)
+
+    @staticmethod
+    def _f_dI(sin_delta: float, ieq: float, I: float, I2: float) -> float:
+        return sin_delta * ieq / I2
 
     def dZ_dI(self, phi: float, I: float) -> float:
         return 0.0
 
     def _row_terms(self, I: list[float]) -> np.ndarray:
-        return _each(_square, I)
+        return _each(self._slope_terms, I)
 
-    def _row(self, phi: float, I: np.ndarray, I2: np.ndarray) -> tuple:
-        sin_delta, ieq = math.sin(self.mat.delta), self.i_eq(phi)
-        return 0.0, sin_delta * ieq / I2, sin_delta, self._f(ieq, sin_delta, _itself, I)
+    def _row(self, phi: float, I: np.ndarray, terms: np.ndarray) -> tuple:
+        sin_delta, ieq = self._factors(I), self.i_eq(phi)
+        return (self.dZ_dI(phi, I), self._f_dI(sin_delta, ieq, I, *terms),
+                self.yield_function(phi, I), self._f(ieq, sin_delta, _itself, I))
 
 
 @dataclass(frozen=True)
@@ -477,31 +502,31 @@ class MuI(_Factored):
             f = f - ieq / I * mui_shear_factor(mu1, mu2, I0, ieq)
         return f
 
+    def _slope_terms(self, I: float) -> tuple[float, float, float]:
+        return (*_mu_and_slope(self.mat, I), I**2)
+
     @staticmethod
-    def _f_dI(factors: tuple[tuple[float, float, float], float], ieq: float,
-              I: float) -> float:
+    def _f_dI(factors: tuple[tuple[float, float, float], float], ieq: float, I: float,
+              mu: float, mu_prime: float, I2: float) -> float:
         """df/dI = F'(I) + (I_eq/I^2) F(I_eq), with F'(I) = (mu - F)/I - mu'/2."""
         (mu1, mu2, I0), f = factors
-        slope = (friction_mu(mu1, mu2, I0, I) - f) / I
-        slope -= 0.5 * friction_mu_prime(mu1, mu2, I0, I)
+        slope = (mu - f) / I - 0.5 * mu_prime
         if ieq > 0.0:
-            slope += ieq / I**2 * mui_shear_factor(mu1, mu2, I0, ieq)
+            slope = slope + ieq / I2 * mui_shear_factor(mu1, mu2, I0, ieq)
         return slope
 
     def dZ_dI(self, phi: float, I: float) -> float:
         return friction_mu_prime(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
 
-    def _row_terms(self, I: list[float]) -> tuple[np.ndarray, ...]:
-        return (*_mu_terms(self.mat, (mui_shear_factor, friction_mu, friction_mu_prime), I),
-                _each(_square, I))
+    def _row_terms(self, I: list[float]) -> np.ndarray:
+        """f's factor in I alone, then df/dI's terms."""
+        return _each(lambda J: (self._factors(J)[1], *self._slope_terms(J)), I)
 
-    def _row(self, phi: float, I: np.ndarray, terms: tuple) -> tuple:
+    def _row(self, phi: float, I: np.ndarray, terms: np.ndarray) -> tuple:
         F, mu, mu_prime, I2 = terms
-        consts, ieq = (self.mat.mu1, self.mat.mu2, self.mat.I0), self.i_eq(phi)
-        slope = (mu - F) / I - 0.5 * mu_prime
-        if ieq > 0.0:
-            slope = slope + ieq / I2 * mui_shear_factor(*consts, ieq)
-        return mu_prime, slope, mu, self._f(ieq, (consts, F), _itself, I)
+        factors, ieq = ((self.mat.mu1, self.mat.mu2, self.mat.I0), F), self.i_eq(phi)
+        return (mu_prime, self._f_dI(factors, ieq, I, mu, mu_prime, I2), mu,
+                self._f(ieq, factors, _itself, I))
 
 
 @dataclass(frozen=True)
@@ -525,16 +550,22 @@ class PowerLaw(_ModelBase):
     def yield_function(self, phi: float, I: float) -> float:
         if I < 0 or (I == 0.0 and self.n < 0):
             raise ValueError(f"Z = I^n undefined at I={I} for n={self.n}")
-        return self.coefficient * I**self.n
+        return self._z(I**self.n)
 
     def dZ_dI(self, phi: float, I: float) -> float:
         z = self.yield_function(phi, I)
         if I == 0.0:
             raise ValueError(f"dZ/dI of Z = I^n is not taken at I=0 (n={self.n})")
+        return self._dz(z, I)
+
+    def _z(self, I_n: float) -> float:
+        return self.coefficient * I_n
+
+    def _dz(self, z: float, I: float) -> float:
         return self.n * z / I
 
     def _f_terms(self, phi: float, I: float) -> tuple[float, float]:
-        """The factor c (2-n)/(2(n+1)) and I_eq(phi), after f's checks."""
+        """The factor c (2-n)/(2(n+1)) and I_eq(phi)^(n+1), after f's checks."""
         if I <= 0:
             raise _needs_positive_I("dilatancy", I)
         return self._anchor(phi)
@@ -546,26 +577,29 @@ class PowerLaw(_ModelBase):
             raise ValueError(
                 f"I^{self.n} is not integrable down to the equilibrium I_eq = 0"
             )
-        return self.coefficient * (2.0 - self.n) / (2.0 * (self.n + 1.0)), ieq
+        return self.coefficient * (2.0 - self.n) / (2.0 * (self.n + 1.0)), ieq ** (self.n + 1.0)
+
+    @staticmethod
+    def _f(c: float, anchored: float, I: float, I_n: float) -> float:
+        return c * (I_n - anchored / I)
+
+    def _f_dI(self, c: float, anchored: float, I_n1: float, I2: float) -> float:
+        return c * (self.n * I_n1 + anchored / I2)
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
-        c, ieq = self._f_terms(phi, I)
-        return c * (I**self.n - ieq ** (self.n + 1.0) / I)
+        return self._f(*self._f_terms(phi, I), I, I**self.n)
 
     def df_dI(self, phi: float, p: float, I: float) -> float:
-        c, ieq = self._f_terms(phi, I)
-        return c * (self.n * I ** (self.n - 1.0) + ieq ** (self.n + 1.0) / I**2)
+        return self._f_dI(*self._f_terms(phi, I), I ** (self.n - 1.0), I**2)
 
-    def _row_terms(self, I: list[float]) -> tuple[np.ndarray, ...]:
+    def _row_terms(self, I: list[float]) -> np.ndarray:
         n = self.n
-        return _each(lambda J: J**n, I), _each(lambda J: J ** (n - 1.0), I), _each(_square, I)
+        return _each(lambda J: (J**n, J ** (n - 1.0), J**2), I)
 
-    def _row(self, phi: float, I: np.ndarray, terms: tuple) -> tuple:
-        I_n, I_n1, I2 = terms
-        (c, ieq), n = self._anchor(phi), self.n
-        anchored = ieq ** (n + 1.0)
-        z = self.coefficient * I_n
-        return n * z / I, c * (n * I_n1 + anchored / I2), z, c * (I_n - anchored / I)
+    def _row(self, phi: float, I: np.ndarray, terms: np.ndarray) -> tuple:
+        (I_n, I_n1, I2), anchor = terms, self._anchor(phi)
+        z = self._z(I_n)
+        return self._dz(z, I), self._f_dI(*anchor, I_n1, I2), z, self._f(*anchor, I, I_n)
 
 
 @dataclass(frozen=True)
@@ -582,29 +616,25 @@ class DruckerPragerDilatant(_Factored):
 
     @staticmethod
     def _f_dI(factors: tuple[float, float], ieq: float, I: float) -> float:
-        """dpsi/dI = K beta (I_eq/I)^beta / I = beta (K - psi) / I."""
-        K, b = factors
-        return b * (K - _dp_angle(ieq, factors, _itself, I)) / I
+        return _dp_angle_slope(factors, _dp_angle(ieq, factors, _itself, I), I)
 
     def yield_function(self, phi: float, I: float) -> float:
-        return math.sin(self.mat.delta) + math.cos(self.mat.delta) * self.dilatancy(phi, 0.0, I)
+        return _small_angle(self.mat.delta, self.dilatancy(phi, 0.0, I))
 
     def dZ_dI(self, phi: float, I: float) -> float:
-        return math.cos(self.mat.delta) * self.df_dI(phi, 0.0, I)
+        return _small_angle_slope(self.mat.delta, self.df_dI(phi, 0.0, I))
 
     def _gain_lhs(self, I: float) -> float:  # exact, no i_eq(phi_eq(I)) round trip
         return 2.0 * math.sin(self.mat.delta) / (2.0 + math.cos(self.mat.delta))
 
-    def _row_terms(self, I: list[float]) -> None:
-        return None
+    def _row_terms(self, I: list[float]) -> list[float]:
+        return I  # psi's (I_eq/I)^beta takes phi: it is read per row
 
-    def _row(self, phi: float, I: np.ndarray, terms: None) -> tuple:
-        (K, b), ieq = _dp_angle_factors(self.mat.delta), self.i_eq(phi)
-        # (I_eq/I)^beta takes phi and I: one Python power each, for its bits
-        psi = K * (1.0 - np.array([r**b for r in (ieq / I).tolist()]))
-        slope = b * (K - psi) / I
-        c = math.cos(self.mat.delta)
-        return c * slope, slope, math.sin(self.mat.delta) + c * psi, psi
+    def _row(self, phi: float, I: np.ndarray, I_list: list[float]) -> tuple:
+        factors, ieq, delta = self._factors(I), self.i_eq(phi), self.mat.delta
+        psi = _each(functools.partial(self._f, ieq, factors, _itself), I_list)
+        slope = _dp_angle_slope(factors, psi, I)
+        return _small_angle_slope(delta, slope), slope, _small_angle(delta, psi), psi
 
 
 @dataclass(frozen=True)
@@ -620,15 +650,16 @@ class MuIDilatant(_Factored):
         mu1, mu2, I0 = consts = self.mat.mu1, self.mat.mu2, self.mat.I0
         return consts, mui_angle_primitive(mu1, mu2, I0, I)
 
+    def _slope_terms(self, I: float) -> tuple[float, float]:
+        return _mu_and_slope(self.mat, I)
+
     @staticmethod
-    def _f_dI(factors: tuple[tuple[float, float, float], float], ieq: float,
-              I: float) -> float:
+    def _f_dI(factors: tuple[tuple[float, float, float], float], ieq: float, I: float,
+              mu: float, mu_prime: float) -> float:
         """dpsi/dI = G'(I) = 2 mu(I)/(3I) - mu'(I)/3; raises where psi raises."""
-        (mu1, mu2, I0), _ = factors
         if ieq <= 0:
             raise _needs_positive_i_eq(ieq)
-        return (2.0 * friction_mu(mu1, mu2, I0, I) / (3.0 * I)
-                - friction_mu_prime(mu1, mu2, I0, I) / 3.0)
+        return 2.0 * mu / (3.0 * I) - mu_prime / 3.0
 
     def yield_function(self, phi: float, I: float) -> float:
         return (friction_mu(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
@@ -643,14 +674,13 @@ class MuIDilatant(_Factored):
         mup = friction_mu_prime(self.mat.mu1, self.mat.mu2, self.mat.I0, I)
         return (2.0 * mu - I * mup) / 3.0
 
-    def _row_terms(self, I: list[float]) -> tuple[np.ndarray, ...]:
-        return _mu_terms(self.mat, (mui_angle_primitive, friction_mu, friction_mu_prime), I)
+    _row_terms = MuI._row_terms  # G(I) for F(I), then mu(I) and mu'(I)
 
-    def _row(self, phi: float, I: np.ndarray, terms: tuple) -> tuple:
+    def _row(self, phi: float, I: np.ndarray, terms: np.ndarray) -> tuple:
         G, mu, mu_prime = terms
-        consts = self.mat.mu1, self.mat.mu2, self.mat.I0
-        psi = self._f(self.i_eq(phi), (consts, G), _itself, I)  # raises at I_eq <= 0
-        slope = 2.0 * mu / (3.0 * I) - mu_prime / 3.0
+        factors, ieq = ((self.mat.mu1, self.mat.mu2, self.mat.I0), G), self.i_eq(phi)
+        psi = self._f(ieq, factors, _itself, I)  # raises at I_eq <= 0
+        slope = self._f_dI(factors, ieq, I, mu, mu_prime)
         return mu_prime + slope, slope, mu + psi, psi
 
 
@@ -676,40 +706,45 @@ class RouxRadjai(_ModelBase):
         _check_all("Roux-Radjai gain must be finite", float(self.gain))  # one number
 
     def yield_function(self, phi: float, I: float) -> float:
-        z = math.sin(self.mat.delta)
-        if self.z_mode == "small-angle":
-            z += math.cos(self.mat.delta) * self.dilatancy(phi, 0.0, I)
-        return z
+        if self.z_mode == "dp":
+            return math.sin(self.mat.delta)
+        return _small_angle(self.mat.delta, self.dilatancy(phi, 0.0, I))
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         if I <= 0:
             raise _needs_positive_I("dilatancy", I)
-        return self.gain * (phi - self.phi_eq(I))
+        return self._f(phi, self.phi_eq(I))
 
     def dZ_dI(self, phi: float, I: float) -> float:
         if self.z_mode == "dp":
             return 0.0
-        return math.cos(self.mat.delta) * self.df_dI(phi, 0.0, I)
+        return _small_angle_slope(self.mat.delta, self.df_dI(phi, 0.0, I))
 
     def df_dI(self, phi: float, p: float, I: float) -> float:
         """df/dI = -a phi_eq'(I)."""
         if I <= 0:
             raise _needs_positive_I("dilatancy", I)
-        return -self.gain * phi_eq_prime(self.law, self.mat, I)
+        return self._f_dI(phi_eq_prime(self.law, self.mat, I))
+
+    def _f(self, phi: float, phi_eq_I: float) -> float:
+        return self.gain * (phi - phi_eq_I)
+
+    def _f_dI(self, phi_eq_slope: float) -> float:
+        return -self.gain * phi_eq_slope
 
     def _gain(self, I: float) -> float:
         return self.gain
 
-    def _row_terms(self, I: list[float]) -> tuple[np.ndarray, np.ndarray]:
-        return _each(self.phi_eq, I), _each(functools.partial(phi_eq_prime, self.law, self.mat), I)
+    def _row_terms(self, I: list[float]) -> np.ndarray:
+        return _each(lambda J: (self.phi_eq(J), phi_eq_prime(self.law, self.mat, J)), I)
 
-    def _row(self, phi: float, I: np.ndarray, terms: tuple) -> tuple:
+    def _row(self, phi: float, I: np.ndarray, terms: np.ndarray) -> tuple:
         phi_eq_I, phi_eq_slope = terms
-        f, slope = self.gain * (phi - phi_eq_I), -self.gain * phi_eq_slope
+        f, slope = self._f(phi, phi_eq_I), self._f_dI(phi_eq_slope)
         if self.z_mode == "dp":
-            return 0.0, slope, math.sin(self.mat.delta), f
-        c = math.cos(self.mat.delta)
-        return c * slope, slope, math.sin(self.mat.delta) + c * f, f
+            return self.dZ_dI(phi, I), slope, self.yield_function(phi, I), f
+        delta = self.mat.delta
+        return _small_angle_slope(delta, slope), slope, _small_angle(delta, f), f
 
 
 @dataclass(frozen=True)
@@ -728,8 +763,8 @@ class LinearCombination(_ModelBase):
     def __post_init__(self) -> None:
         object.__setattr__(self, "terms", tuple((w, _admit(m)) for w, m in self.terms))
         object.__setattr__(self, "_f_takes_p", any(m._f_takes_p for _, m in self.terms))
-        if any(m._row is None for _, m in self.terms):
-            object.__setattr__(self, "_row", None)
+        if not self.terms or any(m._row is None for _, m in self.terms):
+            object.__setattr__(self, "_row", None)  # no terms: the scalar reads' 0
         for k, (_, m) in enumerate(self.terms):
             for name, own, theirs in (("mat", self.mat, m.mat), ("law", self.law, m.law)):
                 if theirs not in (None, own):

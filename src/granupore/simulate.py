@@ -47,7 +47,7 @@ from .conditions import EQ_ANCHOR_TOL
 from .gas import enthalpy_ideal, permeability_kappa
 from .materials import (
     GasParams, MaterialParams, _check_all, _check_amount, _check_amounts, _check_count,
-    _check_finite, _finite,
+    _check_finite,
 )
 from .rheology import _admit, _forced
 
@@ -483,7 +483,7 @@ def _face_kappa(state: ColumnState, gas: GasParams, mat: MaterialParams) -> np.n
     with np.errstate(over="ignore"):  # named below
         product = 2.0 * kappa[:-1] * kappa[1:]
     _check_all("the face permeability 2 kappa kappa' overflows at phi", state.phi_profile[:-1],
-               _finite(product))
+               np.isfinite(product))
     return product / (kappa[:-1] + kappa[1:])
 
 
@@ -497,7 +497,7 @@ def column_cfl_dt(state: ColumnState, gas: GasParams, mat: MaterialParams) -> fl
     one_m, kappa = 1.0 - state.phi_profile, permeability_kappa(gas, mat.d, state.phi_profile)
     with np.errstate(over="ignore"):  # named below
         rate = gas.p_atm * kappa
-    _check_all("p_atm kappa overflows at phi", state.phi_profile, _finite(rate))
+    _check_all("p_atm kappa overflows at phi", state.phi_profile, np.isfinite(rate))
     return CFL_SAFETY * float(np.min(state.dz * state.dz * one_m / rate))
 
 

@@ -774,6 +774,15 @@ class TestRowReads:
         assert reasons == {"phi=0.35", "no", "ZeroDivisionError:"}
         assert report.records
 
+    def test_empty_combination_takes_the_scalar_reads(self):
+        # no term has a row read, so the scalar reads give every value: 0
+        model = LinearCombination(MAT, LAW, terms=())
+        assert model._row is None
+        report = sweep(model, self.EDGES)
+        assert _bits(report) == _bits(_reference_sweep(model, self.EDGES))
+        assert report.records
+        assert {r.c1_residual for r in report.records} == {0}
+
     def test_subclass_sweeps_its_override(self):
         class Doubled(MuI):
             def dilatancy(self, phi, p, I):
@@ -786,16 +795,18 @@ class TestRowReads:
         assert report.records != sweep(MUI, grid).records
 
     #: Per model: i_eq calls per phi (one by the row read, one and three f
-    #: reads by the equilibrium signs; none by Roux-Radjai's f), calls per I
-    #: of the terms in I alone, and of those the calls per I of F, G, mu, mu',
-    #: phi_eq, phi_eq' and I**2.
+    #: reads by the equilibrium signs; none by Roux-Radjai's f); the scalar
+    #: term calls the row path makes per I (one per term function, a tuple
+    #: each) and per (phi, I) (the Drucker-Prager angle's power, which takes
+    #: phi); and of the former the calls per I of F, G, mu, mu', phi_eq and
+    #: phi_eq'.
     WORK = {
-        "dp": (5, 1, 1), "mui": (5, 4, 4), "dp-psi": (5, 0, 0), "mui-psi": (5, 3, 3),
-        "power:0.5": (5, 3, 1), "roux-radjai": (1, 2, 2), "roux-radjai-dp": (1, 2, 2),
-        "lincomb-const": (9, 5, 5),
+        "dp": (5, 1, 0, 0), "mui": (5, 1, 0, 3), "dp-psi": (5, 0, 1, 0), "mui-psi": (5, 1, 0, 3),
+        "power:0.5": (5, 1, 0, 0), "roux-radjai": (1, 1, 0, 2), "roux-radjai-dp": (1, 1, 0, 2),
+        "lincomb-const": (9, 2, 0, 3),
     }
     SCALAR = ("friction_mu", "friction_mu_prime", "mui_shear_factor", "mui_angle_primitive",
-              "law_phi_eq", "phi_eq_prime", "_square")
+              "law_phi_eq", "phi_eq_prime")
 
     @pytest.mark.parametrize("name", list(WORK))
     def test_work_per_phi_and_per_sweep(self, name, monkeypatch):
@@ -828,8 +839,8 @@ class TestRowReads:
             calls.update(dict.fromkeys(calls, 0))
             report = sweep(_closed_form(name, LAW), grid)
             assert len(report.records) == n_phi * n_I * n_p and not report.skipped
-            per_phi, per_I, scalar_per_I = self.WORK[name]
-            assert calls == {"i_eq": per_phi * n_phi, "each": per_I * n_I,
+            per_phi, per_I, per_phi_I, scalar_per_I = self.WORK[name]
+            assert calls == {"i_eq": per_phi * n_phi, "each": (per_I + per_phi_I * n_phi) * n_I,
                              "scalar": scalar_per_I * n_I, "shared": 0}
 
 

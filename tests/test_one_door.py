@@ -22,9 +22,11 @@ compares a ``shear`` with 0, so the box, ``div_u`` and
 A count and an array are checked in one place each: ``materials._check_count``
 is the only code in the modules that check inputs that calls
 ``operator.index``, and ``materials._check_all`` the only code there that
+calls ``np.isfinite``, ``np.isinf``, ``np.isnan`` or ``math.isfinite`` or
 finds an array's first bad element, so every such message has one wording.
-Its default test, ``materials._finite``, is the only code there that calls
-``np.isfinite``, ``np.isinf``, ``np.isnan`` or ``math.isfinite``.
+Three more finiteness tests are listed by name: two column checks that pass
+their mask to ``materials._check_all``, and ``conditions._row_reads``, which
+sends a point whose row values are not finite to the scalar reads.
 """
 
 import ast
@@ -254,10 +256,12 @@ def test_the_forcing_guard_sees_each_kind():
 #: The modules whose inputs pass the count and array doors.
 INPUT_MODULES = ("materials.py", "gas.py", "simulate.py", "conditions.py", "rheology.py",
                  "stability.py")
-#: The two doors and the array door's finiteness test, and what they alone call.
+#: The two doors and the listed finiteness tests, and what they alone call.
 INPUT_DOORS = [
-    "materials.py: _check_count: operator.index", "materials.py: _finite: np.isfinite",
+    "materials.py: _check_count: operator.index", "materials.py: _check_all: np.isfinite",
     "materials.py: _check_all: np.argmin", "materials.py: _check_all: np.unravel_index",
+    "simulate.py: _face_kappa: np.isfinite", "simulate.py: column_cfl_dt: np.isfinite",
+    "conditions.py: _row_reads: np.isfinite",
 ]
 #: A count's integer test, a finiteness test that NaN fails or an array's,
 #: and a call that finds the first bad element of an array (``np.argmin`` of a

@@ -413,18 +413,22 @@ class TestRunSettings:
         with pytest.raises(ValueError, match=r"^n_steps must be at most 2\*\*25 = .* got 33554433$"):
             run_column(state, GAS, MAT, dt, simulate.COLUMN_MAX_STEPS + 1)
 
-    @pytest.mark.parametrize("phi,call,message", [
-        (2e-157, "column_cfl_dt", "p_atm kappa overflows at phi, got 2e-157 at index 0"),
-        (1e-100, "run_column", "the face permeability 2 kappa kappa' overflows at phi,"
-                               " got 1e-100 at index 0"),
-    ], ids=["bound", "face"])
-    def test_huge_finite_kappa_named(self, phi, call, message):
+    @pytest.mark.parametrize("phi,mode,message", [
+        (2e-157, "bound", "p_atm kappa overflows at phi, got 2e-157 at index 0"),
+        (1e-100, "implicit", "the face permeability 2 kappa kappa' overflows at phi,"
+                             " got 1e-100 at index 0"),
+        ([0.6, 1e-155, 0.6, 0.6], "explicit", "p_atm kappa overflows at phi, got 1e-155 at"
+                                              " index 1"),
+    ], ids=["bound", "face", "bound-one-cell"])
+    def test_huge_finite_kappa_named(self, phi, mode, message):
         """A phi whose kappa is finite but whose p_atm kappa or face product
         overflows is named, and no numpy warning escapes (the test
-        configuration makes a RuntimeWarning an error)."""
+        configuration makes a RuntimeWarning an error).  In a uniform column
+        the face product overflows first; one cell's p_atm kappa can
+        overflow while every face product stays finite."""
         state = uniform_column(4, 0.1, phi, 100.0)
-        run = {"column_cfl_dt": lambda: column_cfl_dt(state, GAS, MAT),
-               "run_column": lambda: run_column(state, GAS, MAT, 1e-3, 1, mode="implicit")}[call]
+        run = (lambda: column_cfl_dt(state, GAS, MAT)) if mode == "bound" else (
+            lambda: run_column(state, GAS, MAT, 1e-3, 1, mode=mode))
         with pytest.raises(ValueError) as exc:
             run()
         assert str(exc.value) == message
