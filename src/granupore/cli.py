@@ -46,11 +46,13 @@ from .config import (
 )
 from .gas import permeability_kappa
 from .materials import (
-    EquilibriumLaw, FlowState, GasParams, MaterialParams, _check_all, _check_amount, _check_finite
+    EquilibriumLaw, FlowState, GasParams, MaterialParams, _check_all, _check_amount, _check_count,
+    _check_finite,
 )
 from .rheology import MODEL_IDS, DerivedNumeric, PowerLaw, build_model, derive_f_numeric
 from .simulate import (
     _check_column_steps,
+    _check_records,
     _face_kappa,
     _step_count,
     column_cfl_dt,
@@ -248,6 +250,10 @@ def cmd_simulate_box(args) -> int:
         else:
             shear = BOX_SHEAR if args.shear is None else args.shear
         forcing = constant_forcing(shear, p)
+    n_steps = _step_count(args.t_end, args.dt)
+    _check_count("record_every", args.record_every, 1)
+    _check_records(f"--t-end / --dt = {args.t_end} / {args.dt} = {n_steps} steps and"
+                   f" --record-every={args.record_every}", n_steps, args.record_every)
     result = run_box(
         model,
         mat,
@@ -301,6 +307,10 @@ def cmd_simulate_column(args) -> int:
                       f" and --phi={args.phi} (no --dt given)", dt)
     n_steps = _step_count(args.t_end, dt)
     _check_column_steps(f"n_steps = --t-end / --dt = {args.t_end} / {dt}", n_steps)
+    _check_count("record_every", args.record_every, 1)
+    _check_records(f"--t-end / --dt = {args.t_end} / {dt} = {n_steps} steps, --record-every="
+                   f"{args.record_every} and --cells={args.cells}", n_steps, args.record_every,
+                   args.cells)
     result = run_column(
         state0, gas, mat, dt, n_steps, mode=args.mode, record_every=args.record_every
     )

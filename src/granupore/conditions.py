@@ -35,15 +35,14 @@ their linear combinations) is read a phi row at a time.  Its terms in I
 alone are taken once per sweep, one element at a time by the scalar
 functions; then, per phi, the row read takes i_eq(phi) once and gives dZ/dI,
 df/dI, Z and f over every I, and C1, C2 and the gap are array expressions in
-the formulas' operation order.  One rule sends a point to the scalar reads
-above instead: its four row values are not all finite, or its row read
-raised, or the sweep's terms in I alone raised, or the model has no row read
-(a duck pair through ``_Pair``, ``DerivedNumeric``, ``Isochoric``, or a
-subclass, which inherits none).  Where all four are finite they are the
-scalar reads' values, bit for bit, and no scalar read raises there, so
-values, skip reasons and the scalar calls made are as point by point.  A
-phi whose every I the row read gives checks its equilibrium signs once, up
-front; otherwise they are checked at the row's first kept read.
+the formulas' operation order.  A row is read one way: whole, where the four
+are finite at every I, else point by point by the scalar reads above, as is
+every row whose row read or terms in I alone raised and every row of a
+model without a row read (a duck pair through ``_Pair``, ``DerivedNumeric``,
+``Isochoric``, or a subclass, which inherits none).  Where all four are
+finite they are the scalar reads' values, bit for bit, and no scalar read
+raises there, so values and skip reasons are as point by point.  A whole
+row checks its equilibrium signs once, and is skipped whole where that raises.
 
 A report row is a :class:`PointRecord`, a plain named tuple of Python
 floats and a bool, made in C by ``tuple.__new__`` over columns in which a
@@ -55,7 +54,6 @@ the first argmax of the severity, NaN worst of all.
 
 from __future__ import annotations
 
-import functools
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
@@ -325,15 +323,14 @@ def _shared_reads(model, phi: float, p: float, I: float) -> tuple[float, ...]:
 
 def _row_reads(model, phi: float, I: np.ndarray, terms) -> list[list] | None:
     """The row read's C1, C2, df/dI and gap at each I, as lists, in the
-    condition formulas' operation order, and whether dZ/dI, df/dI, Z and f
-    are all finite there; None where the row read raises."""
-    with np.errstate(all="ignore"):  # what is not finite is read again
+    condition formulas' operation order; None where the row read raises or
+    one of dZ/dI, df/dI, Z and f is not finite at some I."""
+    with np.errstate(all="ignore"):  # such a row is read again, point by point
         row = _attempt(model._row, phi, I, terms)
-        if isinstance(row, str):
+        if isinstance(row, str) or not all(np.isfinite(v).all() for v in row):
             return None
         dz, df, z, f = row  # df and f take I, so each of these is an array
-        finite = functools.reduce(operator.and_, (np.isfinite(v) for v in row))
-        reads = _c1(I, dz, df, z, f), _c2(I, dz, z), df, _gap(z, f), finite
+        reads = _c1(I, dz, df, z, f), _c2(I, dz, z), df, _gap(z, f)
     return [v.tolist() for v in reads]
 
 
@@ -341,22 +338,22 @@ def _kept_reads(model, phi: float, I_values: list[float], p_values: list[float],
                 row: list[list] | None, skipped: list) -> tuple:
     """One phi's kept reads as the columns phi, I, j, C1, C2, df/dp, df/dI,
     gap and equilibrium signs, with its skipped points appended to
-    ``skipped`` in (I, p) order.  A point takes the row read's values where
-    they are finite, else the scalar reads; a row read finite at every I
-    needs only one equilibrium check."""
+    ``skipped`` in (I, p) order.  A row read is kept whole after one
+    equilibrium check, or skipped whole with that check's reason; without
+    one, every point takes the scalar reads."""
+    if row is not None:
+        signs = _attempt(check_equilibrium_signs, model, phi, p_values[0])
+        if isinstance(signs, str):
+            skipped.extend(((phi, I, p), signs) for I in I_values for p in p_values)
+            return ()
+        (c1, c2, df, gap), n = row, len(I_values)
+        return (repeat(phi, n), I_values, repeat(0, n), c1, c2, repeat(0.0, n), df, gap,
+                repeat(signs, n))
     eq_signs: dict[int, bool | str] = {}
-    if row is not None and all(row[-1]):
-        eq_signs[0] = signs = _attempt(check_equilibrium_signs, model, phi, p_values[0])
-        if not isinstance(signs, str):
-            (c1, c2, df, gap, _), n = row, len(I_values)
-            return (repeat(phi, n), I_values, repeat(0, n), c1, c2, repeat(0.0, n), df, gap,
-                    repeat(signs, n))
-    reads = repeat(None) if row is None else (
-        (c1, c2, 0.0, df, gap) if finite else None for c1, c2, df, gap, finite in zip(*row))
     kept = []
-    for I, read in zip(I_values, reads):
+    for I in I_values:
         for j in range(0, len(p_values), width):
-            point = read or _attempt(_shared_reads, model, phi, p_values[j], I)
+            point = _attempt(_shared_reads, model, phi, p_values[j], I)
             if not isinstance(point, str):
                 if j not in eq_signs:
                     eq_signs[j] = _attempt(check_equilibrium_signs, model, phi, p_values[j])
@@ -371,7 +368,7 @@ def _kept_reads(model, phi: float, I_values: list[float], p_values: list[float],
 def _columns(kept: list[list], width: int, p_values: list[float]) -> dict[str, np.ndarray]:
     """Each condition's values, a row per kept read and a column per p value
     it covers: one column, or for C3, which divides by p, ``width``."""
-    phi, I, j, c1, c2, dfp, df, gap, signs = (np.array(c, dtype=float)[:, None] for c in kept)
+    I, j, c1, c2, dfp, df, gap, signs = (np.array(c, dtype=float)[:, None] for c in kept[1:])
     with np.errstate(all="ignore"):  # inf and NaN as float arithmetic gives them
         c3 = _c3(I, np.array(p_values)[j.astype(int) + np.arange(width)], dfp, df)
     return dict(c1_residual=c1, c2_value=c2, c3_value=c3, dissipation_gap=gap, eq_sign_ok=signs)

@@ -38,12 +38,12 @@ condition sweep reads each (phi, I) once.  The closed forms and their linear
 combinations also read a whole row of I at one phi (``_row``), which a sweep
 prefers: their terms in I alone are taken once per sweep and passed, as
 arrays, to the formulas the scalar reads pass numbers to.  The first
-four write f and df/dI once each, as ``_f`` and ``_f_dI`` of I_eq and their
+five write f and df/dI once each, as ``_f`` and ``_f_dI`` of I_eq and their
 factors in I alone, behind one check, so df/dI raises where f raises.
 ``_dilatancy_at`` binds ``_f`` to those factors, I and the law's inverse with
-its constants, so each box RK4 stage costs two Python calls, f and the
-inverse, and a third for mu(I)'s F or G.  Models enter the checks and the box
-by :func:`_admit`, and a forcing becomes a rate by :func:`_forced` alone.
+its constants, so a box RK4 stage costs two Python calls, f and the inverse,
+and a third for F or G (mu(I)) or I_eq^(n+1).  Models enter the checks and
+the box by :func:`_admit`, and a forcing becomes a rate by :func:`_forced` alone.
 """
 
 from __future__ import annotations
@@ -418,13 +418,13 @@ class _Factored(_ModelBase):
     """A model whose f(phi, p, I) is ``_f(phi, _factors(I), i_eq, I)``, with
     ``i_eq`` the model's inverse of its law, and whose df/dI is
     ``_f_dI(_factors(I), i_eq(phi), I, *_slope_terms(I))``, made after the
-    same check, so df/dI raises where f raises.  ``_f_dI``, and ``_f`` but
-    for the Drucker-Prager angle's power, take numbers or a row read's arrays
-    of the factors and terms in I alone.  On one forcing segment of the box,
-    ``_dilatancy_at`` binds ``_f`` to the segment's factors (of I and the
-    material alone), I and the law's inverse bound to the material
-    (:func:`_i_eq_at`): a stage then costs two Python calls, ``_f`` and the
-    inverse, and a third for mu(I)'s F or G."""
+    same check, so df/dI raises where f raises: dp, mui, power:n, dp-psi and
+    mui-psi.  ``_f_dI``, and ``_f`` but for the Drucker-Prager angle's power,
+    take numbers or a row read's arrays of the factors and terms in I alone.
+    On one forcing segment of the box, ``_dilatancy_at`` binds ``_f`` to the
+    segment's factors (of I and the material alone), I and the law's inverse
+    bound to the material (:func:`_i_eq_at`): a stage then costs two Python
+    calls, and a third for mu(I)'s F or G or the power law's I_eq^(n+1)."""
 
     def dilatancy(self, phi: float, p: float, I: float) -> float:
         if I <= 0:
@@ -529,8 +529,15 @@ class MuI(_Factored):
                 self._f(ieq, factors, _itself, I))
 
 
+def _power_anchor(ieq: float, n: float) -> float:
+    """I_eq^(n+1); raises where I^n is not integrable down to I_eq = 0."""
+    if ieq == 0.0 and n < -1.0:
+        raise ValueError(f"I^{n} is not integrable down to the equilibrium I_eq = 0")
+    return ieq ** (n + 1.0)
+
+
 @dataclass(frozen=True)
-class PowerLaw(_ModelBase):
+class PowerLaw(_Factored):
     """Monomial yield function Z = c I^n.
 
     The matching dilatancy is c (2-n)/(2(n+1)) (I^n - I_eq^{n+1}/I); n = 2
@@ -564,42 +571,31 @@ class PowerLaw(_ModelBase):
     def _dz(self, z: float, I: float) -> float:
         return self.n * z / I
 
-    def _f_terms(self, phi: float, I: float) -> tuple[float, float]:
-        """The factor c (2-n)/(2(n+1)) and I_eq(phi)^(n+1), after f's checks."""
-        if I <= 0:
-            raise _needs_positive_I("dilatancy", I)
-        return self._anchor(phi)
-
-    def _anchor(self, phi: float) -> tuple[float, float]:
-        """:meth:`_f_terms` past its check of I."""
-        ieq = self.i_eq(phi)
-        if ieq == 0.0 and self.n < -1.0:
-            raise ValueError(
-                f"I^{self.n} is not integrable down to the equilibrium I_eq = 0"
-            )
-        return self.coefficient * (2.0 - self.n) / (2.0 * (self.n + 1.0)), ieq ** (self.n + 1.0)
+    def _factors(self, I: float) -> tuple[float, float, float]:
+        return self.coefficient * (2.0 - self.n) / (2.0 * (self.n + 1.0)), self.n, I**self.n
 
     @staticmethod
-    def _f(c: float, anchored: float, I: float, I_n: float) -> float:
-        return c * (I_n - anchored / I)
+    def _f(phi: float, factors: tuple, i_eq: Callable[[float], float], I: float) -> float:
+        c, n, I_n = factors
+        return c * (I_n - _power_anchor(i_eq(phi), n) / I)
 
-    def _f_dI(self, c: float, anchored: float, I_n1: float, I2: float) -> float:
-        return c * (self.n * I_n1 + anchored / I2)
+    def _slope_terms(self, I: float) -> tuple[float, float]:
+        return I ** (self.n - 1.0), I**2
 
-    def dilatancy(self, phi: float, p: float, I: float) -> float:
-        return self._f(*self._f_terms(phi, I), I, I**self.n)
-
-    def df_dI(self, phi: float, p: float, I: float) -> float:
-        return self._f_dI(*self._f_terms(phi, I), I ** (self.n - 1.0), I**2)
+    @staticmethod
+    def _f_dI(factors: tuple, ieq: float, I: float, I_n1: float, I2: float) -> float:
+        c, n, _ = factors
+        return c * (n * I_n1 + _power_anchor(ieq, n) / I2)
 
     def _row_terms(self, I: list[float]) -> np.ndarray:
-        n = self.n
-        return _each(lambda J: (J**n, J ** (n - 1.0), J**2), I)
+        """f's factor I^n, then df/dI's terms."""
+        return _each(lambda J: (self._factors(J)[2], *self._slope_terms(J)), I)
 
     def _row(self, phi: float, I: np.ndarray, terms: np.ndarray) -> tuple:
-        (I_n, I_n1, I2), anchor = terms, self._anchor(phi)
-        z = self._z(I_n)
-        return self._dz(z, I), self._f_dI(*anchor, I_n1, I2), z, self._f(*anchor, I, I_n)
+        (I_n, I_n1, I2), (c, n, _) = terms, self._factors(1.0)  # the row holds I^n
+        factors, ieq, z = (c, n, I_n), self.i_eq(phi), self._z(I_n)
+        return (self._dz(z, I), self._f_dI(factors, ieq, I, I_n1, I2), z,
+                self._f(ieq, factors, _itself, I))
 
 
 @dataclass(frozen=True)
@@ -695,6 +691,9 @@ class RouxRadjai(_ModelBase):
 
     * ``"small-angle"``: Z = sin(delta) + cos(delta) f,
     * ``"dp"``: plain Z = sin(delta).
+
+    It is no :class:`_Factored`, whose df/dI reads i_eq(phi): this f is
+    anchored at phi_eq(I), and its df/dI is defined where i_eq raises.
     """
 
     gain: float = field(kw_only=True)

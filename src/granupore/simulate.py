@@ -32,6 +32,10 @@ without a momentum solver:
 Bound violations in the box are *flagged, never clamped*: a clamp would
 mask an integrator or model defect that the theory says cannot occur for
 compliant models.
+
+What a run keeps has one ceiling, :data:`RECORD_MAX_BYTES` (1 GiB): a box
+whose rows, or a column whose kept states, would pass it is rejected before
+its first step, as is a column whose ledger would (:data:`COLUMN_MAX_STEPS`).
 """
 
 from __future__ import annotations
@@ -87,6 +91,13 @@ _LEDGER_BLOCK_VALUES = 16_384
 #: of a desk machine's memory one run may take; at about 14 us an explicit
 #: step of 200 cells (2-vCPU x86-64 host), they already run for 8 minutes.
 COLUMN_MAX_STEPS = 2**25
+
+#: Most bytes a run's recorded output may take, the ledger's 1 GiB at
+#: :data:`COLUMN_MAX_STEPS`: one ceiling for what any run keeps.  A box row
+#: is taken as 320 bytes (a tuple of six floats while recording, then six
+#: array floats; 297 measured at peak), a column state as 8 bytes a cell and
+#: 1 KB besides (measured: 1.0 KB at 2 cells, 1.8 KB at 200, 16 KB at 2,000).
+RECORD_MAX_BYTES = 2**30
 
 
 # ----------------------------------------------------------------------
@@ -375,8 +386,9 @@ def run_box(
     Raises:
         ValueError: If dt is not positive and finite, t_end is negative or
             not finite, t_end / dt overflows or exceeds 2**53, t_end > 0 rounds
-            to zero steps, record_every is not an integer or < 1, ``mat`` is not
-            the model's material, phi0 is outside (0, 1), or pf0 is given
+            to zero steps, record_every is not an integer or < 1, the rows
+            would pass :data:`RECORD_MAX_BYTES`, ``mat`` is not the model's
+            material, phi0 is outside (0, 1), or pf0 is given
             without gas, at or below -p_atm, or infinite; a row's model error
             as the model raises it.
         RuntimeError: On a model error at a step's stage, naming the step
@@ -384,6 +396,7 @@ def run_box(
     """
     n_steps = _step_count(t_end, dt)
     _check_count("record_every", record_every, 1)
+    _check_records(f"n_steps = {n_steps} and record_every = {record_every}", n_steps, record_every)
     model = _admit(model, mat)
     _check_box_start(phi0, pf0, gas, "phi0", "pf0")
     t, phi, p_f = 0.0, phi0, 0.0 if pf0 is None else pf0
@@ -647,6 +660,18 @@ class ColumnResult(EnergyLedger):
         return float(np.max(np.abs(np.diff(content)), initial=0.0) / max(abs(content[0]), 1.0))
 
 
+def _check_records(names: str, n_steps: int, record_every: int,
+                   n_cells: int | None = None) -> None:
+    """Reject a run whose 1 + ceil(n_steps / record_every) box rows, or column
+    states of ``n_cells``, would pass :data:`RECORD_MAX_BYTES`, before its
+    first step; ``names`` names the three settings."""
+    records = 1 - (-n_steps // record_every)
+    each, what = (320, "rows") if n_cells is None else (8 * n_cells + 1024, "states")
+    if records * each > RECORD_MAX_BYTES:
+        raise ValueError(f"{names} would keep {records} {what} of {each} bytes, over the"
+                         f" 2**30-byte (1 GiB) ceiling")
+
+
 def _check_column_steps(name: str, n_steps: int) -> None:
     """Reject a step count above :data:`COLUMN_MAX_STEPS`, before its
     ledger is allocated."""
@@ -679,7 +704,8 @@ def run_column(
             explicit dt above the stability bound, or an implicit dt that
             overflows the matrix; then if record_every is not an integer or
             < 1, or n_steps is not an integer, < 0 or above
-            :data:`COLUMN_MAX_STEPS`; then, before any step, if an initial
+            :data:`COLUMN_MAX_STEPS`, or if the states kept would pass
+            :data:`RECORD_MAX_BYTES`; then, before any step, if an initial
             p_f is not finite (NaN included), or at or below -p_atm (each
             message gives the cell index).
     """
@@ -688,6 +714,8 @@ def run_column(
     _check_count("n_steps", n_steps, 0)
     _check_column_steps("n_steps", n_steps)
     t, p, dz = state0.t, state0.pf_profile, state0.dz
+    _check_records(f"n_steps = {n_steps}, record_every = {record_every} and {p.size} cells",
+                   n_steps, record_every, p.size)
     _check_all("initial p_f must be finite", p)
     ledger = np.empty((4, n_steps + 1))  # rows: t, content, E1, D
     ledger[0, 0] = t

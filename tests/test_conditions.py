@@ -794,6 +794,34 @@ class TestRowReads:
         assert _bits(report) == _bits(_reference_sweep(model, grid))
         assert report.records != sweep(MUI, grid).records
 
+    def test_a_row_is_read_one_way(self, monkeypatch):
+        # the schaeffer mu(I) rows at phi = 0.44 and 0.53 are finite but at
+        # I = 1e-170, where df/dI divides by I**2 = 0, and every point of
+        # them takes the scalar reads, as do the rows at 0.35 and 0.62, whose
+        # row read raises; the Roux-Radjai rows there are finite at every I,
+        # and their equilibrium check raises: all their points are skipped
+        # with its reason, and none is read again
+        reads = {}
+
+        def shared(model, phi, p, I, shared=conditions._shared_reads):
+            reads[phi] = reads.get(phi, 0) + 1
+            return shared(model, phi, p, I)
+
+        monkeypatch.setattr(conditions, "_shared_reads", shared)
+        law, phis = EquilibriumLaw("schaeffer"), self.EDGES.phi_values().tolist()
+        sweep(MuI(MAT, law), self.EDGES)
+        assert reads == dict.fromkeys(phis, 6)
+        reads.clear()
+        report = sweep(RouxRadjai(MAT, law, gain=2.0), self.EDGES)
+        assert not reads
+        points = [(I, p) for I in self.EDGES.I_values().tolist()
+                  for p in self.EDGES.p_values().tolist()]
+        for phi, what in ((phis[0], "below the range"), (phis[-1], "> phi_max")):
+            skipped = [(point[1:], reason) for point, reason in report.skipped if point[0] == phi]
+            assert [point for point, _ in skipped] == points
+            assert len({reason for _, reason in skipped}) == 1 and what in skipped[0][1]
+        assert len(report.skipped) == 2 * len(points)
+
     #: Per model: i_eq calls per phi (one by the row read, one and three f
     #: reads by the equilibrium signs; none by Roux-Radjai's f); the scalar
     #: term calls the row path makes per I (one per term function, a tuple

@@ -676,6 +676,22 @@ class TestCliSimulate:
             "error: n_steps = --t-end / --dt = 1000000000000.0 / 0.001 must be at most"
             " 2**25 = 33554432, a 1 GiB ledger, got 1000000000000000\n"))
 
+    def test_recorded_output_ceiling_named(self, capsys):
+        """A run whose recorded rows or states would pass 1 GiB fails before
+        its first step and names the flags that set them.  Without the
+        ceiling these fail on --phi0 and on the explicit bound instead."""
+        assert main(["simulate-box", "--model", "dp", "--t-end=1e3", "--dt=1e-6",
+                     "--record-every=1", "--phi0=2"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: --t-end / --dt = 1000.0 / 1e-06 = 1000000000 steps and --record-every=1"
+            " would keep 1000000001 rows of 320 bytes, over the 2**30-byte (1 GiB) ceiling\n"))
+        assert main(["simulate-column", "--mode", "explicit", "--t-end=1", "--dt=1e-6",
+                     "--record-every=1"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: --t-end / --dt = 1.0 / 1e-06 = 1000000 steps, --record-every=1 and"
+            " --cells=200 would keep 1000001 states of 2624 bytes, over the 2**30-byte (1 GiB)"
+            " ceiling\n"))
+
     def test_column_zero_steps_still_checks_dt(self, capsys):
         assert main(["simulate-column", "--t-end", "0", "--dt", "1"]) == 1
         assert "above the stability bound" in capsys.readouterr().err

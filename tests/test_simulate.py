@@ -413,6 +413,39 @@ class TestRunSettings:
         with pytest.raises(ValueError, match=r"^n_steps must be at most 2\*\*25 = .* got 33554433$"):
             run_column(state, GAS, MAT, dt, simulate.COLUMN_MAX_STEPS + 1)
 
+    def test_box_rows_ceiling(self):
+        """A box run whose rows would pass 1 GiB fails before it reads its
+        forcing; without the ceiling it reads it for row 0, which raises here
+        (and a readable forcing would start 1e9 steps of rows)."""
+        def unread(t):
+            raise AssertionError("the forcing was read")
+
+        forcing = Forcing(shear=unread, p=unread, jumps=())
+        with pytest.raises(ValueError) as exc:
+            run_box(MODELS["dp"], MAT, forcing, phi0=0.5, t_end=1e3, dt=1e-6, record_every=1)
+        assert str(exc.value) == (
+            "n_steps = 1000000000 and record_every = 1 would keep 1000000001 rows of 320 bytes,"
+            " over the 2**30-byte (1 GiB) ceiling")
+        # the largest run within the ceiling reads its forcing
+        rows = simulate.RECORD_MAX_BYTES // 320
+        with pytest.raises(AssertionError, match="the forcing was read"):
+            run_box(MODELS["dp"], MAT, forcing, phi0=0.5, t_end=(rows - 1) * 1e-3, dt=1e-3)
+
+    def test_column_states_ceiling(self):
+        """A column run whose kept states would pass 1 GiB fails before its
+        first step; without the ceiling the NaN initial p_f is named first."""
+        state = uniform_column(200, 0.1, 0.6, 100.0)
+        state = replace(state, pf_profile=np.full(200, math.nan))
+        dt = column_cfl_dt(state, GAS, MAT)
+        with pytest.raises(ValueError) as exc:
+            run_column(state, GAS, MAT, dt, simulate.COLUMN_MAX_STEPS)
+        assert str(exc.value) == (
+            "n_steps = 33554432, record_every = 1 and 200 cells would keep 33554433 states of"
+            " 2624 bytes, over the 2**30-byte (1 GiB) ceiling")
+        # a state every 83 steps keeps 404,272 of them, within the ceiling
+        with pytest.raises(ValueError, match="^initial p_f must be finite"):
+            run_column(state, GAS, MAT, dt, simulate.COLUMN_MAX_STEPS, record_every=83)
+
     @pytest.mark.parametrize("phi,mode,message", [
         (2e-157, "bound", "p_atm kappa overflows at phi, got 2e-157 at index 0"),
         (1e-100, "implicit", "the face permeability 2 kappa kappa' overflows at phi,"
@@ -1018,16 +1051,39 @@ class TestBoxSegments:
 class TestBoxWork:
     """The Python calls a box step costs, counted with ``sys.setprofile``:
     each of its 4 stages calls the segment's f and the law's inverse, and for
-    mu(I) F or G, so a step costs 8 calls for dp and dp-psi and 12 for mui
-    and mui-psi.  Rows and segment reads add under 0.15 per step at one row
-    per 100 steps; a stage that gains one call adds 4."""
+    mu(I) F or G and for power:n I_eq^(n+1), so a step costs 8 calls for dp
+    and dp-psi and 12 for mui, mui-psi and power:n.  Rows and segment reads
+    add under 0.15 per step at one row per 100 steps; a stage that gains one
+    call adds 4."""
 
     STEPS = 2000
-    BUDGET = {"dp": 8.1, "dp-psi": 8.1, "mui": 12.1, "mui-psi": 12.1}
+    BUDGET = {"dp": 8.1, "dp-psi": 8.1, "mui": 12.1, "mui-psi": 12.1,
+              "power:0.5": 12.1, "power:-0.5": 12.1}
+    MODELS = MODELS | {f"power:{n:g}": PowerLaw(MAT, LAW, n=n) for n in (0.5, -0.5, 2.0)}
+    #: sha256 of each power-law run's series at one row a step, with the
+    #: forcing and phi0 of the call count, recorded before PowerLaw shared
+    #: the factored models' f (x86-64 Linux, Python 3.11.7, numpy 2.4.6).
+    POWER_SERIES = {
+        "power:0.5": "a418842674799e49eafb5be5e175c7818d6ba26b02d10665a771696b6a8986df",
+        "power:-0.5": "e34e40d8fb6d88945754aad6b2b95a856c3d8aea1b481dcf6bbb6e3321d04eef",
+        "power:2": "c622aef39a83587542dc7e337c0d7065b5dd7da917f4ec49ea811deb558cb63b",
+    }
+
+    @staticmethod
+    def _forcing():
+        return piecewise_constant_forcing([0.0, 1e-3, 2e-3], [400.0, 900.0], [1e3, 300.0])
+
+    @pytest.mark.parametrize("name", list(POWER_SERIES))
+    def test_power_law_series(self, name):
+        res = run_box(self.MODELS[name], MAT, self._forcing(), phi0=0.55, t_end=2e-3, dt=1e-6)
+        digest = hashlib.sha256()
+        for series in (res.t, res.phi, res.p_f, res.div_u, res.inertial, res.i_eq):
+            digest.update(b"untracked" if series is None else series.tobytes())
+        assert digest.hexdigest() == self.POWER_SERIES[name]
 
     @pytest.mark.parametrize("name", list(BUDGET))
     def test_python_calls_per_step(self, name):
-        forcing = piecewise_constant_forcing([0.0, 1e-3, 2e-3], [400.0, 900.0], [1e3, 300.0])
+        forcing = self._forcing()
         calls = 0
 
         def count(frame, event, arg):
@@ -1037,7 +1093,7 @@ class TestBoxWork:
         previous = sys.getprofile()
         sys.setprofile(count)
         try:
-            run_box(MODELS[name], MAT, forcing, phi0=0.55, t_end=2e-3, dt=2e-3 / self.STEPS,
+            run_box(self.MODELS[name], MAT, forcing, phi0=0.55, t_end=2e-3, dt=2e-3 / self.STEPS,
                     record_every=100)
         finally:
             sys.setprofile(previous)

@@ -23,6 +23,12 @@ I > 0, I_eq > 0 (phi < phi_max) and delta in (0, pi/2), so their C3 value
 df/dp - (I/(2p)) df/dI is negative at every point.  The C3 signs of mui and
 mui-psi are only sampled, by the condition sweeps.
 
+Combinations and the isochoric control: for dp and mui weighted by any
+functions of phi (sympy ``Function``s), sympy reduces the C1 residual and
+f(I_eq) of the combination to 0.  ``Isochoric`` keeps its base's Z and sets
+f = 0, so its residual is Z - (I/2) dZ/dI: sin(delta) for dp, the residual
+criterion 3's negative control fails on, and at least mu1 for mui.
+
 A derived f: for a generic Z (a sympy ``Function``), f = W(I) - G/I with
 W = (3/(2I)) int_{I1}^{I} Z dJ - Z/2 and any constant G, sympy proves
 df/dI = (Z - f)/I - (1/2) dZ/dI identically: the slope
@@ -43,7 +49,7 @@ from hypothesis import strategies as st
 from granupore.conditions import residual_c1
 from granupore.gas import IdealGasLaw, enthalpy_ideal
 from granupore.materials import EquilibriumLaw, GasParams, glass_beads
-from granupore.rheology import build_model
+from granupore.rheology import Isochoric, build_model
 
 sp = pytest.importorskip("sympy")
 mpmath = pytest.importorskip("mpmath")
@@ -278,6 +284,41 @@ def test_derived_slope_identity():
     f = sp.Rational(3, 2) / I * sp.Integral(Z(J), (J, I1, I)) - Z(I) / 2 - G / I
     slope = (Z(I) - f) / I - sp.diff(Z(I), I) / 2
     assert sp.simplify(sp.diff(f, I) - slope) == 0
+
+
+def test_linear_combination_is_consistent_and_anchored():
+    """dp and mui weighted by any functions w1 and w2 of phi, with I_eq any
+    function of phi too: C1 takes no phi derivative, so the combination's
+    residual is identically 0, and so is its f at I = I_eq."""
+    w1, w2, i_eq = (sp.Function(name)(PHI) for name in ("w1", "w2", "i_eq"))
+    (Z1, f1), (Z2, f2) = PAIRS["dp"], PAIRS["mui"]
+    Z, f = ((w1 * a + w2 * b).subs(I_EQ, i_eq) for a, b in ((Z1, Z2), (f1, f2)))
+    assert sp.simplify(Z - I / 2 * sp.diff(Z, I) - f - I * sp.diff(f, I)) == 0
+    assert sp.simplify(f.subs(I, i_eq)) == 0
+
+
+#: Isochoric's C1 residual, its base's Z - (I/2) dZ/dI as f = 0, in a form
+#: whose sign is plain: sin(delta) > 0 for dp, and for mui at least mu1 > 0.
+ISOCHORIC_RESIDUAL = {
+    "dp": sp.sin(DELTA),
+    "mui": MU1 + (MU2 - MU1) * I * (2 * I + I0) / (2 * (I + I0) ** 2),
+}
+
+
+@pytest.mark.parametrize("name", list(ISOCHORIC_RESIDUAL))
+def test_isochoric_residual(name):
+    """The residual criterion 3's isochoric negative control fails on is not
+    zero, and ``residual_c1`` gives it to 1e-15 at 50 digits."""
+    Z, f = PAIRS[name][0], sp.S.Zero
+    residual = Z - I / 2 * sp.diff(Z, I) - f - I * sp.diff(f, I)
+    assert sp.simplify(residual - ISOCHORIC_RESIDUAL[name]) == 0
+    assert (I * (2 * I + I0) / (2 * (I + I0) ** 2)).is_nonnegative
+    model, exact = Isochoric(build_model(name, MAT)), _lambdify(ISOCHORIC_RESIDUAL[name])
+    for phi, I_value in ((0.45, 1e-6), (0.55, 0.3), (0.59, 1e3)):
+        with mpmath.workdps(50):
+            value = exact(*(mpmath.mpf(a) for a in (I_value, 0, MAT.mu1, MAT.mu2, MAT.I0,
+                                                    MAT.delta)))
+            assert abs(residual_c1(model, phi, 100.0, I_value) - value) <= 1e-15 * abs(value)
 
 
 P_ATM, RHO_F0, X = sp.symbols("p_atm rho_f0 x", positive=True)
