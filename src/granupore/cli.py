@@ -14,9 +14,9 @@ Subcommands
 Exit codes: 0 all checks pass, 2 a checked condition fails, 1 on errors
 (bad flags, malformed config, I/O).  Outputs are plain CSV with a ``#``
 provenance header embedding the resolved configuration; runs are
-deterministic for a fixed config and seed.  Each subcommand builds its
-provenance and CSV body as text, and ``_write_csv`` is the one place that
-writes them to ``--out``.  Only implicit
+deterministic for a fixed config and seed.  Each subcommand hands its
+provenance and its rows to ``_write_csv``, the one place that writes
+``--out``; a run with nowhere to write formats no row.  Only implicit
 ``simulate-column`` loads scipy, and it loads it on first use; ``table1`` and
 ``derive`` integrate with numpy alone.  No subcommand reads a gas law (in the
 library, ``state_law_from_csv`` and ``enthalpy_from_statelaw`` load scipy for
@@ -31,11 +31,11 @@ command line win.  A key that is not a run setting is reported with its line.
 from __future__ import annotations
 
 import argparse
-import io
 import math
 import sys
 from contextlib import nullcontext
-from typing import Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -46,12 +46,10 @@ from .config import (
 )
 from .gas import permeability_kappa
 from .materials import (
-    EquilibriumLaw, FlowState, GasParams, MaterialParams, _check_all, _check_amount, _check_count,
-    _check_finite,
+    EquilibriumLaw, FlowState, GasParams, MaterialParams, _check_all, _check_amount, _check_finite,
 )
 from .rheology import MODEL_IDS, DerivedNumeric, PowerLaw, build_model, derive_f_numeric
 from .simulate import (
-    _check_column_steps,
     _check_records,
     _face_kappa,
     _step_count,
@@ -144,17 +142,25 @@ def _provenance(args, mat: MaterialParams, gas: GasParams) -> str:
     return "".join(f"# {line}\n" for line in lines)
 
 
-def _write_csv(args, provenance: str, body: str, stdout: bool = False) -> None:
-    """Write the title line, ``provenance`` and ``body`` to ``--out``; without
-    ``--out``, to stdout if ``stdout`` is set.
+def _write_csv(args, provenance: str, rows: Iterable[str] | Callable[[TextIO], None],
+               stdout: bool = False) -> None:
+    """Write the title line, ``provenance`` and ``rows`` to ``--out``; without
+    ``--out``, to stdout if ``stdout`` is set, and otherwise nothing.
 
-    The only writer of ``--out``.  The body is built before the file opens,
-    so a run that fails while building it leaves no half-written CSV.
+    The only writer of ``--out``.  ``rows`` is an iterable of CSV lines,
+    written as it yields them (a generator formats each as it is written and
+    never holds them all), or a function that writes them to the open file;
+    a run with nowhere to write formats none.  Formatting a row cannot fail;
+    an I/O error midway (a full disk, say) leaves the lines written before it.
     """
     if not args.out and not stdout:
         return
     with open(args.out, "w") if args.out else nullcontext(sys.stdout) as out:
-        out.write(f"# granupore {__version__} :: {args.command}\n{provenance}{body}")
+        out.write(f"# granupore {__version__} :: {args.command}\n{provenance}")
+        if callable(rows):
+            rows(out)
+        else:
+            out.writelines(rows)
 
 
 # ----------------------------------------------------------------------
@@ -178,7 +184,7 @@ def cmd_table1(args) -> int:
             f"{n:g},I^{n:g},{phi:.10e},{I:.10e},{model.i_eq(phi):.10e},"
             f"{f_closed:.10e},{f_numeric:.10e},{diff:.3e},{dissipation:.10e}\n"
         )
-    _write_csv(args, _provenance(args, mat, gas), "".join(rows), stdout=True)
+    _write_csv(args, _provenance(args, mat, gas), rows, stdout=True)
     if worst > DERIVE_TOL:
         print(f"closed-form vs derived mismatch {worst:.3e}", file=sys.stderr)
         return 2
@@ -188,9 +194,7 @@ def cmd_table1(args) -> int:
 def cmd_check(args) -> int:
     mat, gas, model = _setup(args)
     report = sweep(model, _grid(args))
-    body = io.StringIO()
-    write_report_csv(report, body)
-    _write_csv(args, _provenance(args, mat, gas), body.getvalue())
+    _write_csv(args, _provenance(args, mat, gas), lambda out: write_report_csv(report, out))
     print(f"model: {args.model}")
     print(report.summary_text())
     return 0 if report.all_pass else 2
@@ -199,9 +203,7 @@ def cmd_check(args) -> int:
 def cmd_classify(args) -> int:
     mat, gas, model = _setup(args)
     verdict = classify(model, _grid(args), model_id=args.model)
-    body = io.StringIO()
-    write_report_csv(verdict.report, body)
-    _write_csv(args, _provenance(args, mat, gas), body.getvalue())
+    _write_csv(args, _provenance(args, mat, gas), lambda out: write_report_csv(verdict.report, out))
     print(f"model: {verdict.model_id}")
     print(f"verdict: {verdict.verdict}")
     if verdict.failing:
@@ -228,7 +230,7 @@ def cmd_derive(args) -> int:
                 f"{phi:.10e},{I:.10e},{p:.10e},"
                 f"{f_closed:.10e},{f_numeric:.10e},{diff:.3e}\n"
             )
-    _write_csv(args, _provenance(args, mat, gas), "".join(rows), stdout=True)
+    _write_csv(args, _provenance(args, mat, gas), rows, stdout=True)
     print(f"max |closed - derived| = {worst:.3e} (tolerance {DERIVE_TOL:g})")
     return 0 if worst <= DERIVE_TOL else 2
 
@@ -251,7 +253,6 @@ def cmd_simulate_box(args) -> int:
             shear = BOX_SHEAR if args.shear is None else args.shear
         forcing = constant_forcing(shear, p)
     n_steps = _step_count(args.t_end, args.dt)
-    _check_count("record_every", args.record_every, 1)
     _check_records(f"--t-end / --dt = {args.t_end} / {args.dt} = {n_steps} steps and"
                    f" --record-every={args.record_every}", n_steps, args.record_every)
     result = run_box(
@@ -266,11 +267,11 @@ def cmd_simulate_box(args) -> int:
         record_every=args.record_every,
     )
     pf = result.p_f if result.p_f is not None else np.full_like(result.t, np.nan)
-    _write_csv(args, _provenance(args, mat, gas), "t,phi,pf,div_u,I,i_eq\n" + "".join(
+    _write_csv(args, _provenance(args, mat, gas), chain(["t,phi,pf,div_u,I,i_eq\n"], (
         f"{result.t[k]:.10e},{result.phi[k]:.10e},{pf[k]:.10e},"
         f"{result.div_u[k]:.10e},{result.inertial[k]:.10e},{result.i_eq[k]:.10e}\n"
         for k in range(result.t.size)
-    ))
+    )))
     print(f"final phi = {result.phi[-1]:.6f}")
     print(f"phi range seen: [{result.phi_min:.6f}, {result.phi_max_seen:.6f}]")
     print(f"bound violations: {len(result.violations)}")
@@ -288,6 +289,7 @@ def cmd_simulate_column(args) -> int:
                    f"{args.pf_amplitude} and --length={args.length} must be finite", pf)
         return pf
 
+    _check_records(f"--cells={args.cells}", 0, 1, args.cells)
     state0 = uniform_column(args.cells, args.length, args.phi, pf_init)
     try:  # the permeability's errors name its phi, not the flag
         permeability_kappa(gas, mat.d, args.phi)
@@ -300,25 +302,24 @@ def cmd_simulate_column(args) -> int:
             f"--pf-mean {args.pf_mean} and --pf-amplitude {args.pf_amplitude} give an initial"
             f" p_f as low as {lowest}; it must exceed -p_atm = {-gas.p_atm}"
         )
-    dt = args.dt
+    dt, dt_from = args.dt, ""
     if dt is None:
         dt = column_cfl_dt(state0, gas, mat)
-        _check_amount(f"the step derived from --length={args.length}, --cells={args.cells}"
-                      f" and --phi={args.phi} (no --dt given)", dt)
-    n_steps = _step_count(args.t_end, dt)
-    _check_column_steps(f"n_steps = --t-end / --dt = {args.t_end} / {dt}", n_steps)
-    _check_count("record_every", args.record_every, 1)
-    _check_records(f"--t-end / --dt = {args.t_end} / {dt} = {n_steps} steps, --record-every="
-                   f"{args.record_every} and --cells={args.cells}", n_steps, args.record_every,
-                   args.cells)
+        dt_from = (f" derived from --length={args.length}, --cells={args.cells} and"
+                   f" --phi={args.phi} (no --dt given)")
+        _check_amount(f"the step{dt_from}", dt)
+    n_steps = _step_count(args.t_end, dt, dt_from)
+    _check_records(f"--t-end / {'dt' if dt_from else '--dt'} = {args.t_end} / {dt}{dt_from} ="
+                   f" {n_steps} steps, --record-every={args.record_every} and"
+                   f" --cells={args.cells}", n_steps, args.record_every, args.cells)
     result = run_column(
         state0, gas, mat, dt, n_steps, mode=args.mode, record_every=args.record_every
     )
-    _write_csv(args, _provenance(args, mat, gas), "t,z,pf\n" + "".join(
+    _write_csv(args, _provenance(args, mat, gas), chain(["t,z,pf\n"], (
         f"{state.t:.10e},{z:.10e},{pf:.10e}\n"
         for state in result.history
         for z, pf in zip(state.z, state.pf_profile)
-    ))
+    )))
     energy_ok = result.non_increasing
     print(f"steps: {n_steps}, dt = {dt:.6e} s ({args.mode})")
     print(f"gas-content drift per step: {result.max_step_content_drift:.3e}")
@@ -343,11 +344,11 @@ def cmd_symbol(args) -> int:
         f"# momentum_rows = {list(data['momentum_rows'])}\n"
         f"# c = {data['c']!r}\n"
     )
-    _write_csv(args, provenance, "matrix,re,im\n" + "".join(
+    _write_csv(args, provenance, chain(["matrix,re,im\n"], (
         f"{name},{ev.real:.10e},{ev.imag:.10e}\n"
         for name, eigs in (("N", sym.spectrum_N), ("M", sym.spectrum_M))
         for ev in eigs
-    ))
+    )))
     return 0 if union_ok and floor_ok else 2
 
 

@@ -33,9 +33,10 @@ Bound violations in the box are *flagged, never clamped*: a clamp would
 mask an integrator or model defect that the theory says cannot occur for
 compliant models.
 
-What a run keeps has one ceiling, :data:`RECORD_MAX_BYTES` (1 GiB): a box
-whose rows, or a column whose kept states, would pass it is rejected before
-its first step, as is a column whose ledger would (:data:`COLUMN_MAX_STEPS`).
+What a run keeps has one ceiling, :data:`RECORD_MAX_BYTES` (1 GiB), and one
+door, ``_check_records``: a box whose rows, or a column whose kept states and
+per-step ledger together, would pass it is rejected before its first step,
+and a column whose one state would is rejected before it is built.
 """
 
 from __future__ import annotations
@@ -86,17 +87,14 @@ CFL_SAFETY = 0.4
 #: made 2,000 cells slower than one call per step.
 _LEDGER_BLOCK_VALUES = 16_384
 
-#: Most steps ``run_column`` takes.  Its ledger holds 4 floats a step and is
-#: allocated before the first, so 2**25 steps ask for 1 GiB at once, a share
-#: of a desk machine's memory one run may take; at about 14 us an explicit
-#: step of 200 cells (2-vCPU x86-64 host), they already run for 8 minutes.
-COLUMN_MAX_STEPS = 2**25
-
-#: Most bytes a run's recorded output may take, the ledger's 1 GiB at
-#: :data:`COLUMN_MAX_STEPS`: one ceiling for what any run keeps.  A box row
-#: is taken as 320 bytes (a tuple of six floats while recording, then six
-#: array floats; 297 measured at peak), a column state as 8 bytes a cell and
-#: 1 KB besides (measured: 1.0 KB at 2 cells, 1.8 KB at 200, 16 KB at 2,000).
+#: Most bytes a run may keep, a share of a desk machine's memory one run may
+#: take: one ceiling for what any run keeps.  A box row is taken as 320 bytes
+#: (a tuple of six floats while recording, then six array floats; 297
+#: measured at peak), a column state as 8 bytes a cell and 1 KB besides
+#: (measured: 1.0 KB at 2 cells, 1.8 KB at 200, 16 KB at 2,000), and a column
+#: step as the 32 bytes of its 4-float ledger, which ``run_column`` allocates
+#: before its first step.  At about 14 us an explicit step of 200 cells
+#: (2-vCPU x86-64 host), the 2**25 steps of a 1 GiB ledger run for 8 minutes.
 RECORD_MAX_BYTES = 2**30
 
 
@@ -348,21 +346,22 @@ class BoxResult:
         return float(np.max(self.phi))
 
 
-def _step_count(t_end: float, dt: float) -> int:
+def _step_count(t_end: float, dt: float, dt_from: str = "") -> int:
     """The whole number of steps of dt nearest to t_end, after checking that
     dt and t_end are finite, dt positive and t_end non-negative; t_end / dt
     must be finite and at most 2**53, past which floats are 2 or more apart
     and no longer name a whole number of steps, and a positive t_end must
-    round to at least one step."""
+    round to at least one step.  ``dt_from`` follows dt in the step-count
+    errors, to say where a dt the caller did not give came from."""
     _check_amount("dt", dt)
     _check_amount("t_end", t_end, zero_ok=True)
-    steps, name = t_end / dt, f"the step count t_end / dt = {t_end} / {dt}"
+    steps, name = t_end / dt, f"the step count t_end / dt = {t_end} / {dt}{dt_from}"
     _check_finite(name, steps)
     if steps > 2**53:
         raise ValueError(f"{name} must be at most 2**53, got {steps:g}")
     n_steps = int(round(steps))
     if n_steps == 0 and t_end > 0:
-        raise ValueError(f"t_end = {t_end} rounds to zero steps of dt = {dt}")
+        raise ValueError(f"t_end = {t_end} rounds to zero steps of dt = {dt}{dt_from}")
     return n_steps
 
 
@@ -395,7 +394,6 @@ def run_box(
             and its start time.
     """
     n_steps = _step_count(t_end, dt)
-    _check_count("record_every", record_every, 1)
     _check_records(f"n_steps = {n_steps} and record_every = {record_every}", n_steps, record_every)
     model = _admit(model, mat)
     _check_box_start(phi0, pf0, gas, "phi0", "pf0")
@@ -472,12 +470,14 @@ def uniform_column(
     centres) are one value or one value per cell.
 
     Raises:
-        ValueError: If n_cells is not an integer or < 2, length is not
+        ValueError: If n_cells is not an integer, is < 2 or makes one
+            state past :data:`RECORD_MAX_BYTES`, length is not
             positive and finite, phi or pf_init does not broadcast to one
             value per cell, or a phi is outside (0, 1) or a p_f is not
             finite (NaN included).
     """
     _check_count("n_cells", n_cells, 2)
+    _check_records(f"n_cells = {n_cells}", 0, 1, n_cells)
     _check_amount("column length", length)
     dz = length / n_cells
     z = (np.arange(n_cells) + 0.5) * dz
@@ -662,22 +662,22 @@ class ColumnResult(EnergyLedger):
 
 def _check_records(names: str, n_steps: int, record_every: int,
                    n_cells: int | None = None) -> None:
-    """Reject a run whose 1 + ceil(n_steps / record_every) box rows, or column
-    states of ``n_cells``, would pass :data:`RECORD_MAX_BYTES`, before its
-    first step; ``names`` names the three settings."""
+    """The one run-size check: reject record_every below 1 or n_steps below
+    0, then a run whose 1 + ceil(n_steps / record_every) box rows, or column
+    states of ``n_cells`` with the column's 4-float ledger of n_steps + 1
+    entries, would pass :data:`RECORD_MAX_BYTES`, before its first step;
+    ``names`` names the settings."""
+    _check_count("record_every", record_every, 1)
+    _check_count("n_steps", n_steps, 0)
     records = 1 - (-n_steps // record_every)
-    each, what = (320, "rows") if n_cells is None else (8 * n_cells + 1024, "states")
-    if records * each > RECORD_MAX_BYTES:
-        raise ValueError(f"{names} would keep {records} {what} of {each} bytes, over the"
-                         f" 2**30-byte (1 GiB) ceiling")
-
-
-def _check_column_steps(name: str, n_steps: int) -> None:
-    """Reject a step count above :data:`COLUMN_MAX_STEPS`, before its
-    ledger is allocated."""
-    if n_steps > COLUMN_MAX_STEPS:
-        raise ValueError(f"{name} must be at most 2**25 = {COLUMN_MAX_STEPS}, a 1 GiB ledger,"
-                         f" got {n_steps}")
+    if n_cells is None:
+        kept, what = 320 * records, f"{records} rows of 320 bytes"
+    else:
+        each, ledger = 8 * n_cells + 1024, 32 * (n_steps + 1)
+        kept, what = each * records + ledger, (f"{records} {'states' if records > 1 else 'state'}"
+                                               f" of {each} bytes and a {ledger}-byte ledger")
+    if kept > RECORD_MAX_BYTES:
+        raise ValueError(f"{names} would keep {what}, over the 2**30-byte (1 GiB) ceiling")
 
 
 def run_column(
@@ -703,16 +703,12 @@ def run_column(
             n_steps is 0: dt not positive and finite, an unknown mode, an
             explicit dt above the stability bound, or an implicit dt that
             overflows the matrix; then if record_every is not an integer or
-            < 1, or n_steps is not an integer, < 0 or above
-            :data:`COLUMN_MAX_STEPS`, or if the states kept would pass
-            :data:`RECORD_MAX_BYTES`; then, before any step, if an initial
-            p_f is not finite (NaN included), or at or below -p_atm (each
-            message gives the cell index).
+            < 1, n_steps is not an integer or < 0, or the states kept and
+            the ledger would pass :data:`RECORD_MAX_BYTES`; then, before
+            any step, if an initial p_f is not finite (NaN included), or at
+            or below -p_atm (each message gives the cell index).
     """
     one_m, kf, advance = _column_stepper(state0, gas, mat, dt, mode)
-    _check_count("record_every", record_every, 1)
-    _check_count("n_steps", n_steps, 0)
-    _check_column_steps("n_steps", n_steps)
     t, p, dz = state0.t, state0.pf_profile, state0.dz
     _check_records(f"n_steps = {n_steps}, record_every = {record_every} and {p.size} cells",
                    n_steps, record_every, p.size)

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -571,8 +572,13 @@ class TestCliSimulate:
             (["--length=0"], "column length must be positive, got 0.0"),
             (["--t-end=inf"], "t_end must be finite, got inf"),
             (["--length=inf"], "column length must be finite, got inf"),
+            # named before anything is allocated; numpy's 'array is too big' named nothing
+            (["--cells=4611686018427387904"], "--cells=4611686018427387904 would keep 1 state of"
+             " 36893488147419104256 bytes and a 32-byte ledger, over the 2**30-byte (1 GiB)"
+             " ceiling"),
         ],
-        ids=["t_end-neg", "t_end-nan", "length-neg", "length-zero", "t_end-inf", "length-inf"],
+        ids=["t_end-neg", "t_end-nan", "length-neg", "length-zero", "t_end-inf", "length-inf",
+             "cells-huge"],
     )
     def test_column_bad_input_named(self, capsys, argv, message):
         assert main(["simulate-column", "--t-end=1e-4", *argv]) == 1
@@ -597,7 +603,8 @@ class TestCliSimulate:
         "argv,dt",
         [
             (["simulate-box", "--model", "dp"], "1e-06"),
-            (["simulate-column"], "5.997038499506414e-07"),
+            (["simulate-column"], "5.997038499506414e-07 derived from --length=0.1, --cells=200"
+                                  " and --phi=0.6 (no --dt given)"),
         ],
         ids=["box", "column"],
     )
@@ -653,8 +660,8 @@ class TestCliSimulate:
         [
             (["simulate-box", "--model", "dp", "--t-end=1e300"], "1e+300 / 1e-06", "1e+306"),
             (["simulate-box", "--model", "dp", "--dt=1e-308"], "0.05 / 1e-308", "5e+306"),
-            (["simulate-column", "--t-end=1e300"], "1e+300 / 5.997038499506414e-07",
-             "1.66749e+306"),
+            (["simulate-column", "--t-end=1e300"], "1e+300 / 5.997038499506414e-07 derived from"
+             " --length=0.1, --cells=200 and --phi=0.6 (no --dt given)", "1.66749e+306"),
         ],
         ids=["box-t_end", "box-dt", "column-t_end"],
     )
@@ -668,13 +675,22 @@ class TestCliSimulate:
         )
 
     def test_column_ledger_ceiling_named(self, capsys):
-        """A column run of more than 2**25 steps fails before its ledger is
-        allocated, naming --t-end and --dt; 1e15 steps asked numpy for 28 PiB
-        and ended in a MemoryError traceback."""
+        """A column run whose ledger would pass the ceiling fails before the
+        ledger is allocated, naming --t-end and --dt; 1e15 steps asked numpy
+        for 28 PiB and ended in a MemoryError traceback."""
         assert main(["simulate-column", "--t-end=1e12", "--dt=1e-3", "--mode", "implicit"]) == 1
         assert capsys.readouterr() == ("", (
-            "error: n_steps = --t-end / --dt = 1000000000000.0 / 0.001 must be at most"
-            " 2**25 = 33554432, a 1 GiB ledger, got 1000000000000000\n"))
+            "error: --t-end / --dt = 1000000000000.0 / 0.001 = 1000000000000000 steps,"
+            " --record-every=2000 and --cells=200 would keep 500000000001 states of 2624 bytes"
+            " and a 32000000000000032-byte ledger, over the 2**30-byte (1 GiB) ceiling\n"))
+
+    def test_column_derived_step_rounds_to_zero_steps_named(self, capsys):
+        """With no --dt, a t_end below half the derived step names the flags
+        the step came from."""
+        assert main(["simulate-column", "--cells", "2", "--t-end", "1e-3"]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: t_end = 0.001 rounds to zero steps of dt = 0.005997038499506418 derived from"
+            " --length=0.1, --cells=2 and --phi=0.6 (no --dt given)\n"))
 
     def test_recorded_output_ceiling_named(self, capsys):
         """A run whose recorded rows or states would pass 1 GiB fails before
@@ -689,8 +705,8 @@ class TestCliSimulate:
                      "--record-every=1"]) == 1
         assert capsys.readouterr() == ("", (
             "error: --t-end / --dt = 1.0 / 1e-06 = 1000000 steps, --record-every=1 and"
-            " --cells=200 would keep 1000001 states of 2624 bytes, over the 2**30-byte (1 GiB)"
-            " ceiling\n"))
+            " --cells=200 would keep 1000001 states of 2624 bytes and a 32000032-byte ledger,"
+            " over the 2**30-byte (1 GiB) ceiling\n"))
 
     def test_column_zero_steps_still_checks_dt(self, capsys):
         assert main(["simulate-column", "--t-end", "0", "--dt", "1"]) == 1
@@ -797,6 +813,60 @@ class TestCliSymbol:
         assert "spectral union holds: yes" in stdout
         assert "9.0" in stdout  # added eigenvalue c |xi|^2
         assert "M,9.0000000000e+00,0.0000000000e+00" in out.read_text()
+
+
+class _Unformattable:
+    def __format__(self, spec):
+        raise AssertionError("a row was formatted")
+
+
+class TestCliFormatsOnlyWhatItWrites:
+    """A run without --out formats no CSV row; with --out the same run does.
+    Building the whole body first formatted each row and threw it away."""
+
+    GRID = "phi=0.45:0.55:2,I=0.1:1:2:log,p=100:1000:2"
+
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    def test_report(self, monkeypatch, capsys, tmp_path, command):
+        from granupore import cli
+
+        def unwritten(report, out):
+            raise AssertionError("a row was formatted")
+
+        monkeypatch.setattr(cli, "write_report_csv", unwritten)
+        run = [command, "--model", "dp", "--grid", self.GRID]
+        assert main(run) == 0
+        with pytest.raises(AssertionError, match="a row was formatted"):
+            main([*run, "--out", str(tmp_path / "report.csv")])
+
+    def test_simulate_box(self, monkeypatch, capsys, tmp_path):
+        from granupore import cli
+        run_box = cli.run_box
+
+        def unformattable_times(*args, **kwargs):
+            result = run_box(*args, **kwargs)
+            return replace(result, t=np.array([_Unformattable()] * result.t.size))
+
+        monkeypatch.setattr(cli, "run_box", unformattable_times)
+        run = ["simulate-box", "--model", "dp", "--t-end=1e-4"]
+        assert main(run) == 0
+        with pytest.raises(AssertionError, match="a row was formatted"):
+            main([*run, "--out", str(tmp_path / "box.csv")])
+
+    def test_simulate_column(self, monkeypatch, capsys, tmp_path):
+        from granupore import cli
+        run_column = cli.run_column
+
+        def unformattable_times(*args, **kwargs):
+            result = run_column(*args, **kwargs)
+            result.history = [replace(state, t=_Unformattable()) for state in result.history]
+            return result
+
+        monkeypatch.setattr(cli, "run_column", unformattable_times)
+        run = ["simulate-column", "--cells=20", "--t-end=1e-4"]
+        assert main(run) == 0
+        with pytest.raises(AssertionError, match="a row was formatted"):
+            main([*run, "--out", str(tmp_path / "column.csv")])
 
 
 class TestCliErrors:

@@ -4,6 +4,7 @@ import hashlib
 import math
 import re
 import sys
+import tracemalloc
 from bisect import bisect_right
 from dataclasses import replace
 
@@ -300,6 +301,13 @@ class TestRunSettings:
             ((10, 0.1, 0.6, lambda z: np.where(z > 0.05, math.nan, 0.0)), "p_f"),
             ((1, 0.1, 0.6), "^n_cells must be at least 2, got 1$"),
             ((2.5, 0.1, 0.6), "^n_cells must be an integer, got 2.5$"),
+            # a state past the ceiling is named before anything is allocated (numpy's
+            # 'array is too big' named nothing); the largest count admitted reaches the length
+            ((2**62, 0.1, 0.6), r"^n_cells = 4611686018427387904 would keep 1 state of"
+                                r" 36893488147419104256 bytes and a 32-byte ledger, over the"
+                                r" 2\*\*30-byte \(1 GiB\) ceiling$"),
+            ((134217597, -1.0, 0.6), "^n_cells = 134217597 would keep 1 state of 1073741800"),
+            ((134217596, -1.0, 0.6), "^column length must be positive"),
             ((10, 0.1, 0.6, lambda z: z[:5]),
              r"^pf_init has shape \(5,\), which does not broadcast to 10 cells$"),
             ((10, 0.1, [0.5, 0.6]),
@@ -308,8 +316,8 @@ class TestRunSettings:
              r"^pf_init has shape \(2,\), which does not broadcast to 10 cells$"),
         ],
         ids=["length-zero", "length-neg", "length-nan", "length-inf", "phi-nan", "pf-nan", "pf-inf",
-             "pf-callable", "one-cell", "cells-float", "pf-callable-shape", "phi-shape",
-             "pf-shape"],
+             "pf-callable", "one-cell", "cells-float", "cells-huge", "cells-over", "cells-largest",
+             "pf-callable-shape", "phi-shape", "pf-shape"],
     )
     def test_uniform_column_rejects(self, args, name):
         with pytest.raises(ValueError, match=name):
@@ -401,17 +409,21 @@ class TestRunSettings:
             run_column(state, GAS, MAT, 1e100, 1, mode="implicit")
 
     def test_ledger_ceiling(self):
-        """A run whose ledger would pass 2**25 steps fails before allocating
+        """A run whose ledger would pass the ceiling fails before allocating
         it; 1e15 steps asked numpy for 28 PiB, past the address space, and
-        raised MemoryError."""
+        raised MemoryError.  A ledger of 1 GiB alone fills the ceiling, so
+        the two states kept beside it put the run over."""
         state = uniform_column(4, 0.1, 0.6, 100.0)
         dt = column_cfl_dt(state, GAS, MAT)
         with pytest.raises(ValueError) as exc:  # first: never grantable
             run_column(state, GAS, MAT, dt, 10**15)
         assert str(exc.value) == (
-            "n_steps must be at most 2**25 = 33554432, a 1 GiB ledger, got 1000000000000000")
-        with pytest.raises(ValueError, match=r"^n_steps must be at most 2\*\*25 = .* got 33554433$"):
-            run_column(state, GAS, MAT, dt, simulate.COLUMN_MAX_STEPS + 1)
+            "n_steps = 1000000000000000, record_every = 1 and 4 cells would keep"
+            " 1000000000000001 states of 1056 bytes and a 32000000000000032-byte ledger, over the"
+            " 2**30-byte (1 GiB) ceiling")
+        with pytest.raises(ValueError, match=r"^n_steps = 33554431, .* 2 states of 1056 bytes"
+                                             r" and a 1073741824-byte ledger, over"):
+            run_column(state, GAS, MAT, dt, 2**25 - 1, record_every=2**25)
 
     def test_box_rows_ceiling(self):
         """A box run whose rows would pass 1 GiB fails before it reads its
@@ -432,19 +444,69 @@ class TestRunSettings:
             run_box(MODELS["dp"], MAT, forcing, phi0=0.5, t_end=(rows - 1) * 1e-3, dt=1e-3)
 
     def test_column_states_ceiling(self):
-        """A column run whose kept states would pass 1 GiB fails before its
-        first step; without the ceiling the NaN initial p_f is named first."""
+        """A column run whose kept states and ledger would pass 1 GiB fails
+        before its first step; without the ceiling the NaN initial p_f is
+        named first."""
         state = uniform_column(200, 0.1, 0.6, 100.0)
         state = replace(state, pf_profile=np.full(200, math.nan))
         dt = column_cfl_dt(state, GAS, MAT)
         with pytest.raises(ValueError) as exc:
-            run_column(state, GAS, MAT, dt, simulate.COLUMN_MAX_STEPS)
+            run_column(state, GAS, MAT, dt, 2**25)
         assert str(exc.value) == (
             "n_steps = 33554432, record_every = 1 and 200 cells would keep 33554433 states of"
-            " 2624 bytes, over the 2**30-byte (1 GiB) ceiling")
-        # a state every 83 steps keeps 404,272 of them, within the ceiling
+            " 2624 bytes and a 1073741856-byte ledger, over the 2**30-byte (1 GiB) ceiling")
+        # a state every 83 steps keeps 404,272 of them, 1.06 GB beside the
+        # ledger's 1.07 GB; half the steps, a state every 5,000, keep 8.8 MB
+        # beside a 537 MB ledger
+        with pytest.raises(ValueError, match=" 404272 states of 2624 bytes and a 1073741856-byte"):
+            run_column(state, GAS, MAT, dt, 2**25, record_every=83)
         with pytest.raises(ValueError, match="^initial p_f must be finite"):
-            run_column(state, GAS, MAT, dt, simulate.COLUMN_MAX_STEPS, record_every=83)
+            run_column(state, GAS, MAT, dt, 2**24, record_every=5000)
+
+    @pytest.mark.parametrize("n_cells", [2, 200, 2000])
+    @pytest.mark.parametrize("record_every", [1, 83, 10**9])
+    def test_largest_column_run_within_ceiling(self, n_cells, record_every):
+        """The largest column run the ceiling admits keeps at most
+        RECORD_MAX_BYTES, its 32-byte-a-step ledger included: the door is
+        found by bisection on a NaN initial p_f, named only once it passes."""
+        state = uniform_column(n_cells, 0.1, 0.6, 100.0)
+        state = replace(state, pf_profile=np.full(n_cells, math.nan))
+        dt = column_cfl_dt(state, GAS, MAT)
+
+        def admitted(n_steps):
+            try:
+                run_column(state, GAS, MAT, dt, n_steps, record_every=record_every)
+            except ValueError as exc:
+                return str(exc).startswith("initial p_f must be finite")
+
+        lo, hi = 0, 2**30  # admitted, refused
+        assert admitted(lo) and not admitted(hi)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
+        states = 1 + -(-lo // record_every)
+        assert states * (8 * n_cells + 1024) + 32 * (lo + 1) <= simulate.RECORD_MAX_BYTES
+        assert lo < 2**25  # the ledger alone is 1 GiB at 2**25 steps
+
+    @pytest.mark.parametrize("n_cells", [2, 200, 2000])
+    def test_column_count_covers_a_state(self, n_cells):
+        """Each state a column run keeps, with its step of ledger, holds no
+        more than the ceiling counts for it, 8 bytes a cell, 1 KB and 32
+        bytes: the traced peak of 1,000 steps, each kept, less that of 500,
+        over 500 (measured 0.37, 1.8 and 16.4 KB against 1.07, 2.7 and 17.1
+        KB counted at 2, 200 and 2,000 cells)."""
+        state = uniform_column(n_cells, 0.1, 0.6, 100.0)
+        dt = column_cfl_dt(state, GAS, MAT)
+        run_column(state, GAS, MAT, dt, 10)  # warm up the stepper's imports and caches
+        peaks = []
+        for n_steps in (500, 1000):
+            tracemalloc.start()
+            try:
+                run_column(state, GAS, MAT, dt, n_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert (peaks[1] - peaks[0]) / 500 <= 8 * n_cells + 1024 + 32
 
     @pytest.mark.parametrize("phi,mode,message", [
         (2e-157, "bound", "p_atm kappa overflows at phi, got 2e-157 at index 0"),
