@@ -44,12 +44,12 @@ finite they are the scalar reads' values, bit for bit, and no scalar read
 raises there, so values and skip reasons are as point by point.  A whole
 row checks its equilibrium signs once, and is skipped whole where that raises.
 
-A report row is a :class:`PointRecord`, a plain named tuple of Python
-floats and a bool, made in C by ``tuple.__new__`` over columns in which a
-read's float objects repeat over the p values it covers.  The summaries
-are array reductions over the kept reads' columns, each repeated over the p
-values its read covers (a failing flag reads 0.0): a pass mask, a count and
-the first argmax of the severity, NaN worst of all.
+A report holds the kept reads' columns and C3 at each point.  ``sweep``
+works out each point's read and p index once, and C3's p, the summaries'
+values and the worst point take them.  The summaries are array reductions (a
+failing flag reads 0.0): a pass mask, a count and the first argmax of the
+severity, NaN worst of all.  The report's :class:`PointRecord` rows are made
+on first read and kept, each read's float objects repeated over its p values.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from __future__ import annotations
 import operator
 from collections import namedtuple
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, repeat
 from typing import NamedTuple, TextIO
 
@@ -263,13 +264,28 @@ class ConditionSummary:
     n_failures: int
 
 
+#: A sweep's kept reads, C3 at each point, the p values and each read's width.
+_Kept = namedtuple("_Kept", "phi I j c1 c2 gap signs c3 p_values width")
+
+
 @dataclass
 class ConditionReport:
-    """PointRecord rows, skipped points and per-condition array summaries."""
+    """Skipped points, summaries and kept reads; ``records`` is made on first read."""
 
-    records: list[PointRecord] = field(default_factory=list)
     skipped: list[tuple[tuple[float, float, float], str]] = field(default_factory=list)
     summaries: dict[str, ConditionSummary] = field(default_factory=dict)
+    _kept: _Kept = field(default=_Kept(*[()] * 7, np.empty(0), (), 1), repr=False, compare=False)
+
+    @cached_property
+    def records(self) -> list[PointRecord]:
+        """A PointRecord per point in sweep order, made on first read and then kept."""
+        phi, I, j, c1, c2, gap, signs, c3, p_values, width = self._kept
+        # each read's objects, repeated over the p values it covers
+        phi, I, c1, c2, gap, signs = (chain.from_iterable(map(repeat, c, repeat(width)))
+                                      for c in (phi, I, c1, c2, gap, signs))
+        p = chain.from_iterable(p_values[i:i + width] for i in j)
+        return list(map(tuple.__new__, repeat(PointRecord),
+                        zip(phi, I, p, c1, c2, c3.tolist(), gap, signs)))
 
     @property
     def all_pass(self) -> bool:
@@ -281,7 +297,7 @@ class ConditionReport:
         return tuple(c for c in CONDITIONS if not self.summaries[c].all_pass)
 
     def summary_text(self) -> str:
-        lines = [f"points evaluated: {len(self.records)}, skipped: {len(self.skipped)}"]
+        lines = [f"points evaluated: {self._kept.c3.size}, skipped: {len(self.skipped)}"]
         for cond in CONDITIONS:
             s = self.summaries[cond]
             status = "pass" if s.all_pass else f"FAIL ({s.n_failures} points)"
@@ -365,30 +381,6 @@ def _kept_reads(model, phi: float, I_values: list[float], p_values: list[float],
     return tuple(zip(*kept))
 
 
-def _columns(kept: list[list], width: int, p_values: list[float]) -> dict[str, np.ndarray]:
-    """Each condition's values, a row per kept read and a column per p value
-    it covers: one column, or for C3, which divides by p, ``width``."""
-    I, j, c1, c2, dfp, df, gap, signs = (np.array(c, dtype=float)[:, None] for c in kept[1:])
-    with np.errstate(all="ignore"):  # inf and NaN as float arithmetic gives them
-        c3 = _c3(I, np.array(p_values)[j.astype(int) + np.arange(width)], dfp, df)
-    return dict(c1_residual=c1, c2_value=c2, c3_value=c3, dissipation_gap=gap, eq_sign_ok=signs)
-
-
-def _records(kept: list[list], c3: np.ndarray, width: int,
-             p_values: list[float]) -> list[PointRecord]:
-    """A PointRecord per kept point, made in C by ``tuple.__new__`` over
-    columns in which each read's objects repeat over the p values it covers."""
-    phi, I, j, c1, c2, _, _, gap, signs = kept
-
-    def each(column: list):
-        return chain.from_iterable(map(repeat, column, repeat(width)))
-
-    spans = {k: p_values[k:k + width] for k in range(0, len(p_values), width)}
-    columns = zip(each(phi), each(I), chain.from_iterable(map(spans.__getitem__, j)),
-                  each(c1), each(c2), c3.ravel().tolist(), each(gap), each(signs))
-    return list(map(tuple.__new__, repeat(PointRecord), columns))
-
-
 def sweep(model, grid: GridSpec) -> ConditionReport:
     """Evaluate all five checks at every grid point.
 
@@ -399,7 +391,6 @@ def sweep(model, grid: GridSpec) -> ConditionReport:
     the model's f takes no p, each (phi, I) is read once and each phi's
     equilibrium signs are checked once, whatever the number of p values.
     """
-    report = ConditionReport()
     model = _admit(model)
     I_array = grid.I_values()
     I_values, p_values = I_array.tolist(), grid.p_values().tolist()
@@ -409,22 +400,28 @@ def sweep(model, grid: GridSpec) -> ConditionReport:
     width = 1 if model._f_takes_p else len(p_values)
     # Terms in I alone that raise leave every point to the scalar reads.
     terms = "no row read" if model._row is None else _attempt(model._row_terms, I_values)
-    kept = [[] for _ in range(9)]  # phi, I, j, C1, C2, df/dp, df/dI, gap, signs
+    kept, skipped = [[] for _ in range(9)], []  # phi, I, j, C1, C2, df/dp, df/dI, gap, signs
     for phi in grid.phi_values().tolist():
         row = None if isinstance(terms, str) else _row_reads(model, phi, I_array, terms)
         for column, values in zip(kept, _kept_reads(
-                model, phi, I_values, p_values, width, row, report.skipped)):
+                model, phi, I_values, p_values, width, row, skipped)):
             column.extend(values)
 
-    columns = _columns(kept, width, p_values)
-    report.records = _records(kept, columns["c3_value"], width, p_values)
+    read = np.repeat(np.arange(len(kept[2])), width)  # each point's read and p index
+    k = np.array(kept[2], dtype=int)[read] + np.tile(np.arange(width), len(kept[2]))
+    I, c1, c2, dfp, df, gap, signs = (np.array(c, dtype=float) for c in kept[1:2] + kept[3:])
+    with np.errstate(all="ignore"):  # inf and NaN as float arithmetic gives them
+        c3 = _c3(I[read], np.array(p_values)[k], dfp[read], df[read])
+    per_read = dict(c1_residual=c1, c2_value=c2, dissipation_gap=gap, eq_sign_ok=signs)
+    report = ConditionReport(skipped, {}, _Kept(*kept[:5], *kept[7:], c3, p_values, width))
     for cond, (name, passes, severity) in _RULES.items():
-        values = np.repeat(columns[name], width // columns[name].shape[1])  # one per point
+        values = c3 if name == "c3_value" else per_read[name][read]  # one per point
         failed = np.flatnonzero(~passes(values))
         summary = ConditionSummary(True, None, None, 0)
         if failed.size:  # argmax takes the first of equally bad points
             i = failed[np.argmax(severity(values[failed]))]
-            summary = ConditionSummary(False, report.records[i][:3], float(values[i]), failed.size)
+            where = kept[0][read[i]], kept[1][read[i]], p_values[k[i]]
+            summary = ConditionSummary(False, where, float(values[i]), failed.size)
         report.summaries[cond] = summary
     return report
 

@@ -259,9 +259,9 @@ def _each(fun: Callable[[float], float | tuple], I: list[float]) -> np.ndarray:
 
 
 def _sum(values):
-    """0 + v1 + v2 + ..., left to right, for numbers and arrays alike (the
+    """0.0 + v1 + v2 + ..., left to right, for numbers and arrays alike (the
     builtin sum compensates a float sum from Python 3.12 on)."""
-    return functools.reduce(operator.add, values, 0)
+    return functools.reduce(operator.add, values, 0.0)
 
 
 # ----------------------------------------------------------------------

@@ -45,6 +45,7 @@ from granupore.rheology import (
     friction_mu,
     mui_shear_factor,
 )
+from granupore.stability import classify
 
 MAT = glass_beads()
 LAW = EquilibriumLaw()
@@ -462,11 +463,12 @@ class TestSweep:
             for phi in (0.4, 0.5) for I in (0.1, 1.0) for p in (10.0, 55.0, 100.0)
         ]
 
-    @pytest.mark.parametrize("name", ["dp", "derived", "pair-of-p", "nan"])
+    @pytest.mark.parametrize("name", ["dp", "derived", "pair-of-p", "nan", "empty-lincomb"])
     def test_record_fields_are_python_scalars(self, name):
         # no numpy scalar leaks into a row: numpy 2 prints np.float64(...)
         model = {"dp": DP, "derived": DerivedNumeric(MAT, LAW, Z=MUI.yield_function),
-                 "pair-of-p": _PressureDependent(LAW), "nan": _NaNAfterFailure()}[name]
+                 "pair-of-p": _PressureDependent(LAW), "nan": _NaNAfterFailure(),
+                 "empty-lincomb": LinearCombination(MAT, LAW, terms=())}[name]
         report = sweep(model, GridSpec((0.4, 0.5, 2), (0.5, 2.0, 2), (10.0, 100.0, 2)))
         assert len(report.records) == 8
         for row in report.records:
@@ -1130,6 +1132,39 @@ class TestReportSummaries:
         assert type(row.eq_sign_ok) is bool
         with pytest.raises(AttributeError):
             row.phi = 0.5
+
+
+class TestRecordsOnFirstRead:
+    """A report keeps its sweep's reads; its rows are made on the first read
+    of ``records`` and then kept, and the summaries read none of them."""
+
+    GRID = GridSpec((0.4, 0.5, 2), (0.1, 1.0, 3), (10.0, 100.0, 4))
+    MODELS = {"dp": DP, "derived": DerivedNumeric(MAT, LAW, Z=MUI.yield_function),
+              "pair-of-p": _PressureDependent(LAW), "nan": _NaNAfterFailure(),
+              "roux-radjai": RouxRadjai(MAT, LAW, gain=1.0, z_mode="dp")}
+
+    @pytest.mark.parametrize("name", list(MODELS))
+    def test_no_record_made_unread(self, name):
+        model = self.MODELS[name]
+        reports = sweep(model, self.GRID), classify(model, self.GRID).report
+        for report in reports:
+            report.summary_text(), report.all_pass, report.failing_conditions()
+            assert "records" not in vars(report)
+        report = reports[0]
+        assert report.records is report.records
+        assert len(report.records) == 2 * 3 * 4 - len(report.skipped)
+
+    @pytest.mark.parametrize("name", ["dp", "derived"])
+    def test_rows_share_each_reads_objects(self, name):
+        # f takes no p, so the 4 rows of each (phi, I) come from one read
+        rows = sweep(self.MODELS[name], self.GRID).records
+        assert len(rows) == 2 * 3 * 4
+        shared = ("phi", "I", "c1_residual", "c2_value", "dissipation_gap")
+        for k in range(0, len(rows), 4):  # the rows of one (phi, I)
+            first, *rest = rows[k:k + 4]
+            assert [r.p for r in (first, *rest)] == self.GRID.p_values().tolist()
+            for row in rest:
+                assert all(getattr(row, f) is getattr(first, f) for f in shared)
 
 
 def _csv_digest(model, grid) -> str:

@@ -839,6 +839,20 @@ class TestCliFormatsOnlyWhatItWrites:
         with pytest.raises(AssertionError, match="a row was formatted"):
             main([*run, "--out", str(tmp_path / "report.csv")])
 
+    @pytest.mark.parametrize("command", ["check", "classify"])
+    def test_report_makes_no_record(self, monkeypatch, capsys, tmp_path, command):
+        # the summary counts the points from the kept reads; only --out reads the rows
+        from granupore import conditions
+
+        reads = []
+        monkeypatch.setattr(conditions.ConditionReport, "records",
+                            property(lambda report: reads.append(report) or []))
+        run = [command, "--model", "dp", "--grid", self.GRID]
+        assert main(run) == 0
+        assert reads == [] and "points evaluated: 8, skipped: 0" in capsys.readouterr().out
+        assert main([*run, "--out", str(tmp_path / "report.csv")]) == 0
+        assert len(reads) == 1
+
     def test_simulate_box(self, monkeypatch, capsys, tmp_path):
         from granupore import cli
         run_box = cli.run_box
