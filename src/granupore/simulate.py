@@ -20,9 +20,12 @@ without a momentum solver:
   d/dt[(1-phi) p_f] = p_atm d/dz[kappa(phi) dp_f/dz] with zero flux at both
   ends.  In exact arithmetic the finite-volume discretisation conserves
   the discrete gas content and dissipates the gas energy
-  E1 = sum (1-phi) H(p_f) dz monotonically.  ``run_column`` records both
-  at every step, summed over blocks of steps in one call each, bitwise
-  equal to a per-step sum.  In floats the implicit solve's round-off
+  E1 = sum (1-phi) H(p_f) dz monotonically.  ``run_column`` allocates its
+  arrays once and steps in place: each step writes its profile straight
+  into a block of steps and takes its differences, which the next explicit
+  step reads and the block's ledger reuses.  It records content and E1 at
+  every step, summed over each block in one call, bitwise equal to a
+  per-step sum.  In floats the implicit solve's round-off
   grows with dt; a uniform shift after each solve holds the content drift
   at rounding level (at most 4.4e-16 per step over dt = 1e-3 to 10 s at
   the CLI defaults).  Near equilibrium E1 moves by +-1-2 ulp, which the
@@ -34,9 +37,10 @@ mask an integrator or model defect that the theory says cannot occur for
 compliant models.
 
 What a run keeps has one ceiling, :data:`RECORD_MAX_BYTES` (1 GiB), and one
-door, ``_check_records``: a box whose rows, or a column whose kept states and
-per-step ledger together, would pass it is rejected before its first step,
-and a column whose one state would is rejected before it is built.
+door, ``_check_records``: a box whose rows, or a column run whose kept
+states, per-step ledger and work arrays together, would pass it is rejected
+before its first step, and a column that no run could hold within it is
+rejected before it is built.
 """
 
 from __future__ import annotations
@@ -83,18 +87,20 @@ BOUND_EPS = 1.0e-9
 CFL_SAFETY = 0.4
 
 #: p_f values per block of column steps whose ledger ``run_column`` sums in
-#: one call (128 KB): a block this size stays in cache, while a 4 MB block
-#: made 2,000 cells slower than one call per step.
+#: one call (128 KB, and as much again for their differences): a block this
+#: size stays in cache, while a 4 MB block made 2,000 cells slower than one
+#: call per step (2,000 steps in 121 ms against 94 ms, and 57 ms at this size).
 _LEDGER_BLOCK_VALUES = 16_384
 
 #: Most bytes a run may keep, a share of a desk machine's memory one run may
 #: take: one ceiling for what any run keeps.  A box row is taken as 320 bytes
 #: (a tuple of six floats while recording, then six array floats; 297
-#: measured at peak), a column state as 8 bytes a cell and 1 KB besides
-#: (measured: 1.0 KB at 2 cells, 1.8 KB at 200, 16 KB at 2,000), and a column
-#: step as the 32 bytes of its 4-float ledger, which ``run_column`` allocates
-#: before its first step.  At about 14 us an explicit step of 200 cells
-#: (2-vCPU x86-64 host), the 2**25 steps of a 1 GiB ledger run for 8 minutes.
+#: measured at peak).  A column run is taken as what it allocates before its
+#: first step: each state as 8 bytes a cell and ``_STATE_BYTES`` besides, each
+#: step as the 32 bytes of its 4-float ledger, and the work arrays that
+#: ``_column_work_bytes`` counts.  At about 6.5 us an explicit step of 200
+#: cells in a run (2-vCPU x86-64 host), the 2**25 steps of a 1 GiB ledger run
+#: for 4 minutes.
 RECORD_MAX_BYTES = 2**30
 
 
@@ -470,11 +476,12 @@ def uniform_column(
     centres) are one value or one value per cell.
 
     Raises:
-        ValueError: If n_cells is not an integer, is < 2 or makes one
-            state past :data:`RECORD_MAX_BYTES`, length is not
-            positive and finite, phi or pf_init does not broadcast to one
-            value per cell, or a phi is outside (0, 1) or a p_f is not
-            finite (NaN included).
+        ValueError: If n_cells is not an integer, is < 2 or makes a
+            column that no run could hold within :data:`RECORD_MAX_BYTES`
+            (a run of no steps would pass it), length is not positive and
+            finite, phi or pf_init does not broadcast to one value per cell,
+            or a phi is outside (0, 1) or a p_f is not finite (NaN
+            included).
     """
     _check_count("n_cells", n_cells, 2)
     _check_records(f"n_cells = {n_cells}", 0, 1, n_cells)
@@ -516,14 +523,17 @@ def column_cfl_dt(state: ColumnState, gas: GasParams, mat: MaterialParams) -> fl
 
 def _column_stepper(
     state: ColumnState, gas: GasParams, mat: MaterialParams, dt: float, mode: str
-) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+) -> tuple[np.ndarray, np.ndarray, Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray]]:
     """Check a run's step once and build what all its steps share.
 
-    Returns the static 1-phi, the face kappa and ``advance(p_f) -> p_f``,
-    one step of length dt on the grid and phi profile of ``state``.
+    Returns the static 1-phi, the face kappa and ``advance(p, diff, out) ->
+    out``, one step of length dt on the grid and phi profile of ``state``
+    from p_f profile ``p``, written into ``out`` (which may be ``p``) with
+    one work array of the stepper's; ``diff`` is ``p[1:] - p[:-1]``, which
+    the explicit step reads and the implicit step ignores.
 
     An implicit step solves (M + dt K) q = M p with M = diag(1-phi) and K
-    the zero-flux face Laplacian, by LAPACK's ``dgtsv``.  The matrix has a
+    the zero-flux face Laplacian, by LAPACK's ``dgtsv`` in ``out``.  The matrix has a
     positive diagonal, non-positive off-diagonals and row sums 1-phi > 0,
     so at the cell i where q is largest (1-phi_i) q_i <= (1-phi_i) q_i +
     dt sum_j w_ij (q_i - q_j) = (1-phi_i) p_i: max q <= max p, and likewise
@@ -537,6 +547,7 @@ def _column_stepper(
     if mode not in ("explicit", "implicit"):
         raise ValueError(f"unknown mode {mode!r}")
     one_m, kf, dz = 1.0 - state.phi_profile, _face_kappa(state, gas, mat), state.dz
+    work = np.empty_like(one_m)
     if mode == "explicit":
         limit = column_cfl_dt(state, gas, mat)
         if dt > limit * (1.0 + 1.0e-12):
@@ -544,14 +555,16 @@ def _column_stepper(
                 f"explicit step dt={dt:g} above the stability bound {limit:g}; "
                 "reduce dt or use implicit mode"
             )
-        rate = dt * gas.p_atm / dz
+        rate, transfer = dt * gas.p_atm / dz, work[:-1]
 
-        def advance(p: np.ndarray) -> np.ndarray:
-            transfer = rate * (kf * (p[1:] - p[:-1]) / dz)  # zero flux at both ends
-            content = one_m * p
-            content[:-1] += transfer
-            content[1:] -= transfer
-            return content / one_m
+        def advance(p: np.ndarray, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.multiply(kf, diff, transfer)  # rate * (kf * diff / dz), zero flux at both ends
+            np.divide(transfer, dz, transfer)
+            np.multiply(rate, transfer, transfer)
+            np.multiply(one_m, p, out)
+            out[:-1] += transfer
+            out[1:] -= transfer
+            return np.divide(out, one_m, out)
 
         return one_m, kf, advance
 
@@ -562,19 +575,18 @@ def _column_stepper(
     _check_all(f"implicit step dt={dt:g} overflows the column matrix", diag)
     weight = one_m.sum()
 
-    def solve(p: np.ndarray) -> np.ndarray:
+    def solve(p: np.ndarray, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
         # The solve's round-off grows with dt; a uniform shift puts the
         # content sum (1-phi) p_f back at its value before the step.
-        content = one_m * p
-        q, info = dgtsv(off, diag, off, content)[3:]
-        if info:
+        content = np.multiply(one_m, p, out).sum()
+        if dgtsv(off, diag, off, out, overwrite_b=True)[4]:
             bound = column_cfl_dt(state, gas, mat)
             raise np.linalg.LinAlgError(
                 f"singular matrix: implicit step dt={dt:g} is {dt / bound:.3g} times "
                 f"column_cfl_dt's bound {bound:g}, so 1-phi rounds off the diagonal"
             )
-        q += (content.sum() - (one_m * q).sum()) / weight
-        return q
+        out += (content - np.multiply(one_m, out, work).sum()) / weight
+        return out
 
     return one_m, kf, solve
 
@@ -601,8 +613,8 @@ def step_column(
             explicit step above the stability bound, or an implicit dt that
             overflows the matrix or leaves it singular (a LinAlgError).
     """
-    advance = _column_stepper(state, gas, mat, dt, mode)[2]
-    return replace(state, pf_profile=advance(state.pf_profile), t=state.t + dt)
+    advance, p = _column_stepper(state, gas, mat, dt, mode)[2], state.pf_profile
+    return replace(state, pf_profile=advance(p, p[1:] - p[:-1], np.empty(p.shape)), t=state.t + dt)
 
 
 def gas_content(state: ColumnState) -> float:
@@ -610,14 +622,18 @@ def gas_content(state: ColumnState) -> float:
     return float(np.sum((1.0 - state.phi_profile) * state.pf_profile) * state.dz)
 
 
-def _ledger_sums(p: np.ndarray, dz: float, gas: GasParams, one_m: np.ndarray, kf: np.ndarray):
+def _ledger_sums(p: np.ndarray, diff: np.ndarray, dz: float, gas: GasParams,
+                 one_m: np.ndarray, kf: np.ndarray):
     """The gas content sum (1-phi) p_f dz, E1 = sum (1-phi) H(p_f) dz with the
     ideal-gas H, and D = sum over faces of kappa (dp_f/dz)^2 dz, from the
-    static 1-phi and face kappa.  Each sums over the last axis, so one
-    profile gives three numbers and a stack of profiles gives one per row."""
-    grad = (p[..., 1:] - p[..., :-1]) / dz
+    static 1-phi and face kappa and ``diff = p[..., 1:] - p[..., :-1]``.
+    Each sums over the last axis, so one profile gives three numbers and a
+    stack of profiles gives one per row.  The three are taken one after the
+    other, so that no more than three temporaries of p's size live at once."""
+    content = (one_m * p).sum(-1) * dz
     e1 = (one_m * enthalpy_ideal(gas, p)).sum(-1) * dz
-    return (one_m * p).sum(-1) * dz, e1, (kf * grad * grad).sum(-1) * dz
+    grad = diff / dz
+    return content, e1, (kf * grad * grad).sum(-1) * dz
 
 
 @dataclass
@@ -660,22 +676,58 @@ class ColumnResult(EnergyLedger):
         return float(np.max(np.abs(np.diff(content)), initial=0.0) / max(abs(content[0]), 1.0))
 
 
+def _block_rows(n_steps: int, n_cells: int) -> int:
+    """Rows of a column run's block: the steps of about
+    :data:`_LEDGER_BLOCK_VALUES` p_f values, at least 1 and at most n_steps
+    (1 at n_steps = 0)."""
+    return max(1, min(n_steps, _LEDGER_BLOCK_VALUES // n_cells))
+
+
+#: What ``_check_records`` counts for a column run besides its states' p_f
+#: and its 4-float ledger a step, all allocated before the first step.  Floats
+#: a cell: the initial state's z and phi, the stepper's 1-phi, face kappa and
+#: work array, and implicit mode's two diagonals and the three that ``dgtsv``
+#: copies them into on each solve.
+_COLUMN_FLOATS_A_CELL = 10
+#: Floats a block value that ``_ledger_sums`` holds at once (three p-sized
+#: temporaries), counted beside the block and its differences, and floats a
+#: block row (its three sums and one being taken).
+_SUM_FLOATS_A_VALUE, _SUM_FLOATS_A_ROW = 3, 4
+#: Bytes of a kept state besides its p_f: its ColumnState, the view of its row
+#: and its time (330 measured); and of a run's Python objects and small
+#: arrays (3.5 KB measured).
+_STATE_BYTES, _RUN_BYTES = 512, 16_384
+
+
+def _column_work_bytes(n_steps: int, n_cells: int) -> int:
+    """Bytes a column run of ``n_cells`` holds besides its states and its
+    ledger: the constants above, and its block of p_f rows and the block of
+    their differences, one row more."""
+    rows = _block_rows(n_steps, n_cells)
+    floats = (_COLUMN_FLOATS_A_CELL * n_cells + (1 + _SUM_FLOATS_A_VALUE) * rows * n_cells
+              + (rows + 1) * (n_cells - 1) + _SUM_FLOATS_A_ROW * rows)
+    return 8 * floats + _RUN_BYTES
+
+
 def _check_records(names: str, n_steps: int, record_every: int,
                    n_cells: int | None = None) -> None:
     """The one run-size check: reject record_every below 1 or n_steps below
     0, then a run whose 1 + ceil(n_steps / record_every) box rows, or column
     states of ``n_cells`` with the column's 4-float ledger of n_steps + 1
-    entries, would pass :data:`RECORD_MAX_BYTES`, before its first step;
-    ``names`` names the settings."""
+    entries and the bytes of :func:`_column_work_bytes`, would pass
+    :data:`RECORD_MAX_BYTES`, before its first step; ``names`` names the
+    settings."""
     _check_count("record_every", record_every, 1)
     _check_count("n_steps", n_steps, 0)
     records = 1 - (-n_steps // record_every)
     if n_cells is None:
         kept, what = 320 * records, f"{records} rows of 320 bytes"
     else:
-        each, ledger = 8 * n_cells + 1024, 32 * (n_steps + 1)
-        kept, what = each * records + ledger, (f"{records} {'states' if records > 1 else 'state'}"
-                                               f" of {each} bytes and a {ledger}-byte ledger")
+        each, ledger = 8 * n_cells + _STATE_BYTES, 32 * (n_steps + 1)
+        work = _column_work_bytes(n_steps, n_cells)
+        kept = each * records + ledger + work
+        what = (f"{records} {'states' if records > 1 else 'state'} of {each} bytes and a"
+                f" {ledger}-byte ledger, with {work} bytes of work arrays")
     if kept > RECORD_MAX_BYTES:
         raise ValueError(f"{names} would keep {what}, over the 2**30-byte (1 GiB) ceiling")
 
@@ -694,42 +746,60 @@ def run_column(
     ``content``, ``energy`` and ``dissipation`` are recorded at *every*
     step, so the result is the run's per-step :class:`EnergyLedger`; states
     are kept each ``record_every`` steps (plus the initial and final ones).
-    The initial profile's sums are taken alone, before any step; later
-    profiles are copied into a block of about 16K values and summed one
-    block at a time, bitwise equal to summing each step's profile alone.
+    The ledger, a block of about 16K p_f values, a block of their
+    differences and the kept profiles, one array with a row for each state
+    after the initial one, are allocated before the first step.  The initial
+    profile's sums are taken alone, before any step; each later step writes
+    its profile into the block and its differences beside it, and each
+    block is summed at once, bitwise equal to summing each step's profile
+    alone, before its kept rows are copied out.  The times are the
+    additions of t += dt, in one ``np.add.accumulate``.
 
     Raises:
         ValueError: First on the errors of :func:`step_column`, even when
             n_steps is 0: dt not positive and finite, an unknown mode, an
             explicit dt above the stability bound, or an implicit dt that
             overflows the matrix; then if record_every is not an integer or
-            < 1, n_steps is not an integer or < 0, or the states kept and
-            the ledger would pass :data:`RECORD_MAX_BYTES`; then, before
-            any step, if an initial p_f is not finite (NaN included), or at
-            or below -p_atm (each message gives the cell index).
+            < 1, n_steps is not an integer or < 0, or the states kept, the
+            ledger and the work arrays would pass :data:`RECORD_MAX_BYTES`;
+            then, before any step, if an initial p_f is not finite (NaN
+            included), or at or below -p_atm (each message gives the cell
+            index).
     """
     one_m, kf, advance = _column_stepper(state0, gas, mat, dt, mode)
-    t, p, dz = state0.t, state0.pf_profile, state0.dz
-    _check_records(f"n_steps = {n_steps}, record_every = {record_every} and {p.size} cells",
-                   n_steps, record_every, p.size)
+    p, dz, n = state0.pf_profile, state0.dz, state0.pf_profile.size
+    _check_records(f"n_steps = {n_steps}, record_every = {record_every} and {n} cells",
+                   n_steps, record_every, n)
     _check_all("initial p_f must be finite", p)
-    ledger = np.empty((4, n_steps + 1))  # rows: t, content, E1, D
-    ledger[0, 0] = t
-    ledger[1:, 0] = _ledger_sums(p, dz, gas, one_m, kf)
+    ledger = np.empty((4, n_steps + 1))
+    times, content, energy, dissipation = ledger
+    times[0], times[1:] = state0.t, dt
+    np.add.accumulate(times, out=times)  # the additions of t += dt, one by one
+    rows = _block_rows(n_steps, n)
+    block, diffs = np.empty((rows, n)), np.empty((rows + 1, n - 1))
+    kept = np.empty((-(-n_steps // record_every), n))
     history = [state0]
-    block = np.empty((min(n_steps, max(1, _LEDGER_BLOCK_VALUES // p.size)), p.size))
-    for step in range(1, n_steps + 1):
-        p = advance(p)
-        t += dt
-        ledger[0, step] = t
-        row = (step - 1) % len(block)
-        block[row] = p
-        if row == len(block) - 1 or step == n_steps:
-            ledger[1:, step - row:step + 1] = _ledger_sums(block[:row + 1], dz, gas, one_m, kf)
-        if step % record_every == 0 or step == n_steps:
-            history.append(replace(state0, pf_profile=p, t=t))
-    t, content, energy, dissipation = ledger
-    return ColumnResult(t, energy, dissipation, history, content)
+
+    def record(step: int, profile: np.ndarray) -> None:
+        row = kept[len(history) - 1]
+        row[...] = profile
+        history.append(replace(state0, pf_profile=row, t=float(times[step])))
+
+    np.subtract(p[1:], p[:-1], diffs[0])
+    content[0], energy[0], dissipation[0] = _ledger_sums(p, diffs[0], dz, gas, one_m, kf)
+    for first in range(1, n_steps + 1, rows):
+        k = min(rows, n_steps + 1 - first)
+        for r in range(k):
+            p = advance(p, diffs[r], block[r])
+            np.subtract(p[1:], p[:-1], diffs[r + 1])
+        sums = _ledger_sums(block[:k], diffs[1:k + 1], dz, gas, one_m, kf)
+        content[first:first + k], energy[first:first + k], dissipation[first:first + k] = sums
+        for r in range(-first % record_every, k, record_every):
+            record(first + r, block[r])
+        if first + k > n_steps and n_steps % record_every:
+            record(n_steps, p)
+        diffs[0] = diffs[k]  # the differences the next block's first step reads
+    return ColumnResult(times, energy, dissipation, history, content)
 
 
 def energy_ledger(
@@ -751,7 +821,8 @@ def energy_ledger(
         raise ValueError("history states must share the grid and phi profile of the first")
     one_m, kf = 1.0 - first.phi_profile, _face_kappa(first, gas, mat)
     profiles = np.stack([s.pf_profile for s in history])
-    _, energy, dissipation = _ledger_sums(profiles, first.dz, gas, one_m, kf)
+    _, energy, dissipation = _ledger_sums(profiles, profiles[:, 1:] - profiles[:, :-1], first.dz,
+                                          gas, one_m, kf)
     t = np.array([s.t for s in history])
     if np.any(np.diff(t) <= 0):
         raise ValueError("history times must be strictly increasing")

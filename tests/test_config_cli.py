@@ -574,8 +574,8 @@ class TestCliSimulate:
             (["--length=inf"], "column length must be finite, got inf"),
             # named before anything is allocated; numpy's 'array is too big' named nothing
             (["--cells=4611686018427387904"], "--cells=4611686018427387904 would keep 1 state of"
-             " 36893488147419104256 bytes and a 32-byte ledger, over the 2**30-byte (1 GiB)"
-             " ceiling"),
+             " 36893488147419103744 bytes and a 32-byte ledger, with 590295810358705668112 bytes"
+             " of work arrays, over the 2**30-byte (1 GiB) ceiling"),
         ],
         ids=["t_end-neg", "t_end-nan", "length-neg", "length-zero", "t_end-inf", "length-inf",
              "cells-huge"],
@@ -681,8 +681,9 @@ class TestCliSimulate:
         assert main(["simulate-column", "--t-end=1e12", "--dt=1e-3", "--mode", "implicit"]) == 1
         assert capsys.readouterr() == ("", (
             "error: --t-end / --dt = 1000000000000.0 / 0.001 = 1000000000000000 steps,"
-            " --record-every=2000 and --cells=200 would keep 500000000001 states of 2624 bytes"
-            " and a 32000000000000032-byte ledger, over the 2**30-byte (1 GiB) ceiling\n"))
+            " --record-every=2000 and --cells=200 would keep 500000000001 states of 2112 bytes"
+            " and a 32000000000000032-byte ledger, with 683920 bytes of work arrays, over the"
+            " 2**30-byte (1 GiB) ceiling\n"))
 
     def test_column_derived_step_rounds_to_zero_steps_named(self, capsys):
         """With no --dt, a t_end below half the derived step names the flags
@@ -705,8 +706,8 @@ class TestCliSimulate:
                      "--record-every=1"]) == 1
         assert capsys.readouterr() == ("", (
             "error: --t-end / --dt = 1.0 / 1e-06 = 1000000 steps, --record-every=1 and"
-            " --cells=200 would keep 1000001 states of 2624 bytes and a 32000032-byte ledger,"
-            " over the 2**30-byte (1 GiB) ceiling\n"))
+            " --cells=200 would keep 1000001 states of 2112 bytes and a 32000032-byte ledger,"
+            " with 683920 bytes of work arrays, over the 2**30-byte (1 GiB) ceiling\n"))
 
     def test_column_zero_steps_still_checks_dt(self, capsys):
         assert main(["simulate-column", "--t-end", "0", "--dt", "1"]) == 1

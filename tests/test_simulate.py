@@ -301,13 +301,15 @@ class TestRunSettings:
             ((10, 0.1, 0.6, lambda z: np.where(z > 0.05, math.nan, 0.0)), "p_f"),
             ((1, 0.1, 0.6), "^n_cells must be at least 2, got 1$"),
             ((2.5, 0.1, 0.6), "^n_cells must be an integer, got 2.5$"),
-            # a state past the ceiling is named before anything is allocated (numpy's
+            # a column no run could hold is named before anything is allocated (numpy's
             # 'array is too big' named nothing); the largest count admitted reaches the length
             ((2**62, 0.1, 0.6), r"^n_cells = 4611686018427387904 would keep 1 state of"
-                                r" 36893488147419104256 bytes and a 32-byte ledger, over the"
+                                r" 36893488147419103744 bytes and a 32-byte ledger, with"
+                                r" 590295810358705668112 bytes of work arrays, over the"
                                 r" 2\*\*30-byte \(1 GiB\) ceiling$"),
-            ((134217597, -1.0, 0.6), "^n_cells = 134217597 would keep 1 state of 1073741800"),
-            ((134217596, -1.0, 0.6), "^column length must be positive"),
+            ((7895036, -1.0, 0.6), "^n_cells = 7895036 would keep 1 state of 63160800 bytes"
+                                   " and a 32-byte ledger, with 1010581008 bytes"),
+            ((7895035, -1.0, 0.6), "^column length must be positive"),
             ((10, 0.1, 0.6, lambda z: z[:5]),
              r"^pf_init has shape \(5,\), which does not broadcast to 10 cells$"),
             ((10, 0.1, [0.5, 0.6]),
@@ -419,10 +421,11 @@ class TestRunSettings:
             run_column(state, GAS, MAT, dt, 10**15)
         assert str(exc.value) == (
             "n_steps = 1000000000000000, record_every = 1 and 4 cells would keep"
-            " 1000000000000001 states of 1056 bytes and a 32000000000000032-byte ledger, over the"
-            " 2**30-byte (1 GiB) ceiling")
-        with pytest.raises(ValueError, match=r"^n_steps = 33554431, .* 2 states of 1056 bytes"
-                                             r" and a 1073741824-byte ledger, over"):
+            " 1000000000000001 states of 544 bytes and a 32000000000000032-byte ledger, with"
+            " 770392 bytes of work arrays, over the 2**30-byte (1 GiB) ceiling")
+        with pytest.raises(ValueError, match=r"^n_steps = 33554431, .* 2 states of 544 bytes"
+                                             r" and a 1073741824-byte ledger, with 770392 bytes"
+                                             r" of work arrays, over"):
             run_column(state, GAS, MAT, dt, 2**25 - 1, record_every=2**25)
 
     def test_box_rows_ceiling(self):
@@ -454,11 +457,12 @@ class TestRunSettings:
             run_column(state, GAS, MAT, dt, 2**25)
         assert str(exc.value) == (
             "n_steps = 33554432, record_every = 1 and 200 cells would keep 33554433 states of"
-            " 2624 bytes and a 1073741856-byte ledger, over the 2**30-byte (1 GiB) ceiling")
-        # a state every 83 steps keeps 404,272 of them, 1.06 GB beside the
-        # ledger's 1.07 GB; half the steps, a state every 5,000, keep 8.8 MB
+            " 2112 bytes and a 1073741856-byte ledger, with 683920 bytes of work arrays, over the"
+            " 2**30-byte (1 GiB) ceiling")
+        # a state every 83 steps keeps 404,272 of them, 0.85 GB beside the
+        # ledger's 1.07 GB; half the steps, a state every 5,000, keep 7.1 MB
         # beside a 537 MB ledger
-        with pytest.raises(ValueError, match=" 404272 states of 2624 bytes and a 1073741856-byte"):
+        with pytest.raises(ValueError, match=" 404272 states of 2112 bytes and a 1073741856-byte"):
             run_column(state, GAS, MAT, dt, 2**25, record_every=83)
         with pytest.raises(ValueError, match="^initial p_f must be finite"):
             run_column(state, GAS, MAT, dt, 2**24, record_every=5000)
@@ -466,9 +470,10 @@ class TestRunSettings:
     @pytest.mark.parametrize("n_cells", [2, 200, 2000])
     @pytest.mark.parametrize("record_every", [1, 83, 10**9])
     def test_largest_column_run_within_ceiling(self, n_cells, record_every):
-        """The largest column run the ceiling admits keeps at most
-        RECORD_MAX_BYTES, its 32-byte-a-step ledger included: the door is
-        found by bisection on a NaN initial p_f, named only once it passes."""
+        """The largest column run the ceiling admits is the last whose count,
+        its states, 32-byte-a-step ledger and work arrays, is at most
+        RECORD_MAX_BYTES: the door is found by bisection on a NaN initial
+        p_f, named only once it passes."""
         state = uniform_column(n_cells, 0.1, 0.6, 100.0)
         state = replace(state, pf_profile=np.full(n_cells, math.nan))
         dt = column_cfl_dt(state, GAS, MAT)
@@ -484,17 +489,21 @@ class TestRunSettings:
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if admitted(mid) else (lo, mid)
-        states = 1 + -(-lo // record_every)
-        assert states * (8 * n_cells + 1024) + 32 * (lo + 1) <= simulate.RECORD_MAX_BYTES
+        def counted(n_steps):
+            states = 1 + -(-n_steps // record_every)
+            return (states * (8 * n_cells + simulate._STATE_BYTES) + 32 * (n_steps + 1)
+                    + simulate._column_work_bytes(n_steps, n_cells))
+
+        assert counted(lo) <= simulate.RECORD_MAX_BYTES < counted(lo + 1)
         assert lo < 2**25  # the ledger alone is 1 GiB at 2**25 steps
 
     @pytest.mark.parametrize("n_cells", [2, 200, 2000])
     def test_column_count_covers_a_state(self, n_cells):
         """Each state a column run keeps, with its step of ledger, holds no
-        more than the ceiling counts for it, 8 bytes a cell, 1 KB and 32
-        bytes: the traced peak of 1,000 steps, each kept, less that of 500,
-        over 500 (measured 0.37, 1.8 and 16.4 KB against 1.07, 2.7 and 17.1
-        KB counted at 2, 200 and 2,000 cells)."""
+        more than the ceiling counts for it, 8 bytes a cell, _STATE_BYTES and
+        32 bytes: the traced peak of 1,000 steps, each kept, less that of
+        500, over 500 (measured 0.34, 1.9 and 16.3 KB against 0.56, 2.1 and
+        16.5 KB counted at 2, 200 and 2,000 cells)."""
         state = uniform_column(n_cells, 0.1, 0.6, 100.0)
         dt = column_cfl_dt(state, GAS, MAT)
         run_column(state, GAS, MAT, dt, 10)  # warm up the stepper's imports and caches
@@ -506,7 +515,33 @@ class TestRunSettings:
                 peaks.append(tracemalloc.get_traced_memory()[1])
             finally:
                 tracemalloc.stop()
-        assert (peaks[1] - peaks[0]) / 500 <= 8 * n_cells + 1024 + 32
+        assert (peaks[1] - peaks[0]) / 500 <= 8 * n_cells + simulate._STATE_BYTES + 32
+
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    @pytest.mark.parametrize("n_cells", [2, 200, 20_000, 200_000])
+    def test_column_count_covers_the_run(self, monkeypatch, n_cells, mode):
+        """Building a column and running it holds no more than the ceiling
+        counts for the run: under a ceiling one byte below the traced peak,
+        the door refuses the same run.  Each run takes two blocks of steps
+        and three more, at most 169 steps, and keeps a state every step, every
+        83 steps or only the last."""
+        # import what the stepper imports (scipy's LAPACK) before tracing
+        run_column(uniform_column(10, 0.1, 0.6, 100.0), GAS, MAT, 1e-9, 2, mode=mode)
+        n_steps = min(2 * max(1, _LEDGER_BLOCK_VALUES // n_cells) + 3, 169)
+        for record_every in (1, 83, 10**9):
+            tracemalloc.start()
+            try:
+                state = uniform_column(n_cells, 0.1, 0.6,
+                                       lambda z: 200.0 + 100.0 * np.cos(np.pi * z / 0.1))
+                dt = (1.0 if mode == "explicit" else 10.0) * column_cfl_dt(state, GAS, MAT)
+                run_column(state, GAS, MAT, dt, n_steps, mode=mode, record_every=record_every)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            with monkeypatch.context() as patch:
+                patch.setattr(simulate, "RECORD_MAX_BYTES", peak - 1)
+                with pytest.raises(ValueError, match=r" over the 2\*\*30-byte \(1 GiB\) ceiling$"):
+                    run_column(state, GAS, MAT, dt, n_steps, mode=mode, record_every=record_every)
 
     @pytest.mark.parametrize("phi,mode,message", [
         (2e-157, "bound", "p_atm kappa overflows at phi, got 2e-157 at index 0"),
@@ -1459,6 +1494,43 @@ class TestColumn:
         np.testing.assert_array_equal(res.energy, ledger.energy[:-1])
         np.testing.assert_array_equal(res.dissipation, ledger.dissipation[:-1])
         np.testing.assert_array_equal(res.content, [gas_content(s) for s in res.history])
+
+    @pytest.mark.parametrize("mode", ["explicit", "implicit"])
+    @pytest.mark.parametrize("steps", ["0", "1", "rows", "rows+1", "2rows+3"])
+    @pytest.mark.parametrize("every", ["1", "rows-1", "rows+1", "1e9"])
+    def test_kept_states_match_stepping(self, mode, steps, every):
+        """A run's ledger and kept states equal those of step_column taken
+        step by step and energy_ledger over every state, bitwise, across block
+        edges.  The first kept state is the initial one; each later one is a
+        row of one array of kept profiles, not a view of the block the steps
+        are taken in, and has its step's time in the ledger."""
+        n = 1000
+        rows = _LEDGER_BLOCK_VALUES // n
+        n_steps = {"0": 0, "1": 1, "rows": rows, "rows+1": rows + 1, "2rows+3": 2 * rows + 3}[steps]
+        record_every = {"1": 1, "rows-1": rows - 1, "rows+1": rows + 1, "1e9": 10**9}[every]
+        state0 = self._cosine_column(n)
+        dt = (1.0 if mode == "explicit" else 10.0) * column_cfl_dt(state0, GAS, MAT)
+        res = run_column(state0, GAS, MAT, dt, n_steps, mode=mode, record_every=record_every)
+        states = [state0]
+        for _ in range(n_steps):
+            states.append(step_column(states[-1], GAS, MAT, dt, mode=mode))
+        # energy_ledger needs two states: a copy one second after the last
+        # adds an entry that is dropped.
+        ledger = energy_ledger([*states, replace(states[-1], t=states[-1].t + 1.0)], GAS, MAT)
+        np.testing.assert_array_equal(res.t, ledger.t[:-1])
+        np.testing.assert_array_equal(res.energy, ledger.energy[:-1])
+        np.testing.assert_array_equal(res.dissipation, ledger.dissipation[:-1])
+        np.testing.assert_array_equal(res.content, [gas_content(s) for s in states])
+        kept_at = sorted({*range(0, n_steps + 1, record_every), n_steps})
+        assert len(res.history) == len(kept_at)
+        assert res.history[0] is state0
+        later = res.history[1:]
+        kept = later[0].pf_profile.base if later else None
+        for i, (step, state) in enumerate(zip(kept_at[1:], later)):
+            assert type(state.t) is float and state.t == res.t[step] == states[step].t
+            np.testing.assert_array_equal(state.pf_profile, states[step].pf_profile, strict=True)
+            assert state.pf_profile.base is kept and kept.shape == (len(later), n)
+            assert state.pf_profile.ctypes.data == kept[i].ctypes.data
 
     @pytest.mark.parametrize("mode", ["explicit", "implicit"])
     def test_bad_initial_pf_raises_before_any_step(self, mode):
