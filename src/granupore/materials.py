@@ -62,11 +62,12 @@ def _check_count(name: str, value, least: int) -> None:
         raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
-def _check_all(rule: str, values, ok=None) -> None:
+def _check_all(rule: str, values, ok=None, first: int = 0) -> None:
     """Reject ``values`` unless ``ok`` (default: finite, NaN failing) holds at
     each element, as ``{rule}, got {value}``, plus `` at index {i}`` for an
-    array's first bad element (``i`` a tuple for a stack); in the modules that
-    check inputs, the only finiteness test that NaN fails."""
+    array's first bad element (``i`` a tuple for a stack, whose first index
+    is offset by ``first`` when ``values`` is a block of a longer stack); in
+    the modules that check inputs, the only finiteness test that NaN fails."""
     ok = np.isfinite(values) if ok is None else ok
     if np.all(ok):
         return
@@ -74,6 +75,7 @@ def _check_all(rule: str, values, ok=None) -> None:
         raise ValueError(f"{rule}, got {values}")
     k = int(np.argmin(ok))
     index = tuple(int(i) for i in np.unravel_index(k, np.shape(values)))
+    index = (index[0] + first, *index[1:])
     where = index[0] if len(index) == 1 else index
     raise ValueError(f"{rule}, got {np.ravel(values)[k]} at index {where}")
 

@@ -20,16 +20,21 @@ without a momentum solver:
   d/dt[(1-phi) p_f] = p_atm d/dz[kappa(phi) dp_f/dz] with zero flux at both
   ends.  In exact arithmetic the finite-volume discretisation conserves
   the discrete gas content and dissipates the gas energy
-  E1 = sum (1-phi) H(p_f) dz monotonically.  ``run_column`` allocates its
-  arrays once and steps in place: each step writes its profile straight
-  into a block of steps and takes its differences, which the next explicit
-  step reads and the block's ledger reuses.  It records content and E1 at
-  every step, summed over each block in one call, bitwise equal to a
-  per-step sum.  In floats the implicit solve's round-off
-  grows with dt; a uniform shift after each solve holds the content drift
-  at rounding level (at most 4.4e-16 per step over dt = 1e-3 to 10 s at
-  the CLI defaults).  Near equilibrium E1 moves by +-1-2 ulp, which the
-  exact energy rule of :class:`EnergyLedger` reports as a rise
+  E1 = sum (1-phi) H(p_f) dz monotonically.  Both modes take the face
+  conductance dt p_atm kappa_f / dz^2 once a run, the explicit step's only
+  coefficient and, negated, the implicit matrix's off-diagonal.
+  ``run_column`` allocates its arrays once and steps in place into a block
+  of steps: an explicit step is five numpy calls, the differences the next
+  step reads included, and an implicit block's differences are one call
+  after its last step.  It records content and E1 at every step, summed
+  over each block in one call into buffers allocated with the run, bitwise
+  equal to a per-step sum; ``energy_ledger`` sums a history in the same
+  blocks.  In
+  floats the implicit solve's round-off grows with dt; a uniform shift
+  after each solve holds the content drift at rounding level (at most
+  4.4e-16 per step over dt = 1e-3 to 10 s at the CLI defaults).  Near
+  equilibrium E1 moves by +-1-2 ulp, which the exact energy rule of
+  :class:`EnergyLedger` reports as a rise
   (ROADMAP.md, item 3).
 
 Bound violations in the box are *flagged, never clamped*: a clamp would
@@ -53,7 +58,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conditions import EQ_ANCHOR_TOL
-from .gas import enthalpy_ideal, permeability_kappa
+from .gas import permeability_kappa
 from .materials import (
     GasParams, MaterialParams, _check_all, _check_amount, _check_amounts, _check_count,
     _check_finite,
@@ -86,10 +91,11 @@ BOUND_EPS = 1.0e-9
 #: Fraction of the explicit column stability limit that a step may take.
 CFL_SAFETY = 0.4
 
-#: p_f values per block of column steps whose ledger ``run_column`` sums in
-#: one call (128 KB, and as much again for their differences): a block this
-#: size stays in cache, while a 4 MB block made 2,000 cells slower than one
-#: call per step (2,000 steps in 121 ms against 94 ms, and 57 ms at this size).
+#: p_f values per block of column states whose ledger ``run_column`` and
+#: ``energy_ledger`` sum in one call (128 KB, and as much again for their
+#: differences): a block this size stays in cache, while a 4 MB block made
+#: 2,000 cells slower than one call per step (2,000 steps in 121 ms against
+#: 94 ms, and 57 ms at this size).
 _LEDGER_BLOCK_VALUES = 16_384
 
 #: Most bytes a run may keep, a share of a desk machine's memory one run may
@@ -98,9 +104,9 @@ _LEDGER_BLOCK_VALUES = 16_384
 #: measured at peak).  A column run is taken as what it allocates before its
 #: first step: each state as 8 bytes a cell and ``_STATE_BYTES`` besides, each
 #: step as the 32 bytes of its 4-float ledger, and the work arrays that
-#: ``_column_work_bytes`` counts.  At about 6.5 us an explicit step of 200
-#: cells in a run (2-vCPU x86-64 host), the 2**25 steps of a 1 GiB ledger run
-#: for 4 minutes.
+#: ``_column_work_bytes`` counts.  At about 4.0 us an explicit step of 200
+#: cells in a run (best of 7 runs of 10,005 steps, 2-vCPU x86-64 host), the
+#: 2**25 steps of a 1 GiB ledger run for about 2 minutes.
 RECORD_MAX_BYTES = 2**30
 
 
@@ -529,12 +535,26 @@ def _column_stepper(
     Returns the static 1-phi, the face kappa and ``advance(p, diff, out) ->
     out``, one step of length dt on the grid and phi profile of ``state``
     from p_f profile ``p``, written into ``out`` (which may be ``p``) with
-    one work array of the stepper's; ``diff`` is ``p[1:] - p[:-1]``, which
-    the explicit step reads and the implicit step ignores.
+    work arrays of the stepper's; ``diff`` is ``p[1:] - p[:-1]``, which the
+    explicit step reads and the implicit step ignores.
+
+    Both modes share the face conductance cond = dt p_atm kappa_f / dz^2.
+    An explicit step is q = p + (F[1:] - F[:-1]) / (1-phi), with the face
+    fluxes F = cond diff between cells and F = 0 at both ends, so cell i
+    takes weight w = cond_f / (1-phi_i) from the neighbour j across each
+    face f and the rest from p_i.  Under the bound of :func:`column_cfl_dt`,
+    dt p_atm kappa / dz^2 <= CFL_SAFETY (1-phi) in every cell, so w <=
+    CFL_SAFETY: toward a less permeable j the harmonic mean kappa_f is at
+    most kappa_i, and toward a more permeable j, by j's own bound, w <=
+    CFL_SAFETY 2 s / (1 + s^3) <= CFL_SAFETY with s = (1-phi_j) / (1-phi_i)
+    >= 1, as Carman-Kozeny's kappa_j / kappa_i is then at least s^3.  So
+    p_i keeps a weight of at least 1 - 2 CFL_SAFETY = 0.2: the step is a
+    convex combination of p, and its max does not rise nor its min fall.
 
     An implicit step solves (M + dt K) q = M p with M = diag(1-phi) and K
-    the zero-flux face Laplacian, by LAPACK's ``dgtsv`` in ``out``.  The matrix has a
-    positive diagonal, non-positive off-diagonals and row sums 1-phi > 0,
+    the zero-flux face Laplacian, so the matrix's off-diagonals are -cond,
+    by LAPACK's ``dgtsv`` in ``out``.  The matrix has a positive diagonal,
+    non-positive off-diagonals and row sums 1-phi > 0,
     so at the cell i where q is largest (1-phi_i) q_i <= (1-phi_i) q_i +
     dt sum_j w_ij (q_i - q_j) = (1-phi_i) p_i: max q <= max p, and likewise
     min q >= min p (the discrete maximum principle).  A finite profile thus
@@ -547,6 +567,7 @@ def _column_stepper(
     if mode not in ("explicit", "implicit"):
         raise ValueError(f"unknown mode {mode!r}")
     one_m, kf, dz = 1.0 - state.phi_profile, _face_kappa(state, gas, mat), state.dz
+    cond = dt * gas.p_atm / (dz * dz) * kf
     work = np.empty_like(one_m)
     if mode == "explicit":
         limit = column_cfl_dt(state, gas, mat)
@@ -555,22 +576,20 @@ def _column_stepper(
                 f"explicit step dt={dt:g} above the stability bound {limit:g}; "
                 "reduce dt or use implicit mode"
             )
-        rate, transfer = dt * gas.p_atm / dz, work[:-1]
+        flux = np.zeros(one_m.size + 1)  # zero flux at both ends
+        inner, upper, lower = flux[1:-1], flux[1:], flux[:-1]
 
         def advance(p: np.ndarray, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
-            np.multiply(kf, diff, transfer)  # rate * (kf * diff / dz), zero flux at both ends
-            np.divide(transfer, dz, transfer)
-            np.multiply(rate, transfer, transfer)
-            np.multiply(one_m, p, out)
-            out[:-1] += transfer
-            out[1:] -= transfer
-            return np.divide(out, one_m, out)
+            np.multiply(cond, diff, inner)
+            np.subtract(upper, lower, work)
+            np.divide(work, one_m, work)
+            return np.add(p, work, out)
 
         return one_m, kf, advance
 
     from scipy.linalg.lapack import dgtsv
 
-    off = -dt * gas.p_atm / (dz * dz) * kf  # off-diagonals of the backward-Euler matrix
+    off = -cond  # off-diagonals of the backward-Euler matrix
     diag = one_m - np.append(off, 0.0) - np.append(0.0, off)
     _check_all(f"implicit step dt={dt:g} overflows the column matrix", diag)
     weight = one_m.sum()
@@ -623,17 +642,31 @@ def gas_content(state: ColumnState) -> float:
 
 
 def _ledger_sums(p: np.ndarray, diff: np.ndarray, dz: float, gas: GasParams,
-                 one_m: np.ndarray, kf: np.ndarray):
+                 one_m: np.ndarray, kf: np.ndarray, work: np.ndarray, first: int = 0):
     """The gas content sum (1-phi) p_f dz, E1 = sum (1-phi) H(p_f) dz with the
-    ideal-gas H, and D = sum over faces of kappa (dp_f/dz)^2 dz, from the
-    static 1-phi and face kappa and ``diff = p[..., 1:] - p[..., :-1]``.
-    Each sums over the last axis, so one profile gives three numbers and a
-    stack of profiles gives one per row.  The three are taken one after the
-    other, so that no more than three temporaries of p's size live at once."""
-    content = (one_m * p).sum(-1) * dz
-    e1 = (one_m * enthalpy_ideal(gas, p)).sum(-1) * dz
-    grad = diff / dz
-    return content, e1, (kf * grad * grad).sum(-1) * dz
+    ideal-gas H of :func:`gas.enthalpy_ideal`, and D = sum over faces of kappa
+    (dp_f/dz)^2 dz, from the static 1-phi and face kappa and ``diff =
+    p[..., 1:] - p[..., :-1]``.  Each sums over the last axis, so one profile
+    gives three numbers and a stack of profiles gives one per row.
+
+    ``work`` is a (2, rows, n) array with at least p's rows, which the sums
+    write into in place of temporaries, in the order of operations of the
+    expressions they replace, so each sum keeps its bits.  A p_f at or below
+    -p_atm (NaN included) raises as ``enthalpy_ideal`` does, its index offset
+    by ``first``, the first row's index in the stack that p is a block of."""
+    x, y = (w.ravel()[:p.size].reshape(p.shape) for w in work)
+    p_atm = gas.p_atm
+    if not p.min() > -p_atm:
+        _check_all(f"p_f must exceed -p_atm = {-p_atm}", p, p > -p_atm, first)
+    content = np.multiply(one_m, p, y).sum(-1) * dz
+    np.log1p(np.divide(p, p_atm, x), x)  # H = (p_atm + p_f) (log1p(p_f / p_atm) - 1)
+    np.subtract(x, 1.0, x)
+    np.multiply(np.add(p_atm, p, y), x, x)
+    e1 = np.multiply(one_m, x, y).sum(-1) * dz
+    grad, d = (w.ravel()[:diff.size].reshape(diff.shape) for w in work)
+    np.divide(diff, dz, grad)
+    np.multiply(kf, grad, d)
+    return content, e1, np.multiply(d, grad, d).sum(-1) * dz
 
 
 @dataclass
@@ -685,13 +718,17 @@ def _block_rows(n_steps: int, n_cells: int) -> int:
 
 #: What ``_check_records`` counts for a column run besides its states' p_f
 #: and its 4-float ledger a step, all allocated before the first step.  Floats
-#: a cell: the initial state's z and phi, the stepper's 1-phi, face kappa and
-#: work array, and implicit mode's two diagonals and the three that ``dgtsv``
-#: copies them into on each solve.
+#: a cell, the larger mode's: the initial state's z and phi, the stepper's
+#: 1-phi, face kappa and work array, and implicit mode's two diagonals (the
+#: off-diagonal is -cond) and the three that ``dgtsv`` copies them into on
+#: each solve; explicit mode holds 7, cond and its flux buffer in their place.
 _COLUMN_FLOATS_A_CELL = 10
-#: Floats a block value that ``_ledger_sums`` holds at once (three p-sized
-#: temporaries), counted beside the block and its differences, and floats a
-#: block row (its three sums and one being taken).
+#: Floats a block value counted beside the block and its differences: the two
+#: buffers ``_ledger_sums`` writes into, and about one for the buffers numpy
+#: fills while it broadcasts 1-phi or the face kappa over a block's rows, or
+#: takes an implicit block's differences from its strided rows (8,192 floats
+#: each, ``np.getbufsize()``, and at most one a value).  And floats a block
+#: row (its three sums and one being taken).
 _SUM_FLOATS_A_VALUE, _SUM_FLOATS_A_ROW = 3, 4
 #: Bytes of a kept state besides its p_f: its ColumnState, the view of its row
 #: and its time (330 measured); and of a run's Python objects and small
@@ -747,13 +784,15 @@ def run_column(
     step, so the result is the run's per-step :class:`EnergyLedger`; states
     are kept each ``record_every`` steps (plus the initial and final ones).
     The ledger, a block of about 16K p_f values, a block of their
-    differences and the kept profiles, one array with a row for each state
-    after the initial one, are allocated before the first step.  The initial
-    profile's sums are taken alone, before any step; each later step writes
-    its profile into the block and its differences beside it, and each
-    block is summed at once, bitwise equal to summing each step's profile
-    alone, before its kept rows are copied out.  The times are the
-    additions of t += dt, in one ``np.add.accumulate``.
+    differences, the two buffers the ledger's sums write into and the kept
+    profiles, one array with a row for each state after the initial one, are
+    allocated before the first step.  The initial profile's sums are taken
+    alone, before any step; each later step writes its profile into the
+    block.  An explicit step then takes its differences, which the next step
+    reads; an implicit block's differences are taken in one subtraction
+    after its last step.  Each block is summed at once, bitwise equal to
+    summing each step's profile alone, before its kept rows are copied out.
+    The times are the additions of t += dt, in one ``np.add.accumulate``.
 
     Raises:
         ValueError: First on the errors of :func:`step_column`, even when
@@ -776,9 +815,10 @@ def run_column(
     times[0], times[1:] = state0.t, dt
     np.add.accumulate(times, out=times)  # the additions of t += dt, one by one
     rows = _block_rows(n_steps, n)
-    block, diffs = np.empty((rows, n)), np.empty((rows + 1, n - 1))
+    block, diffs, work = np.empty((rows, n)), np.empty((rows + 1, n - 1)), np.empty((2, rows, n))
     kept = np.empty((-(-n_steps // record_every), n))
     history = [state0]
+    explicit, tails, heads = mode == "explicit", block[:, 1:], block[:, :-1]
 
     def record(step: int, profile: np.ndarray) -> None:
         row = kept[len(history) - 1]
@@ -786,19 +826,24 @@ def run_column(
         history.append(replace(state0, pf_profile=row, t=float(times[step])))
 
     np.subtract(p[1:], p[:-1], diffs[0])
-    content[0], energy[0], dissipation[0] = _ledger_sums(p, diffs[0], dz, gas, one_m, kf)
+    content[0], energy[0], dissipation[0] = _ledger_sums(p, diffs[0], dz, gas, one_m, kf, work)
     for first in range(1, n_steps + 1, rows):
         k = min(rows, n_steps + 1 - first)
-        for r in range(k):
-            p = advance(p, diffs[r], block[r])
-            np.subtract(p[1:], p[:-1], diffs[r + 1])
-        sums = _ledger_sums(block[:k], diffs[1:k + 1], dz, gas, one_m, kf)
+        if explicit:  # each step reads the differences of the one before
+            for out, diff, following, tail, head in zip(block[:k], diffs, diffs[1:], tails, heads):
+                p = advance(p, diff, out)
+                np.subtract(tail, head, following)
+            diffs[0] = diffs[k]
+        else:  # the implicit step ignores them: one subtraction for the block
+            for out in block[:k]:
+                p = advance(p, None, out)
+            np.subtract(tails[:k], heads[:k], diffs[1:k + 1])
+        sums = _ledger_sums(block[:k], diffs[1:k + 1], dz, gas, one_m, kf, work)
         content[first:first + k], energy[first:first + k], dissipation[first:first + k] = sums
         for r in range(-first % record_every, k, record_every):
             record(first + r, block[r])
         if first + k > n_steps and n_steps % record_every:
             record(n_steps, p)
-        diffs[0] = diffs[k]  # the differences the next block's first step reads
     return ColumnResult(times, energy, dissipation, history, content)
 
 
@@ -807,11 +852,15 @@ def energy_ledger(
 ) -> EnergyLedger:
     """Build the E1 / dissipation ledger from a sequence of column states.
 
+    The profiles are summed in blocks of about :data:`_LEDGER_BLOCK_VALUES`
+    p_f values, as ``run_column`` sums its steps, so the ledger holds one
+    block and its buffers besides the history, whatever its length.
+
     Raises:
         ValueError: If there are fewer than two states, the states do not
-            all share the grid and phi profile of the first, a p_f is at or
-            below -p_atm (the message gives its (state, cell) index), or the
-            times do not strictly increase.
+            all share the grid and phi profile of the first, the times do not
+            strictly increase, or a p_f is at or below -p_atm (the message
+            gives its (state, cell) index); all before any sum but the last.
     """
     if len(history) < 2:
         raise ValueError("need at least two states for a ledger")
@@ -819,11 +868,18 @@ def energy_ledger(
     if not all(s.dz == first.dz and np.array_equal(s.phi_profile, first.phi_profile)
                for s in history[1:]):
         raise ValueError("history states must share the grid and phi profile of the first")
-    one_m, kf = 1.0 - first.phi_profile, _face_kappa(first, gas, mat)
-    profiles = np.stack([s.pf_profile for s in history])
-    _, energy, dissipation = _ledger_sums(profiles, profiles[:, 1:] - profiles[:, :-1], first.dz,
-                                          gas, one_m, kf)
     t = np.array([s.t for s in history])
     if np.any(np.diff(t) <= 0):
         raise ValueError("history times must be strictly increasing")
+    one_m, kf, n = 1.0 - first.phi_profile, _face_kappa(first, gas, mat), first.pf_profile.size
+    rows = _block_rows(len(history), n)
+    block, diffs, work = np.empty((rows, n)), np.empty((rows, n - 1)), np.empty((2, rows, n))
+    energy, dissipation = np.empty((2, len(history)))
+    for start in range(0, len(history), rows):
+        states = history[start:start + rows]
+        k = len(states)
+        p = np.stack([s.pf_profile for s in states], out=block[:k])
+        np.subtract(p[:, 1:], p[:, :-1], diffs[:k])
+        _, energy[start:start + k], dissipation[start:start + k] = _ledger_sums(
+            p, diffs[:k], first.dz, gas, one_m, kf, work, start)
     return EnergyLedger(t, energy, dissipation)

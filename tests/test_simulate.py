@@ -16,7 +16,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import solve_banded
 
 from granupore import simulate
-from granupore.gas import permeability_kappa
+from granupore.gas import enthalpy_ideal, permeability_kappa
 from granupore.materials import (
     EquilibriumLaw, GasParams, _check_count, glass_beads, inertial_number
 )
@@ -1422,6 +1422,62 @@ class TestColumn:
         with pytest.raises(ValueError, match=r"got -202600\.0 at index \(1, 3\)$"):
             energy_ledger([state, later], GAS, MAT)
 
+    @settings(max_examples=20, deadline=None)
+    @given(n=st.integers(2, 400), rows=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    def test_ledger_sums_keep_their_bits(self, n, rows, seed):
+        """The ledger's sums, written into its buffers, equal bitwise the
+        expressions they replace: (1-phi) p_f, (1-phi) enthalpy_ideal(p_f)
+        and kappa_f (dp_f/dz)^2 summed over each profile."""
+        rng = np.random.default_rng(seed)
+        state = uniform_column(n, 0.1, rng.uniform(0.45, 0.62, n), 0.0)
+        one_m, kf, dz = 1.0 - state.phi_profile, simulate._face_kappa(state, GAS, MAT), state.dz
+        work = np.empty((2, rows + 1, n))
+        for shape in ((rows, n), n):  # a block and one profile
+            p = rng.uniform(-0.99, 5.0, shape) * GAS.p_atm
+            diff = p[..., 1:] - p[..., :-1]
+            sums = simulate._ledger_sums(p, diff, dz, GAS, one_m, kf, work)
+            grad = diff / dz
+            expected = ((one_m * p).sum(-1) * dz, (one_m * enthalpy_ideal(GAS, p)).sum(-1) * dz,
+                        (kf * grad * grad).sum(-1) * dz)
+            for got, want in zip(sums, expected):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    def test_ledger_peak_is_one_block(self):
+        """energy_ledger sums the history a block at a time: over a 2,001-state
+        history of 200 cells (3.2 MB of profiles, made before tracing) its
+        traced peak is within one block's arrays, as run_column's door counts
+        them, and its three per-state series (0.70 MB measured)."""
+        state = self._cosine_column(200)
+        history = run_column(state, GAS, MAT, column_cfl_dt(state, GAS, MAT), 2000).history
+        energy_ledger(history[:2], GAS, MAT)  # warm up
+        tracemalloc.start()
+        try:
+            energy_ledger(history, GAS, MAT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = (2 + simulate._SUM_FLOATS_A_VALUE) * _LEDGER_BLOCK_VALUES  # and differences
+        assert peak <= 8 * (block + 3 * len(history)) + simulate._RUN_BYTES
+
+    def test_ledger_checks_times_before_profiles(self):
+        state = self._cosine_column(10)
+        later = replace(state, pf_profile=np.full(10, -2.0 * GAS.p_atm))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            energy_ledger([state, later], GAS, MAT)
+
+    def test_ledger_error_names_the_state_across_blocks(self):
+        """A bad p_f in a later block of the ledger is named by its index in
+        the history, not in its block."""
+        n = 2000
+        rows = _LEDGER_BLOCK_VALUES // n
+        state = self._cosine_column(n)
+        history = [replace(state, t=float(k)) for k in range(2 * rows + 3)]
+        bad = history[rows + 1].pf_profile.copy()
+        bad[7] = -2.0 * GAS.p_atm
+        history[rows + 1] = replace(history[rows + 1], pf_profile=bad)
+        with pytest.raises(ValueError, match=rf"got -202600\.0 at index \({rows + 1}, 7\)$"):
+            energy_ledger(history, GAS, MAT)
+
     @pytest.mark.parametrize("rise,expected", [(1e-9, False), (0.0, True)], ids=["rise", "flat"])
     def test_energy_rule(self, rise, expected):
         energy = np.full(5, -4052.0)
@@ -1443,9 +1499,9 @@ class TestColumn:
             energy_ledger([state, later], GAS, MAT)
 
     GOLDEN_SERIES = {
-        "explicit200": "a9826466c91f67b636bb12d0c2502ef6525479f0f500e2a2b0d07dfd7e71fec4",
+        "explicit200": "cec3c80d35719a891ff3a57375a6abb816125d3ef2b6b4eac9cc857c6dd4c413",
         "implicit200": "93d0546df337fe8396387a84412f872302df66b0339b635b9b92dde7fb6c0c8a",
-        "graded60": "65422814f1f2bcfdeec3b140821a71203bd038aadd1348beca510e3b1153a730",
+        "graded60": "b12e72ec15e1338cc6d19c817e13f4d226654b09266d51243785a0cbdac9faf6",
     }
 
     @pytest.mark.parametrize(
@@ -1633,6 +1689,59 @@ class TestColumnImplicitSolve:
             p += (content.sum() - (one_m * p).sum()) / one_m.sum()
             state = step_column(state, GAS, MAT, dt, mode="implicit")
             assert state.pf_profile.tobytes() == p.tobytes()
+
+
+def _reference_explicit_step(p, one_m, kf, dz, dt, p_atm):
+    """The explicit column step as it was taken before both modes shared the
+    face conductance: transfers T = dt p_atm / dz (kf (p[1:] - p[:-1]) / dz)
+    and (one_m p + T[i] - T[i-1]) / one_m, with T = 0 past both ends."""
+    transfer = dt * p_atm / dz * (kf * (p[1:] - p[:-1]) / dz)
+    out = one_m * p
+    out[:-1] += transfer
+    out[1:] -= transfer
+    return out / one_m
+
+
+class TestColumnExplicitStep:
+    """The explicit step p + (F[1:] - F[:-1]) / (1-phi) against the step it
+    replaced, on columns with uniform or graded phi and p_f from just above
+    -p_atm to 5 p_atm, at the stability bound."""
+
+    #: Steps a run takes: a 2-cell column loses at least 80 % of its
+    #: difference a step, and after 6 its E1 still falls by at least 1.2e-13
+    #: relative a step (3,000 draws), far above rounding.
+    STEPS = 6
+    #: Worst distance from the reference trajectory, as a fraction of the
+    #: largest |p_f| at the start; 300 draws of 50 steps stayed within 3.1 ulp.
+    TOL = 1.0e-14
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, 400), seed=st.integers(0, 2**32 - 1), graded=st.booleans())
+    def test_run_follows_reference_step(self, n, seed, graded):
+        rng = np.random.default_rng(seed)
+        phi = np.sort(rng.uniform(0.45, 0.62, n)) if graded else rng.uniform(0.45, 0.62)
+        state = uniform_column(n, 0.1, phi, rng.uniform(-0.99, 5.0, n) * GAS.p_atm)
+        dt = column_cfl_dt(state, GAS, MAT)
+        res = run_column(state, GAS, MAT, dt, self.STEPS)
+        one_m, kf, dz = 1.0 - state.phi_profile, simulate._face_kappa(state, GAS, MAT), state.dz
+        # each face takes at most CFL_SAFETY of either cell's weight
+        cond = dt * GAS.p_atm / (dz * dz) * kf
+        bound = simulate.CFL_SAFETY * (1.0 + 1.0e-12)
+        assert np.all(cond / one_m[:-1] <= bound) and np.all(cond / one_m[1:] <= bound)
+        p0 = state.pf_profile
+        scale, eps = np.max(np.abs(p0)), np.finfo(float).eps
+        reference = p0
+        for before, after in zip(res.history, res.history[1:]):
+            reference = _reference_explicit_step(reference, one_m, kf, dz, dt, GAS.p_atm)
+            assert np.max(np.abs(after.pf_profile - reference)) <= self.TOL * scale
+            # a convex combination: no new maximum or minimum, up to rounding
+            p, q = before.pf_profile, after.pf_profile
+            assert q.max() <= p.max() + 4.0 * eps * scale and q.min() >= p.min() - 4.0 * eps * scale
+        # content drifts by rounding only: 2.6 ulp of its absolute sum at most
+        # over 600 draws
+        drift = np.max(np.abs(np.diff(res.content)))
+        assert drift <= 8.0 * eps * np.sum(np.abs(one_m * p0)) * dz
+        assert res.non_increasing
 
 
 class TestColumnConvergence:
