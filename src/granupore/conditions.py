@@ -64,7 +64,9 @@ from typing import NamedTuple, TextIO
 import numpy as np
 
 from .gas import permeability_kappa
-from .materials import FlowState, GasParams, MaterialParams, _check_all, _check_count
+from .materials import (
+    RECORD_MAX_BYTES, FlowState, GasParams, MaterialParams, _check_all, _check_count,
+)
 from .rheology import _admit, _forced
 
 __all__ = [
@@ -199,11 +201,25 @@ def dissipation_density(
 # Grid sweeps
 # ----------------------------------------------------------------------
 
+#: Bytes a sweep and its records hold a grid point, for the worse of a model
+#: whose f takes p (333 measured at peak) and one whose f takes none (179):
+#: tracemalloc around ``sweep`` and ``records`` on 24x24x8 to 96x96x8 grids of
+#: the catalogue models and of duck-typed pairs of them, every point kept or
+#: every point skipped.
+_POINT_BYTES = 384
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Cartesian evaluation grid over (phi, I, p).
 
     Ranges are (lo, hi, count); the inertial-number axis may be log-spaced.
+
+    Raises:
+        ValueError: If a range's ends are not finite or not lo < hi, a count
+            is not an integer or < 2, the I or p grid is not positive, or
+            the points, at ``_POINT_BYTES`` each, would pass the 1 GiB
+            ``materials.RECORD_MAX_BYTES``; before any array is made.
     """
 
     phi_range: tuple[float, float, int] = (0.40, 0.595, 12)
@@ -225,6 +241,12 @@ class GridSpec:
             raise ValueError("I grid must be strictly positive")
         if self.p_range[0] <= 0:
             raise ValueError("p grid must be strictly positive")
+        n_phi, n_I, n_p = (int(r[2]) for r in (self.phi_range, self.I_range, self.p_range))
+        points = n_phi * n_I * n_p
+        if _POINT_BYTES * points > RECORD_MAX_BYTES:
+            raise ValueError(
+                f"phi, I and p counts {n_phi}, {n_I} and {n_p} would keep {points} points"
+                f" of {_POINT_BYTES} bytes, over the 2**30-byte (1 GiB) ceiling")
 
     def phi_values(self) -> np.ndarray:
         lo, hi, n = self.phi_range

@@ -191,13 +191,24 @@ def enthalpy_ideal(gas: GasParams, p_f):
     """Closed-form energy density for an ideal gas,
     H = (p_atm + p_f) [ln(1 + p_f / p_atm) - 1].
 
-    H(0) = -p_atm exactly and H is convex in p_f, a float or an array.
+    H(0) = -p_atm exactly and H is convex in p_f.  A number or a 0-d array
+    gives a numpy float, an array an array of its shape.
 
     Raises:
         ValueError: If any p_f <= -p_atm (log branch point) or NaN.
     """
     _check_all(f"p_f must exceed -p_atm = {-gas.p_atm}", p_f, p_f > -gas.p_atm)
-    return (gas.p_atm + p_f) * (np.log1p(p_f / gas.p_atm) - 1.0)
+    return _enthalpy_into(p_f, gas.p_atm)
+
+
+def _enthalpy_into(p, p_atm: float, out: np.ndarray | None = None,
+                   work: np.ndarray | None = None):
+    """The package's one ideal-gas H, (p_atm + p) (log1p(p / p_atm) - 1), not
+    checked: written into ``out`` with ``work`` as scratch, both of p's
+    shape, or into new values as numpy returns them where they are None."""
+    h = np.log1p(np.divide(p, p_atm, out=out), out=out)
+    h = np.subtract(h, 1.0, out=out)
+    return np.multiply(np.add(p_atm, p, out=work), h, out=out)
 
 
 def enthalpy_from_statelaw(

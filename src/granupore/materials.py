@@ -50,6 +50,12 @@ I_CAP = 1.0e3
 #: Residual tolerance for the numeric inversion (|phi_eq(I) - phi|).
 I_EQ_TOL = 1.0e-12
 
+#: Most bytes a run may keep, a share of a desk machine's memory one run may
+#: take: the one ceiling for what a simulator run (``simulate._check_records``)
+#: or a condition sweep (``conditions.GridSpec``) keeps, checked before
+#: anything of the run's size is allocated.
+RECORD_MAX_BYTES = 2**30
+
 
 def _check_count(name: str, value, least: int) -> None:
     """Reject a count that is not an integer (numpy integers pass) or is

@@ -23,13 +23,14 @@ without a momentum solver:
   E1 = sum (1-phi) H(p_f) dz monotonically.  Both modes take the face
   conductance dt p_atm kappa_f / dz^2 once a run, the explicit step's only
   coefficient and, negated, the implicit matrix's off-diagonal.
-  ``run_column`` allocates its arrays once and steps in place into a block
-  of steps: an explicit step is five numpy calls, the differences the next
-  step reads included, and an implicit block's differences are one call
-  after its last step.  It records content and E1 at every step, summed
-  over each block in one call into buffers allocated with the run, bitwise
-  equal to a per-step sum; ``energy_ledger`` sums a history in the same
-  blocks.  In
+  ``run_column`` is the one stepping loop, for both modes, and
+  ``step_column`` a run of one step.  It allocates its arrays once and steps
+  in place into a block of steps, each step followed by the differences the
+  next explicit step reads: an explicit step is five numpy calls with them.
+  It records content and E1 at every step, summed over each block in one
+  call into buffers allocated with the run, bitwise equal to a per-step sum;
+  ``energy_ledger`` sums a history in the same blocks, and both take H from
+  ``gas``.  In
   floats the implicit solve's round-off grows with dt; a uniform shift
   after each solve holds the content drift at rounding level (at most
   4.4e-16 per step over dt = 1e-3 to 10 s at the CLI defaults).  Near
@@ -58,10 +59,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .conditions import EQ_ANCHOR_TOL
-from .gas import permeability_kappa
+from .gas import _enthalpy_into, permeability_kappa
 from .materials import (
-    GasParams, MaterialParams, _check_all, _check_amount, _check_amounts, _check_count,
-    _check_finite,
+    RECORD_MAX_BYTES, GasParams, MaterialParams, _check_all, _check_amount, _check_amounts,
+    _check_count, _check_finite,
 )
 from .rheology import _admit, _forced
 
@@ -98,16 +99,14 @@ CFL_SAFETY = 0.4
 #: 94 ms, and 57 ms at this size).
 _LEDGER_BLOCK_VALUES = 16_384
 
-#: Most bytes a run may keep, a share of a desk machine's memory one run may
-#: take: one ceiling for what any run keeps.  A box row is taken as 320 bytes
-#: (a tuple of six floats while recording, then six array floats; 297
-#: measured at peak).  A column run is taken as what it allocates before its
-#: first step: each state as 8 bytes a cell and ``_STATE_BYTES`` besides, each
-#: step as the 32 bytes of its 4-float ledger, and the work arrays that
-#: ``_column_work_bytes`` counts.  At about 4.0 us an explicit step of 200
-#: cells in a run (best of 7 runs of 10,005 steps, 2-vCPU x86-64 host), the
-#: 2**25 steps of a 1 GiB ledger run for about 2 minutes.
-RECORD_MAX_BYTES = 2**30
+# What a run keeps is counted against materials.RECORD_MAX_BYTES (1 GiB).  A
+# box row is taken as 320 bytes (a tuple of six floats while recording, then
+# six array floats; 297 measured at peak).  A column run is taken as what it
+# allocates before its first step: each state as 8 bytes a cell and
+# ``_STATE_BYTES`` besides, each step as the 32 bytes of its 4-float ledger,
+# and the work arrays that ``_column_work_bytes`` counts.  At about 4.0 us an
+# explicit step of 200 cells in a run (best of 7 runs of 10,005 steps, 2-vCPU
+# x86-64 host), the 2**25 steps of a 1 GiB ledger run for about 2 minutes.
 
 
 # ----------------------------------------------------------------------
@@ -617,7 +616,8 @@ def step_column(
     dt: float,
     mode: str = "explicit",
 ) -> ColumnState:
-    """One finite-volume step of the pore-pressure diffusion equation.
+    """One finite-volume step of the pore-pressure diffusion equation: the
+    last state of a one-step :func:`run_column`.
 
     Zero-flux ends; harmonic-mean face permeabilities.  Explicit mode
     enforces the stability bound of :func:`column_cfl_dt` up front; the
@@ -628,12 +628,14 @@ def step_column(
     drifts only by rounding (see the module docstring).
 
     Raises:
-        ValueError: On dt not positive and finite, unknown mode, an
-            explicit step above the stability bound, or an implicit dt that
-            overflows the matrix or leaves it singular (a LinAlgError).
+        ValueError: What :func:`run_column` raises for one step: on dt not
+            positive and finite, unknown mode, an explicit step above the
+            stability bound, an implicit dt that overflows the matrix or
+            leaves it singular (a LinAlgError), a column whose one-step run
+            would pass :data:`RECORD_MAX_BYTES`, or a p_f not finite or at
+            or below -p_atm.
     """
-    advance, p = _column_stepper(state, gas, mat, dt, mode)[2], state.pf_profile
-    return replace(state, pf_profile=advance(p, p[1:] - p[:-1], np.empty(p.shape)), t=state.t + dt)
+    return run_column(state, gas, mat, dt, 1, mode).history[-1]
 
 
 def gas_content(state: ColumnState) -> float:
@@ -644,7 +646,8 @@ def gas_content(state: ColumnState) -> float:
 def _ledger_sums(p: np.ndarray, diff: np.ndarray, dz: float, gas: GasParams,
                  one_m: np.ndarray, kf: np.ndarray, work: np.ndarray, first: int = 0):
     """The gas content sum (1-phi) p_f dz, E1 = sum (1-phi) H(p_f) dz with the
-    ideal-gas H of :func:`gas.enthalpy_ideal`, and D = sum over faces of kappa
+    ideal-gas H that ``gas._enthalpy_into`` writes, the one behind
+    :func:`gas.enthalpy_ideal`, and D = sum over faces of kappa
     (dp_f/dz)^2 dz, from the static 1-phi and face kappa and ``diff =
     p[..., 1:] - p[..., :-1]``.  Each sums over the last axis, so one profile
     gives three numbers and a stack of profiles gives one per row.
@@ -659,10 +662,7 @@ def _ledger_sums(p: np.ndarray, diff: np.ndarray, dz: float, gas: GasParams,
     if not p.min() > -p_atm:
         _check_all(f"p_f must exceed -p_atm = {-p_atm}", p, p > -p_atm, first)
     content = np.multiply(one_m, p, y).sum(-1) * dz
-    np.log1p(np.divide(p, p_atm, x), x)  # H = (p_atm + p_f) (log1p(p_f / p_atm) - 1)
-    np.subtract(x, 1.0, x)
-    np.multiply(np.add(p_atm, p, y), x, x)
-    e1 = np.multiply(one_m, x, y).sum(-1) * dz
+    e1 = np.multiply(one_m, _enthalpy_into(p, p_atm, x, y), y).sum(-1) * dz
     grad, d = (w.ravel()[:diff.size].reshape(diff.shape) for w in work)
     np.divide(diff, dz, grad)
     np.multiply(kf, grad, d)
@@ -725,10 +725,9 @@ def _block_rows(n_steps: int, n_cells: int) -> int:
 _COLUMN_FLOATS_A_CELL = 10
 #: Floats a block value counted beside the block and its differences: the two
 #: buffers ``_ledger_sums`` writes into, and about one for the buffers numpy
-#: fills while it broadcasts 1-phi or the face kappa over a block's rows, or
-#: takes an implicit block's differences from its strided rows (8,192 floats
-#: each, ``np.getbufsize()``, and at most one a value).  And floats a block
-#: row (its three sums and one being taken).
+#: fills while it broadcasts 1-phi or the face kappa over a block's rows
+#: (8,192 floats each, ``np.getbufsize()``, and at most one a value).  And
+#: floats a block row (its three sums and one being taken).
 _SUM_FLOATS_A_VALUE, _SUM_FLOATS_A_ROW = 3, 4
 #: Bytes of a kept state besides its p_f: its ColumnState, the view of its row
 #: and its time (330 measured); and of a run's Python objects and small
@@ -787,23 +786,23 @@ def run_column(
     differences, the two buffers the ledger's sums write into and the kept
     profiles, one array with a row for each state after the initial one, are
     allocated before the first step.  The initial profile's sums are taken
-    alone, before any step; each later step writes its profile into the
-    block.  An explicit step then takes its differences, which the next step
-    reads; an implicit block's differences are taken in one subtraction
-    after its last step.  Each block is summed at once, bitwise equal to
-    summing each step's profile alone, before its kept rows are copied out.
-    The times are the additions of t += dt, in one ``np.add.accumulate``.
+    alone, before any step.  One loop serves both modes: each later step
+    writes its profile into the block and then takes its differences, which
+    the next explicit step reads and the block's ledger sums.  Each block is
+    summed at once, bitwise equal to summing each step's profile alone,
+    before its kept rows are copied out.  The times are the additions of
+    t += dt, in one ``np.add.accumulate``.
 
     Raises:
-        ValueError: First on the errors of :func:`step_column`, even when
-            n_steps is 0: dt not positive and finite, an unknown mode, an
-            explicit dt above the stability bound, or an implicit dt that
-            overflows the matrix; then if record_every is not an integer or
-            < 1, n_steps is not an integer or < 0, or the states kept, the
-            ledger and the work arrays would pass :data:`RECORD_MAX_BYTES`;
-            then, before any step, if an initial p_f is not finite (NaN
-            included), or at or below -p_atm (each message gives the cell
-            index).
+        ValueError: First, even when n_steps is 0, if dt is not positive
+            and finite, the mode is unknown, an explicit dt is above the
+            stability bound, or an implicit dt overflows the matrix; then if
+            record_every is not an integer or < 1, n_steps is not an integer
+            or < 0, or the states kept, the ledger and the work arrays would
+            pass :data:`RECORD_MAX_BYTES`; then, before any step, if an
+            initial p_f is not finite (NaN included), or at or below -p_atm
+            (each message gives the cell index).  An implicit dt that leaves
+            the matrix singular raises a LinAlgError at the first step.
     """
     one_m, kf, advance = _column_stepper(state0, gas, mat, dt, mode)
     p, dz, n = state0.pf_profile, state0.dz, state0.pf_profile.size
@@ -817,8 +816,7 @@ def run_column(
     rows = _block_rows(n_steps, n)
     block, diffs, work = np.empty((rows, n)), np.empty((rows + 1, n - 1)), np.empty((2, rows, n))
     kept = np.empty((-(-n_steps // record_every), n))
-    history = [state0]
-    explicit, tails, heads = mode == "explicit", block[:, 1:], block[:, :-1]
+    history, tails, heads = [state0], block[:, 1:], block[:, :-1]
 
     def record(step: int, profile: np.ndarray) -> None:
         row = kept[len(history) - 1]
@@ -829,15 +827,10 @@ def run_column(
     content[0], energy[0], dissipation[0] = _ledger_sums(p, diffs[0], dz, gas, one_m, kf, work)
     for first in range(1, n_steps + 1, rows):
         k = min(rows, n_steps + 1 - first)
-        if explicit:  # each step reads the differences of the one before
-            for out, diff, following, tail, head in zip(block[:k], diffs, diffs[1:], tails, heads):
-                p = advance(p, diff, out)
-                np.subtract(tail, head, following)
-            diffs[0] = diffs[k]
-        else:  # the implicit step ignores them: one subtraction for the block
-            for out in block[:k]:
-                p = advance(p, None, out)
-            np.subtract(tails[:k], heads[:k], diffs[1:k + 1])
+        for out, diff, following, tail, head in zip(block[:k], diffs, diffs[1:], tails, heads):
+            p = advance(p, diff, out)  # the implicit step ignores diff
+            np.subtract(tail, head, following)
+        diffs[0] = diffs[k]
         sums = _ledger_sums(block[:k], diffs[1:k + 1], dz, gas, one_m, kf, work)
         content[first:first + k], energy[first:first + k], dissipation[first:first + k] = sums
         for r in range(-first % record_every, k, record_every):

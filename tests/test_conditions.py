@@ -3,6 +3,7 @@
 import hashlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -512,6 +513,54 @@ class TestSweep:
     def test_grid_rejects_non_finite_ends(self, kwargs, name):
         with pytest.raises(ValueError, match=f"^{name}: ends must be finite"):
             GridSpec(**kwargs)
+
+    @pytest.mark.parametrize("counts", [(10**12, 12, 4), (12, 10**12, 4), (12, 12, np.int64(10**12)),
+                                        (2**20, 2**20, 2**20)], ids=["phi", "I", "p", "all"])
+    def test_grid_ceiling_named_before_any_array(self, counts):
+        """A grid whose points, at ``_POINT_BYTES`` each, would pass the 1 GiB
+        ceiling is refused by name before an array of its size is made."""
+        n_phi, n_I, n_p = counts
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                GridSpec((0.4, 0.595, n_phi), (1e-2, 10.0, n_I), (10.0, 1e4, n_p))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(exc.value) == (
+            f"phi, I and p counts {n_phi}, {n_I} and {n_p} would keep {n_phi * n_I * n_p} points"
+            f" of {conditions._POINT_BYTES} bytes, over the 2**30-byte (1 GiB) ceiling")
+        assert peak < 64 * 1024
+
+    def test_grid_ceiling_admits_what_fits(self):
+        """The largest grid of two I and two p values within the ceiling is
+        made and one more phi is refused; the standard grid and a 48x48x8
+        grid are far inside."""
+        most = conditions.RECORD_MAX_BYTES // conditions._POINT_BYTES // 4
+        assert GridSpec((0.4, 0.595, most), (1e-2, 10.0, 2), (10.0, 1e4, 2)).phi_range[2] == most
+        with pytest.raises(ValueError, match=r" over the 2\*\*30-byte \(1 GiB\) ceiling$"):
+            GridSpec((0.4, 0.595, most + 1), (1e-2, 10.0, 2), (10.0, 1e4, 2))
+        standard_grid()
+        GridSpec((0.40, 0.595, 48), (1.0e-2, 10.0, 48), (10.0, 1.0e4, 8))
+
+    @pytest.mark.parametrize("phis", [(0.40, 0.595), (0.62, 0.9)], ids=["kept", "skipped"])
+    @pytest.mark.parametrize("f_takes_p", [True, False], ids=["f-takes-p", "f-takes-no-p"])
+    def test_point_bytes_cover_a_sweep(self, f_takes_p, phis):
+        """A sweep and its records, traced, hold at most ``_POINT_BYTES`` a
+        point, whether f takes p (a forwarding duck pair, each point read
+        alone) or not (mu(I), reads shared over p), with every point kept or
+        every point skipped past phi_max."""
+        model = _Counting(MUI) if f_takes_p else MUI
+        sweep(model, GridSpec((0.4, 0.5, 2), (0.1, 1.0, 2), (10.0, 100.0, 2))).records
+        grid = GridSpec((*phis, 24), (1e-2, 10.0, 24), (10.0, 1e4, 8))
+        tracemalloc.start()
+        try:
+            report = sweep(model, grid)
+            assert len(report.records) + len(report.skipped) == 24 * 24 * 8
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= conditions._POINT_BYTES * 24 * 24 * 8
 
 
 class TestSweepWork:

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from granupore import conditions
 from granupore.cli import main
 from granupore.config import (
     ConfigError,
@@ -988,3 +989,13 @@ class TestCliErrors:
     def test_bad_grid_named(self, capsys, spec, message):
         assert main(["check", "--model", "dp", "--grid", spec]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("command", ["check", "classify", "derive"])
+    def test_grid_ceiling_named(self, capsys, command):
+        """A grid too large for the run-size ceiling exits 1 with one line
+        naming its three counts and the ceiling, and no traceback."""
+        grid = "phi=0.4:0.595:1000000000000"
+        assert main([command, "--model", "dp", "--grid", grid]) == 1
+        assert capsys.readouterr() == ("", (
+            "error: phi, I and p counts 1000000000000, 12 and 4 would keep 48000000000000 points"
+            f" of {conditions._POINT_BYTES} bytes, over the 2**30-byte (1 GiB) ceiling\n"))

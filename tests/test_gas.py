@@ -251,6 +251,41 @@ class TestEnthalpyIdeal:
         with pytest.raises(ValueError, match="p_f must exceed -p_atm"):
             enthalpy_ideal(GAS, pfs)
 
+    P_F = st.floats(-0.99 * GAS.p_atm, 5.0 * GAS.p_atm, exclude_min=True, exclude_max=True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(p=P_F, kind=st.sampled_from(["float", "int", "numpy", "0-d"]),
+           ps=st.lists(P_F, max_size=40), rows=st.integers(1, 4))
+    def test_closed_form_bits_and_types(self, p, kind, ps, rows):
+        """Each value has the bits of (p_atm + p) (log1p(p / p_atm) - 1) on
+        the same input; a number or a 0-d array gives a numpy float, an
+        array an array of its shape."""
+        p_atm = GAS.p_atm
+        value = {"float": p, "int": int(p), "numpy": np.float64(p), "0-d": np.array(p)}[kind]
+        got, want = enthalpy_ideal(GAS, value), (p_atm + value) * (np.log1p(value / p_atm) - 1.0)
+        assert type(got) is np.float64
+        assert got.tobytes() == np.float64(want).tobytes()
+        arr = np.array(ps[:len(ps) // rows * rows]).reshape(rows, -1)
+        got = enthalpy_ideal(GAS, arr)
+        assert type(got) is np.ndarray and got.shape == arr.shape
+        assert got.tobytes() == ((p_atm + arr) * (np.log1p(arr / p_atm) - 1.0)).tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(bad=st.one_of(st.floats(max_value=-GAS.p_atm, allow_infinity=True), st.just(math.nan)),
+           at=st.integers(0, 3))
+    def test_domain_messages(self, bad, at):
+        """A p_f at or below -p_atm or NaN is named as ``_check_all`` names it:
+        the value, and for an array its first bad index."""
+        rule = f"p_f must exceed -p_atm = {-GAS.p_atm}, got {bad}"
+        with pytest.raises(ValueError) as exc:
+            enthalpy_ideal(GAS, bad)
+        assert str(exc.value) == rule
+        pfs = np.zeros(4)
+        pfs[at:] = bad
+        with pytest.raises(ValueError) as exc:
+            enthalpy_ideal(GAS, pfs)
+        assert str(exc.value) == f"{rule} at index {at}"
+
 
 def _fit_affine(x, y):
     coeffs = np.polyfit(x, y, 1)

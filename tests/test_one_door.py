@@ -27,6 +27,11 @@ finds an array's first bad element, so every such message has one wording.
 Three more finiteness tests are listed by name: two column checks that pass
 their mask to ``materials._check_all``, and ``conditions._row_reads``, which
 sends a point whose row values are not finite to the scalar reads.
+
+The column has one path: ``simulate.run_column`` is the only code in the
+package that calls ``simulate._column_stepper``, so ``step_column`` is a run
+of one step, and ``simulate`` calls no ``log1p``: it takes the ideal-gas H
+from ``gas``, where it is written once.
 """
 
 import ast
@@ -307,4 +312,53 @@ def test_the_input_guard_sees_each_kind():
         "8: kappa: np.isfinite", "8: kappa: numpy.isnan", "9: kappa: _first_bad",
         "12: C.m: operator.index", "12: C.m: gas._first_bad", "12: C.m: np.isinf",
         "13: module: math.isfinite",
+    ]
+
+
+#: The one caller of the column's stepper.
+STEPPER_CALLERS = ["simulate.py: run_column: _column_stepper"]
+
+
+def _calls(tree: ast.AST, pattern: str) -> list[str]:
+    """Each call in ``tree`` whose callee, as written, ``pattern`` matches,
+    as ``line: enclosing function: what``."""
+    return [f"{_where(node, inside)}: {ast.unparse(node.func)}" for node, inside in _nodes(tree)
+            if isinstance(node, ast.Call) and re.search(pattern, ast.unparse(node.func))]
+
+
+#: A call of ``log1p`` or of ``_column_stepper``, by its name or through a module.
+LOG1P, STEPPER = r"(^|\.)log1p$", r"(^|\.)_column_stepper$"
+
+
+def test_simulate_calls_no_log1p():
+    """``simulate`` takes the ideal-gas H from ``gas`` and computes none itself."""
+    tree = ast.parse((SOURCE / "simulate.py").read_text(), filename="simulate.py")
+    assert _calls(tree, LOG1P) == []
+
+
+def test_one_caller_of_the_column_stepper():
+    """Only ``run_column`` builds a column stepper: ``step_column`` runs one step."""
+    hits = [
+        f"{path.name}: {hit}"
+        for path in sorted(SOURCE.rglob("*.py"))
+        for hit in _calls(ast.parse(path.read_text(), filename=path.name), STEPPER)
+    ]
+    assert [re.sub(r": \d+:", ":", h) for h in hits] == STEPPER_CALLERS, hits
+
+
+def test_the_column_guards_see_each_kind():
+    tree = ast.parse(
+        "import numpy as np, math\n"
+        "def run_column(state):\n    one_m, kf, advance = _column_stepper(state)\n"
+        "def step_column(state):\n    advance = simulate._column_stepper(state)[2]\n"
+        "    return np.log1p(state) + math.log1p(1.0) + log1p(2.0)\n"
+        "class C:\n    def m(self, p):\n        return np.log(p), np.log1pp(p), _column_stepper\n"
+        "x = np.log1p(np.ones(3), out=y)\n"
+    )
+    assert _calls(tree, STEPPER) == [
+        "3: run_column: _column_stepper", "5: step_column: simulate._column_stepper",
+    ]
+    assert _calls(tree, LOG1P) == [
+        "6: step_column: np.log1p", "6: step_column: math.log1p", "6: step_column: log1p",
+        "10: module: np.log1p",
     ]
